@@ -391,8 +391,7 @@ impl Pfa {
 
     /// The retained reference implementation of `MakeChoice`: the linear
     /// cumulative scan the paper's Algorithm 2 describes. Kept as the
-    /// ground truth the alias table is property-tested against, and as
-    /// the baseline the perf harness measures speedups over.
+    /// ground truth the alias table is property-tested against.
     pub fn make_choice_reference<R: Rng + ?Sized>(
         &self,
         rng: &mut R,

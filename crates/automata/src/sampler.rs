@@ -43,8 +43,8 @@
 /// hardware: the paper's distributions are small and skewed (e.g. the
 /// pCore running state, 4-way at 0.6/0.2/0.1/0.1), so the scan exits
 /// after ~1.7 predicted iterations while a table lookup stalls on a
-/// dependent memory load. Measured on the perf harness's `gen_*` suites:
-/// the scan is ~25% faster at out-degree 4, the table ~20% faster at 16.
+/// dependent memory load. Measured on 4- and 16-way fan-out PFAs: the
+/// scan is ~25% faster at out-degree 4, the table ~20% faster at 16.
 pub(crate) const ALIAS_MIN_OUT_DEGREE: usize = 8;
 
 /// Sentinel in [`Bucket::right`]: resolve by scanning `cum` from `left`.

@@ -9,9 +9,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod perf;
-pub mod trajectory;
-
 use ptest::campaign::RoundReport;
 use ptest::pcore::{GcFaultMode, Op, Program};
 use ptest::{
@@ -86,34 +83,6 @@ pub fn worker_scenario(
     config: AdaptiveTestConfig,
 ) -> FnScenario<impl Fn(&mut DualCoreSystem) -> Vec<ProgramId> + Send + Sync> {
     FnScenario::new(name, config, move |sys| register_worker(sys, work))
-}
-
-/// Registers one sleeper-dominated worker program: `naps` short compute
-/// bursts each followed by a `sleep`-cycle nap. Most of the program's
-/// lifetime is blocked on wake deadlines, so the platform spends nearly
-/// every cycle idle — the workload the event-driven trial loop's
-/// idle-cycle fast-forward targets.
-pub fn register_sleeper(sys: &mut DualCoreSystem, naps: u32, sleep: u32) -> Vec<ProgramId> {
-    let mut ops = Vec::with_capacity(naps as usize * 2 + 1);
-    for _ in 0..naps {
-        ops.push(Op::Compute(5));
-        ops.push(Op::SleepFor(sleep));
-    }
-    ops.push(Op::Exit);
-    vec![sys
-        .kernel_mut()
-        .register_program(Program::new(ops).expect("valid"))]
-}
-
-/// A named scenario whose slave runs one sleeper-dominated worker under
-/// the given configuration (see [`register_sleeper`]).
-pub fn sleeper_scenario(
-    name: &str,
-    naps: u32,
-    sleep: u32,
-    config: AdaptiveTestConfig,
-) -> FnScenario<impl Fn(&mut DualCoreSystem) -> Vec<ProgramId> + Send + Sync> {
-    FnScenario::new(name, config, move |sys| register_sleeper(sys, naps, sleep))
 }
 
 /// The GC-leak adaptive configuration shared by the crash-detection

@@ -93,8 +93,7 @@ impl PatternGenerator {
 
     /// Generates one pattern into a caller-owned symbol buffer (clearing
     /// it first) — the zero-allocation walk for loops that do not keep
-    /// the pattern, such as the campaign learning pass and the perf
-    /// harness.
+    /// the pattern, such as the campaign learning pass.
     pub fn generate_into<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
