@@ -7,7 +7,7 @@ use ptest_core::{
     Bug, BugDetector, BugKind, Committer, CommitterConfig, CommitterStatus, DetectorConfig,
     MergedPattern, Scenario,
 };
-use ptest_master::{DualCoreSystem, SystemConfig};
+use ptest_master::{MultiCoreSystem, SystemConfig};
 use ptest_pcore::ProgramId;
 
 /// Knobs of a single merged-pattern run.
@@ -100,9 +100,9 @@ pub fn run_merged(
     merged: MergedPattern,
     alphabet: &Alphabet,
     knobs: &RunKnobs,
-    setup: impl FnOnce(&mut DualCoreSystem) -> Vec<ProgramId>,
+    setup: impl FnOnce(&mut MultiCoreSystem) -> Vec<ProgramId>,
 ) -> RunOutcome {
-    let mut sys = DualCoreSystem::new(knobs.system.clone());
+    let mut sys = MultiCoreSystem::new(knobs.system.clone());
     let programs = setup(&mut sys);
     let mut committer = Committer::new(
         merged,
@@ -208,7 +208,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let patterns = g.generate_batch(&mut rng, 2, GenerateOptions::sized(6));
         let merged = PatternMerger::new().merge(&patterns, MergeOp::cyclic());
-        let setup = |sys: &mut DualCoreSystem| {
+        let setup = |sys: &mut MultiCoreSystem| {
             vec![sys
                 .kernel_mut()
                 .register_program(Program::new(vec![Op::Compute(10), Op::Exit]).unwrap())]

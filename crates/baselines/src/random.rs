@@ -9,7 +9,7 @@
 //! comparison that motivates pTest's "rational order" patterns.
 
 use ptest_core::{Bug, BugDetector, BugKind, DetectorConfig};
-use ptest_master::{DualCoreSystem, SystemConfig};
+use ptest_master::{MultiCoreSystem, SystemConfig};
 use ptest_pcore::{Priority, ProgramId, Service, SvcError, SvcRequest, TaskId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -114,10 +114,10 @@ impl RandomTester {
     /// worker, cycled).
     pub fn run(
         &self,
-        setup: impl FnOnce(&mut DualCoreSystem) -> Vec<ProgramId>,
+        setup: impl FnOnce(&mut MultiCoreSystem) -> Vec<ProgramId>,
     ) -> RandomTestReport {
         let cfg = &self.cfg;
-        let mut sys = DualCoreSystem::new(cfg.system.clone());
+        let mut sys = MultiCoreSystem::new(cfg.system.clone());
         let programs = setup(&mut sys);
         let mut rng = StdRng::seed_from_u64(cfg.seed);
         let mut detector = BugDetector::new(cfg.detector);
@@ -250,7 +250,7 @@ mod tests {
     use super::*;
     use ptest_pcore::{Op, Program};
 
-    fn worker_setup(sys: &mut DualCoreSystem) -> Vec<ProgramId> {
+    fn worker_setup(sys: &mut MultiCoreSystem) -> Vec<ProgramId> {
         vec![sys
             .kernel_mut()
             .register_program(Program::new(vec![Op::Compute(30), Op::Exit]).unwrap())]

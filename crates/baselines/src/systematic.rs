@@ -11,7 +11,7 @@
 
 use ptest_automata::Alphabet;
 use ptest_core::{BugKind, MergedPattern, PatternMerger, TestPattern};
-use ptest_master::DualCoreSystem;
+use ptest_master::MultiCoreSystem;
 use ptest_pcore::ProgramId;
 
 use crate::harness::{run_merged, RunKnobs};
@@ -85,7 +85,7 @@ impl SystematicExplorer {
         &self,
         patterns: &[TestPattern],
         alphabet: &Alphabet,
-        mut setup: impl FnMut(&mut DualCoreSystem) -> Vec<ProgramId>,
+        mut setup: impl FnMut(&mut MultiCoreSystem) -> Vec<ProgramId>,
     ) -> SystematicReport {
         let merger = PatternMerger::new();
         let Some(all) = merger.enumerate_all(patterns, self.cfg.interleaving_limit) else {
@@ -151,7 +151,7 @@ impl SystematicExplorer {
         &self,
         merged: MergedPattern,
         alphabet: &Alphabet,
-        setup: &mut impl FnMut(&mut DualCoreSystem) -> Vec<ProgramId>,
+        setup: &mut impl FnMut(&mut MultiCoreSystem) -> Vec<ProgramId>,
     ) -> crate::harness::RunOutcome {
         run_merged(merged, alphabet, &self.cfg.knobs, |sys| setup(sys))
     }

@@ -12,7 +12,7 @@
 use ptest::automata::GenerateOptions;
 use ptest::pcore::{Op, Program};
 use ptest::{
-    Committer, CommitterConfig, DualCoreSystem, MergeOp, PatternGenerator, PatternMerger,
+    Committer, CommitterConfig, MergeOp, MultiCoreSystem, PatternGenerator, PatternMerger,
     SystemConfig,
 };
 use rand::rngs::StdRng;
@@ -30,7 +30,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let merged = PatternMerger::new().merge(&patterns, MergeOp::cyclic());
     println!("merged = {}\n", merged.render(&alphabet));
 
-    let mut sys = DualCoreSystem::new(SystemConfig::default());
+    let mut sys = MultiCoreSystem::new(SystemConfig::default());
     let prog = sys
         .kernel_mut()
         .register_program(Program::new(vec![Op::Compute(5_000), Op::Exit])?);

@@ -12,8 +12,8 @@
 use ptest::campaign::RoundReport;
 use ptest::pcore::{GcFaultMode, Op, Program};
 use ptest::{
-    AdaptiveTestConfig, BugKind, Campaign, CampaignConfig, CampaignReport, DualCoreSystem,
-    FnScenario, LearningConfig, ProgramId, Scenario,
+    AdaptiveTestConfig, BugKind, Campaign, CampaignConfig, CampaignReport, FnScenario,
+    LearningConfig, MultiCoreSystem, ProgramId, Scenario,
 };
 
 /// The machine-summary classes of the crash family (case study 1's
@@ -69,7 +69,7 @@ pub fn fmt_mean(value: Option<f64>) -> String {
 
 /// Registers one compute-and-exit worker program — the standard healthy
 /// slave workload of the experiments.
-pub fn register_worker(sys: &mut DualCoreSystem, work: u32) -> Vec<ProgramId> {
+pub fn register_worker(sys: &mut MultiCoreSystem, work: u32) -> Vec<ProgramId> {
     vec![sys
         .kernel_mut()
         .register_program(Program::new(vec![Op::Compute(work), Op::Exit]).expect("valid"))]
@@ -81,7 +81,7 @@ pub fn worker_scenario(
     name: &str,
     work: u32,
     config: AdaptiveTestConfig,
-) -> FnScenario<impl Fn(&mut DualCoreSystem) -> Vec<ProgramId> + Send + Sync> {
+) -> FnScenario<impl Fn(&mut MultiCoreSystem) -> Vec<ProgramId> + Send + Sync> {
     FnScenario::new(name, config, move |sys| register_worker(sys, work))
 }
 

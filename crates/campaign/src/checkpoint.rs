@@ -32,6 +32,10 @@ use crate::report::{CampaignReport, RoundReport};
 
 /// Schema identifier stamped into every serialized checkpoint.
 ///
+/// v4: rounds carry one `axis_detection` table (rows of `axis`, `label`
+/// and counts) in place of the per-axis `schedule_detection`,
+/// `memory_detection` and `preemption_detection` vectors.
+///
 /// v3: trial outcomes carry their `irq_seed` and preemption label (the
 /// replay quadruple), rounds carry `preemption_detection` aggregates,
 /// and minimized reproducers record the interrupt-injection shrink.
@@ -41,7 +45,7 @@ use crate::report::{CampaignReport, RoundReport};
 /// v2: completed rounds carry their `minimized` reproducers
 /// ([`RoundReport::minimized`]), so resumed campaigns skip re-shrinking
 /// classes a checkpointed round already minimized.
-pub const CHECKPOINT_SCHEMA: &str = "ptest-campaign/checkpoint-v3";
+pub const CHECKPOINT_SCHEMA: &str = "ptest-campaign/checkpoint-v4";
 
 /// One `(state, symbol, count)` entry of a counts snapshot.
 #[derive(Debug, Clone, PartialEq, Eq)]

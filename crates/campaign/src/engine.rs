@@ -6,7 +6,7 @@
 //! spawned once and every round is dispatched to them as a batch, so the
 //! per-round cost is a channel send per worker, not a pool teardown.
 //! Every trial owns a private deterministic
-//! [`DualCoreSystem`](ptest_master::DualCoreSystem), so trials
+//! [`MultiCoreSystem`](ptest_master::MultiCoreSystem), so trials
 //! embarrassingly parallelize; each trial's trace-derived
 //! [`TransitionCounts`] delta is computed *inside its worker*, leaving
 //! only an entry-wise `u64` merge (and the PFA re-compile) on the
@@ -41,8 +41,7 @@ use ptest_core::{
 use crate::learning;
 use crate::pool;
 use crate::report::{
-    CampaignReport, LearnedDistribution, MemoryDetection, MinimizedOutcome, PreemptionDetection,
-    RoundReport, ScheduleDetection, TrialOutcome,
+    AxisDetection, CampaignReport, LearnedDistribution, MinimizedOutcome, RoundReport, TrialOutcome,
 };
 
 /// Knobs of the cross-trial feedback loop.
@@ -99,8 +98,8 @@ pub struct CampaignConfig {
     /// [`RandomPriorityScheduler`](ptest_master::RandomPriorityScheduler)
     /// with `budgets[t % budgets.len()]` priority-change points — so one
     /// campaign sweeps several schedule-search depths and
-    /// [`RoundReport::schedule_detection`] reports which budgets find
-    /// bugs.
+    /// [`RoundReport::axis_detection`]'s schedule rows report which
+    /// budgets find bugs.
     pub schedule_budgets: Vec<usize>,
     /// Memory-model rotation. Empty (the default) runs every trial under
     /// the scenario's own
@@ -108,8 +107,8 @@ pub struct CampaignConfig {
     /// Non-empty, trial `t` of each round runs under
     /// `memory_models[t % memory_models.len()]` — so one campaign probes
     /// the same (pattern × schedule) space under several propagation
-    /// semantics and [`RoundReport::memory_detection`] reports which
-    /// models surface bugs.
+    /// semantics and [`RoundReport::axis_detection`]'s memory rows
+    /// report which models surface bugs.
     pub memory_models: Vec<MemoryModelSpec>,
     /// Preemption rotation. Empty (the default) runs every trial under
     /// the scenario's own
@@ -118,9 +117,10 @@ pub struct CampaignConfig {
     /// `preemption_specs[t % preemption_specs.len()]` — so one campaign
     /// sweeps quantum/clock-skew/interrupt configurations (including the
     /// inert spec as a control lane) and
-    /// [`RoundReport::preemption_detection`] reports which specs surface
-    /// bugs. Every trial's interrupt plan draws from its own derived
-    /// `irq_seed`, recorded on the outcome for quadruple replay.
+    /// [`RoundReport::axis_detection`]'s preemption rows report which
+    /// specs surface bugs. Every trial's interrupt plan draws from its
+    /// own derived `irq_seed`, recorded on the outcome for quadruple
+    /// replay.
     pub preemption_specs: Vec<PreemptionSpec>,
     /// Opt-in post-round minimization: after each round closes, the
     /// campaign-wide *first* hit of every not-yet-minimized bug class is
@@ -148,6 +148,46 @@ impl Default for CampaignConfig {
             preemption_specs: Vec::new(),
             minimize_bugs: false,
         }
+    }
+}
+
+impl CampaignConfig {
+    /// The `(schedule, memory, preemption)` specs trial `trial` of every
+    /// round runs under. On each axis with a non-empty rotation the
+    /// trial takes entry `trial % len`; otherwise it keeps `base`'s own
+    /// spec. A schedule budget turns `base`'s schedule into a
+    /// [`RandomPriorityScheduler`](ptest_master::RandomPriorityScheduler)
+    /// with that many change points, keeping `base`'s other
+    /// random-priority settings. Together with the trial's recorded seed
+    /// quadruple these specs replay it through
+    /// [`TrialEngine::run_scenario_trial_overridden`].
+    #[must_use]
+    pub fn trial_specs(
+        &self,
+        base: &AdaptiveTestConfig,
+        trial: usize,
+    ) -> (ScheduleSpec, MemoryModelSpec, PreemptionSpec) {
+        fn lane<T: Copy>(rotation: &[T], trial: usize) -> Option<T> {
+            trial.checked_rem(rotation.len()).map(|i| rotation[i])
+        }
+        let schedule = match lane(&self.schedule_budgets, trial) {
+            None => base.schedule,
+            Some(change_points) => {
+                let rp = match base.schedule {
+                    ScheduleSpec::RandomPriority(rp) => rp,
+                    ScheduleSpec::LockStep => RandomPriorityConfig::default(),
+                };
+                ScheduleSpec::RandomPriority(RandomPriorityConfig {
+                    change_points,
+                    ..rp
+                })
+            }
+        };
+        (
+            schedule,
+            lane(&self.memory_models, trial).unwrap_or(base.memory),
+            lane(&self.preemption_specs, trial).unwrap_or(base.preemption),
+        )
     }
 }
 
@@ -192,73 +232,17 @@ impl From<AdaptiveTestError> for CampaignError {
     }
 }
 
-/// Derives the seed of `trial` in `round` from the master seed
-/// (splitmix64 over the indices — decorrelated, collision-free in
-/// practice, and stable across platforms). Re-exported from its single
-/// home in [`ptest_soc::seed`] under this historical path.
-pub use ptest_soc::seed::campaign_trial_seed as trial_seed;
-
-/// Derives the *schedule* seed of `trial` in `round` from the master
-/// seed — a stream independent of [`trial_seed`], so the campaign
-/// explores (pattern × schedule) space rather than a diagonal of it:
-/// two trials with related pattern seeds still get decorrelated
-/// schedules, and a recorded `(seed, schedule_seed)` pair replays any
-/// trial byte-for-byte. Re-exported from [`ptest_soc::seed`].
-pub use ptest_soc::seed::campaign_schedule_seed as schedule_seed;
-
-/// Derives the *memory* seed of `trial` in `round` from the master seed
-/// — a third stream, independent of both [`trial_seed`] and
-/// [`schedule_seed`], so a recorded `(seed, schedule_seed, memory_seed)`
-/// triple replays any trial byte-for-byte while the campaign explores
-/// (pattern × schedule × store-visibility) space. Re-exported from
-/// [`ptest_soc::seed`].
-pub use ptest_soc::seed::campaign_memory_seed as memory_seed;
-
-/// Derives the *interrupt/preemption* seed of `trial` in `round` from
-/// the master seed — the fourth stream, independent of the other three,
-/// so a recorded `(seed, schedule_seed, memory_seed, irq_seed)`
-/// quadruple replays any trial byte-for-byte while the campaign
-/// explores (pattern × schedule × memory × preemption) space.
-/// Re-exported from [`ptest_soc::seed`].
-pub use ptest_soc::seed::campaign_irq_seed as irq_seed;
-
-/// The schedule spec trial `t` runs under: the scenario's own spec, or
-/// the rotated PCT budget when [`CampaignConfig::schedule_budgets`] is
-/// non-empty.
-fn trial_schedule(cfg: &CampaignConfig, base: ScheduleSpec, trial: usize) -> ScheduleSpec {
-    if cfg.schedule_budgets.is_empty() {
-        return base;
-    }
-    let budget = cfg.schedule_budgets[trial % cfg.schedule_budgets.len()];
-    let rp = match base {
-        ScheduleSpec::RandomPriority(rp) => rp,
-        ScheduleSpec::LockStep => RandomPriorityConfig::default(),
-    };
-    ScheduleSpec::RandomPriority(RandomPriorityConfig {
-        change_points: budget,
-        ..rp
-    })
-}
-
-/// The memory model trial `t` runs under: the scenario's own spec, or
-/// the rotated model when [`CampaignConfig::memory_models`] is
-/// non-empty.
-fn trial_memory(cfg: &CampaignConfig, base: MemoryModelSpec, trial: usize) -> MemoryModelSpec {
-    if cfg.memory_models.is_empty() {
-        return base;
-    }
-    cfg.memory_models[trial % cfg.memory_models.len()]
-}
-
-/// The preemption spec trial `t` runs under: the scenario's own spec, or
-/// the rotated spec when [`CampaignConfig::preemption_specs`] is
-/// non-empty.
-fn trial_preemption(cfg: &CampaignConfig, base: PreemptionSpec, trial: usize) -> PreemptionSpec {
-    if cfg.preemption_specs.is_empty() {
-        return base;
-    }
-    cfg.preemption_specs[trial % cfg.preemption_specs.len()]
-}
+/// The seed quadruple of `trial` in `round`: its pattern, schedule,
+/// memory and interrupt seeds, each derived from the master seed on its
+/// own independent stream (splitmix64 over the indices — decorrelated,
+/// collision-free in practice, and stable across platforms). A campaign
+/// thus explores (pattern × schedule × memory × preemption) space rather
+/// than a diagonal of it, and a recorded quadruple replays any trial byte
+/// for byte. Re-exported from [`ptest_soc::seed`].
+pub use ptest_soc::seed::{
+    campaign_irq_seed as irq_seed, campaign_memory_seed as memory_seed,
+    campaign_schedule_seed as schedule_seed, campaign_trial_seed as trial_seed,
+};
 
 /// The campaign runner.
 #[derive(Debug)]
@@ -374,7 +358,6 @@ impl Campaign {
                     &pool,
                     cfg,
                     scenario,
-                    &base,
                     &engine,
                     round,
                     0..cfg.trials_per_round,
@@ -388,7 +371,6 @@ impl Campaign {
                         &pool,
                         cfg,
                         scenario,
-                        &base,
                         &engine,
                         round,
                         &report.trials,
@@ -432,7 +414,6 @@ pub(crate) fn run_round_trials<'env>(
     pool: &TrialPool<'env>,
     cfg: &'env CampaignConfig,
     scenario: &'env dyn Scenario,
-    base: &AdaptiveTestConfig,
     engine: &Arc<TrialEngine>,
     round: usize,
     trials: Range<usize>,
@@ -440,22 +421,20 @@ pub(crate) fn run_round_trials<'env>(
     let jobs = trials.len();
     let lo = trials.start;
     let master_seed = cfg.master_seed;
-    let base_schedule = base.schedule;
-    let base_memory = base.memory;
     let learn = cfg.learning.enabled;
     let engine = Arc::clone(engine);
-    let base_preemption = base.preemption;
     let results = pool.run_batch(jobs, move |scratch, i| {
         let trial = lo + i;
+        let (schedule, memory, preemption) = cfg.trial_specs(engine.config(), trial);
         let report = engine.run_scenario_trial_overridden(
             scenario,
             trial_seed(master_seed, round, trial),
             schedule_seed(master_seed, round, trial),
             memory_seed(master_seed, round, trial),
             ptest_core::TrialOverrides {
-                schedule: Some(trial_schedule(cfg, base_schedule, trial)),
-                memory: Some(trial_memory(cfg, base_memory, trial)),
-                preemption: Some(trial_preemption(cfg, base_preemption, trial)),
+                schedule: Some(schedule),
+                memory: Some(memory),
+                preemption: Some(preemption),
                 irq_seed: Some(irq_seed(master_seed, round, trial)),
                 ..ptest_core::TrialOverrides::default()
             },
@@ -499,12 +478,10 @@ pub(crate) fn run_round_trials<'env>(
 /// classes — so a class is shrunk exactly once per campaign no matter
 /// how often it recurs, and the output is independent of checkpoint
 /// boundaries.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn minimize_round<'env>(
     pool: &TrialPool<'env>,
     cfg: &'env CampaignConfig,
     scenario: &'env dyn Scenario,
-    base: &AdaptiveTestConfig,
     engine: &Arc<TrialEngine>,
     round: usize,
     outcomes: &[TrialOutcome],
@@ -522,14 +499,12 @@ pub(crate) fn minimize_round<'env>(
         return Ok(Vec::new());
     }
     let master_seed = cfg.master_seed;
-    let base_schedule = base.schedule;
-    let base_memory = base.memory;
-    let base_preemption = base.preemption;
     let engine = Arc::clone(engine);
     let n_jobs = jobs.len();
     let results = pool.run_batch(n_jobs, move |scratch, i| {
         let (trial, class) = &jobs[i];
         let trial = *trial;
+        let (schedule, memory, preemption) = cfg.trial_specs(engine.config(), trial);
         let minimized = minimize_scenario_trial(
             &engine,
             scenario,
@@ -537,9 +512,9 @@ pub(crate) fn minimize_round<'env>(
             schedule_seed(master_seed, round, trial),
             memory_seed(master_seed, round, trial),
             irq_seed(master_seed, round, trial),
-            trial_schedule(cfg, base_schedule, trial),
-            trial_memory(cfg, base_memory, trial),
-            trial_preemption(cfg, base_preemption, trial),
+            schedule,
+            memory,
+            preemption,
             Some(class),
             &MinimizeConfig::default(),
             scratch,
@@ -620,6 +595,17 @@ pub(crate) fn close_round(
     ))
 }
 
+/// Reads the spec label a trial outcome records on one axis.
+type AxisLabel = fn(&TrialOutcome) -> &str;
+
+/// The exploration axes of [`RoundReport::axis_detection`], in row
+/// order: each axis's name and the label its trials record.
+const AXES: [(&str, AxisLabel); 3] = [
+    ("schedule", |o| &o.schedule),
+    ("memory", |o| &o.memory),
+    ("preemption", |o| &o.preemption),
+];
+
 /// Assembles a round report from per-trial outcomes alone — no live
 /// [`TestReport`]s involved, which is what lets sharded rounds merge by
 /// concatenating their outcome vectors.
@@ -635,9 +621,6 @@ pub(crate) fn assemble_round(
     let mut total_commands = 0u64;
     let mut total_cycles = 0u64;
     let mut first_bug_sum = 0u64;
-    let mut schedule_detection: Vec<ScheduleDetection> = Vec::new();
-    let mut memory_detection: Vec<MemoryDetection> = Vec::new();
-    let mut preemption_detection: Vec<PreemptionDetection> = Vec::new();
     for outcome in &trials {
         let found = outcome.summary.bugs.len();
         if found > 0 {
@@ -647,66 +630,33 @@ pub(crate) fn assemble_round(
         total_commands += outcome.summary.commands_issued;
         total_cycles += outcome.summary.cycles;
         first_bug_sum += outcome.commands_to_first_bug.unwrap_or(0);
-        let slot = match schedule_detection
-            .iter_mut()
-            .find(|d| d.schedule == outcome.schedule)
-        {
-            Some(slot) => slot,
-            None => {
-                schedule_detection.push(ScheduleDetection {
-                    schedule: outcome.schedule.clone(),
-                    trials: 0,
-                    trials_with_bugs: 0,
-                    bugs: 0,
-                });
-                schedule_detection.last_mut().expect("just pushed")
-            }
-        };
-        slot.trials += 1;
-        if found > 0 {
-            slot.trials_with_bugs += 1;
+    }
+    let mut axis_detection: Vec<AxisDetection> = Vec::new();
+    for (axis, label_of) in AXES {
+        let first_row = axis_detection.len();
+        for outcome in &trials {
+            let label = label_of(outcome);
+            let row = match axis_detection[first_row..]
+                .iter()
+                .position(|d| d.label == label)
+            {
+                Some(i) => &mut axis_detection[first_row + i],
+                None => {
+                    axis_detection.push(AxisDetection {
+                        axis: axis.to_owned(),
+                        label: label.to_owned(),
+                        trials: 0,
+                        trials_with_bugs: 0,
+                        bugs: 0,
+                    });
+                    axis_detection.last_mut().expect("just pushed")
+                }
+            };
+            let found = outcome.summary.bugs.len();
+            row.trials += 1;
+            row.trials_with_bugs += usize::from(found > 0);
+            row.bugs += found;
         }
-        slot.bugs += found;
-        let slot = match memory_detection
-            .iter_mut()
-            .find(|d| d.memory == outcome.memory)
-        {
-            Some(slot) => slot,
-            None => {
-                memory_detection.push(MemoryDetection {
-                    memory: outcome.memory.clone(),
-                    trials: 0,
-                    trials_with_bugs: 0,
-                    bugs: 0,
-                });
-                memory_detection.last_mut().expect("just pushed")
-            }
-        };
-        slot.trials += 1;
-        if found > 0 {
-            slot.trials_with_bugs += 1;
-        }
-        slot.bugs += found;
-        let slot = match preemption_detection
-            .iter_mut()
-            .find(|d| d.preemption == outcome.preemption)
-        {
-            Some(slot) => slot,
-            None => {
-                preemption_detection.push(PreemptionDetection {
-                    preemption: outcome.preemption.clone(),
-                    trials: 0,
-                    trials_with_bugs: 0,
-                    bugs: 0,
-                });
-                preemption_detection.last_mut().expect("just pushed")
-            }
-        };
-        slot.trials += 1;
-        if found > 0 {
-            slot.trials_with_bugs += 1;
-        }
-        slot.bugs += found;
     }
     let mean_commands_to_first_bug = if trials_with_bugs > 0 {
         Some(first_bug_sum as f64 / trials_with_bugs as f64)
@@ -722,9 +672,7 @@ pub(crate) fn assemble_round(
         total_commands,
         total_cycles,
         mean_commands_to_first_bug,
-        schedule_detection,
-        memory_detection,
-        preemption_detection,
+        axis_detection,
         traces_learned,
         learned,
         minimized: Vec::new(),
@@ -753,284 +701,236 @@ mod tests {
         )
     }
 
-    #[test]
-    fn trial_seeds_are_unique_and_stable() {
+    type Stream = fn(u64, usize, usize) -> u64;
+
+    /// Asserts `stream` is stable, collision-free over a campaign's
+    /// indices, keyed by the master seed, and never agrees with any of
+    /// the `others` streams.
+    fn assert_stream_unique_and_decorrelated(stream: Stream, others: &[Stream]) {
         let mut seen = std::collections::BTreeSet::new();
         for round in 0..8 {
             for trial in 0..64 {
-                assert!(seen.insert(trial_seed(7, round, trial)));
+                let seed = stream(7, round, trial);
+                assert!(seen.insert(seed));
+                assert!(others.iter().all(|other| other(7, round, trial) != seed));
             }
         }
-        assert_eq!(trial_seed(7, 3, 5), trial_seed(7, 3, 5));
-        assert_ne!(trial_seed(7, 3, 5), trial_seed(8, 3, 5));
+        assert_eq!(stream(7, 3, 5), stream(7, 3, 5));
+        assert_ne!(stream(7, 3, 5), stream(8, 3, 5));
+    }
+
+    #[test]
+    fn trial_seeds_are_unique_and_stable() {
+        assert_stream_unique_and_decorrelated(trial_seed, &[]);
     }
 
     #[test]
     fn schedule_seeds_are_stable_and_decorrelated_from_trial_seeds() {
-        let mut seen = std::collections::BTreeSet::new();
-        for round in 0..8 {
-            for trial in 0..64 {
-                assert!(seen.insert(schedule_seed(7, round, trial)));
-                assert_ne!(
-                    schedule_seed(7, round, trial),
-                    trial_seed(7, round, trial),
-                    "schedule and pattern streams must differ"
-                );
-            }
-        }
-        assert_eq!(schedule_seed(7, 3, 5), schedule_seed(7, 3, 5));
-        assert_ne!(schedule_seed(7, 3, 5), schedule_seed(8, 3, 5));
+        assert_stream_unique_and_decorrelated(schedule_seed, &[trial_seed]);
     }
 
     #[test]
     fn memory_seeds_are_stable_and_decorrelated_from_the_other_streams() {
-        let mut seen = std::collections::BTreeSet::new();
-        for round in 0..8 {
-            for trial in 0..64 {
-                assert!(seen.insert(memory_seed(7, round, trial)));
-                assert_ne!(
-                    memory_seed(7, round, trial),
-                    trial_seed(7, round, trial),
-                    "memory and pattern streams must differ"
-                );
-                assert_ne!(
-                    memory_seed(7, round, trial),
-                    schedule_seed(7, round, trial),
-                    "memory and schedule streams must differ"
-                );
+        assert_stream_unique_and_decorrelated(memory_seed, &[trial_seed, schedule_seed]);
+    }
+
+    /// A campaign rotating two lanes on `axis`, and the lanes' labels.
+    fn rotation(axis: &str) -> (CampaignConfig, [&'static str; 2]) {
+        use ptest_core::{InterruptConfig, QuantumConfig};
+        let base = CampaignConfig::default();
+        match axis {
+            "schedule" => (
+                CampaignConfig {
+                    schedule_budgets: vec![0, 3],
+                    ..base
+                },
+                ["random-priority(d=0)", "random-priority(d=3)"],
+            ),
+            "memory" => (
+                CampaignConfig {
+                    memory_models: vec![MemoryModelSpec::SeqCst, MemoryModelSpec::store_buffer()],
+                    ..base
+                },
+                ["seq-cst", "store-buffer(d=24)"],
+            ),
+            _ => {
+                let spec = PreemptionSpec {
+                    quantum: Some(QuantumConfig { cycles: 8 }),
+                    interrupts: Some(InterruptConfig {
+                        count: 2,
+                        horizon: 100,
+                        ..InterruptConfig::default()
+                    }),
+                    ..PreemptionSpec::default()
+                };
+                (
+                    CampaignConfig {
+                        preemption_specs: vec![PreemptionSpec::default(), spec],
+                        ..base
+                    },
+                    ["none", "quantum(q=8)+irq(n=2)"],
+                )
             }
         }
-        assert_eq!(memory_seed(7, 3, 5), memory_seed(7, 3, 5));
-        assert_ne!(memory_seed(7, 3, 5), memory_seed(8, 3, 5));
     }
 
-    #[test]
-    fn memory_model_rotation_shows_up_in_detection_buckets() {
-        let scenario = compute_scenario(2, 4);
-        let report = Campaign::run(
-            &CampaignConfig {
-                trials_per_round: 6,
-                rounds: 1,
-                workers: 2,
-                master_seed: 3,
-                memory_models: vec![MemoryModelSpec::SeqCst, MemoryModelSpec::store_buffer()],
-                ..CampaignConfig::default()
-            },
-            &scenario,
-        )
-        .unwrap();
-        let round = &report.rounds[0];
-        let labels: Vec<&str> = round
-            .memory_detection
+    fn run_compute(config: &CampaignConfig) -> CampaignReport {
+        Campaign::run(config, &compute_scenario(2, 4)).unwrap()
+    }
+
+    /// The labels of `round`'s detection rows on `axis`, with their
+    /// trial counts.
+    fn rows<'r>(round: &'r RoundReport, axis: &str) -> Vec<(&'r str, usize)> {
+        round
+            .axis_detection
             .iter()
-            .map(|d| d.memory.as_str())
-            .collect();
-        assert_eq!(labels, ["seq-cst", "store-buffer(d=24)"]);
-        assert!(round.memory_detection.iter().all(|d| d.trials == 3));
-        for outcome in &round.trials {
-            assert_eq!(
-                outcome.memory,
-                ["seq-cst", "store-buffer(d=24)"][outcome.trial % 2]
-            );
-            assert_eq!(
-                outcome.memory_seed,
-                memory_seed(3, 0, outcome.trial),
-                "outcomes record the replay triple"
-            );
-        }
+            .filter(|d| d.axis == axis)
+            .map(|d| (d.label.as_str(), d.trials))
+            .collect()
     }
 
-    #[test]
-    fn memory_model_campaigns_stay_worker_count_independent() {
-        let scenario = compute_scenario(2, 4);
-        let run = |workers| {
-            Campaign::run(
-                &CampaignConfig {
-                    trials_per_round: 6,
-                    rounds: 2,
-                    workers,
-                    master_seed: 77,
-                    schedule_budgets: vec![1, 4],
-                    memory_models: vec![MemoryModelSpec::SeqCst, MemoryModelSpec::store_buffer()],
-                    ..CampaignConfig::default()
-                },
-                &scenario,
-            )
-            .unwrap()
-        };
-        assert_eq!(run(1), run(4));
-    }
-
-    #[test]
-    fn default_campaigns_bucket_everything_under_seq_cst() {
-        let scenario = compute_scenario(2, 4);
-        let report = Campaign::run(
-            &CampaignConfig {
-                trials_per_round: 3,
-                rounds: 1,
-                workers: 1,
-                master_seed: 9,
-                ..CampaignConfig::default()
-            },
-            &scenario,
-        )
-        .unwrap();
+    /// Trial `t` runs lane `t % 2` of the rotation, records its seed
+    /// quadruple, and lands in that lane's detection row.
+    fn assert_rotation_shows_up_in_detection_buckets(axis: &str) {
+        let (config, lanes) = rotation(axis);
+        let report = run_compute(&CampaignConfig {
+            trials_per_round: 6,
+            rounds: 1,
+            workers: 2,
+            master_seed: 3,
+            ..config
+        });
         let round = &report.rounds[0];
-        assert_eq!(round.memory_detection.len(), 1);
-        assert_eq!(round.memory_detection[0].memory, "seq-cst");
-        assert_eq!(round.memory_detection[0].trials, 3);
-    }
-
-    #[test]
-    fn preemption_rotation_shows_up_in_detection_buckets() {
-        use ptest_core::{InterruptConfig, PreemptionSpec, QuantumConfig};
-        let scenario = compute_scenario(2, 4);
-        let spec = PreemptionSpec {
-            quantum: Some(QuantumConfig { cycles: 8 }),
-            interrupts: Some(InterruptConfig {
-                count: 2,
-                horizon: 100,
-                ..InterruptConfig::default()
-            }),
-            ..PreemptionSpec::default()
-        };
-        let report = Campaign::run(
-            &CampaignConfig {
-                trials_per_round: 6,
-                rounds: 1,
-                workers: 2,
-                master_seed: 3,
-                preemption_specs: vec![PreemptionSpec::default(), spec],
-                ..CampaignConfig::default()
-            },
-            &scenario,
-        )
-        .unwrap();
-        let round = &report.rounds[0];
-        let labels: Vec<&str> = round
-            .preemption_detection
-            .iter()
-            .map(|d| d.preemption.as_str())
-            .collect();
-        assert_eq!(labels, ["none", "quantum(q=8)+irq(n=2)"]);
-        assert!(round.preemption_detection.iter().all(|d| d.trials == 3));
-        for outcome in &round.trials {
+        assert_eq!(rows(round, axis), [(lanes[0], 3), (lanes[1], 3)]);
+        let (_, label_of) = AXES.iter().find(|(a, _)| *a == axis).unwrap();
+        for o in &round.trials {
+            assert_eq!(label_of(o), lanes[o.trial % 2]);
+            let t = o.trial;
             assert_eq!(
-                outcome.preemption,
-                ["none", "quantum(q=8)+irq(n=2)"][outcome.trial % 2]
-            );
-            assert_eq!(
-                outcome.irq_seed,
-                irq_seed(3, 0, outcome.trial),
+                [o.seed, o.schedule_seed, o.memory_seed, o.irq_seed],
+                [
+                    trial_seed(3, 0, t),
+                    schedule_seed(3, 0, t),
+                    memory_seed(3, 0, t),
+                    irq_seed(3, 0, t)
+                ],
                 "outcomes record the replay quadruple"
             );
         }
     }
 
-    #[test]
-    fn preemption_campaigns_stay_worker_count_independent() {
-        use ptest_core::{InterruptConfig, PreemptionSpec, QuantumConfig};
-        let scenario = compute_scenario(2, 4);
-        let spec = PreemptionSpec {
-            quantum: Some(QuantumConfig { cycles: 4 }),
-            interrupts: Some(InterruptConfig {
-                count: 3,
-                horizon: 200,
-                ..InterruptConfig::default()
-            }),
-            ..PreemptionSpec::default()
-        };
+    fn assert_worker_count_independent(config: CampaignConfig) {
         let run = |workers| {
-            Campaign::run(
-                &CampaignConfig {
-                    trials_per_round: 6,
-                    rounds: 2,
-                    workers,
-                    master_seed: 77,
-                    preemption_specs: vec![PreemptionSpec::default(), spec],
-                    ..CampaignConfig::default()
-                },
-                &scenario,
-            )
-            .unwrap()
+            run_compute(&CampaignConfig {
+                trials_per_round: 6,
+                rounds: 2,
+                workers,
+                master_seed: 77,
+                ..config.clone()
+            })
         };
         assert_eq!(run(1), run(4));
+    }
+
+    /// Without rotations every trial runs the scenario's own specs, so
+    /// each axis has one row holding every trial.
+    fn assert_default_campaigns_bucket_everything_under(axis: &str, label: &str) {
+        let report = run_compute(&CampaignConfig {
+            trials_per_round: 3,
+            rounds: 1,
+            workers: 1,
+            master_seed: 9,
+            ..CampaignConfig::default()
+        });
+        assert_eq!(rows(&report.rounds[0], axis), [(label, 3)]);
     }
 
     #[test]
     fn schedule_budget_rotation_shows_up_in_detection_buckets() {
-        let scenario = compute_scenario(2, 4);
-        let report = Campaign::run(
-            &CampaignConfig {
-                trials_per_round: 6,
-                rounds: 1,
-                workers: 2,
-                master_seed: 3,
-                schedule_budgets: vec![0, 3],
-                ..CampaignConfig::default()
-            },
-            &scenario,
-        )
-        .unwrap();
-        let round = &report.rounds[0];
-        let labels: Vec<&str> = round
-            .schedule_detection
-            .iter()
-            .map(|d| d.schedule.as_str())
-            .collect();
-        assert_eq!(labels, ["random-priority(d=0)", "random-priority(d=3)"]);
-        assert!(round.schedule_detection.iter().all(|d| d.trials == 3));
-        for outcome in &round.trials {
-            assert_eq!(
-                outcome.schedule,
-                format!("random-priority(d={})", [0, 3][outcome.trial % 2])
-            );
-            assert_eq!(
-                outcome.schedule_seed,
-                schedule_seed(3, 0, outcome.trial),
-                "outcomes record the replay pair"
-            );
-        }
+        assert_rotation_shows_up_in_detection_buckets("schedule");
+    }
+
+    #[test]
+    fn memory_model_rotation_shows_up_in_detection_buckets() {
+        assert_rotation_shows_up_in_detection_buckets("memory");
+    }
+
+    #[test]
+    fn preemption_rotation_shows_up_in_detection_buckets() {
+        assert_rotation_shows_up_in_detection_buckets("preemption");
     }
 
     #[test]
     fn schedule_budget_campaigns_stay_worker_count_independent() {
-        let scenario = compute_scenario(2, 4);
-        let run = |workers| {
-            Campaign::run(
-                &CampaignConfig {
-                    trials_per_round: 6,
-                    rounds: 2,
-                    workers,
-                    master_seed: 77,
-                    schedule_budgets: vec![1, 4],
-                    ..CampaignConfig::default()
-                },
-                &scenario,
-            )
-            .unwrap()
-        };
-        assert_eq!(run(1), run(4));
+        assert_worker_count_independent(CampaignConfig {
+            schedule_budgets: vec![1, 4],
+            ..CampaignConfig::default()
+        });
+    }
+
+    #[test]
+    fn memory_model_campaigns_stay_worker_count_independent() {
+        assert_worker_count_independent(CampaignConfig {
+            schedule_budgets: vec![1, 4],
+            ..rotation("memory").0
+        });
+    }
+
+    #[test]
+    fn preemption_campaigns_stay_worker_count_independent() {
+        assert_worker_count_independent(rotation("preemption").0);
     }
 
     #[test]
     fn default_campaigns_bucket_everything_under_lock_step() {
-        let scenario = compute_scenario(2, 4);
-        let report = Campaign::run(
-            &CampaignConfig {
-                trials_per_round: 3,
-                rounds: 1,
-                workers: 1,
-                master_seed: 9,
-                ..CampaignConfig::default()
-            },
-            &scenario,
-        )
-        .unwrap();
+        assert_default_campaigns_bucket_everything_under("schedule", "lock-step");
+    }
+
+    #[test]
+    fn default_campaigns_bucket_everything_under_seq_cst() {
+        assert_default_campaigns_bucket_everything_under("memory", "seq-cst");
+    }
+
+    #[test]
+    fn axis_detection_groups_rows_by_axis_in_first_seen_order() {
+        let config = |workers| CampaignConfig {
+            trials_per_round: 7,
+            rounds: 1,
+            workers,
+            master_seed: 11,
+            schedule_budgets: vec![3, 0],
+            memory_models: vec![MemoryModelSpec::store_buffer(), MemoryModelSpec::SeqCst],
+            preemption_specs: rotation("preemption").0.preemption_specs,
+            ..CampaignConfig::default()
+        };
+        let report = run_compute(&config(1));
         let round = &report.rounds[0];
-        assert_eq!(round.schedule_detection.len(), 1);
-        assert_eq!(round.schedule_detection[0].schedule, "lock-step");
-        assert_eq!(round.schedule_detection[0].trials, 3);
+        let table: Vec<(&str, &str, usize)> = round
+            .axis_detection
+            .iter()
+            .map(|d| (d.axis.as_str(), d.label.as_str(), d.trials))
+            .collect();
+        assert_eq!(
+            table,
+            [
+                ("schedule", "random-priority(d=3)", 4),
+                ("schedule", "random-priority(d=0)", 3),
+                ("memory", "store-buffer(d=24)", 4),
+                ("memory", "seq-cst", 3),
+                ("preemption", "none", 4),
+                ("preemption", "quantum(q=8)+irq(n=2)", 3),
+            ]
+        );
+        for (axis, _) in AXES {
+            let rows = round.axis_detection.iter().filter(|d| d.axis == axis);
+            let (with_bugs, bugs) =
+                rows.fold((0, 0), |(w, b), d| (w + d.trials_with_bugs, b + d.bugs));
+            assert_eq!((with_bugs, bugs), (round.trials_with_bugs, round.bugs));
+        }
+        assert_eq!(
+            round.axis_detection,
+            run_compute(&config(4)).rounds[0].axis_detection
+        );
     }
 
     #[test]

@@ -77,10 +77,10 @@ pub fn observe_report(counts: &mut TransitionCounts, report: &TestReport, dfa: &
 mod tests {
     use super::*;
     use ptest_core::{AdaptiveTest, AdaptiveTestConfig, PatternGenerator};
-    use ptest_master::DualCoreSystem;
+    use ptest_master::MultiCoreSystem;
     use ptest_pcore::{Op, Program, ProgramId};
 
-    fn quick_setup(sys: &mut DualCoreSystem) -> Vec<ProgramId> {
+    fn quick_setup(sys: &mut MultiCoreSystem) -> Vec<ProgramId> {
         vec![sys
             .kernel_mut()
             .register_program(Program::new(vec![Op::Compute(20), Op::Exit]).unwrap())]

@@ -62,8 +62,8 @@ pub use engine::{
     LearningConfig,
 };
 pub use report::{
-    CampaignReport, DistributionEntry, LearnedDistribution, MemoryDetection, MinimizedOutcome,
-    PreemptionDetection, RoundReport, ScheduleDetection, TrialOutcome,
+    AxisDetection, CampaignReport, DistributionEntry, LearnedDistribution, MinimizedOutcome,
+    RoundReport, TrialOutcome,
 };
 pub use shard::{ShardReport, ShardRound, ShardSpec};
 

@@ -82,7 +82,7 @@ pub struct TrialOutcome {
     /// `"lock-step"`, `"random-priority(d=3)"`).
     pub schedule: String,
     /// The derived per-trial memory seed — the third element of the
-    /// replay triple. Recorded even under sequential consistency, where
+    /// replay quadruple. Recorded even under sequential consistency, where
     /// it has no behavioural effect.
     pub memory_seed: u64,
     /// Stable label of the memory model the trial ran under (e.g.
@@ -117,51 +117,22 @@ pub struct MinimizedOutcome {
     pub repro: MinimizedRepro,
 }
 
-/// Detection statistics of one schedule (identified by its stable
-/// label) within a round — the signal the adaptive loop can use to bias
-/// future rounds toward bug-finding schedule budgets.
+/// Detection statistics of one exploration lane within a round: the
+/// trials that ran under one spec (identified by its stable label) on one
+/// axis. Which schedule budgets, memory models and preemption specs
+/// surfaced bugs is the signal the adaptive loop can use to bias future
+/// rounds.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
-pub struct ScheduleDetection {
-    /// The schedule label (see
-    /// [`ScheduleSpec::label`](ptest_master::ScheduleSpec::label)).
-    pub schedule: String,
-    /// Trials run under this schedule this round.
-    pub trials: usize,
-    /// Of those, trials that detected at least one bug.
-    pub trials_with_bugs: usize,
-    /// Total bugs across those trials.
-    pub bugs: usize,
-}
-
-/// Detection statistics of one memory model (identified by its stable
-/// label) within a round — which propagation semantics surfaced bugs,
-/// the memory-axis counterpart of [`ScheduleDetection`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
-pub struct MemoryDetection {
-    /// The memory-model label (see
-    /// [`MemoryModelSpec::label`](ptest_master::MemoryModelSpec::label)).
-    pub memory: String,
-    /// Trials run under this memory model this round.
-    pub trials: usize,
-    /// Of those, trials that detected at least one bug.
-    pub trials_with_bugs: usize,
-    /// Total bugs across those trials.
-    pub bugs: usize,
-}
-
-/// Detection statistics of one preemption spec (identified by its
-/// stable label) within a round — which quantum/clock-skew/interrupt
-/// configuration surfaced bugs, the preemption-axis counterpart of
-/// [`ScheduleDetection`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
-pub struct PreemptionDetection {
-    /// The preemption label (see
-    /// [`PreemptionSpec::label`](ptest_master::PreemptionSpec::label)).
-    pub preemption: String,
-    /// Trials run under this preemption spec this round.
+pub struct AxisDetection {
+    /// The exploration axis: `"schedule"`, `"memory"` or `"preemption"`.
+    pub axis: String,
+    /// The spec's label on that axis (see
+    /// [`ScheduleSpec::label`](ptest_master::ScheduleSpec::label),
+    /// [`MemoryModelSpec::label`](ptest_master::MemoryModelSpec::label)
+    /// and [`PreemptionSpec::label`](ptest_master::PreemptionSpec::label)).
+    pub label: String,
+    /// Trials run under this spec this round.
     pub trials: usize,
     /// Of those, trials that detected at least one bug.
     pub trials_with_bugs: usize,
@@ -190,15 +161,11 @@ pub struct RoundReport {
     pub total_cycles: u64,
     /// Mean of `commands_to_first_bug` over bug-finding trials.
     pub mean_commands_to_first_bug: Option<f64>,
-    /// Per-schedule detection aggregates, in first-seen trial order (one
-    /// entry per distinct schedule label run this round).
-    pub schedule_detection: Vec<ScheduleDetection>,
-    /// Per-memory-model detection aggregates, in first-seen trial order
-    /// (one entry per distinct memory-model label run this round).
-    pub memory_detection: Vec<MemoryDetection>,
-    /// Per-preemption-spec detection aggregates, in first-seen trial
-    /// order (one entry per distinct preemption label run this round).
-    pub preemption_detection: Vec<PreemptionDetection>,
+    /// Per-spec detection aggregates: one row per distinct label run
+    /// this round on each axis, grouped schedule → memory → preemption
+    /// and in first-seen trial order within an axis. Each axis's rows
+    /// partition the round's trials.
+    pub axis_detection: Vec<AxisDetection>,
     /// Execution traces this round contributed to the feedback counts
     /// (0 when learning is disabled).
     pub traces_learned: u64,

@@ -124,29 +124,21 @@ impl Campaign {
             return Err(CampaignError::Shard(
                 "minimization needs the campaign-wide first hit per bug class, \
                  which no standalone shard knows: minimize on the merged report's \
-                 recorded triples instead"
+                 recorded seed quadruples instead"
                     .to_owned(),
             ));
         }
-        let base = scenario.base_config();
         let trials = shard.trials(cfg.trials_per_round);
         // Learning never advances past the only round that could use it,
         // so every round generates from the scenario's base distribution
         // — exactly as the unsharded run would.
-        let engine = Arc::new(TrialEngine::new(base.clone())?);
+        let engine = Arc::new(TrialEngine::new(scenario.base_config())?);
         let rounds = std::thread::scope(|scope| {
             let pool = TrialPool::start(scope, cfg.workers, TrialScratch::new);
             let mut rounds = Vec::with_capacity(cfg.rounds);
             for round in 0..cfg.rounds {
-                let materials = engine::run_round_trials(
-                    &pool,
-                    cfg,
-                    scenario,
-                    &base,
-                    &engine,
-                    round,
-                    trials.clone(),
-                )?;
+                let materials =
+                    engine::run_round_trials(&pool, cfg, scenario, &engine, round, trials.clone())?;
                 rounds.push(ShardRound {
                     round,
                     outcomes: materials.outcomes,

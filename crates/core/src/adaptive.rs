@@ -10,13 +10,13 @@
 //!    detector monitors.
 //!
 //! [`AdaptiveTest::run`] performs the whole procedure on a fresh
-//! [`DualCoreSystem`] and returns a [`TestReport`]. Reports carry the
+//! [`MultiCoreSystem`] and returns a [`TestReport`]. Reports carry the
 //! full configuration and seed: [`AdaptiveTest::reproduce`] re-runs a
 //! report's scenario and arrives at the same outcome — the paper's bug
 //! reproduction story, made checkable.
 
 use ptest_automata::{ProbabilityAssignment, Regex};
-use ptest_master::{DualCoreSystem, MemoryModelSpec, PreemptionSpec, ScheduleSpec, SystemConfig};
+use ptest_master::{MemoryModelSpec, MultiCoreSystem, PreemptionSpec, ScheduleSpec, SystemConfig};
 use ptest_pcore::ProgramId;
 use ptest_soc::Cycles;
 
@@ -308,7 +308,7 @@ impl AdaptiveTest {
     /// configuration is invalid.
     pub fn run(
         cfg: AdaptiveTestConfig,
-        setup: impl FnOnce(&mut DualCoreSystem) -> Vec<ProgramId>,
+        setup: impl FnOnce(&mut MultiCoreSystem) -> Vec<ProgramId>,
     ) -> Result<TestReport, AdaptiveTestError> {
         let seed = cfg.seed;
         TrialEngine::new(cfg)?.run_trial(seed, setup)
@@ -324,7 +324,7 @@ impl AdaptiveTest {
         scenario: &dyn Scenario,
         seed: u64,
     ) -> Result<TestReport, AdaptiveTestError> {
-        TrialEngine::new(scenario.base_config())?.run_scenario_trial(scenario, seed)
+        TrialEngine::new(scenario.base_config())?.run_trial(seed, |sys| scenario.setup(sys))
     }
 
     /// Re-runs the scenario of a report (same configuration, same seed).
@@ -336,7 +336,7 @@ impl AdaptiveTest {
     /// As for [`AdaptiveTest::run`].
     pub fn reproduce(
         report: &TestReport,
-        setup: impl FnOnce(&mut DualCoreSystem) -> Vec<ProgramId>,
+        setup: impl FnOnce(&mut MultiCoreSystem) -> Vec<ProgramId>,
     ) -> Result<TestReport, AdaptiveTestError> {
         AdaptiveTest::run(report.config.clone(), setup)
     }
@@ -347,7 +347,7 @@ mod tests {
     use super::*;
     use ptest_pcore::{Op, Program};
 
-    fn quick_setup(sys: &mut DualCoreSystem) -> Vec<ProgramId> {
+    fn quick_setup(sys: &mut MultiCoreSystem) -> Vec<ProgramId> {
         vec![sys
             .kernel_mut()
             .register_program(Program::new(vec![Op::Compute(20), Op::Exit]).unwrap())]

@@ -513,13 +513,13 @@ mod tests {
     use crate::generator::PatternGenerator;
     use crate::merger::{MergeOp, PatternMerger};
     use ptest_automata::GenerateOptions;
-    use ptest_master::{DualCoreSystem, SystemConfig};
+    use ptest_master::{MultiCoreSystem, SystemConfig};
     use ptest_pcore::Program;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     fn run_to_completion(
-        sys: &mut DualCoreSystem,
+        sys: &mut MultiCoreSystem,
         committer: &mut Committer,
         max: u64,
     ) -> CommitterStatus {
@@ -533,8 +533,8 @@ mod tests {
         CommitterStatus::Running
     }
 
-    fn setup(n: usize, s: usize, op: MergeOp, seed: u64) -> (DualCoreSystem, Committer) {
-        let mut sys = DualCoreSystem::new(SystemConfig::default());
+    fn setup(n: usize, s: usize, op: MergeOp, seed: u64) -> (MultiCoreSystem, Committer) {
+        let mut sys = MultiCoreSystem::new(SystemConfig::default());
         let prog = sys.kernel_mut().register_program(
             Program::new(vec![ptest_pcore::Op::Compute(30), ptest_pcore::Op::Exit]).unwrap(),
         );
@@ -673,7 +673,7 @@ mod tests {
         let mut cfg = SystemConfig::default();
         cfg.kernel.heap_bytes = 2 * 1024;
         cfg.kernel.gc_fault = ptest_pcore::GcFaultMode::LeakDeadBlocks { leak_every: 1 };
-        let mut sys = DualCoreSystem::new(cfg);
+        let mut sys = MultiCoreSystem::new(cfg);
         let prog = sys
             .kernel_mut()
             .register_program(Program::exit_immediately());

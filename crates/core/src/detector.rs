@@ -794,11 +794,11 @@ mod tests {
 
     mod live_system {
         use super::super::*;
-        use ptest_master::{DualCoreSystem, MultiCoreSystem, SnapshotCache, SystemConfig};
+        use ptest_master::{MultiCoreSystem, SnapshotCache, SystemConfig};
         use ptest_pcore::{Op, Priority, Program, SvcRequest};
 
-        fn spin_system() -> DualCoreSystem {
-            let mut sys = DualCoreSystem::new(SystemConfig::default());
+        fn spin_system() -> MultiCoreSystem {
+            let mut sys = MultiCoreSystem::new(SystemConfig::default());
             let spin = sys
                 .kernel_mut()
                 .register_program(Program::new(vec![Op::Jump(0)]).unwrap());
@@ -816,7 +816,7 @@ mod tests {
         }
 
         fn observe_window(
-            sys: &mut DualCoreSystem,
+            sys: &mut MultiCoreSystem,
             det: &mut BugDetector,
             cycles: u64,
             done: bool,
@@ -886,7 +886,7 @@ mod tests {
         fn crash_reported_once_with_snapshot() {
             let mut cfg = SystemConfig::default();
             cfg.kernel.heap_bytes = 500; // TCB fits, the 512 B stack cannot
-            let mut sys = DualCoreSystem::new(cfg);
+            let mut sys = MultiCoreSystem::new(cfg);
             let prog = sys
                 .kernel_mut()
                 .register_program(Program::exit_immediately());

@@ -65,8 +65,8 @@ pub use detector::{Bug, BugDetector, BugKind, DetectorConfig};
 pub use generator::PatternGenerator;
 pub use merger::{MergeOp, PatternMerger};
 pub use minimize::{
-    minimize_scenario_trial, minimize_trial, replay_minimized, InterleavingEvent, MinimizeConfig,
-    MinimizeError, MinimizedMemory, MinimizedRepro, MinimizedSchedule, RootCauseReport,
+    minimize_scenario_trial, replay_minimized, InterleavingEvent, MinimizeConfig, MinimizeError,
+    MinimizedMemory, MinimizedRepro, MinimizedSchedule, RootCauseReport,
 };
 pub use pattern::{MergedPattern, MergedStep, TestPattern};
 pub use record::{MasterState, StateRecord};

@@ -1,8 +1,8 @@
 //! Reproducer minimization and root-cause interleaving reports.
 //!
 //! At campaign scale detected bugs are cheap, but each reproducer is a
-//! `(pattern seed, schedule seed, memory seed)` triple whose replay
-//! spans thousands of steps. This module shrinks a detected trial down
+//! `(pattern seed, schedule seed, memory seed, irq seed)` quadruple
+//! whose replay spans thousands of steps. This module shrinks a detected trial down
 //! to its essence, delta-debugging style (the same shrink idiom as
 //! proptest: try a smaller candidate, keep it only if the failure still
 //! reproduces):
@@ -19,7 +19,10 @@
 //!    [`change_point_mask`](ptest_master::RandomPriorityConfig::change_point_mask).
 //!    Masking never re-seeds anything: the surviving demotions land on
 //!    exactly the cycles they did in the original trial.
-//! 3. **Root-cause report** — replay the minimized triple once with
+//! 3. **Interrupt shrink** — the same ddmin over the seeded interrupt
+//!    injections, via the plan's
+//!    [`injection_mask`](ptest_master::InterruptConfig::injection_mask).
+//! 4. **Root-cause report** — replay the minimized quadruple once with
 //!    full-trace capture and emit the cross-core interleaving window
 //!    around the failure: racing shared-variable accesses, semaphore
 //!    hand-offs and blocking edges, aligned on one virtual-time axis
@@ -80,7 +83,7 @@ pub enum MinimizeError {
     /// A candidate trial failed to run at all (configuration-level
     /// failure; candidate trials that merely don't detect are normal).
     Trial(AdaptiveTestError),
-    /// The minimized triple did not replay to a byte-identical summary —
+    /// The minimized quadruple did not replay to a byte-identical summary —
     /// a determinism regression in the engine, never expected.
     UnstableReplay,
 }
@@ -810,44 +813,11 @@ fn minimized_schedule_view(spec: &ScheduleSpec) -> Option<RandomPriorityConfig> 
     }
 }
 
-/// Convenience wrapper of [`minimize_scenario_trial`] at the engine's
-/// compiled schedule/memory specs — for reproducers recorded by plain
-/// (non-rotating) runs.
-///
-/// # Errors
-///
-/// As for [`minimize_scenario_trial`].
-pub fn minimize_trial(
-    engine: &TrialEngine,
-    scenario: &dyn Scenario,
-    seed: u64,
-    schedule_seed: u64,
-    memory_seed: u64,
-    cfg: &MinimizeConfig,
-    scratch: &mut TrialScratch,
-) -> Result<MinimizedRepro, MinimizeError> {
-    minimize_scenario_trial(
-        engine,
-        scenario,
-        seed,
-        schedule_seed,
-        memory_seed,
-        engine
-            .config()
-            .irq_seed
-            .unwrap_or_else(|| crate::trial::derived_irq_seed(seed)),
-        engine.config().schedule,
-        engine.config().memory,
-        engine.config().preemption,
-        None,
-        cfg,
-        scratch,
-    )
-}
-
 /// Replays a [`MinimizedRepro`] from its stored parts: parses the
 /// minimized patterns back through the engine's alphabet and re-runs the
-/// trial under the minimized schedule mask and stored memory model. The
+/// trial from its seed quadruple under the minimized schedule mask, the
+/// stored memory model and the minimized preemption spec (its
+/// interrupt-injection mask). The
 /// result's machine summary must equal [`MinimizedRepro::summary`] —
 /// minimization validated exactly this before returning the repro.
 ///

@@ -19,14 +19,14 @@
 //! ([`AdaptiveTest::run_scenario`](crate::AdaptiveTest::run_scenario)),
 //! the campaign engine, and the ConTest-style/CHESS-style baselines.
 
-use ptest_master::DualCoreSystem;
+use ptest_master::MultiCoreSystem;
 use ptest_pcore::ProgramId;
 
 use crate::adaptive::AdaptiveTestConfig;
 
 /// A named, repeatable, thread-safe test scenario.
 ///
-/// `setup` is called once per trial on a fresh [`DualCoreSystem`]; it
+/// `setup` is called once per trial on a fresh [`MultiCoreSystem`]; it
 /// must be deterministic (same system state in, same programs out) for
 /// campaign results to be reproducible.
 pub trait Scenario: Send + Sync {
@@ -40,7 +40,7 @@ pub trait Scenario: Send + Sync {
     /// Prepares a fresh slave system and returns the programs that
     /// `task_create` commands should start (one per pattern, cycled if
     /// shorter).
-    fn setup(&self, sys: &mut DualCoreSystem) -> Vec<ProgramId>;
+    fn setup(&self, sys: &mut MultiCoreSystem) -> Vec<ProgramId>;
 }
 
 /// Adapter turning a configuration plus a `Fn` closure into a
@@ -69,7 +69,7 @@ pub struct FnScenario<F> {
 
 impl<F> FnScenario<F>
 where
-    F: Fn(&mut DualCoreSystem) -> Vec<ProgramId> + Send + Sync,
+    F: Fn(&mut MultiCoreSystem) -> Vec<ProgramId> + Send + Sync,
 {
     /// Wraps a name, configuration and setup closure.
     pub fn new(name: impl Into<String>, config: AdaptiveTestConfig, setup: F) -> FnScenario<F> {
@@ -83,7 +83,7 @@ where
 
 impl<F> Scenario for FnScenario<F>
 where
-    F: Fn(&mut DualCoreSystem) -> Vec<ProgramId> + Send + Sync,
+    F: Fn(&mut MultiCoreSystem) -> Vec<ProgramId> + Send + Sync,
 {
     fn name(&self) -> &str {
         &self.name
@@ -93,7 +93,7 @@ where
         self.config.clone()
     }
 
-    fn setup(&self, sys: &mut DualCoreSystem) -> Vec<ProgramId> {
+    fn setup(&self, sys: &mut MultiCoreSystem) -> Vec<ProgramId> {
         (self.setup)(sys)
     }
 }
@@ -149,7 +149,7 @@ impl<S: Scenario> Scenario for Configured<S> {
         self.config.clone()
     }
 
-    fn setup(&self, sys: &mut DualCoreSystem) -> Vec<ProgramId> {
+    fn setup(&self, sys: &mut MultiCoreSystem) -> Vec<ProgramId> {
         self.inner.setup(sys)
     }
 }
@@ -180,8 +180,8 @@ mod tests {
     #[test]
     fn setup_is_repeatable() {
         let s = compute_scenario();
-        let mut a = ptest_master::DualCoreSystem::new(s.base_config().system);
-        let mut b = ptest_master::DualCoreSystem::new(s.base_config().system);
+        let mut a = ptest_master::MultiCoreSystem::new(s.base_config().system);
+        let mut b = ptest_master::MultiCoreSystem::new(s.base_config().system);
         assert_eq!(s.setup(&mut a), s.setup(&mut b));
     }
 }

@@ -15,7 +15,7 @@
 
 use ptest_automata::{GenerateOptions, Regex};
 use ptest_master::{
-    DualCoreSystem, IdleHorizon, MemoryModel, MemoryModelSpec, Scheduler, SnapshotCache,
+    IdleHorizon, MemoryModel, MemoryModelSpec, MultiCoreSystem, Scheduler, SnapshotCache,
 };
 use ptest_pcore::ProgramId;
 use ptest_soc::TraceEvent;
@@ -46,9 +46,9 @@ pub struct TrialTrace {
     pub master: Vec<TraceEvent>,
 }
 
-/// Per-trial overrides of a compiled [`TrialEngine`]'s configuration —
-/// the one flexible entry point behind every `run_scenario_trial_*`
-/// convenience wrapper. Each field defaults to "no override".
+/// Per-trial overrides of a compiled [`TrialEngine`]'s configuration,
+/// taken by [`TrialEngine::run_scenario_trial_overridden`]. Each field
+/// defaults to "no override".
 #[derive(Default)]
 pub struct TrialOverrides<'a> {
     /// Replaces the compiled [`ScheduleSpec`](ptest_master::ScheduleSpec)
@@ -86,7 +86,8 @@ pub struct TrialEngine {
     fast_forward: bool,
 }
 
-/// Reusable working memory for [`TrialEngine::run_trial_in`]. A campaign
+/// Reusable working memory for
+/// [`TrialEngine::run_scenario_trial_overridden`]. A campaign
 /// worker keeps one of these for its whole lifetime, so the buffers the
 /// trial hot loop churns through — the epoch-keyed per-kernel snapshot
 /// cache with its task lists and wait edges — reach a steady state after
@@ -106,31 +107,12 @@ impl TrialScratch {
     }
 }
 
-/// Derives the default schedule seed of a trial from its pattern seed.
-/// Re-exported from [`ptest_soc::seed`] under this historical path.
-/// Used when the configuration carries no explicit
-/// [`schedule_seed`](crate::AdaptiveTestConfig::schedule_seed): a plain
-/// `(config, seed)` run remains a one-seed reproduction story, while the
-/// derived schedule stream stays decorrelated from the pattern stream.
-pub use ptest_soc::seed::derived_schedule_seed;
-
-/// Derives the default memory seed of a trial from its pattern seed, on
-/// a third stream decorrelated from both the pattern and the schedule
-/// streams. Re-exported from [`ptest_soc::seed`] under this historical
-/// path. Used when the configuration carries no explicit
-/// [`memory_seed`](crate::AdaptiveTestConfig::memory_seed): under the
-/// default [`MemoryModelSpec::SeqCst`] the seed is recorded but has no
-/// behavioural effect.
-pub use ptest_soc::seed::derived_memory_seed;
-
-/// Derives the default interrupt/preemption seed of a trial from its
-/// pattern seed — the fourth stream of the replay quadruple.
-/// Re-exported from [`ptest_soc::seed`]. Used when the configuration
-/// carries no explicit
-/// [`irq_seed`](crate::AdaptiveTestConfig::irq_seed): under the default
-/// inert [`PreemptionSpec`](ptest_master::PreemptionSpec) the seed is
-/// recorded but has no behavioural effect.
-pub use ptest_soc::seed::derived_irq_seed;
+/// The default schedule, memory and interrupt seeds of a trial, each
+/// derived from its pattern seed on its own decorrelated stream: a plain
+/// `(config, seed)` run stays a one-seed reproduction story. Used when
+/// the configuration overrides none of them. Re-exported from
+/// [`ptest_soc::seed`].
+pub use ptest_soc::seed::{derived_irq_seed, derived_memory_seed, derived_schedule_seed};
 
 impl TrialEngine {
     /// Compiles `config`'s regular expression and probability
@@ -142,20 +124,17 @@ impl TrialEngine {
     pub fn new(config: AdaptiveTestConfig) -> Result<TrialEngine, AdaptiveTestError> {
         let regex = Regex::parse(&config.regex_source).map_err(AdaptiveTestError::Regex)?;
         let generator = PatternGenerator::new(regex, &config.pd).map_err(AdaptiveTestError::Pfa)?;
-        let fast_forward = std::env::var_os("PTEST_NO_FAST_FORWARD").is_none();
         Ok(TrialEngine {
             config,
             generator,
-            fast_forward,
+            fast_forward: true,
         })
     }
 
     /// Enables or disables idle-cycle fast-forward for trials run by this
     /// engine. Fast-forward is a pure latency optimisation — reports are
     /// byte-identical either way (the equivalence suite pins this) — so
-    /// the switch exists for validation and debugging only. It can also
-    /// be flipped off process-wide by setting the `PTEST_NO_FAST_FORWARD`
-    /// environment variable, read once per [`TrialEngine::new`].
+    /// the switch exists for validation and debugging only.
     pub fn set_fast_forward(&mut self, enabled: bool) {
         self.fast_forward = enabled;
     }
@@ -181,7 +160,9 @@ impl TrialEngine {
     /// Runs one seeded trial: generate, merge, fork the detector, commit
     /// (Algorithm 1 lines 1–10). `seed` overrides the configured seed and
     /// is echoed into the report, so every campaign trial is individually
-    /// reproducible via [`AdaptiveTest::reproduce`].
+    /// reproducible via [`AdaptiveTest::reproduce`]. The schedule, memory
+    /// and interrupt seeds are the configuration's overrides, else
+    /// derived from `seed`.
     ///
     /// [`AdaptiveTest::reproduce`]: crate::AdaptiveTest::reproduce
     ///
@@ -192,105 +173,77 @@ impl TrialEngine {
     pub fn run_trial(
         &self,
         seed: u64,
-        setup: impl FnOnce(&mut DualCoreSystem) -> Vec<ProgramId>,
+        setup: impl FnOnce(&mut MultiCoreSystem) -> Vec<ProgramId>,
     ) -> Result<TestReport, AdaptiveTestError> {
-        self.run_trial_in(seed, setup, &mut TrialScratch::new())
+        let (schedule_seed, memory_seed, _) = self.default_seeds(seed);
+        self.run_trial_inner(
+            seed,
+            schedule_seed,
+            memory_seed,
+            TrialOverrides::default(),
+            setup,
+            &mut TrialScratch::new(),
+        )
     }
 
-    /// [`TrialEngine::run_trial`] with caller-owned working memory: the
-    /// campaign pool hands each worker one [`TrialScratch`] for its whole
-    /// lifetime, so back-to-back trials reuse the detector's snapshot
-    /// buffers instead of re-growing them per trial. Results are
-    /// identical to [`TrialEngine::run_trial`] — scratch reuse never
-    /// leaks state between trials.
+    /// The general trial entry point: runs one trial of a [`Scenario`]
+    /// at an explicit `(pattern seed, schedule seed, memory seed)`
+    /// triple under arbitrary [`TrialOverrides`] — the fourth seed
+    /// ([`TrialOverrides::irq_seed`]), explicit schedule/memory/preemption
+    /// specs (a campaign's rotation), an explicit pattern set (the
+    /// minimization shrink loop's candidate trials), and optional
+    /// full-trace capture (the root-cause replay). `scratch` is
+    /// caller-owned working memory: a campaign worker keeps one for its
+    /// whole lifetime, and reuse never leaks state between trials.
     ///
     /// # Errors
     ///
     /// As for [`TrialEngine::run_trial`].
-    pub fn run_trial_in(
+    pub fn run_scenario_trial_overridden(
         &self,
-        seed: u64,
-        setup: impl FnOnce(&mut DualCoreSystem) -> Vec<ProgramId>,
-        scratch: &mut TrialScratch,
-    ) -> Result<TestReport, AdaptiveTestError> {
-        let schedule_seed = self
-            .config
-            .schedule_seed
-            .unwrap_or_else(|| derived_schedule_seed(seed));
-        self.run_trial_with_schedule(seed, schedule_seed, setup, scratch)
-    }
-
-    /// [`TrialEngine::run_trial_in`] at an explicit `(schedule seed,
-    /// memory seed)` pair — the fully scheduled entry point, where all
-    /// three exploration seeds are chosen by the caller. With the default
-    /// [`MemoryModelSpec::SeqCst`] the memory seed is recorded but has no
-    /// behavioural effect.
-    ///
-    /// # Errors
-    ///
-    /// As for [`TrialEngine::run_trial`].
-    pub fn run_trial_explored(
-        &self,
+        scenario: &dyn Scenario,
         seed: u64,
         schedule_seed: u64,
         memory_seed: u64,
-        setup: impl FnOnce(&mut DualCoreSystem) -> Vec<ProgramId>,
+        overrides: TrialOverrides<'_>,
         scratch: &mut TrialScratch,
     ) -> Result<TestReport, AdaptiveTestError> {
         self.run_trial_inner(
             seed,
             schedule_seed,
             memory_seed,
-            TrialOverrides::default(),
-            setup,
+            overrides,
+            |sys| scenario.setup(sys),
             scratch,
         )
     }
 
-    /// [`TrialEngine::run_trial_in`] at an explicit schedule seed — the
-    /// campaign entry point, where pattern seeds and schedule seeds are
-    /// derived independently from the master seed so the campaign
-    /// explores (pattern × schedule) space rather than a diagonal of it.
-    /// With [`ScheduleSpec::LockStep`](ptest_master::ScheduleSpec) the
-    /// schedule seed is recorded but has no behavioural effect.
-    ///
-    /// # Errors
-    ///
-    /// As for [`TrialEngine::run_trial`].
-    pub fn run_trial_with_schedule(
-        &self,
-        seed: u64,
-        schedule_seed: u64,
-        setup: impl FnOnce(&mut DualCoreSystem) -> Vec<ProgramId>,
-        scratch: &mut TrialScratch,
-    ) -> Result<TestReport, AdaptiveTestError> {
-        let memory_seed = self
-            .config
-            .memory_seed
-            .unwrap_or_else(|| derived_memory_seed(seed));
-        self.run_trial_inner(
-            seed,
-            schedule_seed,
-            memory_seed,
-            TrialOverrides::default(),
-            setup,
-            scratch,
+    /// The `(schedule, memory, irq)` seeds of a trial at pattern seed
+    /// `seed` whose caller names none: each is the configuration's
+    /// override, else derived from `seed` on its own stream.
+    fn default_seeds(&self, seed: u64) -> (u64, u64, u64) {
+        let cfg = &self.config;
+        (
+            cfg.schedule_seed
+                .unwrap_or_else(|| derived_schedule_seed(seed)),
+            cfg.memory_seed.unwrap_or_else(|| derived_memory_seed(seed)),
+            cfg.irq_seed.unwrap_or_else(|| derived_irq_seed(seed)),
         )
     }
 
-    /// The shared trial core. `overrides` replaces the compiled
-    /// configuration's [`ScheduleSpec`](ptest_master::ScheduleSpec),
-    /// [`MemoryModelSpec`] or generated patterns for this trial only —
-    /// the campaign's budget rotation varies either spec axis per trial
-    /// without recompiling the PFA pipeline, and the minimization shrink
-    /// loop replaces patterns while keeping everything else replayable.
+    /// The shared trial core behind both entry points. `overrides`
+    /// replaces the compiled configuration's specs, interrupt seed or
+    /// generated patterns for this trial only — a campaign's rotation
+    /// varies the specs per trial without recompiling the PFA pipeline,
+    /// and the minimization shrink loop replaces patterns while keeping
+    /// everything else replayable.
     fn run_trial_inner(
         &self,
         seed: u64,
         schedule_seed: u64,
         memory_seed: u64,
         overrides: TrialOverrides<'_>,
-        setup: impl FnOnce(&mut DualCoreSystem) -> Vec<ProgramId>,
+        setup: impl FnOnce(&mut MultiCoreSystem) -> Vec<ProgramId>,
         scratch: &mut TrialScratch,
     ) -> Result<TestReport, AdaptiveTestError> {
         let TrialOverrides {
@@ -301,9 +254,7 @@ impl TrialEngine {
             patterns: pattern_override,
             capture_trace,
         } = overrides;
-        let irq_seed = irq_seed
-            .or(self.config.irq_seed)
-            .unwrap_or_else(|| derived_irq_seed(seed));
+        let irq_seed = irq_seed.unwrap_or_else(|| self.default_seeds(seed).2);
         let mut cfg = AdaptiveTestConfig {
             seed,
             schedule_seed: Some(schedule_seed),
@@ -334,7 +285,7 @@ impl TrialEngine {
         let merged = PatternMerger::new().merge(&patterns, cfg.op);
 
         // --- System + committer + detector (lines 5-10).
-        let mut sys = DualCoreSystem::new(cfg.system.clone());
+        let mut sys = MultiCoreSystem::new(cfg.system.clone());
         let programs = setup(&mut sys);
         // After setup, so scenarios can install their ISR handlers
         // first; the inert default installs nothing (the golden-fixture
@@ -495,175 +446,6 @@ impl TrialEngine {
             config: cfg,
         })
     }
-
-    /// Runs one seeded trial of a [`Scenario`].
-    ///
-    /// # Errors
-    ///
-    /// As for [`TrialEngine::run_trial`].
-    pub fn run_scenario_trial(
-        &self,
-        scenario: &dyn Scenario,
-        seed: u64,
-    ) -> Result<TestReport, AdaptiveTestError> {
-        self.run_trial(seed, |sys| scenario.setup(sys))
-    }
-
-    /// Runs one seeded trial of a [`Scenario`] with caller-owned working
-    /// memory (see [`TrialEngine::run_trial_in`]).
-    ///
-    /// # Errors
-    ///
-    /// As for [`TrialEngine::run_trial`].
-    pub fn run_scenario_trial_in(
-        &self,
-        scenario: &dyn Scenario,
-        seed: u64,
-        scratch: &mut TrialScratch,
-    ) -> Result<TestReport, AdaptiveTestError> {
-        self.run_trial_in(seed, |sys| scenario.setup(sys), scratch)
-    }
-
-    /// Runs one trial of a [`Scenario`] at an explicit `(pattern seed,
-    /// schedule seed)` pair (see
-    /// [`TrialEngine::run_trial_with_schedule`]).
-    ///
-    /// # Errors
-    ///
-    /// As for [`TrialEngine::run_trial`].
-    pub fn run_scenario_trial_scheduled(
-        &self,
-        scenario: &dyn Scenario,
-        seed: u64,
-        schedule_seed: u64,
-        scratch: &mut TrialScratch,
-    ) -> Result<TestReport, AdaptiveTestError> {
-        self.run_trial_with_schedule(seed, schedule_seed, |sys| scenario.setup(sys), scratch)
-    }
-
-    /// [`TrialEngine::run_scenario_trial_scheduled`] under an explicit
-    /// [`ScheduleSpec`](ptest_master::ScheduleSpec), overriding the
-    /// compiled configuration's spec for this trial only — how a
-    /// campaign rotates schedule budgets across the trials of one round
-    /// while reusing the round's compiled PFA.
-    ///
-    /// # Errors
-    ///
-    /// As for [`TrialEngine::run_trial`].
-    pub fn run_scenario_trial_scheduled_as(
-        &self,
-        scenario: &dyn Scenario,
-        seed: u64,
-        schedule_seed: u64,
-        schedule: ptest_master::ScheduleSpec,
-        scratch: &mut TrialScratch,
-    ) -> Result<TestReport, AdaptiveTestError> {
-        let memory_seed = self
-            .config
-            .memory_seed
-            .unwrap_or_else(|| derived_memory_seed(seed));
-        self.run_trial_inner(
-            seed,
-            schedule_seed,
-            memory_seed,
-            TrialOverrides {
-                schedule: Some(schedule),
-                ..TrialOverrides::default()
-            },
-            |sys| scenario.setup(sys),
-            scratch,
-        )
-    }
-
-    /// Runs one trial of a [`Scenario`] at an explicit `(pattern seed,
-    /// schedule seed, memory seed)` triple (see
-    /// [`TrialEngine::run_trial_explored`]) — the replay entry point for
-    /// trials recorded by a memory-model-rotating campaign.
-    ///
-    /// # Errors
-    ///
-    /// As for [`TrialEngine::run_trial`].
-    pub fn run_scenario_trial_explored(
-        &self,
-        scenario: &dyn Scenario,
-        seed: u64,
-        schedule_seed: u64,
-        memory_seed: u64,
-        scratch: &mut TrialScratch,
-    ) -> Result<TestReport, AdaptiveTestError> {
-        self.run_trial_explored(
-            seed,
-            schedule_seed,
-            memory_seed,
-            |sys| scenario.setup(sys),
-            scratch,
-        )
-    }
-
-    /// [`TrialEngine::run_scenario_trial_explored`] under explicit
-    /// [`ScheduleSpec`](ptest_master::ScheduleSpec) and
-    /// [`MemoryModelSpec`] overrides, replacing the compiled
-    /// configuration's specs for this trial only — how a campaign rotates
-    /// schedule and memory-model budgets across the trials of one round
-    /// while reusing the round's compiled PFA.
-    ///
-    /// # Errors
-    ///
-    /// As for [`TrialEngine::run_trial`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_scenario_trial_explored_as(
-        &self,
-        scenario: &dyn Scenario,
-        seed: u64,
-        schedule_seed: u64,
-        memory_seed: u64,
-        schedule: ptest_master::ScheduleSpec,
-        memory: MemoryModelSpec,
-        scratch: &mut TrialScratch,
-    ) -> Result<TestReport, AdaptiveTestError> {
-        self.run_trial_inner(
-            seed,
-            schedule_seed,
-            memory_seed,
-            TrialOverrides {
-                schedule: Some(schedule),
-                memory: Some(memory),
-                ..TrialOverrides::default()
-            },
-            |sys| scenario.setup(sys),
-            scratch,
-        )
-    }
-
-    /// The fully general scenario-trial entry point: runs one trial of a
-    /// [`Scenario`] at an explicit `(pattern seed, schedule seed, memory
-    /// seed)` triple under arbitrary [`TrialOverrides`] — explicit
-    /// schedule/memory specs, an explicit pattern set (the minimization
-    /// shrink loop's candidate trials), and optional full-trace capture
-    /// (the root-cause replay). Every other `run_scenario_trial_*` method
-    /// is a special case of this one.
-    ///
-    /// # Errors
-    ///
-    /// As for [`TrialEngine::run_trial`].
-    pub fn run_scenario_trial_overridden(
-        &self,
-        scenario: &dyn Scenario,
-        seed: u64,
-        schedule_seed: u64,
-        memory_seed: u64,
-        overrides: TrialOverrides<'_>,
-        scratch: &mut TrialScratch,
-    ) -> Result<TestReport, AdaptiveTestError> {
-        self.run_trial_inner(
-            seed,
-            schedule_seed,
-            memory_seed,
-            overrides,
-            |sys| scenario.setup(sys),
-            scratch,
-        )
-    }
 }
 
 #[cfg(test)]
@@ -672,10 +454,63 @@ mod tests {
     use crate::adaptive::AdaptiveTest;
     use ptest_pcore::{Op, Program};
 
-    fn quick_setup(sys: &mut DualCoreSystem) -> Vec<ProgramId> {
+    fn quick_setup(sys: &mut MultiCoreSystem) -> Vec<ProgramId> {
         vec![sys
             .kernel_mut()
             .register_program(Program::new(vec![Op::Compute(20), Op::Exit]).unwrap())]
+    }
+
+    /// An engine for small two-pattern trials under `cfg`'s specs.
+    fn engine(cfg: AdaptiveTestConfig) -> TrialEngine {
+        TrialEngine::new(AdaptiveTestConfig { n: 2, s: 4, ..cfg }).unwrap()
+    }
+
+    /// Runs `setup` under `engine` at an explicit `(seed, schedule seed,
+    /// memory seed)` triple through the general entry point.
+    fn run_at(
+        engine: &TrialEngine,
+        setup: fn(&mut MultiCoreSystem) -> Vec<ProgramId>,
+        (seed, schedule_seed, memory_seed): (u64, u64, u64),
+        scratch: &mut TrialScratch,
+    ) -> TestReport {
+        let scenario = crate::FnScenario::new("probe", engine.config().clone(), setup);
+        engine
+            .run_scenario_trial_overridden(
+                &scenario,
+                seed,
+                schedule_seed,
+                memory_seed,
+                TrialOverrides::default(),
+                scratch,
+            )
+            .unwrap()
+    }
+
+    /// Asserts that two trials agree on everything a report exposes, down
+    /// to the execution records.
+    fn assert_same_run(a: &TestReport, b: &TestReport) {
+        assert_eq!((a.cycles, a.commands_issued), (b.cycles, b.commands_issued));
+        assert_eq!(a.patterns, b.patterns);
+        assert_eq!(a.machine_summary(), b.machine_summary());
+        assert_eq!(
+            format!("{:?}", a.exec_records),
+            format!("{:?}", b.exec_records),
+            "the full execution trace replays from the seeds"
+        );
+    }
+
+    /// Runs `setup` twice at `seeds` under `cfg` and asserts the trials
+    /// are identical.
+    fn assert_replays(
+        cfg: AdaptiveTestConfig,
+        setup: fn(&mut MultiCoreSystem) -> Vec<ProgramId>,
+        seeds: (u64, u64, u64),
+    ) -> TestReport {
+        let engine = engine(cfg);
+        let mut scratch = TrialScratch::new();
+        let a = run_at(&engine, setup, seeds, &mut scratch);
+        assert_same_run(&a, &run_at(&engine, setup, seeds, &mut scratch));
+        a
     }
 
     #[test]
@@ -697,29 +532,16 @@ mod tests {
             .run_trial(42, quick_setup)
             .unwrap();
         let via_run = AdaptiveTest::run(cfg, quick_setup).unwrap();
-        assert_eq!(via_engine.patterns, via_run.patterns);
-        assert_eq!(via_engine.commands_issued, via_run.commands_issued);
-        assert_eq!(via_engine.cycles, via_run.cycles);
-        assert_eq!(via_engine.bugs.len(), via_run.bugs.len());
+        assert_same_run(&via_engine, &via_run);
     }
 
     #[test]
     fn lock_step_records_but_ignores_the_schedule_seed() {
-        let engine = TrialEngine::new(AdaptiveTestConfig {
-            n: 2,
-            s: 4,
-            ..AdaptiveTestConfig::default()
-        })
-        .unwrap();
+        let engine = engine(AdaptiveTestConfig::default());
         let mut scratch = TrialScratch::new();
-        let a = engine
-            .run_trial_with_schedule(5, 111, quick_setup, &mut scratch)
-            .unwrap();
-        let b = engine
-            .run_trial_with_schedule(5, 222, quick_setup, &mut scratch)
-            .unwrap();
-        assert_eq!(a.schedule_seed, 111);
-        assert_eq!(a.config.schedule_seed, Some(111));
+        let a = run_at(&engine, quick_setup, (5, 111, 0), &mut scratch);
+        let b = run_at(&engine, quick_setup, (5, 222, 0), &mut scratch);
+        assert_eq!((a.schedule_seed, a.config.schedule_seed), (111, Some(111)));
         assert_eq!(a.cycles, b.cycles, "lock-step ignores the schedule seed");
         assert_eq!(a.patterns, b.patterns);
         // The implicit path derives a stable schedule seed from the trial
@@ -730,95 +552,46 @@ mod tests {
 
     #[test]
     fn schedule_seed_pair_replays_byte_identically() {
-        use ptest_master::ScheduleSpec;
-        let engine = TrialEngine::new(AdaptiveTestConfig {
-            n: 2,
-            s: 4,
-            schedule: ScheduleSpec::random_priority(),
+        let cfg = AdaptiveTestConfig {
+            schedule: ptest_master::ScheduleSpec::random_priority(),
             ..AdaptiveTestConfig::default()
-        })
-        .unwrap();
-        let mut scratch = TrialScratch::new();
-        let a = engine
-            .run_trial_with_schedule(9, 1234, quick_setup, &mut scratch)
-            .unwrap();
-        let b = engine
-            .run_trial_with_schedule(9, 1234, quick_setup, &mut scratch)
-            .unwrap();
-        assert_eq!(a.cycles, b.cycles);
-        assert_eq!(a.commands_issued, b.commands_issued);
-        assert_eq!(a.patterns, b.patterns);
-        assert_eq!(a.bugs.len(), b.bugs.len());
-        assert_eq!(
-            format!("{:?}", a.exec_records),
-            format!("{:?}", b.exec_records),
-            "the full execution trace replays from the seed pair"
-        );
+        };
+        assert_replays(cfg, quick_setup, (9, 1234, 0));
     }
 
     #[test]
     fn seq_cst_records_but_ignores_the_memory_seed() {
-        let engine = TrialEngine::new(AdaptiveTestConfig {
-            n: 2,
-            s: 4,
-            ..AdaptiveTestConfig::default()
-        })
-        .unwrap();
+        let engine = engine(AdaptiveTestConfig::default());
         let mut scratch = TrialScratch::new();
-        let a = engine
-            .run_trial_explored(5, 111, 333, quick_setup, &mut scratch)
-            .unwrap();
-        let b = engine
-            .run_trial_explored(5, 111, 444, quick_setup, &mut scratch)
-            .unwrap();
-        assert_eq!(a.memory_seed, 333);
-        assert_eq!(a.config.memory_seed, Some(333));
+        let a = run_at(&engine, quick_setup, (5, 111, 333), &mut scratch);
+        let b = run_at(&engine, quick_setup, (5, 111, 444), &mut scratch);
+        assert_eq!((a.memory_seed, a.config.memory_seed), (333, Some(333)));
         assert_eq!(a.cycles, b.cycles, "seq-cst ignores the memory seed");
         assert_eq!(a.patterns, b.patterns);
         // The implicit path derives a stable memory seed from the trial
         // seed, on a stream decorrelated from the schedule stream.
         let c = engine.run_trial(5, quick_setup).unwrap();
         assert_eq!(c.memory_seed, crate::derived_memory_seed(5));
-        assert_ne!(
-            crate::derived_memory_seed(5),
-            crate::derived_schedule_seed(5)
-        );
+        assert_ne!(c.memory_seed, crate::derived_schedule_seed(5));
     }
 
     #[test]
     fn seed_triple_replays_byte_identically_under_a_store_buffer() {
-        use ptest_master::{MemoryModelSpec, ScheduleSpec};
-        let engine = TrialEngine::new(AdaptiveTestConfig {
-            n: 2,
-            s: 4,
-            schedule: ScheduleSpec::random_priority(),
+        let cfg = AdaptiveTestConfig {
+            schedule: ptest_master::ScheduleSpec::random_priority(),
             memory: MemoryModelSpec::store_buffer(),
             ..AdaptiveTestConfig::default()
-        })
-        .unwrap();
-        let mut scratch = TrialScratch::new();
-        let a = engine
-            .run_trial_explored(9, 1234, 77, quick_setup, &mut scratch)
-            .unwrap();
-        let b = engine
-            .run_trial_explored(9, 1234, 77, quick_setup, &mut scratch)
-            .unwrap();
-        assert_eq!(a.memory_seed, 77);
-        assert_eq!(a.cycles, b.cycles);
-        assert_eq!(a.commands_issued, b.commands_issued);
-        assert_eq!(a.patterns, b.patterns);
-        assert_eq!(a.bugs.len(), b.bugs.len());
+        };
         assert_eq!(
-            format!("{:?}", a.exec_records),
-            format!("{:?}", b.exec_records),
-            "the full execution trace replays from the seed triple"
+            assert_replays(cfg, quick_setup, (9, 1234, 77)).memory_seed,
+            77
         );
     }
 
     /// Like [`quick_setup`], but with an ISR handler installed on slave 0
     /// and a sleep in the task body so planned injections have a handler
     /// to run and fast-forward has idle windows to skip.
-    fn preemptive_setup(sys: &mut DualCoreSystem) -> Vec<ProgramId> {
+    fn preemptive_setup(sys: &mut MultiCoreSystem) -> Vec<ProgramId> {
         use ptest_pcore::VarId;
         let isr_body = Program::new(vec![
             Op::Compute(7),
@@ -857,131 +630,73 @@ mod tests {
         }
     }
 
+    fn preemptive_config() -> AdaptiveTestConfig {
+        AdaptiveTestConfig {
+            schedule: ptest_master::ScheduleSpec::random_priority(),
+            preemption: preemptive_spec(),
+            ..AdaptiveTestConfig::default()
+        }
+    }
+
     #[test]
     fn irq_seed_is_derived_recorded_and_decorrelated() {
-        let engine = TrialEngine::new(AdaptiveTestConfig {
-            n: 2,
-            s: 4,
-            ..AdaptiveTestConfig::default()
-        })
-        .unwrap();
-        let a = engine.run_trial(5, quick_setup).unwrap();
-        assert_eq!(a.irq_seed, crate::derived_irq_seed(5));
-        assert_eq!(a.config.irq_seed, Some(crate::derived_irq_seed(5)));
+        let a = engine(AdaptiveTestConfig::default())
+            .run_trial(5, quick_setup)
+            .unwrap();
+        let derived = crate::derived_irq_seed(5);
+        assert_eq!((a.irq_seed, a.config.irq_seed), (derived, Some(derived)));
         // The irq stream is decorrelated from the other derived streams.
-        assert_ne!(crate::derived_irq_seed(5), crate::derived_schedule_seed(5));
-        assert_ne!(crate::derived_irq_seed(5), crate::derived_memory_seed(5));
+        assert_ne!(derived, crate::derived_schedule_seed(5));
+        assert_ne!(derived, crate::derived_memory_seed(5));
     }
 
     #[test]
     fn seed_quadruple_replays_byte_identically_under_preemption() {
-        use ptest_master::ScheduleSpec;
-        let engine = TrialEngine::new(AdaptiveTestConfig {
-            n: 2,
-            s: 4,
-            schedule: ScheduleSpec::random_priority(),
-            preemption: preemptive_spec(),
-            ..AdaptiveTestConfig::default()
-        })
-        .unwrap();
-        let mut scratch = TrialScratch::new();
-        let a = engine
-            .run_trial_explored(9, 1234, 77, preemptive_setup, &mut scratch)
-            .unwrap();
-        let b = engine
-            .run_trial_explored(9, 1234, 77, preemptive_setup, &mut scratch)
-            .unwrap();
-        assert_eq!(
-            a.irq_seed, b.irq_seed,
-            "irq seed derives from the trial seed"
-        );
-        assert_eq!(a.cycles, b.cycles);
-        assert_eq!(a.commands_issued, b.commands_issued);
-        assert_eq!(a.patterns, b.patterns);
-        assert_eq!(
-            format!("{:?}", a.exec_records),
-            format!("{:?}", b.exec_records),
-            "the full execution trace replays from the seed quadruple"
-        );
+        let a = assert_replays(preemptive_config(), preemptive_setup, (9, 1234, 77));
         // The spec is live: the captured timeline shows planned
         // injections firing (master-side command records alone can't —
         // service replies are timed by the endpoint, not the task CPU).
-        let scenario = crate::FnScenario::new(
-            "preemptive-probe",
-            AdaptiveTestConfig {
-                n: 2,
-                s: 4,
-                schedule: ScheduleSpec::random_priority(),
-                preemption: preemptive_spec(),
-                ..AdaptiveTestConfig::default()
-            },
-            preemptive_setup,
-        );
+        let engine = engine(preemptive_config());
+        let scenario = crate::FnScenario::new("probe", engine.config().clone(), preemptive_setup);
         let mut trace = TrialTrace::default();
+        let overrides = TrialOverrides {
+            capture_trace: Some(&mut trace),
+            ..TrialOverrides::default()
+        };
         let c = engine
             .run_scenario_trial_overridden(
                 &scenario,
                 9,
                 1234,
                 77,
-                TrialOverrides {
-                    capture_trace: Some(&mut trace),
-                    ..TrialOverrides::default()
-                },
-                &mut scratch,
+                overrides,
+                &mut TrialScratch::new(),
             )
             .unwrap();
         assert_eq!(c.cycles, a.cycles, "trace capture does not perturb the run");
-        let injected = trace
-            .master
-            .iter()
-            .filter(|e| e.kind == "irq-inject")
-            .count();
-        assert!(injected > 0, "planned injections fire during the trial");
+        let injected = trace.master.iter().filter(|e| e.kind == "irq-inject");
+        assert!(
+            injected.count() > 0,
+            "planned injections fire during the trial"
+        );
     }
 
     #[test]
     fn fast_forward_is_invisible_under_preemption() {
-        use ptest_master::ScheduleSpec;
-        let cfg = AdaptiveTestConfig {
-            n: 2,
-            s: 4,
-            schedule: ScheduleSpec::random_priority(),
-            preemption: preemptive_spec(),
-            ..AdaptiveTestConfig::default()
-        };
-        let mut fast = TrialEngine::new(cfg.clone()).unwrap();
+        let mut fast = engine(preemptive_config());
         fast.set_fast_forward(true);
-        let mut slow = TrialEngine::new(cfg).unwrap();
+        let mut slow = engine(preemptive_config());
         slow.set_fast_forward(false);
         let mut scratch = TrialScratch::new();
-        let a = fast
-            .run_trial_explored(9, 1234, 77, preemptive_setup, &mut scratch)
-            .unwrap();
-        let b = slow
-            .run_trial_explored(9, 1234, 77, preemptive_setup, &mut scratch)
-            .unwrap();
-        assert_eq!(a.cycles, b.cycles);
-        assert_eq!(a.commands_issued, b.commands_issued);
-        assert_eq!(
-            format!("{:?}", a.exec_records),
-            format!("{:?}", b.exec_records),
-            "idle fast-forward never skips a quantum expiry or an injection"
-        );
-        assert_eq!(
-            format!("{:?}", a.machine_summary()),
-            format!("{:?}", b.machine_summary())
-        );
+        let a = run_at(&fast, preemptive_setup, (9, 1234, 77), &mut scratch);
+        let b = run_at(&slow, preemptive_setup, (9, 1234, 77), &mut scratch);
+        // Idle fast-forward never skips a quantum expiry or an injection.
+        assert_same_run(&a, &b);
     }
 
     #[test]
     fn one_engine_serves_many_seeds() {
-        let engine = TrialEngine::new(AdaptiveTestConfig {
-            n: 2,
-            s: 4,
-            ..AdaptiveTestConfig::default()
-        })
-        .unwrap();
+        let engine = engine(AdaptiveTestConfig::default());
         let a = engine.run_trial(1, quick_setup).unwrap();
         let b = engine.run_trial(2, quick_setup).unwrap();
         let a2 = engine.run_trial(1, quick_setup).unwrap();

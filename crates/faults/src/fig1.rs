@@ -24,7 +24,7 @@
 //! much.
 
 use ptest_core::{AdaptiveTestConfig, BugDetector, BugKind, DetectorConfig, MergeOp, Scenario};
-use ptest_master::{DualCoreSystem, SystemConfig};
+use ptest_master::{MultiCoreSystem, SystemConfig};
 use ptest_pcore::{
     Op, Priority, Program, ProgramBuilder, ProgramId, SvcReply, SvcRequest, TaskId, TaskState,
     VarId,
@@ -137,7 +137,7 @@ fn spin_program(mine: VarId, theirs: VarId, window: u32) -> Program {
 /// default-configured kernel).
 #[must_use]
 pub fn run(scenario: Fig1Scenario) -> Fig1Outcome {
-    let mut sys = DualCoreSystem::new(SystemConfig::default());
+    let mut sys = MultiCoreSystem::new(SystemConfig::default());
 
     // Scenario setup at time zero: both processes exist and are
     // suspended before the first kernel tick, as in the paper's figure.
@@ -251,7 +251,7 @@ pub fn run(scenario: Fig1Scenario) -> Fig1Outcome {
 pub fn run_with_master_threads(scenario: Fig1Scenario) -> Fig1Outcome {
     use ptest_master::MasterOp;
 
-    let mut sys = DualCoreSystem::new(SystemConfig::default());
+    let mut sys = MultiCoreSystem::new(SystemConfig::default());
     let (s1, s2) = {
         let kernel = sys.kernel_mut();
         let p1 = kernel.register_program(s1_program(scenario.window));
@@ -363,7 +363,7 @@ impl Scenario for Fig1AdaptiveScenario {
         }
     }
 
-    fn setup(&self, sys: &mut DualCoreSystem) -> Vec<ProgramId> {
+    fn setup(&self, sys: &mut MultiCoreSystem) -> Vec<ProgramId> {
         let kernel = sys.kernel_mut();
         let p1 = kernel.register_program(s1_program(self.window));
         let p2 = kernel.register_program(s2_program());

@@ -40,6 +40,9 @@ pub mod timers;
 pub mod weakmem;
 
 #[cfg(test)]
+mod testsupport;
+
+#[cfg(test)]
 mod tests {
     #[test]
     fn scenario_constants_are_consistent() {

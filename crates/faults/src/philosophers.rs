@@ -9,7 +9,7 @@
 //! the cycle by reversing one philosopher's acquisition order.
 
 use ptest_core::{AdaptiveTestConfig, DetectorConfig, MergeOp, Scenario};
-use ptest_master::DualCoreSystem;
+use ptest_master::MultiCoreSystem;
 use ptest_pcore::{MutexId, Op, Program, ProgramBuilder, ProgramId};
 use ptest_soc::Cycles;
 
@@ -62,8 +62,8 @@ pub fn philosopher_program(i: usize, forks: &[MutexId], variant: Variant) -> Pro
 /// test pattern.
 ///
 /// [`AdaptiveTest::run`]: ptest_core::AdaptiveTest::run
-pub fn setup(variant: Variant) -> impl FnOnce(&mut DualCoreSystem) -> Vec<ProgramId> {
-    move |sys: &mut DualCoreSystem| {
+pub fn setup(variant: Variant) -> impl FnOnce(&mut MultiCoreSystem) -> Vec<ProgramId> {
+    move |sys: &mut MultiCoreSystem| {
         let kernel = sys.kernel_mut();
         let forks: Vec<MutexId> = (0..PHILOSOPHERS).map(|_| kernel.create_mutex()).collect();
         (0..PHILOSOPHERS)
@@ -147,7 +147,7 @@ impl Scenario for PhilosophersScenario {
         case2_config(0)
     }
 
-    fn setup(&self, sys: &mut DualCoreSystem) -> Vec<ProgramId> {
+    fn setup(&self, sys: &mut MultiCoreSystem) -> Vec<ProgramId> {
         let kernel = sys.kernel_mut();
         let forks: Vec<MutexId> = (0..PHILOSOPHERS).map(|_| kernel.create_mutex()).collect();
         (0..PHILOSOPHERS)
@@ -224,8 +224,8 @@ mod tests {
     #[test]
     fn scenario_setup_matches_closure_setup() {
         let scenario = PhilosophersScenario::buggy();
-        let mut a = DualCoreSystem::new(scenario.base_config().system);
-        let mut b = DualCoreSystem::new(case2_config(0).system);
+        let mut a = MultiCoreSystem::new(scenario.base_config().system);
+        let mut b = MultiCoreSystem::new(case2_config(0).system);
         assert_eq!(scenario.setup(&mut a), setup(Variant::Buggy)(&mut b));
         let report = AdaptiveTest::run_scenario(&scenario, 3).unwrap();
         let direct = AdaptiveTest::run(case2_config(3), setup(Variant::Buggy)).unwrap();

@@ -398,117 +398,53 @@ pub fn race_manifested(report: &ptest_core::TestReport) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ptest_core::{AdaptiveTest, Configured, TrialEngine, TrialScratch};
+    use crate::testsupport::{AxisSpec, Probe};
+    use ptest_core::{AdaptiveTest, Configured};
 
-    /// Runs `scenario` under an explicit schedule spec at a seed pair.
-    fn run_scheduled(
-        scenario: &dyn Scenario,
-        spec: ScheduleSpec,
-        seed: u64,
-        schedule_seed: u64,
-    ) -> ptest_core::TestReport {
-        let mut cfg = scenario.base_config();
-        cfg.schedule = spec;
-        let engine = TrialEngine::new(cfg).expect("valid scenario config");
-        engine
-            .run_scenario_trial_scheduled(scenario, seed, schedule_seed, &mut TrialScratch::new())
-            .expect("trial runs")
-    }
-
-    /// The first `(seed, schedule_seed)` pair (small search) at which
-    /// the scenario manifests under randomized priorities.
-    fn find_manifestation(scenario: &dyn Scenario) -> Option<(u64, u64)> {
-        for seed in 0..4 {
-            for schedule_seed in 0..8 {
-                let report = run_scheduled(
-                    scenario,
-                    ScheduleSpec::random_priority(),
-                    seed,
-                    schedule_seed,
-                );
-                if race_manifested(&report) {
-                    return Some((seed, schedule_seed));
-                }
-            }
-        }
-        None
-    }
+    /// Lock-step hides the races; the scenarios' randomized priorities
+    /// expose them.
+    const PROBE: Probe = Probe {
+        control: AxisSpec::Schedule(ScheduleSpec::LockStep),
+        grid: (4, 8),
+        manifested: race_manifested,
+    };
 
     #[test]
     fn order_violation_is_unreachable_under_lock_step() {
-        for seed in 0..6 {
-            let report = run_scheduled(
-                &OrderViolationScenario::buggy(),
-                ScheduleSpec::LockStep,
-                seed,
-                seed ^ 0xABCD,
-            );
-            assert!(
-                !race_manifested(&report),
-                "seed {seed}: {}",
-                report.summary()
-            );
-        }
+        PROBE.assert_invisible(&OrderViolationScenario::buggy());
     }
 
     #[test]
     fn order_violation_manifests_under_random_priorities_and_replays() {
-        let (seed, schedule_seed) = find_manifestation(&OrderViolationScenario::buggy())
-            .expect("some seed pair must expose the order violation");
-        let spec = ScheduleSpec::random_priority();
-        let a = run_scheduled(&OrderViolationScenario::buggy(), spec, seed, schedule_seed);
-        let b = run_scheduled(&OrderViolationScenario::buggy(), spec, seed, schedule_seed);
-        assert!(race_manifested(&a));
-        assert_eq!(a.bugs.len(), b.bugs.len());
-        for (x, y) in a.bugs.iter().zip(&b.bugs) {
-            assert_eq!(x.kind, y.kind);
-            assert_eq!(x.detected_at, y.detected_at, "seed-pair replay is exact");
-        }
+        PROBE.assert_manifests_and_replays(&OrderViolationScenario::buggy());
     }
 
     #[test]
     fn fixed_order_violation_is_clean_under_random_priorities() {
         assert!(
-            find_manifestation(&OrderViolationScenario::fixed()).is_none(),
+            PROBE
+                .find_manifestation(&OrderViolationScenario::fixed())
+                .is_none(),
             "the semaphore-ordered variant must never trip its guard"
         );
     }
 
     #[test]
     fn atomicity_race_is_unreachable_under_lock_step() {
-        for seed in 0..6 {
-            let report = run_scheduled(
-                &AtomicityRaceScenario::buggy(),
-                ScheduleSpec::LockStep,
-                seed,
-                seed ^ 0xEF01,
-            );
-            assert!(
-                !race_manifested(&report),
-                "seed {seed}: {}",
-                report.summary()
-            );
-        }
+        PROBE.assert_invisible(&AtomicityRaceScenario::buggy());
     }
 
     #[test]
     fn atomicity_race_manifests_under_random_priorities_and_replays() {
-        let (seed, schedule_seed) = find_manifestation(&AtomicityRaceScenario::buggy())
-            .expect("some seed pair must expose the lost update");
-        let spec = ScheduleSpec::random_priority();
-        let a = run_scheduled(&AtomicityRaceScenario::buggy(), spec, seed, schedule_seed);
-        let b = run_scheduled(&AtomicityRaceScenario::buggy(), spec, seed, schedule_seed);
-        assert!(race_manifested(&a));
-        assert_eq!(
-            a.bugs.iter().map(|x| x.detected_at).collect::<Vec<_>>(),
-            b.bugs.iter().map(|x| x.detected_at).collect::<Vec<_>>(),
-        );
+        PROBE.assert_manifests_and_replays(&AtomicityRaceScenario::buggy());
     }
 
     #[test]
     fn fixed_atomicity_race_is_clean_under_random_priorities() {
         assert!(
-            find_manifestation(&AtomicityRaceScenario::fixed()).is_none(),
+            PROBE
+                .find_manifestation(&AtomicityRaceScenario::fixed())
+                .is_none(),
             "the token-serialized variant must never lose an update"
         );
     }

@@ -4,7 +4,7 @@
 //! strategy catch?) and the extended examples.
 
 use ptest_core::{AdaptiveTestConfig, MergeOp, Scenario};
-use ptest_master::{DualCoreSystem, SystemConfig};
+use ptest_master::{MultiCoreSystem, SystemConfig};
 use ptest_pcore::{
     Op, Priority, Program, ProgramBuilder, ProgramId, SvcReply, SvcRequest, TaskId, VarId,
 };
@@ -37,8 +37,8 @@ pub fn worker_program(work: u32) -> Program {
 ///
 /// Panics if setup commands fail (cannot happen on a default kernel).
 #[must_use]
-pub fn starvation_system() -> (DualCoreSystem, TaskId, TaskId) {
-    let mut sys = DualCoreSystem::new(SystemConfig::default());
+pub fn starvation_system() -> (MultiCoreSystem, TaskId, TaskId) {
+    let mut sys = MultiCoreSystem::new(SystemConfig::default());
     let kernel = sys.kernel_mut();
     let hog = kernel.register_program(cpu_hog_program());
     let worker = kernel.register_program(worker_program(100));
@@ -81,8 +81,8 @@ pub fn starvation_system() -> (DualCoreSystem, TaskId, TaskId) {
 ///
 /// Panics if setup commands fail (cannot happen on a default kernel).
 #[must_use]
-pub fn priority_inversion_system() -> (DualCoreSystem, TaskId, TaskId, TaskId) {
-    let mut sys = DualCoreSystem::new(SystemConfig::default());
+pub fn priority_inversion_system() -> (MultiCoreSystem, TaskId, TaskId, TaskId) {
+    let mut sys = MultiCoreSystem::new(SystemConfig::default());
     let kernel = sys.kernel_mut();
     let mutex = kernel.create_mutex();
 
@@ -180,8 +180,8 @@ pub fn race_writer_program(rounds: u16) -> Program {
 ///
 /// Panics if setup commands fail (cannot happen on a default kernel).
 #[must_use]
-pub fn race_system(writers: usize, rounds: u16) -> (DualCoreSystem, Vec<TaskId>) {
-    let mut sys = DualCoreSystem::new(SystemConfig::default());
+pub fn race_system(writers: usize, rounds: u16) -> (MultiCoreSystem, Vec<TaskId>) {
+    let mut sys = MultiCoreSystem::new(SystemConfig::default());
     let kernel = sys.kernel_mut();
     let mut tasks = Vec::new();
     for w in 0..writers {
@@ -206,7 +206,7 @@ pub fn race_system(writers: usize, rounds: u16) -> (DualCoreSystem, Vec<TaskId>)
 
 /// The lost-update oracle: how many increments went missing.
 #[must_use]
-pub fn lost_updates(sys: &DualCoreSystem, writers: usize, rounds: u16) -> i64 {
+pub fn lost_updates(sys: &MultiCoreSystem, writers: usize, rounds: u16) -> i64 {
     let expected = (writers as i64) * i64::from(rounds);
     let actual = sys.kernel().var(RACE_COUNTER).unwrap_or(0);
     expected - actual
@@ -249,7 +249,7 @@ impl Scenario for RaceWorkloadScenario {
         }
     }
 
-    fn setup(&self, sys: &mut DualCoreSystem) -> Vec<ProgramId> {
+    fn setup(&self, sys: &mut MultiCoreSystem) -> Vec<ProgramId> {
         (0..self.writers)
             .map(|_| {
                 sys.kernel_mut()
@@ -286,7 +286,7 @@ impl Scenario for StarvationScenario {
         }
     }
 
-    fn setup(&self, sys: &mut DualCoreSystem) -> Vec<ProgramId> {
+    fn setup(&self, sys: &mut MultiCoreSystem) -> Vec<ProgramId> {
         let kernel = sys.kernel_mut();
         let worker = kernel.register_program(worker_program(100));
         let hog = kernel.register_program(cpu_hog_program());

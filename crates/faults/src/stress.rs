@@ -9,7 +9,7 @@
 //! failure of garbage collection."
 
 use ptest_core::{AdaptiveTestConfig, MergeOp, Scenario};
-use ptest_master::DualCoreSystem;
+use ptest_master::MultiCoreSystem;
 use ptest_pcore::workloads::{quicksort, QuicksortSpec};
 use ptest_pcore::{GcFaultMode, ProgramId};
 
@@ -86,8 +86,8 @@ pub fn stress_config(spec: &StressSpec) -> AdaptiveTestConfig {
 
 /// Scenario setup: registers one quick-sort program per pattern (each
 /// with its own input permutation, as 16 independent tasks would have).
-pub fn stress_setup(spec: StressSpec) -> impl FnOnce(&mut DualCoreSystem) -> Vec<ProgramId> {
-    move |sys: &mut DualCoreSystem| {
+pub fn stress_setup(spec: StressSpec) -> impl FnOnce(&mut MultiCoreSystem) -> Vec<ProgramId> {
+    move |sys: &mut MultiCoreSystem| {
         (0..spec.tasks)
             .map(|i| {
                 let (program, _) = quicksort(QuicksortSpec {
@@ -156,7 +156,7 @@ impl Scenario for StressScenario {
         stress_config(&self.spec)
     }
 
-    fn setup(&self, sys: &mut DualCoreSystem) -> Vec<ProgramId> {
+    fn setup(&self, sys: &mut MultiCoreSystem) -> Vec<ProgramId> {
         (0..self.spec.tasks)
             .map(|i| {
                 let (program, _) = quicksort(QuicksortSpec {

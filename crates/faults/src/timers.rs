@@ -430,131 +430,57 @@ pub fn timer_fault_manifested(report: &ptest_core::TestReport) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ptest_core::{TrialEngine, TrialOverrides, TrialScratch};
+    use crate::testsupport::{AxisSpec, Probe};
+    use ptest_core::{TrialEngine, TrialScratch};
 
-    /// Runs `scenario` under an explicit preemption spec at a seed
-    /// quadruple (schedule and memory stay at the scenario's lock-step /
-    /// seq-cst base).
-    fn run_preempted(
-        scenario: &dyn Scenario,
-        preemption: PreemptionSpec,
-        seed: u64,
-        irq_seed: u64,
-    ) -> ptest_core::TestReport {
-        let engine = TrialEngine::new(scenario.base_config()).expect("valid scenario config");
-        engine
-            .run_scenario_trial_overridden(
-                scenario,
-                seed,
-                seed,
-                seed,
-                TrialOverrides {
-                    preemption: Some(preemption),
-                    irq_seed: Some(irq_seed),
-                    ..TrialOverrides::default()
-                },
-                &mut TrialScratch::new(),
-            )
-            .expect("trial runs")
-    }
-
-    /// The first `(seed, irq_seed)` pair (small search) at which the
-    /// scenario manifests under its own preemption spec.
-    fn find_manifestation(scenario: &dyn Scenario) -> Option<(u64, u64)> {
-        let spec = scenario.base_config().preemption;
-        for seed in 0..4 {
-            for irq_seed in 0..8 {
-                let report = run_preempted(scenario, spec, seed, irq_seed);
-                if timer_fault_manifested(&report) {
-                    return Some((seed, irq_seed));
-                }
-            }
-        }
-        None
-    }
+    /// Non-preemptive execution hides the faults; the scenarios' own
+    /// interrupt plan or quantum exposes them.
+    const PROBE: Probe = Probe {
+        control: AxisSpec::Preemption(PreemptionSpec {
+            quantum: None,
+            clock_skew: None,
+            interrupts: None,
+        }),
+        grid: (4, 8),
+        manifested: timer_fault_manifested,
+    };
 
     #[test]
     fn isr_race_is_invisible_without_interrupt_injection() {
-        for seed in 0..6 {
-            let report = run_preempted(
-                &IsrSharedVarScenario::buggy(),
-                PreemptionSpec::default(),
-                seed,
-                seed ^ 0xABCD,
-            );
-            assert!(
-                !timer_fault_manifested(&report),
-                "seed {seed}: {}",
-                report.summary()
-            );
-        }
+        PROBE.assert_invisible(&IsrSharedVarScenario::buggy());
     }
 
     #[test]
     fn isr_race_manifests_under_injection_and_replays_from_the_quadruple() {
-        let scenario = IsrSharedVarScenario::buggy();
-        let (seed, irq_seed) =
-            find_manifestation(&scenario).expect("some quadruple must expose the ISR lost update");
-        let spec = scenario.base_config().preemption;
-        let a = run_preempted(&scenario, spec, seed, irq_seed);
-        let b = run_preempted(&scenario, spec, seed, irq_seed);
-        assert!(timer_fault_manifested(&a));
-        assert_eq!(a.irq_seed, irq_seed, "the quadruple is recorded");
-        assert_eq!(a.bugs.len(), b.bugs.len());
-        for (x, y) in a.bugs.iter().zip(&b.bugs) {
-            assert_eq!(x.kind, y.kind);
-            assert_eq!(x.detected_at, y.detected_at, "quadruple replay is exact");
-        }
-        assert_eq!(
-            format!("{:?}", a.machine_summary()),
-            format!("{:?}", b.machine_summary()),
-        );
+        PROBE.assert_manifests_and_replays(&IsrSharedVarScenario::buggy());
     }
 
     #[test]
     fn masked_isr_race_is_clean_under_any_injection_plan() {
         assert!(
-            find_manifestation(&IsrSharedVarScenario::fixed()).is_none(),
+            PROBE
+                .find_manifestation(&IsrSharedVarScenario::fixed())
+                .is_none(),
             "the mask-bracketed variant must never lose an update"
         );
     }
 
     #[test]
     fn quantum_atomicity_is_invisible_without_a_quantum() {
-        for seed in 0..6 {
-            let report = run_preempted(
-                &QuantumAtomicityScenario::buggy(),
-                PreemptionSpec::default(),
-                seed,
-                seed ^ 0xEF01,
-            );
-            assert!(
-                !timer_fault_manifested(&report),
-                "seed {seed}: {}",
-                report.summary()
-            );
-        }
+        PROBE.assert_invisible(&QuantumAtomicityScenario::buggy());
     }
 
     #[test]
     fn quantum_atomicity_manifests_under_a_quantum_and_replays() {
-        let scenario = QuantumAtomicityScenario::buggy();
-        let (seed, irq_seed) =
-            find_manifestation(&scenario).expect("some quadruple must expose the split window");
-        let spec = scenario.base_config().preemption;
-        let a = run_preempted(&scenario, spec, seed, irq_seed);
-        let b = run_preempted(&scenario, spec, seed, irq_seed);
-        assert!(timer_fault_manifested(&a));
-        assert_eq!(
-            a.bugs.iter().map(|x| x.detected_at).collect::<Vec<_>>(),
-            b.bugs.iter().map(|x| x.detected_at).collect::<Vec<_>>(),
-        );
+        PROBE.assert_manifests_and_replays(&QuantumAtomicityScenario::buggy());
     }
 
     #[test]
     fn mutex_bracketed_quantum_variant_is_clean_under_any_quantum() {
         assert!(
-            find_manifestation(&QuantumAtomicityScenario::fixed()).is_none(),
+            PROBE
+                .find_manifestation(&QuantumAtomicityScenario::fixed())
+                .is_none(),
             "the mutex-bracketed variant must never lose an update"
         );
     }
@@ -563,8 +489,7 @@ mod tests {
     fn minimization_shrinks_the_injection_mask_of_the_isr_race() {
         use ptest_core::{minimize_scenario_trial, replay_minimized, MinimizeConfig};
         let scenario = IsrSharedVarScenario::buggy();
-        let (seed, irq_seed) =
-            find_manifestation(&scenario).expect("some quadruple must expose the ISR lost update");
+        let (seed, irq_seed) = PROBE.assert_manifests_and_replays(&scenario);
         let base = scenario.base_config();
         let engine = TrialEngine::new(base.clone()).expect("valid scenario config");
         let mut scratch = TrialScratch::new();

@@ -435,118 +435,50 @@ pub fn reordering_manifested(report: &ptest_core::TestReport) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ptest_core::{TrialEngine, TrialScratch};
+    use crate::testsupport::{AxisSpec, Probe};
 
-    /// Runs `scenario` under an explicit memory spec at a seed triple
-    /// (lock-step schedule — the memory axis is what varies here).
-    fn run_modeled(
-        scenario: &dyn Scenario,
-        memory: MemoryModelSpec,
-        seed: u64,
-        memory_seed: u64,
-    ) -> ptest_core::TestReport {
-        let mut cfg = scenario.base_config();
-        cfg.memory = memory;
-        let engine = TrialEngine::new(cfg).expect("valid scenario config");
-        engine
-            .run_scenario_trial_explored(scenario, seed, 0, memory_seed, &mut TrialScratch::new())
-            .expect("trial runs")
-    }
-
-    /// The first `(seed, memory_seed)` pair (small search) at which the
-    /// scenario manifests under the default store buffer.
-    fn find_manifestation(scenario: &dyn Scenario) -> Option<(u64, u64)> {
-        for seed in 0..3 {
-            for memory_seed in 0..16 {
-                let report =
-                    run_modeled(scenario, MemoryModelSpec::store_buffer(), seed, memory_seed);
-                if reordering_manifested(&report) {
-                    return Some((seed, memory_seed));
-                }
-            }
-        }
-        None
-    }
+    /// Sequential consistency hides the reorderings; the scenarios' store
+    /// buffer exposes them.
+    const PROBE: Probe = Probe {
+        control: AxisSpec::Memory(MemoryModelSpec::SeqCst),
+        grid: (3, 16),
+        manifested: reordering_manifested,
+    };
 
     #[test]
     fn dekker_is_invisible_under_sequential_consistency() {
-        for seed in 0..4 {
-            for memory_seed in [0, 1, 0xDEAD] {
-                let report = run_modeled(
-                    &StoreVisibilityScenario::buggy(),
-                    MemoryModelSpec::SeqCst,
-                    seed,
-                    memory_seed,
-                );
-                assert!(
-                    !reordering_manifested(&report),
-                    "seed {seed}/{memory_seed}: {}",
-                    report.summary()
-                );
-            }
-        }
+        PROBE.assert_invisible(&StoreVisibilityScenario::buggy());
     }
 
     #[test]
     fn dekker_manifests_under_a_store_buffer_and_replays() {
-        let (seed, memory_seed) = find_manifestation(&StoreVisibilityScenario::buggy())
-            .expect("some seed pair must expose the visibility race");
-        let spec = MemoryModelSpec::store_buffer();
-        let a = run_modeled(&StoreVisibilityScenario::buggy(), spec, seed, memory_seed);
-        let b = run_modeled(&StoreVisibilityScenario::buggy(), spec, seed, memory_seed);
-        assert!(reordering_manifested(&a));
-        assert_eq!(a.bugs.len(), b.bugs.len());
-        for (x, y) in a.bugs.iter().zip(&b.bugs) {
-            assert_eq!(x.kind, y.kind);
-            assert_eq!(x.detected_at, y.detected_at, "seed-triple replay is exact");
-        }
+        PROBE.assert_manifests_and_replays(&StoreVisibilityScenario::buggy());
     }
 
     #[test]
     fn fenced_dekker_is_clean_under_a_store_buffer() {
         assert!(
-            find_manifestation(&StoreVisibilityScenario::fenced()).is_none(),
+            PROBE
+                .find_manifestation(&StoreVisibilityScenario::fenced())
+                .is_none(),
             "the fenced variant must never trip its guard"
         );
     }
 
     #[test]
     fn iriw_is_invisible_under_sequential_consistency() {
-        for seed in 0..4 {
-            for memory_seed in [0, 1, 0xBEEF] {
-                let report = run_modeled(
-                    &IriwScenario::buggy(),
-                    MemoryModelSpec::SeqCst,
-                    seed,
-                    memory_seed,
-                );
-                assert!(
-                    !reordering_manifested(&report),
-                    "seed {seed}/{memory_seed}: {}",
-                    report.summary()
-                );
-            }
-        }
+        PROBE.assert_invisible(&IriwScenario::buggy());
     }
 
     #[test]
     fn iriw_manifests_under_a_store_buffer_and_replays() {
-        let (seed, memory_seed) = find_manifestation(&IriwScenario::buggy())
-            .expect("some seed pair must expose the IRIW disagreement");
-        let spec = MemoryModelSpec::store_buffer();
-        let a = run_modeled(&IriwScenario::buggy(), spec, seed, memory_seed);
-        let b = run_modeled(&IriwScenario::buggy(), spec, seed, memory_seed);
-        assert!(reordering_manifested(&a));
-        assert_eq!(
-            a.bugs.iter().map(|x| x.detected_at).collect::<Vec<_>>(),
-            b.bugs.iter().map(|x| x.detected_at).collect::<Vec<_>>(),
-        );
+        PROBE.assert_manifests_and_replays(&IriwScenario::buggy());
     }
 
     #[test]
     fn fenced_iriw_is_clean_under_a_store_buffer() {
         assert!(
-            find_manifestation(&IriwScenario::fenced()).is_none(),
+            PROBE.find_manifestation(&IriwScenario::fenced()).is_none(),
             "the reader-fenced variant must never trip its guard"
         );
     }

@@ -14,10 +14,9 @@
 //!   port, and the master scheduler, all advanced in lock-step virtual
 //!   time by [`MultiCoreSystem::step`]. Slaves can be coupled through
 //!   cross-core semaphore hand-off links and SRAM-mirrored shared
-//!   variables — the substrate of the multi-slave fault scenarios.
-//! * [`DualCoreSystem`] — the original one-slave platform, now the
-//!   `n = 1` special case of [`MultiCoreSystem`] (bit-identical
-//!   behaviour, same API).
+//!   variables — the substrate of the multi-slave fault scenarios. Its
+//!   default `n = 1` configuration is the original one-slave platform,
+//!   with bit-identical behaviour.
 //! * [`sched`] — schedule exploration: a [`Scheduler`] decides each
 //!   cycle which slave kernels execute a task cycle
 //!   ([`MultiCoreSystem::step_with`]). Lock-step remains the default;
@@ -57,10 +56,10 @@
 //! ## Example
 //!
 //! ```
-//! use ptest_master::{DualCoreSystem, MasterOp, SystemConfig};
+//! use ptest_master::{MasterOp, MultiCoreSystem, SystemConfig};
 //! use ptest_pcore::{Priority, Program, SvcRequest};
 //!
-//! let mut sys = DualCoreSystem::new(SystemConfig::default());
+//! let mut sys = MultiCoreSystem::new(SystemConfig::default());
 //! let prog = sys.kernel_mut().register_program(Program::exit_immediately());
 //! sys.add_thread(
 //!     "M1",
@@ -97,9 +96,7 @@ pub use sched::{
     IdleAdvance, LockStepScheduler, RandomPriorityConfig, RandomPriorityScheduler, ScheduleSpec,
     Scheduler,
 };
-pub use system::{
-    CouplingError, DualCoreSystem, MultiCoreSystem, SemLink, SharedVar, SnapshotCache, SystemConfig,
-};
+pub use system::{CouplingError, MultiCoreSystem, SemLink, SharedVar, SnapshotCache, SystemConfig};
 pub use thread::{MasterOp, MasterThread, ThreadId, ThreadState};
 
 #[cfg(test)]
@@ -107,7 +104,7 @@ mod tests {
     #[test]
     fn public_types_are_send_and_sync() {
         fn assert_send_sync<T: Send + Sync>() {}
-        assert_send_sync::<super::DualCoreSystem>();
+        assert_send_sync::<super::MultiCoreSystem>();
         assert_send_sync::<super::MasterThread>();
     }
 }

@@ -8,8 +8,8 @@
 //! slave, plus two cross-core coupling mechanisms the multi-slave fault
 //! scenarios are built on — semaphore hand-off links
 //! ([`MultiCoreSystem::link_semaphores`]) and SRAM-mirrored shared
-//! variables ([`MultiCoreSystem::share_var`]). [`DualCoreSystem`] is the
-//! `n = 1` special case and behaves bit-identically to the historical
+//! variables ([`MultiCoreSystem::share_var`]). The `n = 1` system
+//! (`SystemConfig::default()`) behaves bit-identically to the historical
 //! dual-core implementation.
 
 use std::collections::VecDeque;
@@ -235,12 +235,6 @@ impl SnapshotCache {
         &self.dirty
     }
 }
-
-/// The original dual-core (one master, one slave) platform: the `n = 1`
-/// special case of [`MultiCoreSystem`]. `SystemConfig::default()` has
-/// `slaves = 1`, so every historical call site keeps constructing — and
-/// behaving — exactly as before the N-slave generalization.
-pub type DualCoreSystem = MultiCoreSystem;
 
 impl MultiCoreSystem {
     /// Builds and wires a fresh system with `cfg.slaves` slave cores.
@@ -1259,11 +1253,11 @@ mod tests {
     use super::*;
     use ptest_pcore::{Op, Priority, Program, ProgramId, SvcReply, TaskState, VarId};
 
-    fn sys() -> DualCoreSystem {
-        DualCoreSystem::new(SystemConfig::default())
+    fn sys() -> MultiCoreSystem {
+        MultiCoreSystem::new(SystemConfig::default())
     }
 
-    fn exit_prog(s: &mut DualCoreSystem) -> ProgramId {
+    fn exit_prog(s: &mut MultiCoreSystem) -> ProgramId {
         s.kernel_mut().register_program(Program::exit_immediately())
     }
 
@@ -1366,7 +1360,7 @@ mod tests {
     fn crash_detected_via_timeouts() {
         let mut cfg = SystemConfig::default();
         cfg.kernel.heap_bytes = 1024; // two creates exceed this
-        let mut s = DualCoreSystem::new(cfg);
+        let mut s = MultiCoreSystem::new(cfg);
         let p = exit_prog(&mut s);
         // Park a long-running task so its memory stays live.
         let hog = s.kernel_mut().register_program(
@@ -1867,7 +1861,7 @@ mod tests {
 
     /// A system whose only task computes briefly, then sleeps `sleep`
     /// cycles, then exits — the canonical fast-forwardable workload.
-    fn sleeper_sys(sleep: u32) -> DualCoreSystem {
+    fn sleeper_sys(sleep: u32) -> MultiCoreSystem {
         let mut s = sys();
         let prog = s.kernel_mut().register_program(
             Program::new(vec![Op::Compute(5), Op::SleepFor(sleep), Op::Exit]).unwrap(),
@@ -1885,7 +1879,7 @@ mod tests {
     /// the window length (cycles strictly before the horizon). Drains
     /// the response inbox each cycle as a trial's committer would — an
     /// undrained inbox is a (conservative) disqualifier.
-    fn step_to_idle(s: &mut DualCoreSystem, max: u64) -> u64 {
+    fn step_to_idle(s: &mut MultiCoreSystem, max: u64) -> u64 {
         for _ in 0..max {
             s.step();
             s.drain_responses();
@@ -2035,7 +2029,7 @@ mod tests {
 
     use crate::preempt::{ClockSkewConfig, InterruptConfig, PreemptionSpec, QuantumConfig};
 
-    fn spin_prog(s: &mut DualCoreSystem) -> ProgramId {
+    fn spin_prog(s: &mut MultiCoreSystem) -> ProgramId {
         s.kernel_mut()
             .register_program(Program::new(vec![Op::Jump(0)]).unwrap())
     }

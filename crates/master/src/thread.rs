@@ -6,7 +6,7 @@
 //! assumption). A [`MasterThread`] here is a small script of
 //! [`MasterOp`]s — issuing remote commands, waiting for their responses,
 //! computing, sleeping — executed under a round-robin quantum scheduler by
-//! the [`DualCoreSystem`](crate::DualCoreSystem).
+//! the [`MultiCoreSystem`](crate::MultiCoreSystem).
 
 use std::fmt;
 

@@ -12,7 +12,7 @@
 //! | automata | [`automata`] | regex → NFA → DFA → PFA pipeline, distribution learning |
 //! | baselines | [`baselines`] | ConTest-style random and CHESS-style systematic testers |
 //! | faults | [`faults`] | Figure 1, dining philosophers, GC-churn stress, starvation/inversion/races, multi-slave pipeline + SRAM race, schedule-sensitive cross-core races, memory-model-sensitive races (Dekker, IRIW), preemption-sensitive timer/ISR faults |
-//! | master | [`master`] | master runtime, the wired N-slave [`MultiCoreSystem`] ([`DualCoreSystem`] = n 1), schedule exploration ([`ScheduleSpec`], [`RandomPriorityScheduler`]), memory-model exploration ([`MemoryModelSpec`], [`StoreBufferModel`]), preemption/interrupt exploration ([`PreemptionSpec`]: quantum slices, per-slave clock skew, seeded interrupt plans) |
+//! | master | [`master`] | master runtime, the wired N-slave [`MultiCoreSystem`], schedule exploration ([`ScheduleSpec`], [`RandomPriorityScheduler`]), memory-model exploration ([`MemoryModelSpec`], [`StoreBufferModel`]), preemption/interrupt exploration ([`PreemptionSpec`]: quantum slices, per-slave clock skew, seeded interrupt plans) |
 //! | bridge | [`bridge`] | pCore-Bridge middleware (SRAM rings + mailbox doorbells) |
 //! | slave | [`pcore`] | the pCore microkernel simulator |
 //! | hardware | [`soc`] | the OMAP5912-like simulated SoC |
@@ -98,24 +98,22 @@ pub use ptest_soc as soc;
 
 pub use ptest_automata::{Alphabet, Dfa, GenerateOptions, Pfa, ProbabilityAssignment, Regex, Sym};
 pub use ptest_campaign::{
-    config_fingerprint, Campaign, CampaignCheckpoint, CampaignConfig, CampaignReport,
-    LearningConfig, MemoryDetection, MinimizedOutcome, PreemptionDetection, RoundReport,
-    ScheduleDetection, ShardReport, ShardSpec, CHECKPOINT_SCHEMA,
+    config_fingerprint, AxisDetection, Campaign, CampaignCheckpoint, CampaignConfig,
+    CampaignReport, LearningConfig, MinimizedOutcome, RoundReport, ShardReport, ShardSpec,
+    CHECKPOINT_SCHEMA,
 };
 pub use ptest_core::{
     derived_irq_seed, derived_memory_seed, derived_schedule_seed, minimize_scenario_trial,
-    minimize_trial, replay_minimized, AdaptiveTest, AdaptiveTestConfig, Bug, BugDetector, BugKind,
-    Committer, CommitterConfig, CommitterStatus, Configured, CoverageReport, DetectorConfig,
-    FnScenario, InterleavingEvent, MergeOp, MergedPattern, MinimizeConfig, MinimizeError,
-    MinimizedMemory, MinimizedRepro, MinimizedSchedule, PatternGenerator, PatternMerger,
-    RootCauseReport, Scenario, StateRecord, TestPattern, TestReport, TrialEngine, TrialOverrides,
-    TrialScratch, TrialTrace,
+    replay_minimized, AdaptiveTest, AdaptiveTestConfig, Bug, BugDetector, BugKind, Committer,
+    CommitterConfig, CommitterStatus, Configured, CoverageReport, DetectorConfig, FnScenario,
+    InterleavingEvent, MergeOp, MergedPattern, MinimizeConfig, MinimizeError, MinimizedMemory,
+    MinimizedRepro, MinimizedSchedule, PatternGenerator, PatternMerger, RootCauseReport, Scenario,
+    StateRecord, TestPattern, TestReport, TrialEngine, TrialOverrides, TrialScratch, TrialTrace,
 };
 pub use ptest_master::{
-    ClockSkewConfig, DualCoreSystem, InterruptConfig, LockStepScheduler, MasterOp, MemoryModel,
-    MemoryModelSpec, MultiCoreSystem, PreemptionSpec, QuantumConfig, RandomPriorityConfig,
-    RandomPriorityScheduler, ScheduleSpec, Scheduler, StoreBufferConfig, StoreBufferModel,
-    SystemConfig,
+    ClockSkewConfig, InterruptConfig, LockStepScheduler, MasterOp, MemoryModel, MemoryModelSpec,
+    MultiCoreSystem, PreemptionSpec, QuantumConfig, RandomPriorityConfig, RandomPriorityScheduler,
+    ScheduleSpec, Scheduler, StoreBufferConfig, StoreBufferModel, SystemConfig,
 };
 pub use ptest_pcore::{
     GcFaultMode, Kernel, KernelConfig, Priority, Program, ProgramBuilder, ProgramId, Service,

@@ -3,11 +3,11 @@
 
 use ptest::pcore::{Op, Program};
 use ptest::{
-    AdaptiveTest, AdaptiveTestConfig, BugKind, CommitterStatus, DualCoreSystem, MergeOp,
+    AdaptiveTest, AdaptiveTestConfig, BugKind, CommitterStatus, MergeOp, MultiCoreSystem,
     ProbabilityAssignment, ProgramId,
 };
 
-fn compute_setup(sys: &mut DualCoreSystem) -> Vec<ProgramId> {
+fn compute_setup(sys: &mut MultiCoreSystem) -> Vec<ProgramId> {
     vec![sys
         .kernel_mut()
         .register_program(Program::new(vec![Op::Compute(25), Op::Exit]).expect("valid"))]

@@ -5,11 +5,11 @@ use ptest::baselines::{RandomTester, RandomTesterConfig, SystematicConfig, Syste
 use ptest::faults::philosophers::{self, Variant};
 use ptest::pcore::{GcFaultMode, Op, Program};
 use ptest::{
-    AdaptiveTest, AdaptiveTestConfig, BugKind, DualCoreSystem, PatternGenerator, ProgramId,
+    AdaptiveTest, AdaptiveTestConfig, BugKind, MultiCoreSystem, PatternGenerator, ProgramId,
     TestPattern,
 };
 
-fn worker_setup(sys: &mut DualCoreSystem) -> Vec<ProgramId> {
+fn worker_setup(sys: &mut MultiCoreSystem) -> Vec<ProgramId> {
     vec![sys
         .kernel_mut()
         .register_program(Program::new(vec![Op::Compute(30), Op::Exit]).expect("valid"))]

@@ -11,10 +11,9 @@
 
 use ptest::faults::multicore::{CrossCorePipelineScenario, SramRaceScenario};
 use ptest::faults::philosophers::PhilosophersScenario;
-use ptest::master::MultiCoreSystem;
 use ptest::pcore::{Op, Program};
 use ptest::soc::CoreId;
-use ptest::{AdaptiveTest, AdaptiveTestConfig, BugKind, DualCoreSystem, Scenario, SystemConfig};
+use ptest::{AdaptiveTest, AdaptiveTestConfig, BugKind, MultiCoreSystem, Scenario, SystemConfig};
 
 const GOLDEN_COMPUTE: &str = include_str!("fixtures/golden_compute_seed42.json");
 const GOLDEN_PHILOSOPHERS: &str = include_str!("fixtures/golden_philosophers_seed7.json");
@@ -53,12 +52,12 @@ fn n1_report_is_byte_identical_to_the_pre_refactor_golden() {
     );
 }
 
-/// `DualCoreSystem` *is* the `n = 1` `MultiCoreSystem`: same type, same
-/// default configuration, same behaviour.
+/// The default `MultiCoreSystem` is the `n = 1` dual-core platform: one
+/// slave, and the same behaviour as an explicit one-slave configuration.
 #[test]
 fn dual_core_system_is_the_n1_special_case() {
     assert_eq!(SystemConfig::default().slaves, 1);
-    let dual = DualCoreSystem::new(SystemConfig::default());
+    let dual = MultiCoreSystem::new(SystemConfig::default());
     assert_eq!(dual.slave_count(), 1);
     // Explicit n=1 multicore and the dual-core path produce identical
     // reports.

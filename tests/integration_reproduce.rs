@@ -5,9 +5,9 @@
 use ptest::faults::philosophers::{case2_config, setup, Variant};
 use ptest::faults::stress::{stress_config, stress_setup, StressSpec};
 use ptest::pcore::{Op, Program};
-use ptest::{AdaptiveTest, AdaptiveTestConfig, BugKind, DualCoreSystem, ProgramId};
+use ptest::{AdaptiveTest, AdaptiveTestConfig, BugKind, MultiCoreSystem, ProgramId};
 
-fn compute_setup(sys: &mut DualCoreSystem) -> Vec<ProgramId> {
+fn compute_setup(sys: &mut MultiCoreSystem) -> Vec<ProgramId> {
     vec![sys
         .kernel_mut()
         .register_program(Program::new(vec![Op::Compute(25), Op::Exit]).expect("valid"))]

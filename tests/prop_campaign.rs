@@ -6,12 +6,13 @@
 use proptest::prelude::*;
 use ptest::pcore::{Op, Program};
 use ptest::{
-    AdaptiveTestConfig, Campaign, CampaignConfig, CampaignReport, DualCoreSystem, FnScenario,
-    LearningConfig, MemoryModelSpec, MergeOp, ProgramId, RandomPriorityConfig, Scenario,
-    ScheduleSpec, SystemConfig, TrialEngine, TrialScratch,
+    campaign, AdaptiveTestConfig, Campaign, CampaignConfig, CampaignReport, FnScenario,
+    InterruptConfig, LearningConfig, MemoryModelSpec, MergeOp, MultiCoreSystem, PreemptionSpec,
+    ProgramId, QuantumConfig, RandomPriorityConfig, Scenario, ScheduleSpec, SystemConfig,
+    TrialEngine, TrialOverrides, TrialScratch,
 };
 
-fn compute_setup(sys: &mut DualCoreSystem) -> Vec<ProgramId> {
+fn compute_setup(sys: &mut MultiCoreSystem) -> Vec<ProgramId> {
     vec![sys
         .kernel_mut()
         .register_program(Program::new(vec![Op::Compute(15), Op::Exit]).expect("valid"))]
@@ -99,13 +100,13 @@ proptest! {
         prop_assert_eq!(first, second);
     }
 
-    /// Seed-triple replay: under the randomized-priority scheduler and a
-    /// memory-model rotation, a `(pattern_seed, schedule_seed,
-    /// memory_seed)` triple reproduces a byte-identical trial trace —
-    /// the campaign's aggregate JSON is worker-count independent, every
-    /// outcome records its replay triple and model label, and replaying
-    /// any recorded triple standalone regenerates that trial's summary
-    /// byte for byte.
+    /// Seed-quadruple replay under arbitrary rotations: with random
+    /// schedule-budget, memory-model and preemption rotations (each 0–3
+    /// lanes long) the campaign's aggregate JSON is worker-count
+    /// independent, every outcome records its replay quadruple and the
+    /// labels of the specs [`CampaignConfig::trial_specs`] assigns it, and
+    /// replaying any recorded quadruple under those specs standalone
+    /// regenerates that trial's summary byte for byte.
     #[test]
     fn seed_triple_replays_byte_identically_across_worker_counts(
         n in 1usize..3,
@@ -113,30 +114,49 @@ proptest! {
         trials in 2usize..5,
         master_seed in 0u64..1_000,
         change_points in 0usize..5,
+        schedule_budgets in proptest::collection::vec(0usize..5, 0..4),
+        memory_lanes in proptest::collection::vec(0usize..2, 0..4),
+        preemption_lanes in proptest::collection::vec(0usize..3, 0..4),
     ) {
-        let spec = ScheduleSpec::RandomPriority(RandomPriorityConfig {
-            change_points,
-            ..RandomPriorityConfig::default()
-        });
         let scenario = FnScenario::new(
             "prop-sched",
             AdaptiveTestConfig {
                 n,
                 s,
-                schedule: spec,
+                schedule: ScheduleSpec::RandomPriority(RandomPriorityConfig {
+                    change_points,
+                    ..RandomPriorityConfig::default()
+                }),
                 system: SystemConfig::with_slaves(2),
                 ..AdaptiveTestConfig::default()
             },
             compute_setup,
         );
         let models = [MemoryModelSpec::SeqCst, MemoryModelSpec::store_buffer()];
+        let preemptions = [
+            PreemptionSpec::default(),
+            PreemptionSpec {
+                quantum: Some(QuantumConfig { cycles: 4 }),
+                ..PreemptionSpec::default()
+            },
+            PreemptionSpec {
+                interrupts: Some(InterruptConfig {
+                    count: 3,
+                    horizon: 200,
+                    ..InterruptConfig::default()
+                }),
+                ..PreemptionSpec::default()
+            },
+        ];
         let cfg = |workers| CampaignConfig {
             trials_per_round: trials,
             rounds: 1,
             workers,
             master_seed,
             learning: LearningConfig::default(),
-            memory_models: models.to_vec(),
+            schedule_budgets: schedule_budgets.clone(),
+            memory_models: memory_lanes.iter().map(|&i| models[i]).collect(),
+            preemption_specs: preemption_lanes.iter().map(|&i| preemptions[i]).collect(),
             ..CampaignConfig::default()
         };
         let one = run(&scenario, &cfg(1));
@@ -144,35 +164,35 @@ proptest! {
         prop_assert_eq!(
             ptest::campaign_report_to_json(&one).expect("serializes"),
             ptest::campaign_report_to_json(&four).expect("serializes"),
-            "randomized schedules and memory rotations must stay worker-count independent"
+            "rotations on every axis must stay worker-count independent"
         );
-        // Every recorded (seed, schedule_seed, memory_seed) triple
-        // replays its trial under the model the rotation assigned it.
-        let engine = TrialEngine::new(scenario.base_config()).expect("compiles");
+        let base = scenario.base_config();
+        let engine = TrialEngine::new(base.clone()).expect("compiles");
         let mut scratch = TrialScratch::new();
         for outcome in &one.rounds[0].trials {
+            let t = outcome.trial;
+            prop_assert_eq!(outcome.seed, campaign::trial_seed(master_seed, 0, t));
+            prop_assert_eq!(outcome.schedule_seed, campaign::schedule_seed(master_seed, 0, t));
+            prop_assert_eq!(outcome.memory_seed, campaign::memory_seed(master_seed, 0, t));
+            prop_assert_eq!(outcome.irq_seed, campaign::irq_seed(master_seed, 0, t));
+            let (schedule, memory, preemption) = cfg(1).trial_specs(&base, t);
             prop_assert_eq!(
-                outcome.seed,
-                ptest::campaign::trial_seed(master_seed, 0, outcome.trial)
+                [&outcome.schedule, &outcome.memory, &outcome.preemption],
+                [&schedule.label(), &memory.label(), &preemption.label()]
             );
-            prop_assert_eq!(
-                outcome.schedule_seed,
-                ptest::campaign::schedule_seed(master_seed, 0, outcome.trial)
-            );
-            prop_assert_eq!(
-                outcome.memory_seed,
-                ptest::campaign::memory_seed(master_seed, 0, outcome.trial)
-            );
-            let memory = models[outcome.trial % models.len()];
-            prop_assert_eq!(&outcome.memory, &memory.label());
             let replay = engine
-                .run_scenario_trial_explored_as(
+                .run_scenario_trial_overridden(
                     &scenario,
                     outcome.seed,
                     outcome.schedule_seed,
                     outcome.memory_seed,
-                    spec,
-                    memory,
+                    TrialOverrides {
+                        schedule: Some(schedule),
+                        memory: Some(memory),
+                        preemption: Some(preemption),
+                        irq_seed: Some(outcome.irq_seed),
+                        ..TrialOverrides::default()
+                    },
                     &mut scratch,
                 )
                 .expect("replays");

@@ -12,7 +12,7 @@ use ptest::{
     ShardSpec,
 };
 
-fn compute_setup(sys: &mut ptest::DualCoreSystem) -> Vec<ProgramId> {
+fn compute_setup(sys: &mut ptest::MultiCoreSystem) -> Vec<ProgramId> {
     vec![sys
         .kernel_mut()
         .register_program(Program::new(vec![Op::Compute(15), Op::Exit]).expect("valid"))]

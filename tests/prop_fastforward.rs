@@ -12,8 +12,8 @@ use ptest::faults::philosophers::PhilosophersScenario;
 use ptest::master::{MemoryModelSpec, ScheduleSpec};
 use ptest::pcore::{Op, Program, ProgramId};
 use ptest::{
-    derived_memory_seed, derived_schedule_seed, AdaptiveTestConfig, DualCoreSystem, FnScenario,
-    Scenario, TrialEngine, TrialScratch,
+    derived_memory_seed, derived_schedule_seed, AdaptiveTestConfig, FnScenario, MultiCoreSystem,
+    Scenario, TrialEngine, TrialOverrides, TrialScratch,
 };
 
 /// A sleeper-dominated worker: short compute bursts separated by long
@@ -27,7 +27,7 @@ fn sleeper_scenario() -> impl Scenario {
             s: 4,
             ..AdaptiveTestConfig::default()
         },
-        |sys: &mut DualCoreSystem| -> Vec<ProgramId> {
+        |sys: &mut MultiCoreSystem| -> Vec<ProgramId> {
             let ops = vec![
                 Op::Compute(5),
                 Op::SleepFor(2_000),
@@ -52,7 +52,7 @@ fn compute_scenario() -> impl Scenario {
             s: 6,
             ..AdaptiveTestConfig::default()
         },
-        |sys: &mut DualCoreSystem| -> Vec<ProgramId> {
+        |sys: &mut MultiCoreSystem| -> Vec<ProgramId> {
             vec![sys
                 .kernel_mut()
                 .register_program(Program::new(vec![Op::Compute(30), Op::Exit]).expect("valid"))]
@@ -90,20 +90,22 @@ fn assert_fast_forward_equivalence(scenario: &dyn Scenario) {
             let schedule_seed = derived_schedule_seed(seed);
             let memory_seed = derived_memory_seed(seed);
             let a = fast
-                .run_scenario_trial_explored(
+                .run_scenario_trial_overridden(
                     scenario,
                     seed,
                     schedule_seed,
                     memory_seed,
+                    TrialOverrides::default(),
                     &mut fast_scratch,
                 )
                 .unwrap();
             let b = slow
-                .run_scenario_trial_explored(
+                .run_scenario_trial_overridden(
                     scenario,
                     seed,
                     schedule_seed,
                     memory_seed,
+                    TrialOverrides::default(),
                     &mut slow_scratch,
                 )
                 .unwrap();
@@ -133,16 +135,4 @@ fn buggy_philosopher_reports_are_byte_identical_with_and_without_fast_forward() 
     // A real deadlock: the detector path and the fatal early-exit must
     // fire on exactly the same cycle either way.
     assert_fast_forward_equivalence(&PhilosophersScenario::buggy());
-}
-
-#[test]
-fn env_escape_hatch_disables_fast_forward_at_engine_construction() {
-    // Engines elsewhere in this binary set the flag explicitly, so the
-    // temporary process-global variable cannot perturb them.
-    std::env::set_var("PTEST_NO_FAST_FORWARD", "1");
-    let gated = TrialEngine::new(AdaptiveTestConfig::default()).unwrap();
-    std::env::remove_var("PTEST_NO_FAST_FORWARD");
-    let default = TrialEngine::new(AdaptiveTestConfig::default()).unwrap();
-    assert!(!gated.fast_forward_enabled());
-    assert!(default.fast_forward_enabled());
 }

@@ -131,7 +131,7 @@ impl Scenario for ConfiguredView<'_> {
         self.0.base_config()
     }
 
-    fn setup(&self, sys: &mut ptest::DualCoreSystem) -> Vec<ptest::ProgramId> {
+    fn setup(&self, sys: &mut ptest::MultiCoreSystem) -> Vec<ptest::ProgramId> {
         self.0.setup(sys)
     }
 }

@@ -14,9 +14,9 @@ use proptest::prelude::*;
 use ptest::faults::philosophers::PhilosophersScenario;
 use ptest::pcore::{Op, Program, ProgramId};
 use ptest::{
-    derived_irq_seed, derived_memory_seed, derived_schedule_seed, AdaptiveTestConfig,
-    DualCoreSystem, FnScenario, MemoryModelSpec, PreemptionSpec, Scenario, ScheduleSpec,
-    TrialEngine, TrialOverrides, TrialScratch,
+    derived_irq_seed, derived_memory_seed, derived_schedule_seed, AdaptiveTestConfig, FnScenario,
+    MemoryModelSpec, MultiCoreSystem, PreemptionSpec, Scenario, ScheduleSpec, TrialEngine,
+    TrialOverrides, TrialScratch,
 };
 
 /// The golden-fixture compute workload (`golden_compute_seed42.json`
@@ -29,7 +29,7 @@ fn compute_scenario() -> impl Scenario {
             s: 6,
             ..AdaptiveTestConfig::default()
         },
-        |sys: &mut DualCoreSystem| -> Vec<ProgramId> {
+        |sys: &mut MultiCoreSystem| -> Vec<ProgramId> {
             vec![sys
                 .kernel_mut()
                 .register_program(Program::new(vec![Op::Compute(20), Op::Exit]).expect("valid"))]
@@ -47,7 +47,7 @@ fn sleeper_scenario() -> impl Scenario {
             s: 4,
             ..AdaptiveTestConfig::default()
         },
-        |sys: &mut DualCoreSystem| -> Vec<ProgramId> {
+        |sys: &mut MultiCoreSystem| -> Vec<ProgramId> {
             let ops = vec![
                 Op::Compute(5),
                 Op::SleepFor(2_000),
@@ -96,11 +96,12 @@ fn assert_inert_preemption_is_byte_invisible(scenario: &dyn Scenario, seed: u64)
             let mut engine = TrialEngine::new(cfg.clone()).unwrap();
             engine.set_fast_forward(fast_forward);
             let plain = engine
-                .run_scenario_trial_explored(
+                .run_scenario_trial_overridden(
                     scenario,
                     seed,
                     schedule_seed,
                     memory_seed,
+                    TrialOverrides::default(),
                     &mut scratch,
                 )
                 .unwrap();

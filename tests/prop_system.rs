@@ -4,10 +4,10 @@
 use proptest::prelude::*;
 use ptest::pcore::{Op, Program};
 use ptest::{
-    AdaptiveTest, AdaptiveTestConfig, BugKind, CommitterStatus, DualCoreSystem, MergeOp, ProgramId,
+    AdaptiveTest, AdaptiveTestConfig, BugKind, CommitterStatus, MergeOp, MultiCoreSystem, ProgramId,
 };
 
-fn compute_setup(sys: &mut DualCoreSystem) -> Vec<ProgramId> {
+fn compute_setup(sys: &mut MultiCoreSystem) -> Vec<ProgramId> {
     vec![sys
         .kernel_mut()
         .register_program(Program::new(vec![Op::Compute(15), Op::Exit]).expect("valid"))]
