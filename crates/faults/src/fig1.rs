@@ -214,7 +214,9 @@ pub fn run(scenario: Fig1Scenario) -> Fig1Outcome {
             .iter()
             .all(|&t| matches!(sys.kernel().task_state(t), Some(TaskState::Terminated(_))));
         if both_done {
-            return Fig1Outcome::Completed { cycles: cycle };
+            return Fig1Outcome::Completed {
+                cycles: sys.now().get(),
+            };
         }
         if cycle % 200 == 0 {
             for bug in detector.observe(&sys, None, true) {
@@ -301,13 +303,15 @@ pub fn run_with_master_threads(scenario: Fig1Scenario) -> Fig1Outcome {
         }
     }
 
-    for cycle in 0..scenario.max_cycles {
+    for _ in 0..scenario.max_cycles {
         sys.step();
         let both_done = [s1, s2]
             .iter()
             .all(|&t| matches!(sys.kernel().task_state(t), Some(TaskState::Terminated(_))));
         if both_done {
-            return Fig1Outcome::Completed { cycles: cycle };
+            return Fig1Outcome::Completed {
+                cycles: sys.now().get(),
+            };
         }
     }
     let live: Vec<TaskId> = sys
@@ -411,6 +415,21 @@ mod tests {
         });
         assert!(
             matches!(outcome, Fig1Outcome::Completed { .. }),
+            "{outcome:?}"
+        );
+    }
+
+    #[test]
+    fn completion_cycle_counts_from_time_zero() {
+        // S2 is resumed only after the 500-cycle gap, so both processes
+        // cannot have terminated before cycle 500.
+        let outcome = run(Fig1Scenario {
+            order: Fig1Order::S1First,
+            resume_gap: 500,
+            ..Fig1Scenario::default()
+        });
+        assert!(
+            matches!(outcome, Fig1Outcome::Completed { cycles } if cycles > 500),
             "{outcome:?}"
         );
     }
