@@ -131,17 +131,7 @@ pub fn run_merged(
         if cycles.is_multiple_of(knobs.check_interval) {
             bugs.extend(detector.observe(&sys, Some(&committer), done));
         }
-        let fatal = bugs.iter().any(|b| {
-            matches!(
-                b.kind,
-                BugKind::SlaveCrash { .. }
-                    | BugKind::CommandTimeout { .. }
-                    | BugKind::Deadlock { .. }
-                    | BugKind::CrossCoreDeadlock { .. }
-                    | BugKind::Livelock { .. }
-            )
-        });
-        if fatal {
+        if bugs.iter().any(|b| b.kind.is_fatal()) {
             break;
         }
         if let Some(done) = done_at {

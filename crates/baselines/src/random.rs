@@ -168,16 +168,7 @@ impl RandomTester {
                 let budget_exhausted = commands_issued >= cfg.command_budget && !awaiting;
                 bugs.extend(detector.observe(&sys, None, budget_exhausted));
             }
-            let fatal = bugs.iter().any(|b| {
-                matches!(
-                    b.kind,
-                    BugKind::SlaveCrash { .. }
-                        | BugKind::CommandTimeout { .. }
-                        | BugKind::Deadlock { .. }
-                        | BugKind::Livelock { .. }
-                )
-            });
-            if fatal {
+            if bugs.iter().any(|b| b.kind.is_fatal()) {
                 break;
             }
             if commands_issued >= cfg.command_budget {

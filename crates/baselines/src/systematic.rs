@@ -112,17 +112,10 @@ impl SystematicExplorer {
             report.runs += 1;
             report.total_commands += outcome.commands;
             report.total_cycles += outcome.cycles;
-            let mut fatal = false;
-            for bug in outcome.bugs {
-                fatal |= matches!(
-                    bug.kind,
-                    BugKind::SlaveCrash { .. }
-                        | BugKind::CommandTimeout { .. }
-                        | BugKind::Deadlock { .. }
-                        | BugKind::Livelock { .. }
-                );
-                report.bugs.push((i, bug.kind));
-            }
+            let fatal = outcome.bugs.iter().any(|b| b.kind.is_fatal());
+            report
+                .bugs
+                .extend(outcome.bugs.into_iter().map(|b| (i, b.kind)));
             if fatal && report.first_bug_run.is_none() {
                 report.first_bug_run = Some(i);
                 if self.cfg.stop_at_first_bug {
@@ -259,5 +252,27 @@ mod tests {
         assert_eq!(report.runs, 6);
         assert!(report.bugs.is_empty());
         assert_eq!(report.first_bug_run, None);
+    }
+
+    #[test]
+    fn cross_core_deadlock_stops_the_exploration() {
+        // Every interleaving of three `TC TCH` patterns on the buggy
+        // 3-slave pipeline ends in a cross-core deadlock, so the first
+        // run is the first bug run and exploration stops there.
+        let scenario = ptest_faults::multicore::CrossCorePipelineScenario::buggy();
+        let g = PatternGenerator::pcore_paper().unwrap();
+        let alphabet = g.regex().alphabet().clone();
+        let tc = alphabet.sym("TC").unwrap();
+        let tch = alphabet.sym("TCH").unwrap();
+        let patterns: Vec<TestPattern> = (0..3).map(|_| TestPattern::new(vec![tc, tch])).collect();
+        let explorer = SystematicExplorer::new(SystematicConfig {
+            knobs: RunKnobs::from_scenario(&scenario),
+            ..SystematicConfig::default()
+        });
+        let report = explorer.explore_scenario(&patterns, &alphabet, &scenario);
+        assert_eq!(report.space_size, Some(90), "C(6; 2,2,2) interleavings");
+        assert!(report.found(|k| matches!(k, BugKind::CrossCoreDeadlock { .. })));
+        assert_eq!(report.first_bug_run, Some(0));
+        assert_eq!(report.runs, 1);
     }
 }

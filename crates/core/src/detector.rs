@@ -108,6 +108,24 @@ pub enum BugKind {
     },
 }
 
+impl BugKind {
+    /// Whether this bug ends the run that found it: the slave crashed or
+    /// went silent, or a deadlock or livelock will not resolve by itself.
+    /// Task faults and starvation leave the system running, so a run
+    /// keeps observing after them.
+    #[must_use]
+    pub fn is_fatal(&self) -> bool {
+        matches!(
+            self,
+            BugKind::SlaveCrash { .. }
+                | BugKind::CommandTimeout { .. }
+                | BugKind::Deadlock { .. }
+                | BugKind::CrossCoreDeadlock { .. }
+                | BugKind::Livelock { .. }
+        )
+    }
+}
+
 impl fmt::Display for BugKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -238,6 +256,10 @@ impl SlaveTaskSet {
 /// The bug detector. Runs as an independent observer (the paper forks it
 /// as a child process); here it is polled with
 /// [`BugDetector::observe`] at a configurable cadence.
+///
+/// A detector observes one system: its per-task progress records and
+/// snapshot cache belong to the system it was first pointed at. Use a
+/// fresh detector for each run.
 #[derive(Debug, Clone)]
 pub struct BugDetector {
     cfg: DetectorConfig,
@@ -254,11 +276,11 @@ pub struct BugDetector {
     /// `committer_done` at the previous observation: when the gate opens
     /// the gated rules must re-run even if every kernel is clean.
     last_done: bool,
-    /// Reused across observations: per-kernel snapshots (task and
-    /// wait-edge buffers included) and the progress-rule work lists. The
+    /// Reused across observations: the epoch-keyed snapshot cache of
+    /// [`BugDetector::observe`] and the progress-rule work lists. The
     /// detector observes thousands of times per trial; without these the
     /// observation cadence dominates the trial's allocation profile.
-    snapshot_scratch: Vec<KernelSnapshot>,
+    cache: SnapshotCache,
     stalled_scratch: Vec<(usize, TaskId, bool)>,
     moving_scratch: Vec<(usize, TaskId)>,
 }
@@ -279,7 +301,7 @@ impl BugDetector {
             reported_starvation: SlaveTaskSet::default(),
             done_since: None,
             last_done: false,
-            snapshot_scratch: Vec::new(),
+            cache: SnapshotCache::new(),
             stalled_scratch: Vec::new(),
             moving_scratch: Vec::new(),
         }
@@ -325,37 +347,22 @@ impl BugDetector {
     /// deadlock detection is likewise gated, because an in-flight
     /// `task_create` could still start the task that would resolve the
     /// wait.
+    ///
+    /// Observation goes through the detector's own [`SnapshotCache`], as
+    /// [`BugDetector::observe_cached`] describes.
     pub fn observe(
         &mut self,
         sys: &MultiCoreSystem,
         committer: Option<&Committer>,
         committer_done: bool,
     ) -> Vec<Bug> {
-        let mut snapshots = std::mem::take(&mut self.snapshot_scratch);
-        let bugs = self.observe_with(sys, committer, committer_done, &mut snapshots);
-        self.snapshot_scratch = snapshots;
+        let mut cache = std::mem::take(&mut self.cache);
+        let bugs = self.observe_cached(sys, committer, committer_done, &mut cache);
+        self.cache = cache;
         bugs
     }
 
-    /// [`BugDetector::observe`] with a caller-owned snapshot buffer: one
-    /// batched snapshot pass over every kernel per observation step, into
-    /// buffers retained from the previous step — the per-kernel
-    /// `Kernel::snapshot()` allocations this replaces used to dominate
-    /// the trial hot loop. The trial engine passes its per-worker
-    /// [`TrialScratch`](crate::TrialScratch) buffer here so the working
-    /// set survives across trials, not just across steps.
-    pub fn observe_with(
-        &mut self,
-        sys: &MultiCoreSystem,
-        committer: Option<&Committer>,
-        committer_done: bool,
-        snapshots: &mut Vec<KernelSnapshot>,
-    ) -> Vec<Bug> {
-        sys.snapshots_into(snapshots);
-        self.check_rules(sys, committer, committer_done, snapshots, None)
-    }
-
-    /// [`BugDetector::observe_with`] through an epoch-keyed
+    /// [`BugDetector::observe`] through a caller-owned, epoch-keyed
     /// [`SnapshotCache`]: kernels whose change epoch is unchanged since
     /// the previous observation skip re-serialization (only their scalar
     /// counters are refreshed), and the state-change rules (crash, task
@@ -363,6 +370,9 @@ impl BugDetector {
     /// The time-driven rules (command timeout, starvation, livelock)
     /// still run every observation over the cached — content-identical —
     /// snapshots, so detection cadence and report bytes are unchanged.
+    /// The trial engine passes its per-worker
+    /// [`TrialScratch`](crate::TrialScratch) cache here so the snapshot
+    /// buffers survive across trials, not just across steps.
     ///
     /// The cache must be [`reset`](SnapshotCache::reset) between trials.
     pub fn observe_cached(
@@ -378,7 +388,7 @@ impl BugDetector {
             committer,
             committer_done,
             cache.snapshots(),
-            Some(cache.dirty()),
+            cache.dirty(),
         )
     }
 
@@ -388,28 +398,27 @@ impl BugDetector {
     /// the archive format: reports must stay byte-identical across
     /// reruns *and* releases.
     ///
-    /// `dirty` (one flag per slave, `None` = treat everything as dirty)
-    /// gates the purely state-driven rules: a kernel whose change epoch
-    /// has not moved since the last observation cannot newly panic,
-    /// fault a task, or grow a wait-for cycle, so those rules skip it.
-    /// Every state transition bumps the epoch *in* the transitioning
-    /// cycle, and observations happen on a fixed cadence, so a dirty
-    /// kernel is always observed dirty at least once.
+    /// `dirty` (one flag per slave) gates the purely state-driven rules:
+    /// a kernel whose change epoch has not moved since the last
+    /// observation cannot newly panic, fault a task, or grow a wait-for
+    /// cycle, so those rules skip it. Every state transition bumps the
+    /// epoch *in* the transitioning cycle, and dirtiness is measured
+    /// against the previous observation, so a changed kernel is always
+    /// observed dirty at least once.
     fn check_rules(
         &mut self,
         sys: &MultiCoreSystem,
         committer: Option<&Committer>,
         committer_done: bool,
         snapshots: &[KernelSnapshot],
-        dirty: Option<&[bool]>,
+        dirty: &[bool],
     ) -> Vec<Bug> {
         let now = sys.now();
-        let is_dirty = |slave: usize| dirty.is_none_or(|d| d[slave]);
         let mut bugs = Vec::new();
 
         // --- Crash (debug window), per slave.
         for (slave, snapshot) in snapshots.iter().enumerate() {
-            if !is_dirty(slave) {
+            if !dirty[slave] {
                 continue;
             }
             if let Some(panic) = snapshot.panic {
@@ -441,7 +450,7 @@ impl BugDetector {
         }
         // --- Task faults, per slave.
         for (slave, snapshot) in snapshots.iter().enumerate() {
-            if !is_dirty(slave) {
+            if !dirty[slave] {
                 continue;
             }
             for t in &snapshot.tasks {
@@ -460,7 +469,7 @@ impl BugDetector {
         }
         // --- Deadlock: cycle in one kernel's waiter -> holder edges.
         for (slave, snapshot) in snapshots.iter().enumerate() {
-            if !is_dirty(slave) {
+            if !dirty[slave] {
                 continue;
             }
             if !self.reported_deadlock.contains(slave) {
@@ -481,7 +490,7 @@ impl BugDetector {
         //     changes when some kernel changes, so with every kernel
         //     clean the search is skipped — unless the committer-done
         //     gate just opened, which enables the rule on its own.
-        let any_dirty = dirty.is_none_or(|d| d.iter().any(|&x| x));
+        let any_dirty = dirty.contains(&true);
         let gate_opened = committer_done != self.last_done;
         self.last_done = committer_done;
         if committer_done && !self.reported_cross_core && (any_dirty || gate_opened) {
@@ -975,20 +984,21 @@ mod tests {
 
         #[test]
         fn cached_observation_matches_uncached() {
+            // A fresh cache per observation sees every kernel dirty: the
+            // uncached reference the detector's own cache must match.
             let mut sys = spin_system();
             let mut plain = BugDetector::new(DetectorConfig {
                 progress_window: Cycles::new(2_000),
                 ..DetectorConfig::default()
             });
             let mut cached = plain.clone();
-            let mut cache = SnapshotCache::new();
             let mut a = Vec::new();
             let mut b = Vec::new();
             for i in 0..30_000u64 {
                 sys.step();
                 if i % 200 == 0 {
-                    a.extend(plain.observe(&sys, None, true));
-                    b.extend(cached.observe_cached(&sys, None, true, &mut cache));
+                    a.extend(plain.observe_cached(&sys, None, true, &mut SnapshotCache::new()));
+                    b.extend(cached.observe(&sys, None, true));
                 }
             }
             assert!(!a.is_empty());

@@ -25,7 +25,7 @@ use rand::SeedableRng;
 use crate::adaptive::{AdaptiveTestConfig, AdaptiveTestError, TestReport};
 use crate::committer::{Committer, CommitterConfig, CommitterStatus};
 use crate::coverage;
-use crate::detector::{Bug, BugDetector, BugKind};
+use crate::detector::{Bug, BugDetector};
 use crate::generator::PatternGenerator;
 use crate::merger::PatternMerger;
 use crate::pattern::TestPattern;
@@ -382,17 +382,7 @@ impl TrialEngine {
             }
             // Stop once a crash-class bug is in hand, or after the drain
             // period following completion.
-            let fatal = bugs.iter().any(|b| {
-                matches!(
-                    b.kind,
-                    BugKind::SlaveCrash { .. }
-                        | BugKind::CommandTimeout { .. }
-                        | BugKind::Deadlock { .. }
-                        | BugKind::CrossCoreDeadlock { .. }
-                        | BugKind::Livelock { .. }
-                )
-            });
-            if fatal {
+            if bugs.iter().any(|b| b.kind.is_fatal()) {
                 break;
             }
             if let Some(done) = done_at {

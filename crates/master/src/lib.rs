@@ -19,13 +19,12 @@
 //!   with bit-identical behaviour.
 //! * [`sched`] — schedule exploration: a [`Scheduler`] decides each
 //!   cycle which slave kernels execute a task cycle
-//!   ([`MultiCoreSystem::step_with`]). Lock-step remains the default;
+//!   ([`MultiCoreSystem::step_explored`]). Lock-step remains the default;
 //!   [`RandomPriorityScheduler`] performs a PCT-style seeded
 //!   randomized-priority search over cross-core interleavings.
 //! * [`mem`] — memory-model exploration: a [`MemoryModel`] replaces the
 //!   sequentially-consistent shared-variable mirroring epoch
-//!   ([`MultiCoreSystem::step_with_memory`],
-//!   [`MultiCoreSystem::step_explored`]). Sequential consistency remains
+//!   ([`MultiCoreSystem::step_explored`]). Sequential consistency remains
 //!   the default fast path; [`StoreBufferModel`] delays each store's
 //!   visibility per observer off a memory seed, reaching reordering bugs
 //!   the epoch hides by construction.

@@ -7,7 +7,7 @@
 //! twenty cycles ahead of slave 0 is structurally unreachable no matter
 //! how the PFA adapts. A [`Scheduler`] breaks that pin: each system
 //! cycle it decides which slave kernels execute a task cycle
-//! ([`MultiCoreSystem::step_with`](crate::MultiCoreSystem::step_with)),
+//! ([`MultiCoreSystem::step_explored`](crate::MultiCoreSystem::step_explored)),
 //! turning each trial into a point in (pattern × schedule) space.
 //!
 //! Two schedulers ship:
@@ -109,7 +109,7 @@ pub trait Scheduler: fmt::Debug + Send {
 }
 
 /// The historical schedule: every kernel advances every cycle. Driving
-/// a system through `step_with(&mut LockStepScheduler)` is bit-identical
+/// a system through `step_explored(Some(&mut LockStepScheduler), None)` is bit-identical
 /// to calling [`MultiCoreSystem::step`](crate::MultiCoreSystem::step) —
 /// the golden fixtures pin exactly that.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]

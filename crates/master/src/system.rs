@@ -165,7 +165,7 @@ pub struct MultiCoreSystem {
     shared_vars: Vec<SharedVar>,
     /// Last globally agreed value of each shared var (sync epoch state).
     shared_var_mirror: Vec<i64>,
-    /// Reused per-cycle scratch of [`MultiCoreSystem::step_with`].
+    /// Reused per-cycle scratch of [`MultiCoreSystem::step_explored`].
     sched_runnable: Vec<bool>,
     sched_advance: Vec<bool>,
     /// Reused scratch of [`MultiCoreSystem::fast_forward_idle_with`].
@@ -197,7 +197,7 @@ struct PreemptState {
 /// [`SnapshotCache::reset`] before pointing it at a different (or fresh)
 /// system, since new kernels restart their epochs at zero and could
 /// collide with stale entries.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct SnapshotCache {
     snapshots: Vec<KernelSnapshot>,
     epochs: Vec<u64>,
@@ -614,23 +614,12 @@ impl MultiCoreSystem {
         self.slaves.iter().map(|s| s.kernel.snapshot()).collect()
     }
 
-    /// [`MultiCoreSystem::snapshots`] into a caller-owned vector: one
-    /// batched pass over every kernel, reusing the buffers of the
-    /// previous observation instead of allocating per-kernel snapshots
-    /// each call.
-    pub fn snapshots_into(&self, out: &mut Vec<KernelSnapshot>) {
-        out.resize_with(self.slaves.len(), KernelSnapshot::default);
-        for (slave, snap) in self.slaves.iter().zip(out.iter_mut()) {
-            slave.kernel.snapshot_into(snap);
-        }
-    }
-
-    /// [`MultiCoreSystem::snapshots_into`] through an epoch-keyed
-    /// [`SnapshotCache`]: kernels whose change epoch is unchanged since
-    /// the cache's last observation skip re-serialization entirely (only
+    /// [`MultiCoreSystem::snapshots`] through an epoch-keyed
+    /// [`SnapshotCache`], reusing the buffers of the previous
+    /// observation: kernels whose change epoch is unchanged since the
+    /// cache's last observation skip re-serialization entirely (only
     /// their time scalars are refreshed). `cache.snapshots()` afterwards
-    /// equals what a fresh [`MultiCoreSystem::snapshots_into`] would
-    /// have produced.
+    /// equals what a fresh [`MultiCoreSystem::snapshots`] would return.
     pub fn snapshots_into_cached(&self, cache: &mut SnapshotCache) {
         let n = self.slaves.len();
         cache.snapshots.resize_with(n, KernelSnapshot::default);
@@ -774,8 +763,8 @@ impl MultiCoreSystem {
     /// exactly as `count` all-idle [`Scheduler::plan`] calls would), and
     /// each kernel applies the idle ticks of precisely the cycles the
     /// scheduler would have advanced it in. Bit-identical to calling
-    /// [`MultiCoreSystem::step_with`] `count` times under the
-    /// quiescence precondition.
+    /// [`MultiCoreSystem::step_explored`] with the scheduler `count`
+    /// times under the quiescence precondition.
     pub fn fast_forward_idle_with(&mut self, count: u64, scheduler: &mut dyn Scheduler) {
         if count == 0 {
             return;
@@ -815,42 +804,26 @@ impl MultiCoreSystem {
         self.step_explored(None, None);
     }
 
-    /// [`MultiCoreSystem::step`] under a [`Scheduler`](crate::sched::Scheduler):
-    /// the scheduler
-    /// decides which slave kernels execute a task cycle. Doorbell
-    /// interrupt servicing, cross-core coupling and the master side are
-    /// *not* schedulable — they run every cycle on every slave exactly
-    /// as in [`MultiCoreSystem::step`], the way interrupts preempt task
-    /// execution on the real platform.
-    ///
-    /// Driving a system with [`LockStepScheduler`](crate::sched::LockStepScheduler)
-    /// is bit-identical to calling [`MultiCoreSystem::step`].
-    pub fn step_with(&mut self, scheduler: &mut dyn crate::sched::Scheduler) {
-        self.step_explored(Some(scheduler), None);
-    }
-
-    /// [`MultiCoreSystem::step`] under a [`MemoryModel`]: the model
-    /// replaces the built-in sequentially-consistent mirroring epoch as
-    /// the shared-variable propagation step. Everything else — interrupt
-    /// servicing, semaphore links, response delivery, the master side —
-    /// is unchanged. Driving a system whose model delivers every store
-    /// with zero delay is observably equivalent to
-    /// [`MultiCoreSystem::step`] (up to write-write race resolution; see
-    /// [`crate::mem`]).
-    pub fn step_with_memory(&mut self, memory: &mut dyn MemoryModel) {
-        self.step_explored(None, Some(memory));
-    }
-
     /// The single platform-cycle entry point: one cycle under an
     /// optional [`Scheduler`] and an optional [`MemoryModel`]. `None` on
     /// either axis compiles to that axis's historical fast path — no
     /// runnable scan or per-cycle mask without a scheduler, the
     /// sequentially-consistent mirroring epoch without a model — so
     /// `step_explored(None, None)` is bit-identical to the pre-refactor
-    /// [`MultiCoreSystem::step`]. The [`step`](MultiCoreSystem::step) /
-    /// [`step_with`](MultiCoreSystem::step_with) /
-    /// [`step_with_memory`](MultiCoreSystem::step_with_memory) trio are
-    /// thin wrappers over this.
+    /// [`MultiCoreSystem::step`], a thin wrapper over this.
+    ///
+    /// The [`Scheduler`] decides which slave kernels execute a task
+    /// cycle. Doorbell interrupt servicing, cross-core coupling and the
+    /// master side are *not* schedulable — they run every cycle on every
+    /// slave, the way interrupts preempt task execution on the real
+    /// platform — so driving a system with
+    /// [`LockStepScheduler`](crate::sched::LockStepScheduler) is
+    /// bit-identical to [`MultiCoreSystem::step`]. The [`MemoryModel`]
+    /// replaces the built-in sequentially-consistent mirroring epoch as
+    /// the shared-variable propagation step and changes nothing else; a
+    /// model that delivers every store with zero delay is observably
+    /// equivalent to [`MultiCoreSystem::step`] (up to write-write race
+    /// resolution; see [`crate::mem`]).
     pub fn step_explored(
         &mut self,
         scheduler: Option<&mut (dyn crate::sched::Scheduler + '_)>,
@@ -1647,7 +1620,7 @@ mod tests {
         let mut sched = LockStepScheduler;
         for _ in 0..500 {
             plain.step();
-            scheduled.step_with(&mut sched);
+            scheduled.step_explored(Some(&mut sched), None);
             assert_eq!(plain.now(), scheduled.now());
             assert_eq!(plain.snapshots(), scheduled.snapshots());
         }
@@ -1689,7 +1662,7 @@ mod tests {
             },
         );
         for _ in 0..1_000 {
-            s.step_with(&mut sched);
+            s.step_explored(Some(&mut sched), None);
         }
         let ops: Vec<u64> = (0..2)
             .map(|i| s.snapshot_of(i).tasks[0].ops_retired)
@@ -1729,7 +1702,7 @@ mod tests {
         )
         .unwrap();
         for _ in 0..100 {
-            s.step_with(&mut sched);
+            s.step_explored(Some(&mut sched), None);
         }
         let resps = s.take_responses();
         assert_eq!(resps.len(), 1, "doorbell must be serviced: {resps:?}");
@@ -1758,11 +1731,11 @@ mod tests {
         });
         let mut model = spec.model(7).expect("store buffer builds a model");
         // Warm the model's view of the platform, then store out-of-band.
-        s.step_with_memory(model.as_mut());
+        s.step_explored(None, Some(model.as_mut()));
         s.kernel_of_mut(0).set_var(VarId(2), 77);
         let mut delay = 0u64;
         while s.kernel_of(1).var(VarId(2)) != Some(77) {
-            s.step_with_memory(model.as_mut());
+            s.step_explored(None, Some(model.as_mut()));
             delay += 1;
             assert!(delay <= 41, "delivery must be bounded by max_delay");
         }
@@ -1804,7 +1777,7 @@ mod tests {
         // the whole run; the fence forces it out within a few cycles of
         // retiring.
         for _ in 0..200 {
-            s.step_with_memory(model.as_mut());
+            s.step_explored(None, Some(model.as_mut()));
         }
         assert_eq!(s.kernel_of(1).var(VarId(2)), Some(5));
     }
@@ -1852,7 +1825,7 @@ mod tests {
         let mut model = spec.model(99).expect("store buffer builds a model");
         for _ in 0..500 {
             epoch.step();
-            modeled.step_with_memory(model.as_mut());
+            modeled.step_explored(None, Some(model.as_mut()));
             assert_eq!(epoch.snapshots(), modeled.snapshots());
         }
     }
@@ -1923,8 +1896,8 @@ mod tests {
         let mut sched_a = RandomPriorityScheduler::new(1, 77, cfg);
         let mut sched_b = RandomPriorityScheduler::new(1, 77, cfg);
         let idle_at = loop {
-            stepped.step_with(&mut sched_a);
-            forwarded.step_with(&mut sched_b);
+            stepped.step_explored(Some(&mut sched_a), None);
+            forwarded.step_explored(Some(&mut sched_b), None);
             stepped.drain_responses();
             forwarded.drain_responses();
             if let IdleHorizon::Until(at) = forwarded.quiescent_horizon() {
@@ -1937,15 +1910,15 @@ mod tests {
         let skip = idle_at - forwarded.now().get() - 1;
         forwarded.fast_forward_idle_with(skip, &mut sched_b);
         for _ in 0..skip {
-            stepped.step_with(&mut sched_a);
+            stepped.step_explored(Some(&mut sched_a), None);
         }
         assert_eq!(stepped.now(), forwarded.now());
         assert_eq!(stepped.snapshots(), forwarded.snapshots());
         // Post-window behaviour (wake, exit, response delivery) must
         // stay identical — the scheduler states agree too.
         for _ in 0..6_000 {
-            stepped.step_with(&mut sched_a);
-            forwarded.step_with(&mut sched_b);
+            stepped.step_explored(Some(&mut sched_a), None);
+            forwarded.step_explored(Some(&mut sched_b), None);
         }
         assert_eq!(stepped.snapshots(), forwarded.snapshots());
         assert_eq!(stepped.take_responses(), forwarded.take_responses());

@@ -9,6 +9,13 @@
 //! remote commands from the master arrive through [`Kernel::dispatch`]
 //! (called by the bridge's interrupt handler). Both are fully
 //! deterministic.
+//!
+//! One interpreter runs every cycle in one of two contexts: a scheduled
+//! task, or the interrupt-service routine ([`Kernel::set_isr_program`]).
+//! The ISR has its own register frame and runs above every task
+//! priority. Ops only a task may execute (heap, stack probe, yield,
+//! sleep, semaphore wait, mutexes) abort it, and it traces its stores
+//! only.
 
 use std::fmt;
 
@@ -263,24 +270,72 @@ pub enum TickOutcome {
     Panicked,
 }
 
-/// Execution context of the interrupt-service routine: the pc/register
-/// frame of the high-priority pseudo-task that preempts the current
-/// task while an interrupt is being serviced. ISRs share the task ISA
-/// but run above every task priority and cannot block — the frame is
-/// the only state they own.
-#[derive(Debug, Clone, Copy)]
-struct IsrFrame {
+/// The register frame of an execution context: a task's, copied out of
+/// its TCB for one cycle, or the interrupt-service routine's, which is
+/// the only state an ISR owns.
+#[derive(Debug, Clone, Copy, Default)]
+struct Frame {
     pc: u16,
     regs: [i64; crate::program::NUM_REGS],
     compute_remaining: u64,
 }
 
-impl IsrFrame {
-    fn new() -> IsrFrame {
-        IsrFrame {
-            pc: 0,
-            regs: [0; crate::program::NUM_REGS],
-            compute_remaining: 0,
+/// What executes a cycle: a scheduled task, or the ISR, which shares
+/// the task ISA but runs above every task priority and cannot block.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Context {
+    Task(TaskId),
+    Isr,
+}
+
+impl Context {
+    /// The running task; the ISR traps on ops only a task may execute.
+    fn task(self) -> Result<TaskId, Trap> {
+        match self {
+            Context::Task(task) => Ok(task),
+            Context::Isr => Err(Trap::InterruptContext),
+        }
+    }
+}
+
+impl fmt::Display for Context {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Context::Task(task) => write!(f, "{task}"),
+            Context::Isr => f.write_str("isr"),
+        }
+    }
+}
+
+/// How a context continues after a cycle that did not trap.
+#[derive(Debug, Clone, Copy)]
+enum Flow {
+    /// The op retired; run on from the frame's pc.
+    Continue,
+    /// The op retired and the task blocks.
+    Block(WaitReason),
+    /// [`Op::Exit`]: the task terminates, or the ISR returns.
+    Exit,
+}
+
+/// Why an op cannot retire. A trap faults a task and aborts the ISR,
+/// which traces the trap's text.
+#[derive(Debug, Clone, Copy)]
+enum Trap {
+    Fault(TaskFault),
+    BadVar,
+    BadSemaphore,
+    /// An op only a task may execute, met in interrupt context.
+    InterruptContext,
+}
+
+impl fmt::Display for Trap {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Trap::Fault(fault) => write!(f, "{fault}"),
+            Trap::BadVar => f.write_str("bad var"),
+            Trap::BadSemaphore => f.write_str("bad semaphore"),
+            Trap::InterruptContext => f.write_str("blocking op in interrupt context"),
         }
     }
 }
@@ -408,7 +463,7 @@ pub struct Kernel {
     /// Program run in interrupt context, installed by the platform.
     isr_program: Option<ProgramId>,
     /// Active ISR execution frame, if an interrupt is being serviced.
-    isr: Option<IsrFrame>,
+    isr: Option<Frame>,
     /// Interrupts raised but not yet serviced.
     irq_pending: u32,
     /// Interrupt delivery disabled ([`Op::IrqMask`]).
@@ -531,19 +586,9 @@ impl Kernel {
         if self.panic.is_some() {
             return false;
         }
-        let Some(s) = self.sems.get_mut(usize::from(sem.0)) else {
-            return false;
-        };
-        if let Some(woken) = s.post() {
+        let posted = self.post_and_wake(sem);
+        if let Ok(Some(woken)) = posted {
             self.epoch += 1;
-            if let Some(t) = self.tcb_mut(woken) {
-                if matches!(
-                    t.state,
-                    TaskState::Blocked(WaitReason::Semaphore(s2)) if s2 == sem
-                ) {
-                    t.state = TaskState::Ready;
-                }
-            }
             self.trace.record(
                 self.now,
                 self.core,
@@ -551,7 +596,7 @@ impl Kernel {
                 format!("external post {sem} wakes {woken}"),
             );
         }
-        true
+        posted.is_ok()
     }
 
     /// Writes a shared variable directly (bridge/scenario convenience —
@@ -1052,7 +1097,13 @@ impl Kernel {
         }
     }
 
-    fn fault(&mut self, task: TaskId, fault: TaskFault) {
+    /// Kills `task` with the fault `trap` stands for.
+    fn fault(&mut self, task: TaskId, trap: Trap) {
+        let fault = match trap {
+            Trap::Fault(fault) => fault,
+            Trap::BadVar | Trap::BadSemaphore => TaskFault::BadObject,
+            Trap::InterruptContext => unreachable!("only the ISR runs in interrupt context"),
+        };
         self.trace
             .record(self.now, self.core, "fault", format!("{task}: {fault}"));
         self.terminate(task, ExitKind::Faulted(fault));
@@ -1142,507 +1193,304 @@ impl Kernel {
         // where it left off when the ISR exits.
         if self.isr.is_none() && self.irq_pending > 0 && !self.irq_masked {
             self.irq_pending -= 1;
-            self.isr = Some(IsrFrame::new());
+            self.isr = Some(Frame::default());
             self.trace
                 .record(self.now, self.core, "isr", "enter".to_owned());
         }
-        if self.isr.is_some() {
-            self.epoch += 1;
+        let ctx = if self.isr.is_some() {
             self.isr_cycles += 1;
-            self.run_isr_cycle();
-            if self.panic.is_some() {
-                return TickOutcome::Panicked;
+            Context::Isr
+        } else {
+            let picked = match self.quantum {
+                Some(q) => self.pick_next_quantum(q),
+                None => self.pick_next(),
+            };
+            let Some(next) = picked else {
+                self.idle_ticks += 1;
+                return TickOutcome::Idle;
+            };
+            if self.current != Some(next) {
+                self.ctx_switches += 1;
+                self.trace
+                    .record(self.now, self.core, "sched", format!("run {next}"));
+                self.current = Some(next);
+                self.slice_used = 0;
             }
-            return TickOutcome::Isr;
-        }
-
-        let picked = match self.quantum {
-            Some(q) => self.pick_next_quantum(q),
-            None => self.pick_next(),
-        };
-        let Some(next) = picked else {
-            self.idle_ticks += 1;
-            return TickOutcome::Idle;
+            self.slice_used = self.slice_used.wrapping_add(1);
+            Context::Task(next)
         };
         self.epoch += 1;
-        if self.current != Some(next) {
-            self.ctx_switches += 1;
-            self.trace
-                .record(self.now, self.core, "sched", format!("run {next}"));
-            self.current = Some(next);
-            self.slice_used = 0;
+        self.run_cycle(ctx);
+        match ctx {
+            _ if self.panic.is_some() => TickOutcome::Panicked,
+            Context::Isr => TickOutcome::Isr,
+            Context::Task(task) => TickOutcome::Ran(task),
         }
-        self.run_one(next);
-        self.slice_used = self.slice_used.wrapping_add(1);
-        if self.panic.is_some() {
-            return TickOutcome::Panicked;
-        }
-        TickOutcome::Ran(next)
     }
 
-    /// Executes one cycle of the active ISR frame. ISRs share the task
-    /// ISA but run in interrupt context: they own only their frame, may
-    /// not block, sleep or touch the heap (such ops end the ISR as a
-    /// handler bug, traced), and exit via [`Op::Exit`].
-    fn run_isr_cycle(&mut self) {
-        let mut frame = self.isr.expect("run_isr_cycle without active frame");
-        if frame.compute_remaining > 0 {
-            frame.compute_remaining -= 1;
-            self.isr = Some(frame);
-            return;
+    /// Posts `sem`: increments its count, or hands the token to the
+    /// highest-priority waiter, which becomes ready. Returns the woken
+    /// task.
+    fn post_and_wake(&mut self, sem: SemId) -> Result<Option<TaskId>, Trap> {
+        let woken = self.semaphore(sem)?.post();
+        if let Some(t) = woken.and_then(|w| self.tcb_mut(w)) {
+            if t.state == TaskState::Blocked(WaitReason::Semaphore(sem)) {
+                t.state = TaskState::Ready;
+            }
         }
-        let program = self
-            .isr_program
-            .expect("ISR frame active without a handler installed");
-        let op = self
-            .programs
-            .get(usize::from(program.0))
-            .and_then(|p| p.op(frame.pc));
-        let Some(op) = op else {
-            self.isr_exit("pc out of range");
-            return;
+        Ok(woken)
+    }
+
+    /// Records an access event under
+    /// [`trace_accesses`](KernelConfig::trace_accesses), prefixed with
+    /// the context. The ISR traces its stores only. Inlined: untraced
+    /// ops pay one flag test, no call.
+    #[inline]
+    fn trace_access(&mut self, ctx: Context, kind: &'static str, what: impl FnOnce() -> String) {
+        if self.cfg.trace_accesses && (ctx != Context::Isr || kind == "var-write") {
+            let what = what();
+            self.trace
+                .record(self.now, self.core, kind, format!("{ctx} {what}"));
+        }
+    }
+
+    fn semaphore(&mut self, sem: SemId) -> Result<&mut Semaphore, Trap> {
+        self.sems
+            .get_mut(usize::from(sem.0))
+            .ok_or(Trap::BadSemaphore)
+    }
+
+    fn mutex(&mut self, mutex: MutexId) -> Result<&mut KernelMutex, Trap> {
+        self.mutexes
+            .get_mut(usize::from(mutex.0))
+            .ok_or(Trap::Fault(TaskFault::BadObject))
+    }
+
+    fn read_var(&self, var: VarId) -> Result<i64, Trap> {
+        self.vars
+            .get(usize::from(var.0))
+            .copied()
+            .ok_or(Trap::BadVar)
+    }
+
+    fn write_var(&mut self, ctx: Context, var: VarId, value: i64) -> Result<(), Trap> {
+        *self.vars.get_mut(usize::from(var.0)).ok_or(Trap::BadVar)? = value;
+        self.trace_access(ctx, "var-write", || format!("{var}={value}"));
+        Ok(())
+    }
+
+    fn running(&mut self, task: TaskId) -> &mut Tcb {
+        self.tcb_mut(task).expect("scheduled task exists")
+    }
+
+    /// Executes one cycle of `ctx` (inlined into [`Kernel::tick`]): burns
+    /// a cycle of a `Compute` in progress in place, or copies the frame
+    /// out, executes one op on it and writes the result back.
+    #[inline]
+    fn run_cycle(&mut self, ctx: Context) {
+        let mut frame = match ctx {
+            Context::Task(task) => {
+                let t = self.running(task);
+                t.cycles_used += 1;
+                if t.yield_requested {
+                    self.terminate(task, ExitKind::Normal);
+                    return;
+                }
+                if t.compute_remaining > 0 {
+                    t.compute_remaining -= 1;
+                    return;
+                }
+                Frame {
+                    pc: t.pc,
+                    regs: t.regs,
+                    compute_remaining: 0,
+                }
+            }
+            Context::Isr => {
+                let isr = self
+                    .isr
+                    .as_mut()
+                    .expect("ISR cycle without an active frame");
+                if isr.compute_remaining > 0 {
+                    isr.compute_remaining -= 1;
+                    return;
+                }
+                *isr
+            }
         };
+        let flow = self.exec(ctx, &mut frame);
+        self.write_back(ctx, frame, flow);
+    }
+
+    /// Fetches one op of `ctx` and executes it on `frame`, advancing the
+    /// pc past it (or to a branch target). Says how the context
+    /// continues.
+    fn exec(&mut self, ctx: Context, frame: &mut Frame) -> Result<Flow, Trap> {
+        let program = match ctx {
+            Context::Task(task) => self.tcb(task).map(|t| &t.program),
+            Context::Isr => self
+                .isr_program
+                .and_then(|p| self.programs.get(usize::from(p.0))),
+        };
+        let op = program.and_then(|p| p.op(frame.pc));
+        let op = op.ok_or(Trap::Fault(TaskFault::PcOutOfRange))?;
+        frame.pc += 1;
         match op {
-            Op::Compute(n) => {
-                frame.compute_remaining = u64::from(n.saturating_sub(1));
-                frame.pc += 1;
+            Op::Compute(n) => frame.compute_remaining = u64::from(n.saturating_sub(1)),
+            Op::Alloc { bytes, reg } => {
+                let task = ctx.task()?;
+                if bytes == 0 {
+                    return Err(Trap::Fault(TaskFault::BadObject));
+                }
+                // Exhaustion panics the kernel instead; the write-back
+                // then leaves the task as it was.
+                if let Ok(handle) = self.kernel_alloc(bytes, Owner::Task(task)) {
+                    frame.regs[usize::from(reg)] = i64::from(handle.raw());
+                }
+            }
+            Op::Free { reg } => {
+                ctx.task()?;
+                let handle = u32::try_from(frame.regs[usize::from(reg)]).map(BlockHandle::from_raw);
+                if !handle.is_ok_and(|h| self.heap.free(h).is_ok()) {
+                    return Err(Trap::Fault(TaskFault::BadFree));
+                }
+            }
+            Op::StackProbe(bytes) => {
+                let t = self.running(ctx.task()?);
+                t.stack_peak = t.stack_peak.max(bytes);
+                if bytes > t.stack_bytes {
+                    return Err(Trap::Fault(TaskFault::StackOverflow));
+                }
             }
             Op::ReadVar { var, reg } => {
-                let Some(value) = self.vars.get(usize::from(var.0)).copied() else {
-                    self.isr_exit("bad var");
-                    return;
-                };
+                let value = self.read_var(var)?;
                 frame.regs[usize::from(reg)] = value;
-                frame.pc += 1;
+                self.trace_access(ctx, "var-read", || format!("{var}={value}"));
             }
-            Op::WriteVar { var, value } => {
-                if self.isr_write_var(var, value).is_err() {
-                    return;
-                }
-                frame.pc += 1;
-            }
+            Op::WriteVar { var, value } => self.write_var(ctx, var, value)?,
             Op::WriteVarReg { var, reg } => {
-                let value = frame.regs[usize::from(reg)];
-                if self.isr_write_var(var, value).is_err() {
-                    return;
-                }
-                frame.pc += 1;
+                self.write_var(ctx, var, frame.regs[usize::from(reg)])?
             }
             Op::AddReg { reg, delta } => {
                 let r = &mut frame.regs[usize::from(reg)];
                 *r = r.wrapping_add(delta);
-                frame.pc += 1;
             }
             Op::BranchIfVarEq { var, value, target } => {
-                let Some(current) = self.vars.get(usize::from(var.0)).copied() else {
-                    self.isr_exit("bad var");
-                    return;
-                };
-                frame.pc = if current == value {
-                    target
-                } else {
-                    frame.pc + 1
-                };
+                if self.read_var(var)? == value {
+                    frame.pc = target;
+                }
             }
             Op::BranchIfRegEq { reg, value, target } => {
-                let current = frame.regs[usize::from(reg)];
-                frame.pc = if current == value {
-                    target
-                } else {
-                    frame.pc + 1
-                };
+                if frame.regs[usize::from(reg)] == value {
+                    frame.pc = target;
+                }
             }
             Op::Jump(target) => frame.pc = target,
-            Op::Fence => {
-                self.pending_fences += 1;
-                frame.pc += 1;
-            }
-            Op::SemPost(sem) => {
-                // The interrupt-context post: identical to the external
-                // hand-off path, so ISRs can signal tasks.
-                if let Some(s) = self.sems.get_mut(usize::from(sem.0)) {
-                    if let Some(woken) = s.post() {
-                        if let Some(t) = self.tcb_mut(woken) {
-                            if matches!(
-                                t.state,
-                                TaskState::Blocked(WaitReason::Semaphore(s2)) if s2 == sem
-                            ) {
-                                t.state = TaskState::Ready;
-                            }
-                        }
-                    }
-                    frame.pc += 1;
-                } else {
-                    self.isr_exit("bad semaphore");
-                    return;
-                }
-            }
-            Op::IrqMask => {
-                self.irq_masked = true;
-                frame.pc += 1;
-            }
-            Op::IrqUnmask => {
-                self.irq_masked = false;
-                frame.pc += 1;
-            }
-            Op::Exit => {
-                self.isr = None;
-                self.isr_runs += 1;
-                self.trace
-                    .record(self.now, self.core, "isr", "exit".to_owned());
-                return;
-            }
-            Op::Alloc { .. }
-            | Op::Free { .. }
-            | Op::StackProbe(_)
-            | Op::Yield
-            | Op::SemWait(_)
-            | Op::MutexLock(_)
-            | Op::MutexUnlock(_)
-            | Op::SleepFor(_) => {
-                self.isr_exit("blocking op in interrupt context");
-                return;
-            }
-        }
-        self.isr = Some(frame);
-    }
-
-    /// Ends the active ISR on a handler bug, tracing the reason.
-    fn isr_exit(&mut self, reason: &str) {
-        self.isr = None;
-        self.isr_runs += 1;
-        self.trace
-            .record(self.now, self.core, "isr", format!("abort: {reason}"));
-    }
-
-    /// A shared-variable store from interrupt context. `Err` means the
-    /// variable was unknown and the ISR was aborted.
-    fn isr_write_var(&mut self, var: VarId, value: i64) -> Result<(), ()> {
-        let Some(slot) = self.vars.get_mut(usize::from(var.0)) else {
-            self.isr_exit("bad var");
-            return Err(());
-        };
-        *slot = value;
-        if self.cfg.trace_accesses {
-            self.trace.record(
-                self.now,
-                self.core,
-                "var-write",
-                format!("isr {var}={value}"),
-            );
-        }
-        Ok(())
-    }
-
-    #[allow(clippy::too_many_lines)]
-    fn run_one(&mut self, task: TaskId) {
-        let (op, yield_requested) = {
-            let t = self.tcb_mut(task).expect("scheduled task exists");
-            t.cycles_used += 1;
-            if t.yield_requested {
-                (None, true)
-            } else if t.compute_remaining > 0 {
-                t.compute_remaining -= 1;
-                return;
-            } else {
-                (t.program.op(t.pc), false)
-            }
-        };
-
-        if yield_requested {
-            self.terminate(task, ExitKind::Normal);
-            return;
-        }
-        let Some(op) = op else {
-            self.fault(task, TaskFault::PcOutOfRange);
-            return;
-        };
-
-        // Default: advance past this op; branch ops overwrite below.
-        let advance = |k: &mut Kernel| {
-            if let Some(t) = k.tcb_mut(task) {
-                t.pc += 1;
-                t.ops_retired += 1;
-            }
-        };
-
-        match op {
-            Op::Compute(n) => {
-                if let Some(t) = self.tcb_mut(task) {
-                    t.compute_remaining = u64::from(n.saturating_sub(1));
-                }
-                advance(self);
-            }
-            Op::Alloc { bytes, reg } => {
-                if bytes == 0 {
-                    self.fault(task, TaskFault::BadObject);
-                    return;
-                }
-                match self.kernel_alloc(bytes, Owner::Task(task)) {
-                    Ok(handle) => {
-                        if let Some(t) = self.tcb_mut(task) {
-                            t.regs[usize::from(reg)] = i64::from(handle.raw());
-                        }
-                        advance(self);
-                    }
-                    Err(_) => {
-                        // Kernel panicked (OOM); nothing more to do.
-                    }
-                }
-            }
-            Op::Free { reg } => {
-                let raw = {
-                    let t = self.tcb(task).expect("scheduled task exists");
-                    t.regs[usize::from(reg)]
-                };
-                let handle = u32::try_from(raw).ok().map(BlockHandle::from_raw);
-                match handle {
-                    Some(h) if self.heap.free(h).is_ok() => advance(self),
-                    _ => self.fault(task, TaskFault::BadFree),
-                }
-            }
-            Op::StackProbe(bytes) => {
-                let overflow = {
-                    let t = self.tcb_mut(task).expect("scheduled task exists");
-                    t.stack_peak = t.stack_peak.max(bytes);
-                    bytes > t.stack_bytes
-                };
-                if overflow {
-                    self.fault(task, TaskFault::StackOverflow);
-                } else {
-                    advance(self);
-                }
-            }
-            Op::ReadVar { var, reg } => {
-                let Some(value) = self.vars.get(usize::from(var.0)).copied() else {
-                    self.fault(task, TaskFault::BadObject);
-                    return;
-                };
-                if let Some(t) = self.tcb_mut(task) {
-                    t.regs[usize::from(reg)] = value;
-                }
-                if self.cfg.trace_accesses {
-                    self.trace.record(
-                        self.now,
-                        self.core,
-                        "var-read",
-                        format!("{task} {var}={value}"),
-                    );
-                }
-                advance(self);
-            }
-            Op::WriteVar { var, value } => {
-                let Some(slot) = self.vars.get_mut(usize::from(var.0)) else {
-                    self.fault(task, TaskFault::BadObject);
-                    return;
-                };
-                *slot = value;
-                if self.cfg.trace_accesses {
-                    self.trace.record(
-                        self.now,
-                        self.core,
-                        "var-write",
-                        format!("{task} {var}={value}"),
-                    );
-                }
-                advance(self);
-            }
-            Op::WriteVarReg { var, reg } => {
-                let value = self.tcb(task).expect("scheduled task exists").regs[usize::from(reg)];
-                let Some(slot) = self.vars.get_mut(usize::from(var.0)) else {
-                    self.fault(task, TaskFault::BadObject);
-                    return;
-                };
-                *slot = value;
-                if self.cfg.trace_accesses {
-                    self.trace.record(
-                        self.now,
-                        self.core,
-                        "var-write",
-                        format!("{task} {var}={value}"),
-                    );
-                }
-                advance(self);
-            }
-            Op::AddReg { reg, delta } => {
-                if let Some(t) = self.tcb_mut(task) {
-                    let r = &mut t.regs[usize::from(reg)];
-                    *r = r.wrapping_add(delta);
-                }
-                advance(self);
-            }
-            Op::BranchIfVarEq { var, value, target } => {
-                let Some(current) = self.vars.get(usize::from(var.0)).copied() else {
-                    self.fault(task, TaskFault::BadObject);
-                    return;
-                };
-                let t = self.tcb_mut(task).expect("scheduled task exists");
-                t.ops_retired += 1;
-                t.pc = if current == value { target } else { t.pc + 1 };
-            }
-            Op::BranchIfRegEq { reg, value, target } => {
-                let t = self.tcb_mut(task).expect("scheduled task exists");
-                t.ops_retired += 1;
-                let current = t.regs[usize::from(reg)];
-                t.pc = if current == value { target } else { t.pc + 1 };
-            }
-            Op::Jump(target) => {
-                let t = self.tcb_mut(task).expect("scheduled task exists");
-                t.ops_retired += 1;
-                t.pc = target;
-            }
             Op::Fence => {
                 // The kernel itself has no store buffer; it records the
                 // fence for the platform's memory model to drain at the
                 // end of the cycle. A no-op under sequential consistency.
                 self.pending_fences += 1;
-                if self.cfg.trace_accesses {
-                    self.trace
-                        .record(self.now, self.core, "fence", format!("{task} fence"));
-                }
-                advance(self);
+                self.trace_access(ctx, "fence", || "fence".to_owned());
             }
             Op::Yield => {
-                let delay = u64::from(self.cfg.yield_delay);
-                let until = self.now.get() + delay;
-                let t = self.tcb_mut(task).expect("scheduled task exists");
-                t.state = TaskState::Blocked(WaitReason::Sleep { until });
-                t.pc += 1;
-                t.ops_retired += 1;
-                self.current = None;
+                ctx.task()?;
+                let until = self.now.get() + u64::from(self.cfg.yield_delay);
+                return Ok(Flow::Block(WaitReason::Sleep { until }));
             }
             Op::SemWait(sem) => {
-                let priority = self.tcb(task).expect("scheduled task exists").priority;
-                let Some(s) = self.sems.get_mut(usize::from(sem.0)) else {
-                    self.fault(task, TaskFault::BadObject);
-                    return;
-                };
-                if s.wait(task, priority) {
-                    if self.cfg.trace_accesses {
-                        self.trace.record(
-                            self.now,
-                            self.core,
-                            "sem-wait",
-                            format!("{task} acquires {sem}"),
-                        );
-                    }
-                    advance(self);
-                } else {
-                    let t = self.tcb_mut(task).expect("scheduled task exists");
-                    t.state = TaskState::Blocked(WaitReason::Semaphore(sem));
-                    t.pc += 1;
-                    t.ops_retired += 1;
-                    self.current = None;
-                    if self.cfg.trace_accesses {
-                        self.trace.record(
-                            self.now,
-                            self.core,
-                            "sem-wait",
-                            format!("{task} blocks on {sem}"),
-                        );
-                    }
+                let task = ctx.task()?;
+                let priority = self.running(task).priority;
+                if !self.semaphore(sem)?.wait(task, priority) {
+                    self.trace_access(ctx, "sem-wait", || format!("blocks on {sem}"));
+                    return Ok(Flow::Block(WaitReason::Semaphore(sem)));
                 }
+                self.trace_access(ctx, "sem-wait", || format!("acquires {sem}"));
             }
-            Op::SemPost(sem) => {
-                let Some(s) = self.sems.get_mut(usize::from(sem.0)) else {
-                    self.fault(task, TaskFault::BadObject);
-                    return;
-                };
-                let woken = s.post();
-                if let Some(w) = woken {
-                    if let Some(t) = self.tcb_mut(w) {
-                        if matches!(
-                            t.state,
-                            TaskState::Blocked(WaitReason::Semaphore(s2)) if s2 == sem
-                        ) {
-                            t.state = TaskState::Ready;
-                        }
-                    }
-                }
-                if self.cfg.trace_accesses {
-                    let detail = match woken {
-                        Some(w) => format!("{task} posts {sem} wakes {w}"),
-                        None => format!("{task} posts {sem}"),
-                    };
-                    self.trace.record(self.now, self.core, "sem-post", detail);
-                }
-                advance(self);
-            }
+            Op::SemPost(sem) => match self.post_and_wake(sem)? {
+                Some(w) => self.trace_access(ctx, "sem-post", || format!("posts {sem} wakes {w}")),
+                None => self.trace_access(ctx, "sem-post", || format!("posts {sem}")),
+            },
             Op::MutexLock(mutex) => {
-                let priority = self.tcb(task).expect("scheduled task exists").priority;
-                let Some(m) = self.mutexes.get_mut(usize::from(mutex.0)) else {
-                    self.fault(task, TaskFault::BadObject);
-                    return;
-                };
-                match m.lock(task, priority) {
-                    LockOutcome::Acquired => {
-                        if let Some(t) = self.tcb_mut(task) {
-                            t.held_mutexes.push(mutex);
-                        }
-                        advance(self);
-                    }
+                let task = ctx.task()?;
+                let priority = self.running(task).priority;
+                match self.mutex(mutex)?.lock(task, priority) {
+                    LockOutcome::Acquired => self.running(task).held_mutexes.push(mutex),
                     LockOutcome::MustBlock => {
-                        let t = self.tcb_mut(task).expect("scheduled task exists");
-                        t.state = TaskState::Blocked(WaitReason::Mutex(mutex));
-                        t.pc += 1;
-                        t.ops_retired += 1;
-                        self.current = None;
                         self.trace.record(
                             self.now,
                             self.core,
                             "block",
                             format!("{task} blocks on {mutex}"),
                         );
+                        return Ok(Flow::Block(WaitReason::Mutex(mutex)));
                     }
-                    LockOutcome::Recursive => self.fault(task, TaskFault::RecursiveLock),
+                    LockOutcome::Recursive => return Err(Trap::Fault(TaskFault::RecursiveLock)),
                 }
             }
             Op::MutexUnlock(mutex) => {
-                let Some(m) = self.mutexes.get_mut(usize::from(mutex.0)) else {
-                    self.fault(task, TaskFault::BadObject);
-                    return;
-                };
-                match m.unlock(task) {
-                    Ok(next) => {
-                        if let Some(t) = self.tcb_mut(task) {
-                            t.held_mutexes.retain(|&h| h != mutex);
-                        }
-                        if let Some(next) = next {
-                            self.grant_mutex(next, mutex);
-                        }
-                        advance(self);
-                    }
-                    Err(()) => self.fault(task, TaskFault::UnlockNotOwner),
+                let task = ctx.task()?;
+                let next = self.mutex(mutex)?.unlock(task);
+                let next = next.map_err(|()| Trap::Fault(TaskFault::UnlockNotOwner))?;
+                self.running(task).held_mutexes.retain(|&h| h != mutex);
+                if let Some(next) = next {
+                    self.grant_mutex(next, mutex);
                 }
             }
             Op::SleepFor(n) => {
+                ctx.task()?;
                 let until = self.now.get() + u64::from(n);
-                let t = self.tcb_mut(task).expect("scheduled task exists");
-                t.state = TaskState::Blocked(WaitReason::Sleep { until });
-                t.pc += 1;
-                t.ops_retired += 1;
-                self.current = None;
+                return Ok(Flow::Block(WaitReason::Sleep { until }));
             }
             Op::IrqMask => {
                 self.irq_masked = true;
-                if self.cfg.trace_accesses {
-                    self.trace
-                        .record(self.now, self.core, "irq", format!("{task} masks"));
-                }
-                advance(self);
+                self.trace_access(ctx, "irq", || "masks".to_owned());
             }
             Op::IrqUnmask => {
                 self.irq_masked = false;
-                if self.cfg.trace_accesses {
-                    self.trace
-                        .record(self.now, self.core, "irq", format!("{task} unmasks"));
-                }
-                advance(self);
+                self.trace_access(ctx, "irq", || "unmasks".to_owned());
             }
-            Op::Exit => {
-                self.terminate(task, ExitKind::Normal);
-            }
+            Op::Exit => return Ok(Flow::Exit),
         }
+        Ok(Flow::Continue)
+    }
+
+    /// Applies the outcome of `ctx`'s cycle: stores its frame, retires
+    /// the op, blocks or ends the context. A cycle that panicked the
+    /// kernel (heap exhaustion) leaves the context as it was, for the
+    /// post-mortem dump.
+    fn write_back(&mut self, ctx: Context, frame: Frame, flow: Result<Flow, Trap>) {
+        if self.panic.is_some() {
+            return;
+        }
+        let task = match (ctx, flow) {
+            (Context::Task(task), Ok(Flow::Exit)) => return self.terminate(task, ExitKind::Normal),
+            (Context::Task(task), Err(trap)) => return self.fault(task, trap),
+            (Context::Task(task), Ok(_)) => task,
+            (Context::Isr, Ok(Flow::Exit)) => return self.end_isr("exit".to_owned()),
+            (Context::Isr, Err(trap)) => return self.end_isr(format!("abort: {trap}")),
+            // The ISR cannot block: its blocking ops trap.
+            (Context::Isr, Ok(_)) => {
+                self.isr = Some(frame);
+                return;
+            }
+        };
+        let t = self.running(task);
+        t.pc = frame.pc;
+        t.regs = frame.regs;
+        t.compute_remaining = frame.compute_remaining;
+        t.ops_retired += 1;
+        if let Ok(Flow::Block(reason)) = flow {
+            t.state = TaskState::Blocked(reason);
+            self.current = None;
+        }
+    }
+
+    /// Ends the active ISR, tracing how.
+    fn end_isr(&mut self, detail: String) {
+        self.isr = None;
+        self.isr_runs += 1;
+        self.trace.record(self.now, self.core, "isr", detail);
     }
 
     /// Blocked-on edges of the current wait-for graph.
