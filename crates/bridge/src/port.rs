@@ -384,9 +384,15 @@ impl MasterPort {
         now: Cycles,
         out: &mut Vec<CmdResponse>,
     ) {
+        let resp_ring = self.lanes[slave].resp_ring;
+        // A quiet doorbell means an empty ring: the slave rings on every
+        // push into an empty doorbell, and this drain empties the ring.
+        if mailboxes.pending(MailboxBank::resp_index(slave)) == 0 {
+            debug_assert!(resp_ring.is_empty(sram).unwrap_or(true));
+            return;
+        }
         // Acknowledge the lane's response doorbell(s).
         while mailboxes.take(MailboxBank::resp_index(slave)).is_some() {}
-        let resp_ring = self.lanes[slave].resp_ring;
         let mut buf = [0u8; RESP_RECORD_BYTES];
         while let Ok(true) = resp_ring.pop(sram, &mut buf) {
             let Ok((id, result)) = decode_resp(&buf) else {
@@ -464,7 +470,10 @@ impl SlaveEndpoint {
     /// Services the command doorbell: if the slave's mailbox interrupt is
     /// pending, drains the command ring (up to `budget` commands),
     /// dispatching each into `kernel` and pushing a response. Returns the
-    /// number serviced.
+    /// number serviced. Records left over when the budget runs out
+    /// re-ring the doorbell, so they are serviced on the next call; a
+    /// live slave's command ring is therefore never non-empty without a
+    /// pending doorbell.
     pub fn service(
         &mut self,
         sram: &mut SharedSram,
@@ -477,9 +486,10 @@ impl SlaveEndpoint {
             return 0; // dead slave: leave doorbells unanswered
         }
         if !mailboxes.irq_pending(CoreId::slave(self.slave)) {
+            debug_assert!(self.layout.cmd_ring.is_empty(sram).unwrap_or(true));
             return 0;
         }
-        // Acknowledge all queued doorbells; one service drains the ring.
+        // Acknowledge all queued doorbells; leftovers re-ring below.
         while mailboxes.take(MailboxBank::cmd_index(self.slave)).is_some() {}
         while mailboxes
             .take(MailboxBank::data_index(self.slave))
@@ -509,6 +519,13 @@ impl SlaveEndpoint {
                 }
                 Ok(false) | Err(_) => break,
             }
+        }
+        if serviced == budget
+            && kernel.panic().is_none()
+            && !self.layout.cmd_ring.is_empty(sram).unwrap_or(true)
+        {
+            // The box was drained above, so this post cannot fail.
+            let _ = mailboxes.post(MailboxBank::cmd_index(self.slave), 0);
         }
         serviced
     }
@@ -653,9 +670,8 @@ mod tests {
             4,
         );
         assert_eq!(n, 4);
-        // Remaining commands require a fresh doorbell or pending irq; the
-        // first service consumed the doorbell, so re-post.
-        let _ = r.mailboxes.post(MailboxBank::cmd_index(0), 0);
+        // The six left over re-rang the doorbell themselves.
+        assert_eq!(r.mailboxes.pending(MailboxBank::cmd_index(0)), 1);
         let n2 = r.slave.service(
             &mut r.sram,
             &mut r.mailboxes,
@@ -664,6 +680,8 @@ mod tests {
             100,
         );
         assert_eq!(n2, 6);
+        // A drained ring leaves the doorbell quiet.
+        assert_eq!(r.mailboxes.pending(MailboxBank::cmd_index(0)), 0);
     }
 
     #[test]

@@ -165,6 +165,14 @@ pub struct MultiCoreSystem {
     shared_vars: Vec<SharedVar>,
     /// Last globally agreed value of each shared var (sync epoch state).
     shared_var_mirror: Vec<i64>,
+    /// The kernels' summed [`Kernel::var_write_count`] right after the
+    /// last sequentially-consistent mirroring pass, which left every
+    /// kernel holding the mirror. While the sum stands still nothing can
+    /// diverge. `None` once a [`MemoryModel`] has propagated, since a
+    /// model may move the mirror without writing any kernel.
+    /// ([`MultiCoreSystem::share_var`] seeds every kernel through
+    /// [`Kernel::set_var`], which moves the sum.)
+    mirrored_at_writes: Option<u64>,
     /// Reused per-cycle scratch of [`MultiCoreSystem::step_explored`].
     sched_runnable: Vec<bool>,
     sched_advance: Vec<bool>,
@@ -281,6 +289,7 @@ impl MultiCoreSystem {
             sem_links: Vec::new(),
             shared_vars: Vec::new(),
             shared_var_mirror: Vec::new(),
+            mirrored_at_writes: None,
             sched_runnable: Vec::new(),
             sched_advance: Vec::new(),
             sched_idle: Vec::new(),
@@ -687,15 +696,8 @@ impl MultiCoreSystem {
                 return IdleHorizon::Unknown;
             }
         }
-        for (i, shared) in self.shared_vars.iter().enumerate() {
-            let agreed = self.shared_var_mirror[i];
-            if self
-                .slaves
-                .iter()
-                .any(|s| s.kernel.var(shared.var).unwrap_or(agreed) != agreed)
-            {
-                return IdleHorizon::Unknown;
-            }
+        if !self.mirror_is_current() && self.shared_vars_diverge() {
+            return IdleHorizon::Unknown;
         }
         // Candidates: the only self-timed future events are sleepers.
         let mut horizon: Option<u64> = None;
@@ -915,6 +917,7 @@ impl MultiCoreSystem {
             // platform.
             None => self.sync_shared_vars(),
             Some(model) => {
+                self.mirrored_at_writes = None;
                 let mut bus = SystemBus {
                     slaves: &mut self.slaves,
                     sram: &mut self.sram,
@@ -967,10 +970,44 @@ impl MultiCoreSystem {
         }
     }
 
+    /// The kernels' summed variable-write count.
+    fn var_writes(&self) -> u64 {
+        self.slaves
+            .iter()
+            .map(|s| s.kernel.var_write_count())
+            .fold(0, u64::wrapping_add)
+    }
+
+    /// Whether no kernel has written a variable since the last
+    /// sequentially-consistent mirroring pass — so every kernel still
+    /// holds the mirror.
+    fn mirror_is_current(&self) -> bool {
+        let current = self.mirrored_at_writes == Some(self.var_writes());
+        debug_assert!(!current || !self.shared_vars_diverge());
+        current
+    }
+
+    /// Whether any kernel's copy of a shared var differs from the mirror.
+    fn shared_vars_diverge(&self) -> bool {
+        self.shared_vars
+            .iter()
+            .zip(&self.shared_var_mirror)
+            .any(|(shared, &agreed)| {
+                self.slaves
+                    .iter()
+                    .any(|s| s.kernel.var(shared.var).unwrap_or(agreed) != agreed)
+            })
+    }
+
     /// One mirroring epoch per cycle: adopt divergent local values in
     /// ascending slave order (highest index wins a same-cycle race), then
-    /// publish the winner through the SRAM word to every kernel.
+    /// publish the winner through the SRAM word to every kernel. Skipped
+    /// outright while no kernel has written a variable since the last
+    /// pass.
     fn sync_shared_vars(&mut self) {
+        if self.mirror_is_current() {
+            return;
+        }
         for i in 0..self.shared_vars.len() {
             let SharedVar { var, sram_offset } = self.shared_vars[i];
             let mut agreed = self.shared_var_mirror[i];
@@ -990,6 +1027,7 @@ impl MultiCoreSystem {
                 }
             }
         }
+        self.mirrored_at_writes = Some(self.var_writes());
     }
 
     /// Runs `cycles` steps.
@@ -1304,6 +1342,19 @@ mod tests {
         let resps = s.take_responses();
         assert_eq!(resps.len(), 2);
         assert_eq!(resps[1].result, Ok(SvcReply::Value(123)));
+    }
+
+    #[test]
+    fn commands_beyond_the_service_budget_are_not_stranded() {
+        let mut s = sys();
+        let burst = s.cfg.slave_budget + 4;
+        for _ in 0..burst {
+            s.issue(SvcRequest::PeekVar { var: VarId(0) }).unwrap();
+        }
+        s.run(1_000);
+        assert_eq!(s.pending_commands(), 0, "leftover commands were serviced");
+        assert_eq!(s.take_responses().len(), burst);
+        assert_eq!(s.quiescent_horizon(), IdleHorizon::Unbounded);
     }
 
     #[test]

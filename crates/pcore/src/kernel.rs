@@ -453,6 +453,12 @@ pub struct Kernel {
     /// Incrementally maintained [`Kernel::live_task_count`]: +1 on task
     /// creation, -1 when a live task terminates.
     live_count: usize,
+    /// [`Kernel::var_write_count`].
+    var_writes: u64,
+    /// No sleeper's deadline is earlier than this (`u64::MAX` when none
+    /// sleeps): lowered when a task blocks on a sleep, recomputed by the
+    /// [`Kernel::tick`] that reaches it.
+    next_wake: u64,
     /// Quantum length in executed cycles, or `None` for the classic
     /// run-to-block scheduler (the byte-identical fast path).
     quantum: Option<u32>,
@@ -513,6 +519,8 @@ impl Kernel {
             pending_fences: 0,
             epoch: 0,
             live_count: 0,
+            var_writes: 0,
+            next_wake: u64::MAX,
             quantum: None,
             slice_used: 0,
             preemptions: 0,
@@ -609,7 +617,17 @@ impl Kernel {
                     .record(self.now, self.core, "var-mirror", format!("{var}={value}"));
             }
             *v = value;
+            self.var_writes += 1;
         }
+    }
+
+    /// Number of variable writes this kernel has performed: task and ISR
+    /// stores, `PokeVar` services and [`Kernel::set_var`]. While it
+    /// stands still no variable can have changed, which lets the
+    /// platform skip its shared-variable mirroring pass.
+    #[must_use]
+    pub fn var_write_count(&self) -> u64 {
+        self.var_writes
     }
 
     /// The fatal condition, if the kernel has died.
@@ -932,6 +950,7 @@ impl Kernel {
             SvcRequest::PokeVar { var, value } => match self.vars.get_mut(usize::from(var.0)) {
                 Some(slot) => {
                     *slot = value;
+                    self.var_writes += 1;
                     Ok(SvcReply::Done)
                 }
                 None => Err(SvcError::NoSuchVar(var)),
@@ -1162,17 +1181,27 @@ impl Kernel {
         }
     }
 
+    /// Wakes every sleeper whose deadline has passed. Scans the tasks
+    /// only once the cached earliest deadline is reached.
     fn wake_sleepers(&mut self) -> bool {
         let now = self.now.get();
+        if now < self.next_wake {
+            debug_assert!(self.next_sleeper_wake().is_none_or(|at| at > now));
+            return false;
+        }
         let mut woke = false;
+        let mut next_wake = u64::MAX;
         for t in self.tasks.iter_mut().flatten() {
             if let TaskState::Blocked(WaitReason::Sleep { until }) = t.state {
                 if until <= now {
                     t.state = TaskState::Ready;
                     woke = true;
+                } else {
+                    next_wake = next_wake.min(until);
                 }
             }
         }
+        self.next_wake = next_wake;
         woke
     }
 
@@ -1275,6 +1304,7 @@ impl Kernel {
 
     fn write_var(&mut self, ctx: Context, var: VarId, value: i64) -> Result<(), Trap> {
         *self.vars.get_mut(usize::from(var.0)).ok_or(Trap::BadVar)? = value;
+        self.var_writes += 1;
         self.trace_access(ctx, "var-write", || format!("{var}={value}"));
         Ok(())
     }
@@ -1483,6 +1513,9 @@ impl Kernel {
         if let Ok(Flow::Block(reason)) = flow {
             t.state = TaskState::Blocked(reason);
             self.current = None;
+            if let WaitReason::Sleep { until } = reason {
+                self.next_wake = self.next_wake.min(until);
+            }
         }
     }
 

@@ -102,9 +102,15 @@ impl Mailbox {
 /// were deprecated when the per-slave accessors landed and have since
 /// been removed; slave 0's block still occupies indices 0..=3 in
 /// cmd/data/resp/event order.)
+///
+/// The interrupt-line queries are O(1): a slave's line reads its own
+/// block, and [`MailboxBank::any_pending`] reads a count of queued words
+/// that [`MailboxBank::post`] and [`MailboxBank::take`] keep.
 #[derive(Debug, Clone)]
 pub struct MailboxBank {
     boxes: Vec<Mailbox>,
+    /// Words queued across the whole bank.
+    queued: usize,
 }
 
 impl MailboxBank {
@@ -179,7 +185,7 @@ impl MailboxBank {
             boxes.push(Mailbox::new(CoreId::Master, depth)); // responses
             boxes.push(Mailbox::new(CoreId::Master, depth)); // events
         }
-        MailboxBank { boxes }
+        MailboxBank { boxes, queued: 0 }
     }
 
     /// Number of slave blocks in the bank.
@@ -217,13 +223,18 @@ impl MailboxBank {
             .boxes
             .get_mut(mailbox)
             .ok_or(MailboxError::NoSuchMailbox { mailbox })?;
-        slot.post(word).map_err(|_| MailboxError::Full { mailbox })
+        slot.post(word)
+            .map_err(|_| MailboxError::Full { mailbox })?;
+        self.queued += 1;
+        Ok(())
     }
 
     /// Pops the oldest word of mailbox `mailbox`, or `None` if it is empty
     /// or the index is invalid.
     pub fn take(&mut self, mailbox: usize) -> Option<u32> {
-        self.boxes.get_mut(mailbox)?.take()
+        let word = self.boxes.get_mut(mailbox)?.take()?;
+        self.queued -= 1;
+        Some(word)
     }
 
     /// Peeks at the oldest word of mailbox `mailbox` without consuming it.
@@ -242,9 +253,14 @@ impl MailboxBank {
     /// i.e. whether the mailbox interrupt line of `core` is asserted.
     #[must_use]
     pub fn irq_pending(&self, core: CoreId) -> bool {
-        self.boxes
-            .iter()
-            .any(|m| m.receiver() == core && !m.is_empty())
+        // A slave's inbound boxes are its own command and data boxes.
+        let CoreId::Slave(i) = core else {
+            return self.scan_pending(Some(core));
+        };
+        let i = usize::from(i);
+        let pending = self.pending(Self::cmd_index(i)) > 0 || self.pending(Self::data_index(i)) > 0;
+        debug_assert_eq!(pending, self.scan_pending(Some(core)));
+        pending
     }
 
     /// Whether any mailbox in the bank, in either direction, holds at
@@ -253,7 +269,16 @@ impl MailboxBank {
     /// the whole platform.
     #[must_use]
     pub fn any_pending(&self) -> bool {
-        self.boxes.iter().any(|m| !m.is_empty())
+        debug_assert_eq!(self.queued > 0, self.scan_pending(None));
+        self.queued > 0
+    }
+
+    /// The reference the O(1) line queries stand for: a scan of every
+    /// box delivering to `core` (any core for `None`).
+    fn scan_pending(&self, core: Option<CoreId>) -> bool {
+        self.boxes
+            .iter()
+            .any(|m| core.is_none_or(|c| m.receiver() == c) && !m.is_empty())
     }
 
     /// Indices of the mailboxes delivering to `core`.

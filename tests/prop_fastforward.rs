@@ -1,7 +1,12 @@
 //! Idle-cycle fast-forward equivalence: across a matrix of scenarios ×
-//! schedulers × memory models, a fast-forwarded trial must produce a
-//! `TestReport` that serializes **byte-for-byte identically** to a
-//! forced cycle-by-cycle run of the same seeds.
+//! schedulers × memory models × preemption lanes, a fast-forwarded trial
+//! must produce a `TestReport` that serializes **byte-for-byte
+//! identically** to a forced cycle-by-cycle run of the same seeds.
+//!
+//! The buggy race scenarios are here because the engine asks for the
+//! idle horizon only after a cycle in which no kernel did work: on these
+//! dense workloads it skips almost every query, and the reports must not
+//! notice.
 //!
 //! This is the contract that makes the event-driven trial loop safe to
 //! ship: fast-forward is a pure latency optimisation, invisible in every
@@ -9,11 +14,14 @@
 //! it.
 
 use ptest::faults::philosophers::PhilosophersScenario;
+use ptest::faults::races::{AtomicityRaceScenario, OrderViolationScenario};
+use ptest::faults::timers::IsrSharedVarScenario;
 use ptest::master::{MemoryModelSpec, ScheduleSpec};
 use ptest::pcore::{Op, Program, ProgramId};
 use ptest::{
-    derived_memory_seed, derived_schedule_seed, AdaptiveTestConfig, FnScenario, MultiCoreSystem,
-    Scenario, TrialEngine, TrialOverrides, TrialScratch,
+    derived_memory_seed, derived_schedule_seed, AdaptiveTestConfig, FnScenario, InterruptConfig,
+    MultiCoreSystem, PreemptionSpec, QuantumConfig, Scenario, TrialEngine, TrialOverrides,
+    TrialScratch,
 };
 
 /// A sleeper-dominated worker: short compute bursts separated by long
@@ -60,33 +68,68 @@ fn compute_scenario() -> impl Scenario {
     )
 }
 
-fn explorations() -> Vec<(ScheduleSpec, MemoryModelSpec)> {
+/// The exploration lanes: scheduler × memory model, plus a quantum lane
+/// and an interrupt lane. A lane's preemption features are added on top
+/// of the scenario's own (an ISR scenario keeps its interrupt plan).
+fn explorations() -> Vec<(ScheduleSpec, MemoryModelSpec, PreemptionSpec)> {
+    let none = PreemptionSpec::default();
     vec![
-        (ScheduleSpec::LockStep, MemoryModelSpec::SeqCst),
-        (ScheduleSpec::LockStep, MemoryModelSpec::store_buffer()),
-        (ScheduleSpec::random_priority(), MemoryModelSpec::SeqCst),
+        (ScheduleSpec::LockStep, MemoryModelSpec::SeqCst, none),
+        (
+            ScheduleSpec::LockStep,
+            MemoryModelSpec::store_buffer(),
+            none,
+        ),
+        (
+            ScheduleSpec::random_priority(),
+            MemoryModelSpec::SeqCst,
+            none,
+        ),
         (
             ScheduleSpec::random_priority(),
             MemoryModelSpec::store_buffer(),
+            none,
+        ),
+        (
+            ScheduleSpec::LockStep,
+            MemoryModelSpec::SeqCst,
+            PreemptionSpec {
+                quantum: Some(QuantumConfig { cycles: 5 }),
+                ..none
+            },
+        ),
+        (
+            ScheduleSpec::random_priority(),
+            MemoryModelSpec::SeqCst,
+            PreemptionSpec {
+                interrupts: Some(InterruptConfig {
+                    count: 6,
+                    horizon: 4_000,
+                    ..InterruptConfig::default()
+                }),
+                ..none
+            },
         ),
     ]
 }
 
-/// Runs `scenario` across the (scheduler × memory model) matrix for a
-/// handful of seeds, once fast-forwarded and once forced cycle-by-cycle,
-/// asserting byte-identical report JSON.
-fn assert_fast_forward_equivalence(scenario: &dyn Scenario) {
-    for (schedule, memory) in explorations() {
+/// Runs `scenario` across every exploration lane for `seeds`, once
+/// fast-forwarded and once forced cycle-by-cycle, asserting
+/// byte-identical report JSON.
+fn assert_fast_forward_equivalence(scenario: &dyn Scenario, seeds: std::ops::RangeInclusive<u64>) {
+    for (schedule, memory, preemption) in explorations() {
         let mut cfg = scenario.base_config();
         cfg.schedule = schedule;
         cfg.memory = memory;
+        cfg.preemption.quantum = preemption.quantum.or(cfg.preemption.quantum);
+        cfg.preemption.interrupts = preemption.interrupts.or(cfg.preemption.interrupts);
         let mut fast = TrialEngine::new(cfg.clone()).unwrap();
         fast.set_fast_forward(true);
         let mut slow = TrialEngine::new(cfg).unwrap();
         slow.set_fast_forward(false);
         let mut fast_scratch = TrialScratch::new();
         let mut slow_scratch = TrialScratch::new();
-        for seed in 1..=3u64 {
+        for seed in seeds.clone() {
             let schedule_seed = derived_schedule_seed(seed);
             let memory_seed = derived_memory_seed(seed);
             let a = fast
@@ -113,7 +156,7 @@ fn assert_fast_forward_equivalence(scenario: &dyn Scenario) {
                 ptest::report_to_json(&a).unwrap(),
                 ptest::report_to_json(&b).unwrap(),
                 "fast-forward changed report bytes: scenario={} seed={seed} \
-                 schedule={schedule:?} memory={memory:?}",
+                 schedule={schedule:?} memory={memory:?} preemption={preemption:?}",
                 scenario.name(),
             );
         }
@@ -122,17 +165,32 @@ fn assert_fast_forward_equivalence(scenario: &dyn Scenario) {
 
 #[test]
 fn sleeper_reports_are_byte_identical_with_and_without_fast_forward() {
-    assert_fast_forward_equivalence(&sleeper_scenario());
+    assert_fast_forward_equivalence(&sleeper_scenario(), 1..=3);
 }
 
 #[test]
 fn compute_reports_are_byte_identical_with_and_without_fast_forward() {
-    assert_fast_forward_equivalence(&compute_scenario());
+    assert_fast_forward_equivalence(&compute_scenario(), 1..=3);
 }
 
 #[test]
 fn buggy_philosopher_reports_are_byte_identical_with_and_without_fast_forward() {
     // A real deadlock: the detector path and the fatal early-exit must
     // fire on exactly the same cycle either way.
-    assert_fast_forward_equivalence(&PhilosophersScenario::buggy());
+    assert_fast_forward_equivalence(&PhilosophersScenario::buggy(), 1..=3);
+}
+
+#[test]
+fn buggy_order_violation_reports_are_byte_identical_with_and_without_fast_forward() {
+    assert_fast_forward_equivalence(&OrderViolationScenario::buggy(), 1..=2);
+}
+
+#[test]
+fn buggy_atomicity_race_reports_are_byte_identical_with_and_without_fast_forward() {
+    assert_fast_forward_equivalence(&AtomicityRaceScenario::buggy(), 1..=2);
+}
+
+#[test]
+fn buggy_isr_shared_var_reports_are_byte_identical_with_and_without_fast_forward() {
+    assert_fast_forward_equivalence(&IsrSharedVarScenario::buggy(), 1..=2);
 }
