@@ -155,7 +155,9 @@ mod tests {
     use super::*;
     use ptest_automata::Regex;
     use ptest_core::PatternGenerator;
-    use ptest_faults::philosophers::{self, Variant};
+    use ptest_core::Scenario;
+    use ptest_faults::philosophers::{self, PhilosophersScenario};
+    use ptest_faults::Variant;
     use ptest_pcore::{Op, Program};
 
     /// Hand-built patterns: each task gets `TC TCH TD` so it stays alive
@@ -211,9 +213,8 @@ mod tests {
             interleaving_limit: 100,
             ..SystematicConfig::default()
         });
-        let report = explorer.explore(&patterns, &alphabet, |sys| {
-            philosophers::setup(Variant::Buggy)(sys)
-        });
+        let scenario = PhilosophersScenario::buggy();
+        let report = explorer.explore(&patterns, &alphabet, |sys| scenario.setup(sys));
         assert_eq!(report.space_size, None, "space explosion must be refused");
         assert_eq!(report.runs, 0);
     }
@@ -222,11 +223,9 @@ mod tests {
     fn scenario_exploration_matches_closure_exploration() {
         let (patterns, alphabet) = lifecycle_patterns(2);
         let explorer = SystematicExplorer::new(SystematicConfig::default());
-        let scenario = philosophers::PhilosophersScenario::buggy();
+        let scenario = PhilosophersScenario::buggy();
         let via_scenario = explorer.explore_scenario(&patterns, &alphabet, &scenario);
-        let via_closure = explorer.explore(&patterns, &alphabet, |sys| {
-            philosophers::setup(Variant::Buggy)(sys)
-        });
+        let via_closure = explorer.explore(&patterns, &alphabet, |sys| scenario.setup(sys));
         assert_eq!(via_scenario.runs, via_closure.runs);
         assert_eq!(via_scenario.total_commands, via_closure.total_commands);
         assert_eq!(via_scenario.first_bug_run, via_closure.first_bug_run);

@@ -4,7 +4,8 @@
 //! systematic explorer's space explosion at paper scale.
 
 use ptest::baselines::{RandomTester, RandomTesterConfig, SystematicConfig, SystematicExplorer};
-use ptest::faults::philosophers::{philosopher_program, Variant};
+use ptest::faults::philosophers::philosopher_program;
+use ptest::faults::Variant;
 use ptest::{
     AdaptiveTest, AdaptiveTestConfig, BugKind, FnScenario, PatternGenerator, Scenario, TestPattern,
 };

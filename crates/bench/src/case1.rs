@@ -5,7 +5,7 @@
 //! survives the same command stream. Smaller heaps crash sooner, rarer
 //! leaks later.
 
-use ptest::faults::stress::{stress_config, stress_setup, StressScenario, StressSpec};
+use ptest::faults::stress::{StressScenario, StressSpec};
 use ptest::pcore::GcFaultMode;
 use ptest::AdaptiveTest;
 
@@ -77,8 +77,7 @@ pub(crate) fn tables() -> Vec<Table> {
         prev = Some((leak_every, d.mean_commands));
     }
 
-    let spec = StressSpec::paper(1);
-    let report = AdaptiveTest::run(stress_config(&spec), stress_setup(spec))
+    let report = AdaptiveTest::run_scenario(&StressScenario::paper(), 1)
         .expect("the paper's stress configuration is valid");
     let crash = report.bugs.iter().find(|b| crash_kind(&b.kind));
     let first = bug_table("first crash (faulty GC, seed 1)", crash, 5);

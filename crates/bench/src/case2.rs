@@ -4,7 +4,8 @@
 //! paper's "we set the pattern merger … to force cyclic execution
 //! sequences"; the fixed lock order never deadlocks under any policy.
 
-use ptest::faults::philosophers::{PhilosophersScenario, Variant};
+use ptest::faults::philosophers::PhilosophersScenario;
+use ptest::faults::Variant;
 use ptest::{AdaptiveTest, BugKind, Configured, MergeOp};
 
 use crate::{bug_table, detect, fmt_mean, Table};

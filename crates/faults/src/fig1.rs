@@ -23,12 +23,10 @@
 //! between the two statements takes time; the simulator must be told how
 //! much.
 
+use crate::kit::create_task;
 use ptest_core::{AdaptiveTestConfig, BugDetector, BugKind, DetectorConfig, MergeOp, Scenario};
 use ptest_master::{MultiCoreSystem, SystemConfig};
-use ptest_pcore::{
-    Op, Priority, Program, ProgramBuilder, ProgramId, SvcReply, SvcRequest, TaskId, TaskState,
-    VarId,
-};
+use ptest_pcore::{Op, Program, ProgramBuilder, ProgramId, SvcRequest, TaskId, TaskState, VarId};
 use ptest_soc::Cycles;
 
 /// Shared variable `x` of Figure 1.
@@ -126,6 +124,57 @@ fn spin_program(mine: VarId, theirs: VarId, window: u32) -> Program {
     b.build().expect("fig1 program is valid")
 }
 
+/// Both processes of the figure on slave 0, created and suspended at
+/// time zero, before the first kernel tick: `(S1, S2)`.
+fn suspended_processes(sys: &mut MultiCoreSystem, window: u32) -> (TaskId, TaskId) {
+    let kernel = sys.kernel_mut();
+    let p1 = kernel.register_program(s1_program(window));
+    let p2 = kernel.register_program(s2_program());
+    // S1 has the lower priority, S2 the higher.
+    let s1 = create_task(kernel, p1, 2);
+    let s2 = create_task(kernel, p2, 9);
+    for task in [s1, s2] {
+        kernel
+            .dispatch(SvcRequest::Suspend { task }, Cycles::ZERO)
+            .expect("suspend");
+    }
+    (s1, s2)
+}
+
+/// Steps `sys` for up to `max_cycles` cycles: `Completed` once both
+/// processes have terminated, whatever `watch` (given the cycle index)
+/// classifies first, else a livelock of the tasks still alive.
+fn settle(
+    sys: &mut MultiCoreSystem,
+    processes: [TaskId; 2],
+    max_cycles: u64,
+    mut watch: impl FnMut(&MultiCoreSystem, u64) -> Option<Fig1Outcome>,
+) -> Fig1Outcome {
+    for cycle in 0..max_cycles {
+        sys.step();
+        let both_done = processes
+            .iter()
+            .all(|&t| matches!(sys.kernel().task_state(t), Some(TaskState::Terminated(_))));
+        if both_done {
+            return Fig1Outcome::Completed {
+                cycles: sys.now().get(),
+            };
+        }
+        if let Some(outcome) = watch(sys, cycle) {
+            return outcome;
+        }
+    }
+    // Budget exhausted without termination: the live tasks are spinning.
+    let tasks = sys
+        .snapshot()
+        .tasks
+        .iter()
+        .filter(|t| !matches!(t.state, TaskState::Terminated(_)))
+        .map(|t| t.id)
+        .collect();
+    Fig1Outcome::Livelock { tasks }
+}
+
 /// Runs the scenario and classifies the outcome.
 ///
 /// The run is fully deterministic: outcome depends only on the scenario
@@ -138,47 +187,7 @@ fn spin_program(mine: VarId, theirs: VarId, window: u32) -> Program {
 #[must_use]
 pub fn run(scenario: Fig1Scenario) -> Fig1Outcome {
     let mut sys = MultiCoreSystem::new(SystemConfig::default());
-
-    // Scenario setup at time zero: both processes exist and are
-    // suspended before the first kernel tick, as in the paper's figure.
-    let (s1, s2) = {
-        let kernel = sys.kernel_mut();
-        let p1 = kernel.register_program(s1_program(scenario.window));
-        let p2 = kernel.register_program(s2_program());
-        let SvcReply::Created(s1) = kernel
-            .dispatch(
-                SvcRequest::Create {
-                    program: p1,
-                    priority: Priority::new(2), // S1 has the lower priority
-                    stack_bytes: None,
-                },
-                Cycles::ZERO,
-            )
-            .expect("create S1")
-        else {
-            unreachable!("create returns Created")
-        };
-        let SvcReply::Created(s2) = kernel
-            .dispatch(
-                SvcRequest::Create {
-                    program: p2,
-                    priority: Priority::new(9), // S2 has the higher priority
-                    stack_bytes: None,
-                },
-                Cycles::ZERO,
-            )
-            .expect("create S2")
-        else {
-            unreachable!("create returns Created")
-        };
-        kernel
-            .dispatch(SvcRequest::Suspend { task: s1 }, Cycles::ZERO)
-            .expect("suspend S1");
-        kernel
-            .dispatch(SvcRequest::Suspend { task: s2 }, Cycles::ZERO)
-            .expect("suspend S2");
-        (s1, s2)
-    };
+    let (s1, s2) = suspended_processes(&mut sys, scenario.window);
 
     // The master's two remote commands, in the chosen order (the paper's
     // K and L), each awaited like the committer would.
@@ -208,33 +217,18 @@ pub fn run(scenario: Fig1Scenario) -> Fig1Outcome {
         progress_window: Cycles::new(10_000),
         ..DetectorConfig::default()
     });
-    for cycle in 0..scenario.max_cycles {
-        sys.step();
-        let both_done = [s1, s2]
-            .iter()
-            .all(|&t| matches!(sys.kernel().task_state(t), Some(TaskState::Terminated(_))));
-        if both_done {
-            return Fig1Outcome::Completed {
-                cycles: sys.now().get(),
-            };
+    settle(&mut sys, [s1, s2], scenario.max_cycles, |sys, cycle| {
+        if cycle % 200 != 0 {
+            return None;
         }
-        if cycle % 200 == 0 {
-            for bug in detector.observe(&sys, None, true) {
-                if let BugKind::Livelock { tasks } = bug.kind {
-                    return Fig1Outcome::Livelock { tasks };
-                }
-            }
-        }
-    }
-    // Budget exhausted without termination: the live tasks are spinning.
-    let live: Vec<TaskId> = sys
-        .snapshot()
-        .tasks
-        .iter()
-        .filter(|t| !matches!(t.state, TaskState::Terminated(_)))
-        .map(|t| t.id)
-        .collect();
-    Fig1Outcome::Livelock { tasks: live }
+        detector
+            .observe(sys, None, true)
+            .into_iter()
+            .find_map(|bug| match bug.kind {
+                BugKind::Livelock { tasks } => Some(Fig1Outcome::Livelock { tasks }),
+                _ => None,
+            })
+    })
 }
 
 /// The scripted-master variant: the paper's `M1`/`M2` processes as real
@@ -254,33 +248,7 @@ pub fn run_with_master_threads(scenario: Fig1Scenario) -> Fig1Outcome {
     use ptest_master::MasterOp;
 
     let mut sys = MultiCoreSystem::new(SystemConfig::default());
-    let (s1, s2) = {
-        let kernel = sys.kernel_mut();
-        let p1 = kernel.register_program(s1_program(scenario.window));
-        let p2 = kernel.register_program(s2_program());
-        let mk = |kernel: &mut ptest_pcore::Kernel, prog, prio: u8| {
-            let SvcReply::Created(t) = kernel
-                .dispatch(
-                    SvcRequest::Create {
-                        program: prog,
-                        priority: Priority::new(prio),
-                        stack_bytes: None,
-                    },
-                    Cycles::ZERO,
-                )
-                .expect("create")
-            else {
-                unreachable!("create returns Created")
-            };
-            kernel
-                .dispatch(SvcRequest::Suspend { task: t }, Cycles::ZERO)
-                .expect("suspend");
-            t
-        };
-        let s1 = mk(kernel, p1, 2);
-        let s2 = mk(kernel, p2, 9);
-        (s1, s2)
-    };
+    let (s1, s2) = suspended_processes(&mut sys, scenario.window);
 
     // M1 issues K = Resume(S1); M2 issues L = Resume(S2). The scenario
     // order decides which thread enters the run queue first.
@@ -302,26 +270,7 @@ pub fn run_with_master_threads(scenario: Fig1Scenario) -> Fig1Outcome {
             sys.add_thread("M1", m1);
         }
     }
-
-    for _ in 0..scenario.max_cycles {
-        sys.step();
-        let both_done = [s1, s2]
-            .iter()
-            .all(|&t| matches!(sys.kernel().task_state(t), Some(TaskState::Terminated(_))));
-        if both_done {
-            return Fig1Outcome::Completed {
-                cycles: sys.now().get(),
-            };
-        }
-    }
-    let live: Vec<TaskId> = sys
-        .snapshot()
-        .tasks
-        .iter()
-        .filter(|t| !matches!(t.state, TaskState::Terminated(_)))
-        .map(|t| t.id)
-        .collect();
-    Fig1Outcome::Livelock { tasks: live }
+    settle(&mut sys, [s1, s2], scenario.max_cycles, |_, _| None)
 }
 
 /// The Figure 1 fault as an adaptive-test [`Scenario`]: the committer's

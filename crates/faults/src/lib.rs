@@ -24,6 +24,11 @@
 //!   visibility, IRIW), invisible under sequential consistency and
 //!   exposed by the store-buffer memory model.
 //!
+//! The three race families are built from one private kit of protocol
+//! pieces (bounded spin, barrier, guard) over one base configuration,
+//! and share one oracle, [`guard_tripped`]. Every scenario with a
+//! control picks it with one [`Variant`].
+//!
 //! Everything is deterministic; each scenario documents the exact
 //! schedule window its bug needs.
 
@@ -31,6 +36,7 @@
 #![warn(missing_docs)]
 
 pub mod fig1;
+mod kit;
 pub mod multicore;
 pub mod philosophers;
 pub mod races;
@@ -39,8 +45,7 @@ pub mod stress;
 pub mod timers;
 pub mod weakmem;
 
-#[cfg(test)]
-mod testsupport;
+pub use kit::{guard_tripped, Variant};
 
 #[cfg(test)]
 mod tests {

@@ -20,13 +20,14 @@
 //!   two cores in the same mirroring epoch collide and the lower-indexed
 //!   core's update is lost. Like the single-core lost-update race, the
 //!   detector does not flag this class — the final-value oracle
-//!   [`sram_race_lost_updates`] must be consulted.
+//!   [`lost_updates`](crate::scenarios::lost_updates) must be consulted.
 
 use ptest_core::{AdaptiveTestConfig, MergeOp, Scenario};
 use ptest_master::{MultiCoreSystem, SystemConfig};
 use ptest_pcore::{Op, ProgramBuilder, ProgramId, SemId, VarId};
 
 use crate::scenarios::race_writer_program;
+use crate::Variant;
 
 /// The shared counter of the cross-slave SRAM race (mirrored in every
 /// kernel).
@@ -35,18 +36,6 @@ pub const SRAM_RACE_COUNTER: VarId = VarId(6);
 /// SRAM offset of the race counter's mirror word, far above the
 /// per-slave bridge windows.
 pub const SRAM_RACE_MIRROR_OFFSET: usize = 0x3_0000;
-
-/// Buggy or corrected token-acquisition order of the pipeline stages.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PipelineVariant {
-    /// Every stage waits for its data token *and* its credit token before
-    /// doing any work — the crossed acquisition that deadlocks across
-    /// cores.
-    Buggy,
-    /// Every stage forwards its data token before waiting for the
-    /// credit, so the rings always drain — deadlock-free.
-    Fixed,
-}
 
 /// The per-slave semaphores of one pipeline stage.
 #[derive(Debug, Clone, Copy)]
@@ -59,7 +48,7 @@ struct StageSems {
     credit_out: SemId,
 }
 
-fn stage_program(sems: StageSems, rounds: i64, variant: PipelineVariant) -> ptest_pcore::Program {
+fn stage_program(sems: StageSems, rounds: i64, variant: Variant) -> ptest_pcore::Program {
     let mut b = ProgramBuilder::new();
     b.push(Op::AddReg {
         reg: 1,
@@ -67,7 +56,7 @@ fn stage_program(sems: StageSems, rounds: i64, variant: PipelineVariant) -> ptes
     });
     b.bind("loop");
     match variant {
-        PipelineVariant::Buggy => {
+        Variant::Buggy => {
             // Grab both tokens up front; with the credit ring rotating the
             // other way, stages end up each holding one token the next
             // stage needs.
@@ -77,7 +66,7 @@ fn stage_program(sems: StageSems, rounds: i64, variant: PipelineVariant) -> ptes
             b.push(Op::SemPost(sems.data_out));
             b.push(Op::SemPost(sems.credit_out));
         }
-        PipelineVariant::Fixed => {
+        Variant::Fixed => {
             // Forward the data token before acquiring the credit: the data
             // ring keeps draining, so the credit always arrives.
             b.push(Op::SemWait(sems.data_in));
@@ -106,7 +95,7 @@ pub struct CrossCorePipelineScenario {
     /// Hand-offs each stage performs before exiting.
     pub rounds: i64,
     /// Buggy or corrected acquisition order.
-    pub variant: PipelineVariant,
+    pub variant: Variant,
 }
 
 impl CrossCorePipelineScenario {
@@ -116,7 +105,7 @@ impl CrossCorePipelineScenario {
         CrossCorePipelineScenario {
             stages: 3,
             rounds: 4,
-            variant: PipelineVariant::Buggy,
+            variant: Variant::Buggy,
         }
     }
 
@@ -124,7 +113,7 @@ impl CrossCorePipelineScenario {
     #[must_use]
     pub fn fixed() -> CrossCorePipelineScenario {
         CrossCorePipelineScenario {
-            variant: PipelineVariant::Fixed,
+            variant: Variant::Fixed,
             ..CrossCorePipelineScenario::buggy()
         }
     }
@@ -133,8 +122,8 @@ impl CrossCorePipelineScenario {
 impl Scenario for CrossCorePipelineScenario {
     fn name(&self) -> &str {
         match self.variant {
-            PipelineVariant::Buggy => "cross-core-pipeline-buggy",
-            PipelineVariant::Fixed => "cross-core-pipeline-fixed",
+            Variant::Buggy => "cross-core-pipeline-buggy",
+            Variant::Fixed => "cross-core-pipeline-fixed",
         }
     }
 
@@ -242,60 +231,23 @@ impl Scenario for SramRaceScenario {
         (0..self.slaves)
             .map(|i| {
                 sys.kernel_of_mut(i)
-                    .register_program(race_writer_for(self.rounds))
+                    .register_program(race_writer_program(SRAM_RACE_COUNTER, self.rounds))
             })
             .collect()
     }
 }
 
-/// The writer program of the SRAM race: the single-core lost-update
-/// writer re-targeted at the mirrored counter.
-fn race_writer_for(rounds: u16) -> ptest_pcore::Program {
-    retarget(race_writer_program(rounds))
-}
-
-/// Rewrites the single-core race writer's variable accesses from
-/// [`crate::scenarios::RACE_COUNTER`] to the mirrored
-/// [`SRAM_RACE_COUNTER`].
-fn retarget(program: ptest_pcore::Program) -> ptest_pcore::Program {
-    let ops: Vec<Op> = program
-        .iter()
-        .map(|op| match *op {
-            Op::ReadVar { var, reg } if var == crate::scenarios::RACE_COUNTER => Op::ReadVar {
-                var: SRAM_RACE_COUNTER,
-                reg,
-            },
-            Op::WriteVarReg { var, reg } if var == crate::scenarios::RACE_COUNTER => {
-                Op::WriteVarReg {
-                    var: SRAM_RACE_COUNTER,
-                    reg,
-                }
-            }
-            other => other,
-        })
-        .collect();
-    ptest_pcore::Program::new(ops).expect("retargeted program is valid")
-}
-
-/// The cross-slave lost-update oracle: how many increments the mirrored
-/// counter is missing after the run.
-#[must_use]
-pub fn sram_race_lost_updates(sys: &MultiCoreSystem, slaves: usize, rounds: u16) -> i64 {
-    let expected = (slaves as i64) * i64::from(rounds);
-    let actual = sys.kernel_of(0).var(SRAM_RACE_COUNTER).unwrap_or(0);
-    expected - actual
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenarios::lost_updates;
     use ptest_core::{AdaptiveTest, BugKind};
     use ptest_pcore::{Priority, SvcRequest, TaskState};
     use ptest_soc::CoreId;
 
     /// Drives the raw system (no committer): create every stage task
     /// directly and run.
-    fn run_pipeline_raw(variant: PipelineVariant) -> (MultiCoreSystem, Vec<ProgramId>) {
+    fn run_pipeline_raw(variant: Variant) -> (MultiCoreSystem, Vec<ProgramId>) {
         let scenario = CrossCorePipelineScenario {
             variant,
             ..CrossCorePipelineScenario::buggy()
@@ -318,7 +270,7 @@ mod tests {
 
     #[test]
     fn fixed_pipeline_drains_and_terminates() {
-        let (mut sys, _) = run_pipeline_raw(PipelineVariant::Fixed);
+        let (mut sys, _) = run_pipeline_raw(Variant::Fixed);
         assert!(
             sys.run_until_quiescent(200_000),
             "corrected ordering must let every stage finish its rounds"
@@ -327,7 +279,7 @@ mod tests {
 
     #[test]
     fn buggy_pipeline_deadlocks_across_kernels() {
-        let (mut sys, _) = run_pipeline_raw(PipelineVariant::Buggy);
+        let (mut sys, _) = run_pipeline_raw(Variant::Buggy);
         assert!(!sys.run_until_quiescent(100_000), "stages must wedge");
         let mut detector = ptest_core::BugDetector::new(ptest_core::DetectorConfig::default());
         let bugs = detector.observe(&sys, None, true);
@@ -414,7 +366,7 @@ mod tests {
                 break;
             }
         }
-        let lost = sram_race_lost_updates(&sys, scenario.slaves, scenario.rounds);
+        let lost = lost_updates(&sys, SRAM_RACE_COUNTER, scenario.slaves, scenario.rounds);
         assert!(
             lost > 0,
             "same-epoch increments from two cores must collide, lost {lost}"
@@ -439,7 +391,7 @@ mod tests {
             .unwrap();
         let prog = sys
             .kernel_of_mut(0)
-            .register_program(super::race_writer_for(20));
+            .register_program(race_writer_program(SRAM_RACE_COUNTER, 20));
         sys.issue_to(
             0,
             SvcRequest::Create {
@@ -450,6 +402,6 @@ mod tests {
         )
         .unwrap();
         assert!(sys.run_until_quiescent(200_000));
-        assert_eq!(sram_race_lost_updates(&sys, 1, 20), 0);
+        assert_eq!(lost_updates(&sys, SRAM_RACE_COUNTER, 1, 20), 0);
     }
 }

@@ -8,6 +8,7 @@
 //! pTest's wait-for-graph detector reports. The corrected version breaks
 //! the cycle by reversing one philosopher's acquisition order.
 
+use crate::Variant;
 use ptest_core::{AdaptiveTestConfig, DetectorConfig, MergeOp, Scenario};
 use ptest_master::MultiCoreSystem;
 use ptest_pcore::{MutexId, Op, Program, ProgramBuilder, ProgramId};
@@ -15,15 +16,6 @@ use ptest_soc::Cycles;
 
 /// Number of philosophers (and forks) in the paper's case study.
 pub const PHILOSOPHERS: usize = 3;
-
-/// Whether to build the buggy (deadlocking) or corrected variant.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Variant {
-    /// All philosophers take their left fork first — deadlock-prone.
-    Buggy,
-    /// The last philosopher takes its right fork first — deadlock-free.
-    Fixed,
-}
 
 /// Builds philosopher `i`'s program over the given fork mutexes.
 ///
@@ -55,21 +47,6 @@ pub fn philosopher_program(i: usize, forks: &[MutexId], variant: Variant) -> Pro
     b.push(Op::MutexUnlock(first));
     b.push(Op::Exit);
     b.build().expect("philosopher program is valid")
-}
-
-/// Scenario setup for [`AdaptiveTest::run`]: creates the three forks and
-/// registers the three philosopher programs, returning one program per
-/// test pattern.
-///
-/// [`AdaptiveTest::run`]: ptest_core::AdaptiveTest::run
-pub fn setup(variant: Variant) -> impl FnOnce(&mut MultiCoreSystem) -> Vec<ProgramId> {
-    move |sys: &mut MultiCoreSystem| {
-        let kernel = sys.kernel_mut();
-        let forks: Vec<MutexId> = (0..PHILOSOPHERS).map(|_| kernel.create_mutex()).collect();
-        (0..PHILOSOPHERS)
-            .map(|i| kernel.register_program(philosopher_program(i, &forks, variant)))
-            .collect()
-    }
 }
 
 /// The pTest configuration the paper's case study corresponds to: three
@@ -159,7 +136,7 @@ impl Scenario for PhilosophersScenario {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ptest_core::{AdaptiveTest, BugKind};
+    use ptest_core::{AdaptiveTest, BugKind, Configured};
 
     #[test]
     fn buggy_variant_deadlocks_under_cyclic_merge() {
@@ -167,7 +144,7 @@ mod tests {
         // all three lifecycles overlap, which is the common case.
         let mut found = false;
         for seed in 0..10 {
-            let report = AdaptiveTest::run(case2_config(seed), setup(Variant::Buggy)).unwrap();
+            let report = AdaptiveTest::run_scenario(&PhilosophersScenario::buggy(), seed).unwrap();
             if report.found(|k| matches!(k, BugKind::Deadlock { .. })) {
                 found = true;
                 let bug = report
@@ -196,7 +173,7 @@ mod tests {
     #[test]
     fn fixed_variant_never_deadlocks() {
         for seed in 0..5 {
-            let report = AdaptiveTest::run(case2_config(seed), setup(Variant::Fixed)).unwrap();
+            let report = AdaptiveTest::run_scenario(&PhilosophersScenario::fixed(), seed).unwrap();
             assert!(
                 !report.found(|k| matches!(k, BugKind::Deadlock { .. })),
                 "seed {seed}: {}",
@@ -209,10 +186,11 @@ mod tests {
     fn sequential_merge_hides_the_deadlock() {
         // The ablation the merger exists for: without interleaving the
         // lifecycles never overlap and the bug cannot fire.
-        for seed in 0..5 {
-            let mut cfg = case2_config(seed);
+        let scenario = Configured::adjust(PhilosophersScenario::buggy(), |cfg| {
             cfg.op = MergeOp::Sequential;
-            let report = AdaptiveTest::run(cfg, setup(Variant::Buggy)).unwrap();
+        });
+        for seed in 0..5 {
+            let report = AdaptiveTest::run_scenario(&scenario, seed).unwrap();
             assert!(
                 !report.found(|k| matches!(k, BugKind::Deadlock { .. })),
                 "seed {seed}: {}",
@@ -223,14 +201,12 @@ mod tests {
 
     #[test]
     fn scenario_setup_matches_closure_setup() {
+        // `run_scenario` is the case-study configuration at the given
+        // seed with the scenario's own setup.
         let scenario = PhilosophersScenario::buggy();
-        let mut a = MultiCoreSystem::new(scenario.base_config().system);
-        let mut b = MultiCoreSystem::new(case2_config(0).system);
-        assert_eq!(scenario.setup(&mut a), setup(Variant::Buggy)(&mut b));
         let report = AdaptiveTest::run_scenario(&scenario, 3).unwrap();
-        let direct = AdaptiveTest::run(case2_config(3), setup(Variant::Buggy)).unwrap();
-        assert_eq!(report.commands_issued, direct.commands_issued);
-        assert_eq!(report.bugs.len(), direct.bugs.len());
+        let direct = AdaptiveTest::run(case2_config(3), |sys| scenario.setup(sys)).unwrap();
+        assert_eq!(report.machine_summary(), direct.machine_summary());
     }
 
     #[test]

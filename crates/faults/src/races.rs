@@ -34,8 +34,9 @@
 //! the atomicity race — which stays clean under *any* schedule; the
 //! integration tests pin all four quadrants (variant × schedule).
 
-use ptest_core::{AdaptiveTestConfig, MergeOp, Scenario, ScheduleSpec};
-use ptest_master::{MultiCoreSystem, SystemConfig};
+use crate::kit::{barrier, bounded_spin, guard, guarded_config, Variant};
+use ptest_core::{AdaptiveTestConfig, Scenario, ScheduleSpec};
+use ptest_master::MultiCoreSystem;
 use ptest_pcore::{Op, ProgramBuilder, ProgramId, VarId};
 
 /// Barrier flag announced by slave 0's task (SRAM-mirrored).
@@ -54,74 +55,12 @@ const MIRROR_BASE: usize = 0x3_1000;
 /// The payload value the order-violation initializer publishes.
 const PAYLOAD: i64 = 42;
 
-/// Iterations a task spins on a barrier/completion flag before giving
-/// up benignly (exiting without running its check). Bounding the spin
-/// keeps mutilated protocols — e.g. a peer task deleted by a `TD` in
-/// the test pattern — from reading as livelock.
-const SPIN_BUDGET: i64 = 30_000;
-
-/// A `StackProbe` far beyond any configured stack: the deterministic
-/// "the race manifested" symptom, killed by the kernel as a
-/// stack-overflow task fault and picked up by the detector.
-const GUARD_TRIP: u32 = 1 << 20;
-
-/// Buggy (unsynchronized) or fixed (properly synchronized) variant.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RaceVariant {
-    /// No cross-core synchronization: correctness rests on relative
-    /// kernel speed, which only the lock-step schedule guarantees.
-    Buggy,
-    /// Real synchronization through a cross-core semaphore hand-off;
-    /// clean under every schedule.
-    Fixed,
-}
-
-/// Appends a bounded spin until `var == value`, falling through to the
-/// label `go`; gives up (plain `Exit`) after [`SPIN_BUDGET`] iterations.
-/// `scratch` is the register used for the countdown.
-fn bounded_spin(b: &mut ProgramBuilder, var: VarId, value: i64, scratch: u8, go: &str) {
-    let spin = format!("spin_{var}_{go}");
-    let give_up = format!("give_up_{var}_{go}");
-    b.push(Op::AddReg {
-        reg: scratch,
-        delta: SPIN_BUDGET,
-    });
-    b.bind(&spin);
-    b.branch_if_var_eq(var, value, go);
-    b.push(Op::AddReg {
-        reg: scratch,
-        delta: -1,
-    });
-    b.branch_if_reg_eq(scratch, 0, &give_up);
-    b.jump_to(&spin);
-    b.bind(&give_up);
-    b.push(Op::Exit);
-    b.bind(go);
-}
-
-/// The two-sided barrier prologue: announce `mine`, await `theirs`.
-fn barrier(b: &mut ProgramBuilder, mine: VarId, theirs: VarId) {
-    b.push(Op::WriteVar {
-        var: mine,
-        value: 1,
-    });
-    bounded_spin(b, theirs, 1, 7, "after_barrier");
-}
-
-/// The guard epilogue: fault unless register `reg` holds `expected`.
-fn guard(b: &mut ProgramBuilder, reg: u8, expected: i64) {
-    b.branch_if_reg_eq(reg, expected, "guard_ok");
-    b.push(Op::StackProbe(GUARD_TRIP));
-    b.bind("guard_ok");
-    b.push(Op::Exit);
-}
-
 /// An initialize-before-use race across kernels. See the [module
 /// docs](self).
 #[derive(Debug, Clone, Copy)]
 pub struct OrderViolationScenario {
     /// Buggy (timing-dependent) or fixed (semaphore-ordered) variant.
-    pub variant: RaceVariant,
+    pub variant: Variant,
 }
 
 impl OrderViolationScenario {
@@ -129,7 +68,7 @@ impl OrderViolationScenario {
     #[must_use]
     pub fn buggy() -> OrderViolationScenario {
         OrderViolationScenario {
-            variant: RaceVariant::Buggy,
+            variant: Variant::Buggy,
         }
     }
 
@@ -137,52 +76,26 @@ impl OrderViolationScenario {
     #[must_use]
     pub fn fixed() -> OrderViolationScenario {
         OrderViolationScenario {
-            variant: RaceVariant::Fixed,
+            variant: Variant::Fixed,
         }
     }
 }
 
-/// The shared base configuration of both race scenarios: two slaves,
-/// two patterns (one controlled task per kernel), a lifecycle
-/// distribution that almost never suspends or deletes mid-protocol
-/// (suspension stalls a task without the scheduler's involvement, which
-/// would blur what the schedule axis is being tested for), and the
-/// randomized-priority schedule as the default exploration mode.
+/// The configuration of both race scenarios: two slaves, one guarded
+/// task per kernel, and the randomized-priority schedule as the default
+/// exploration mode.
 fn race_base_config() -> AdaptiveTestConfig {
     AdaptiveTestConfig {
-        n: 2,
-        s: 6,
-        op: MergeOp::cyclic(),
-        inter_command_gap: 30,
-        pd: ptest_automata::ProbabilityAssignment::weights([
-            ("TC", 1.0),
-            ("TCH", 1.0),
-            ("TS", 1e-4),
-            ("TD", 1e-4),
-            ("TY", 0.05),
-            ("TR", 1.0),
-        ]),
-        max_cycles: 250_000,
-        drain_cycles: 80_000,
-        // A starved-but-backstopped slave legitimately takes tens of
-        // thousands of cycles to finish the protocol; widen the
-        // no-progress window so schedule-induced slowness is not
-        // misread as livelock before the guard resolves.
-        detector: ptest_core::DetectorConfig {
-            progress_window: ptest_soc::Cycles::new(60_000),
-            ..ptest_core::DetectorConfig::default()
-        },
         schedule: ScheduleSpec::random_priority(),
-        system: SystemConfig::with_slaves(2),
-        ..AdaptiveTestConfig::default()
+        ..guarded_config(2, 2)
     }
 }
 
 impl Scenario for OrderViolationScenario {
     fn name(&self) -> &str {
         match self.variant {
-            RaceVariant::Buggy => "order-violation-buggy",
-            RaceVariant::Fixed => "order-violation-fixed",
+            Variant::Buggy => "order-violation-buggy",
+            Variant::Fixed => "order-violation-fixed",
         }
     }
 
@@ -209,12 +122,12 @@ impl Scenario for OrderViolationScenario {
             let mut b = ProgramBuilder::new();
             barrier(&mut b, RACE_READY0, RACE_READY1);
             match self.variant {
-                RaceVariant::Buggy => {
+                Variant::Buggy => {
                     // "Plenty of time": 340 cycles for the peer's 40.
                     // Only a lock-step schedule actually honours it.
                     b.push(Op::Compute(340));
                 }
-                RaceVariant::Fixed => {
+                Variant::Fixed => {
                     b.push(Op::Compute(340));
                     b.push(Op::SemWait(ready_in));
                 }
@@ -235,7 +148,7 @@ impl Scenario for OrderViolationScenario {
                 var: RACE_SHARED,
                 value: PAYLOAD,
             });
-            if self.variant == RaceVariant::Fixed {
+            if self.variant == Variant::Fixed {
                 b.push(Op::SemPost(ready_out));
             }
             b.push(Op::Exit);
@@ -253,7 +166,7 @@ impl Scenario for OrderViolationScenario {
 #[derive(Debug, Clone, Copy)]
 pub struct AtomicityRaceScenario {
     /// Buggy (phase-staggered) or fixed (token-serialized) variant.
-    pub variant: RaceVariant,
+    pub variant: Variant,
     /// Read-modify-write rounds each slave performs.
     pub rounds: i64,
 }
@@ -263,7 +176,7 @@ impl AtomicityRaceScenario {
     #[must_use]
     pub fn buggy() -> AtomicityRaceScenario {
         AtomicityRaceScenario {
-            variant: RaceVariant::Buggy,
+            variant: Variant::Buggy,
             rounds: 8,
         }
     }
@@ -272,7 +185,7 @@ impl AtomicityRaceScenario {
     #[must_use]
     pub fn fixed() -> AtomicityRaceScenario {
         AtomicityRaceScenario {
-            variant: RaceVariant::Fixed,
+            variant: Variant::Fixed,
             ..AtomicityRaceScenario::buggy()
         }
     }
@@ -314,8 +227,8 @@ fn rmw_loop(
 impl Scenario for AtomicityRaceScenario {
     fn name(&self) -> &str {
         match self.variant {
-            RaceVariant::Buggy => "atomicity-race-buggy",
-            RaceVariant::Fixed => "atomicity-race-fixed",
+            Variant::Buggy => "atomicity-race-buggy",
+            Variant::Fixed => "atomicity-race-fixed",
         }
     }
 
@@ -341,8 +254,8 @@ impl Scenario for AtomicityRaceScenario {
         sys.link_semaphores(0, out0, 1, in1).expect("distinct");
         sys.link_semaphores(1, out1, 0, in0).expect("distinct");
         let token = |slave: usize| match self.variant {
-            RaceVariant::Buggy => None,
-            RaceVariant::Fixed => Some(if slave == 0 { (in0, out0) } else { (in1, out1) }),
+            Variant::Buggy => None,
+            Variant::Fixed => Some(if slave == 0 { (in0, out0) } else { (in1, out1) }),
         };
 
         // Slave 0: writer A + final-value checker (drain anchor).
@@ -380,71 +293,51 @@ impl Scenario for AtomicityRaceScenario {
     }
 }
 
-/// Whether a report contains the races' manifestation symptom: the
-/// guard's stack-probe task fault on the checker task.
-#[must_use]
-pub fn race_manifested(report: &ptest_core::TestReport) -> bool {
-    report.found(|k| {
-        matches!(
-            k,
-            ptest_core::BugKind::TaskFault {
-                fault: ptest_pcore::TaskFault::StackOverflow,
-                ..
-            }
-        )
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testsupport::{AxisSpec, Probe};
+    use crate::guard_tripped;
+    use crate::kit::probe;
     use ptest_core::{AdaptiveTest, Configured};
 
     /// Lock-step hides the races; the scenarios' randomized priorities
     /// expose them.
-    const PROBE: Probe = Probe {
-        control: AxisSpec::Schedule(ScheduleSpec::LockStep),
-        grid: (4, 8),
-        manifested: race_manifested,
-    };
+    fn lock_step(cfg: &mut AdaptiveTestConfig) {
+        cfg.schedule = ScheduleSpec::LockStep;
+    }
 
     #[test]
     fn order_violation_is_unreachable_under_lock_step() {
-        PROBE.assert_invisible(&OrderViolationScenario::buggy());
+        probe::assert_invisible(OrderViolationScenario::buggy(), lock_step);
     }
 
     #[test]
     fn order_violation_manifests_under_random_priorities_and_replays() {
-        PROBE.assert_manifests_and_replays(&OrderViolationScenario::buggy());
+        probe::assert_manifests_and_replays(&OrderViolationScenario::buggy());
     }
 
     #[test]
     fn fixed_order_violation_is_clean_under_random_priorities() {
         assert!(
-            PROBE
-                .find_manifestation(&OrderViolationScenario::fixed())
-                .is_none(),
+            probe::first_manifestation(&OrderViolationScenario::fixed()).is_none(),
             "the semaphore-ordered variant must never trip its guard"
         );
     }
 
     #[test]
     fn atomicity_race_is_unreachable_under_lock_step() {
-        PROBE.assert_invisible(&AtomicityRaceScenario::buggy());
+        probe::assert_invisible(AtomicityRaceScenario::buggy(), lock_step);
     }
 
     #[test]
     fn atomicity_race_manifests_under_random_priorities_and_replays() {
-        PROBE.assert_manifests_and_replays(&AtomicityRaceScenario::buggy());
+        probe::assert_manifests_and_replays(&AtomicityRaceScenario::buggy());
     }
 
     #[test]
     fn fixed_atomicity_race_is_clean_under_random_priorities() {
         assert!(
-            PROBE
-                .find_manifestation(&AtomicityRaceScenario::fixed())
-                .is_none(),
+            probe::first_manifestation(&AtomicityRaceScenario::fixed()).is_none(),
             "the token-serialized variant must never lose an update"
         );
     }
@@ -471,10 +364,8 @@ mod tests {
         // Sanity: under lock-step the buggy order violation's consumer
         // reads the initialized payload — the guard passes and the
         // protocol drains (no spin-budget bailout).
-        let scenario = Configured::adjust(OrderViolationScenario::buggy(), |cfg| {
-            cfg.schedule = ScheduleSpec::LockStep;
-        });
+        let scenario = Configured::adjust(OrderViolationScenario::buggy(), lock_step);
         let report = AdaptiveTest::run_scenario(&scenario, 2).unwrap();
-        assert!(!race_manifested(&report), "{}", report.summary());
+        assert!(!guard_tripped(&report), "{}", report.summary());
     }
 }

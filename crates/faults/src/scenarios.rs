@@ -3,11 +3,10 @@
 //! baseline-comparison experiment (which bug classes does each testing
 //! strategy catch?) and the extended examples.
 
+use crate::kit::create_task;
 use ptest_core::{AdaptiveTestConfig, MergeOp, Scenario};
 use ptest_master::{MultiCoreSystem, SystemConfig};
-use ptest_pcore::{
-    Op, Priority, Program, ProgramBuilder, ProgramId, SvcReply, SvcRequest, TaskId, VarId,
-};
+use ptest_pcore::{Op, Program, ProgramBuilder, ProgramId, TaskId, VarId};
 use ptest_soc::Cycles;
 
 /// The shared counter used by the lost-update race.
@@ -42,32 +41,8 @@ pub fn starvation_system() -> (MultiCoreSystem, TaskId, TaskId) {
     let kernel = sys.kernel_mut();
     let hog = kernel.register_program(cpu_hog_program());
     let worker = kernel.register_program(worker_program(100));
-    let SvcReply::Created(hog_task) = kernel
-        .dispatch(
-            SvcRequest::Create {
-                program: hog,
-                priority: Priority::new(200),
-                stack_bytes: None,
-            },
-            Cycles::ZERO,
-        )
-        .expect("create hog")
-    else {
-        unreachable!()
-    };
-    let SvcReply::Created(worker_task) = kernel
-        .dispatch(
-            SvcRequest::Create {
-                program: worker,
-                priority: Priority::new(10),
-                stack_bytes: None,
-            },
-            Cycles::ZERO,
-        )
-        .expect("create worker")
-    else {
-        unreachable!()
-    };
+    let hog_task = create_task(kernel, hog, 200);
+    let worker_task = create_task(kernel, worker, 10);
     (sys, hog_task, worker_task)
 }
 
@@ -115,32 +90,17 @@ pub fn priority_inversion_system() -> (MultiCoreSystem, TaskId, TaskId, TaskId) 
         kernel.register_program(b.build().expect("valid"))
     };
 
-    let create = |kernel: &mut ptest_pcore::Kernel, prog, prio| {
-        let SvcReply::Created(t) = kernel
-            .dispatch(
-                SvcRequest::Create {
-                    program: prog,
-                    priority: Priority::new(prio),
-                    stack_bytes: None,
-                },
-                Cycles::ZERO,
-            )
-            .expect("create")
-        else {
-            unreachable!()
-        };
-        t
-    };
-    let low = create(kernel, low_prog, 10);
-    let high = create(kernel, high_prog, 200);
-    let medium = create(kernel, medium_prog, 100);
+    let low = create_task(kernel, low_prog, 10);
+    let high = create_task(kernel, high_prog, 200);
+    let medium = create_task(kernel, medium_prog, 100);
     (sys, low, medium, high)
 }
 
 /// The unsynchronized counter-increment program of the lost-update race:
-/// `rounds` iterations of read → yield (the race window) → write-back.
+/// `rounds` iterations of read `counter` → yield (the race window) →
+/// write-back.
 #[must_use]
-pub fn race_writer_program(rounds: u16) -> Program {
+pub fn race_writer_program(counter: VarId, rounds: u16) -> Program {
     let mut b = ProgramBuilder::new();
     b.push(Op::AddReg {
         reg: 1,
@@ -149,13 +109,13 @@ pub fn race_writer_program(rounds: u16) -> Program {
     b.bind("loop");
     // read counter -> r0; yield inside the window; write r0+1 back
     b.push(Op::ReadVar {
-        var: RACE_COUNTER,
+        var: counter,
         reg: 0,
     });
     b.push(Op::Yield); // the race window
     b.push(Op::AddReg { reg: 0, delta: 1 });
     b.push(Op::WriteVarReg {
-        var: RACE_COUNTER,
+        var: counter,
         reg: 0,
     });
     b.push(Op::AddReg { reg: 1, delta: -1 });
@@ -183,32 +143,21 @@ pub fn race_writer_program(rounds: u16) -> Program {
 pub fn race_system(writers: usize, rounds: u16) -> (MultiCoreSystem, Vec<TaskId>) {
     let mut sys = MultiCoreSystem::new(SystemConfig::default());
     let kernel = sys.kernel_mut();
-    let mut tasks = Vec::new();
-    for w in 0..writers {
-        let prog = kernel.register_program(race_writer_program(rounds));
-        let SvcReply::Created(t) = kernel
-            .dispatch(
-                SvcRequest::Create {
-                    program: prog,
-                    priority: Priority::new((10 + w) as u8),
-                    stack_bytes: None,
-                },
-                Cycles::ZERO,
-            )
-            .expect("create writer")
-        else {
-            unreachable!()
-        };
-        tasks.push(t);
-    }
+    let tasks = (0..writers)
+        .map(|w| {
+            let program = kernel.register_program(race_writer_program(RACE_COUNTER, rounds));
+            create_task(kernel, program, (10 + w) as u8)
+        })
+        .collect();
     (sys, tasks)
 }
 
-/// The lost-update oracle: how many increments went missing.
+/// The lost-update oracle: how many of `writers × rounds` increments
+/// `counter` is missing after the run, as slave 0's kernel sees it.
 #[must_use]
-pub fn lost_updates(sys: &MultiCoreSystem, writers: usize, rounds: u16) -> i64 {
+pub fn lost_updates(sys: &MultiCoreSystem, counter: VarId, writers: usize, rounds: u16) -> i64 {
     let expected = (writers as i64) * i64::from(rounds);
-    let actual = sys.kernel().var(RACE_COUNTER).unwrap_or(0);
+    let actual = sys.kernel_of(0).var(counter).unwrap_or(0);
     expected - actual
 }
 
@@ -253,7 +202,7 @@ impl Scenario for RaceWorkloadScenario {
         (0..self.writers)
             .map(|_| {
                 sys.kernel_mut()
-                    .register_program(race_writer_program(self.rounds))
+                    .register_program(race_writer_program(RACE_COUNTER, self.rounds))
             })
             .collect()
     }
@@ -372,7 +321,7 @@ mod tests {
                 break;
             }
         }
-        let lost = lost_updates(&sys, 2, 50);
+        let lost = lost_updates(&sys, RACE_COUNTER, 2, 50);
         assert!(lost > 0, "yield window must lose updates, lost {lost}");
     }
 
@@ -413,7 +362,7 @@ mod tests {
             }
         }
         assert_eq!(
-            lost_updates(&sys, 1, 20),
+            lost_updates(&sys, RACE_COUNTER, 1, 20),
             0,
             "one writer cannot race itself"
         );

@@ -84,24 +84,6 @@ pub fn stress_config(spec: &StressSpec) -> AdaptiveTestConfig {
     cfg
 }
 
-/// Scenario setup: registers one quick-sort program per pattern (each
-/// with its own input permutation, as 16 independent tasks would have).
-pub fn stress_setup(spec: StressSpec) -> impl FnOnce(&mut MultiCoreSystem) -> Vec<ProgramId> {
-    move |sys: &mut MultiCoreSystem| {
-        (0..spec.tasks)
-            .map(|i| {
-                let (program, _) = quicksort(QuicksortSpec {
-                    elements: spec.elements,
-                    elem_bytes: spec.elem_bytes,
-                    seed: spec.seed.wrapping_add(i as u64),
-                    worst_case: false,
-                });
-                sys.kernel_mut().register_program(program)
-            })
-            .collect()
-    }
-}
-
 /// Case study 1 as a campaign-ready [`Scenario`]: `spec.tasks` quick-sort
 /// programs churned under [`stress_config`]. The quicksort input
 /// permutations derive from `spec.seed` (fixed per campaign); the
@@ -178,8 +160,7 @@ mod tests {
 
     #[test]
     fn faulty_gc_crashes_under_stress() {
-        let spec = StressSpec::paper(1);
-        let report = AdaptiveTest::run(stress_config(&spec), stress_setup(spec)).unwrap();
+        let report = AdaptiveTest::run_scenario(&StressScenario::paper(), 1).unwrap();
         assert!(
             report.found(|k| matches!(
                 k,
@@ -192,8 +173,7 @@ mod tests {
 
     #[test]
     fn healthy_gc_survives_the_same_stress() {
-        let spec = StressSpec::healthy(1);
-        let report = AdaptiveTest::run(stress_config(&spec), stress_setup(spec)).unwrap();
+        let report = AdaptiveTest::run_scenario(&StressScenario::healthy(), 1).unwrap();
         assert!(
             !report.found(|k| matches!(k, BugKind::SlaveCrash { .. })),
             "control run must survive: {}",

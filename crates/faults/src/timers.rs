@@ -37,10 +37,9 @@
 //! exit benignly instead of reading as livelock, and a stack-probe guard
 //! as the detector-visible manifestation symptom.
 
-use ptest_core::{
-    AdaptiveTestConfig, InterruptConfig, MergeOp, PreemptionSpec, QuantumConfig, Scenario,
-};
-use ptest_master::{MultiCoreSystem, SystemConfig};
+use crate::kit::{barrier, bounded_spin, guard, guarded_config, Variant};
+use ptest_core::{AdaptiveTestConfig, InterruptConfig, PreemptionSpec, QuantumConfig, Scenario};
+use ptest_master::MultiCoreSystem;
 use ptest_pcore::{Op, ProgramBuilder, ProgramId, VarId};
 
 /// The shared counter both task and ISR (or both tasks) increment.
@@ -54,83 +53,14 @@ pub const TIMER_READY1: VarId = VarId(7);
 /// Completion flag of the high-band writer.
 pub const TIMER_DONE1: VarId = VarId(8);
 
-/// Iterations a task spins on a flag before giving up benignly (exiting
-/// without running its check) — see [`crate::races`].
-const SPIN_BUDGET: i64 = 30_000;
-
-/// A `StackProbe` far beyond any configured stack: the deterministic
-/// "the fault manifested" symptom, killed by the kernel as a
-/// stack-overflow task fault and picked up by the detector.
-const GUARD_TRIP: u32 = 1 << 20;
-
-/// Buggy (unprotected window) or fixed (window protected) variant.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TimerVariant {
-    /// The RMW window is open to preemption mid-flight.
-    Buggy,
-    /// The window is protected — interrupts masked across it, or the
-    /// window bracketed by a mutex — and stays whole under exploration.
-    Fixed,
-}
-
-/// Appends a bounded spin until `var == value`, falling through to the
-/// label `go`; gives up (plain `Exit`) after [`SPIN_BUDGET`] iterations.
-fn bounded_spin(b: &mut ProgramBuilder, var: VarId, value: i64, scratch: u8, go: &str) {
-    let spin = format!("spin_{var}_{go}");
-    let give_up = format!("give_up_{var}_{go}");
-    b.push(Op::AddReg {
-        reg: scratch,
-        delta: SPIN_BUDGET,
-    });
-    b.bind(&spin);
-    b.branch_if_var_eq(var, value, go);
-    b.push(Op::AddReg {
-        reg: scratch,
-        delta: -1,
-    });
-    b.branch_if_reg_eq(scratch, 0, &give_up);
-    b.jump_to(&spin);
-    b.bind(&give_up);
-    b.push(Op::Exit);
-    b.bind(go);
-}
-
-/// The guard epilogue: fault unless register `reg` holds `expected`.
-fn guard(b: &mut ProgramBuilder, reg: u8, expected: i64) {
-    b.branch_if_reg_eq(reg, expected, "guard_ok");
-    b.push(Op::StackProbe(GUARD_TRIP));
-    b.bind("guard_ok");
-    b.push(Op::Exit);
-}
-
-/// The shared single-slave base configuration of both timer scenarios:
+/// The single-slave configuration of both timer scenarios: the
 /// lock-step schedule (the preemption axis is what these scenarios
-/// probe — the cross-kernel schedule stays at its fast path), one slave
-/// so every planned injection lands on the kernel under test, and the
-/// same anti-mutilation pattern distribution as [`crate::races`].
+/// probe) and one slave, so every planned injection lands on the kernel
+/// under test.
 fn timer_base_config(n: usize, preemption: PreemptionSpec) -> AdaptiveTestConfig {
     AdaptiveTestConfig {
-        n,
-        s: 6,
-        op: MergeOp::cyclic(),
-        inter_command_gap: 30,
-        pd: ptest_automata::ProbabilityAssignment::weights([
-            ("TC", 1.0),
-            ("TCH", 1.0),
-            ("TS", 1e-4),
-            ("TD", 1e-4),
-            ("TY", 0.05),
-            ("TR", 1.0),
-        ]),
-        max_cycles: 250_000,
-        drain_cycles: 80_000,
-        detector: ptest_core::DetectorConfig {
-            progress_window: ptest_soc::Cycles::new(60_000),
-            ..ptest_core::DetectorConfig::default()
-        },
         preemption,
-        system: SystemConfig::with_slaves(1),
-        ..AdaptiveTestConfig::default()
+        ..guarded_config(1, n)
     }
 }
 
@@ -139,7 +69,7 @@ fn timer_base_config(n: usize, preemption: PreemptionSpec) -> AdaptiveTestConfig
 #[derive(Debug, Clone, Copy)]
 pub struct IsrSharedVarScenario {
     /// Buggy (open window) or fixed (mask-bracketed) variant.
-    pub variant: TimerVariant,
+    pub variant: Variant,
     /// Read-modify-write rounds the task performs.
     pub rounds: i64,
 }
@@ -149,7 +79,7 @@ impl IsrSharedVarScenario {
     #[must_use]
     pub fn buggy() -> IsrSharedVarScenario {
         IsrSharedVarScenario {
-            variant: TimerVariant::Buggy,
+            variant: Variant::Buggy,
             rounds: 40,
         }
     }
@@ -158,7 +88,7 @@ impl IsrSharedVarScenario {
     #[must_use]
     pub fn fixed() -> IsrSharedVarScenario {
         IsrSharedVarScenario {
-            variant: TimerVariant::Fixed,
+            variant: Variant::Fixed,
             ..IsrSharedVarScenario::buggy()
         }
     }
@@ -179,8 +109,8 @@ impl IsrSharedVarScenario {
 impl Scenario for IsrSharedVarScenario {
     fn name(&self) -> &str {
         match self.variant {
-            TimerVariant::Buggy => "isr-shared-var-buggy",
-            TimerVariant::Fixed => "isr-shared-var-fixed",
+            Variant::Buggy => "isr-shared-var-buggy",
+            Variant::Fixed => "isr-shared-var-fixed",
         }
     }
 
@@ -231,7 +161,7 @@ impl Scenario for IsrSharedVarScenario {
         let worker = {
             let mut b = ProgramBuilder::new();
             b.bind("rmw");
-            if self.variant == TimerVariant::Fixed {
+            if self.variant == Variant::Fixed {
                 b.push(Op::IrqMask);
             }
             b.push(Op::ReadVar {
@@ -244,7 +174,7 @@ impl Scenario for IsrSharedVarScenario {
                 var: TIMER_SHARED,
                 reg: 0,
             });
-            if self.variant == TimerVariant::Fixed {
+            if self.variant == Variant::Fixed {
                 b.push(Op::IrqUnmask);
             }
             b.push(Op::Compute(4)); // breathing room for deferred irqs
@@ -286,7 +216,7 @@ impl Scenario for IsrSharedVarScenario {
 #[derive(Debug, Clone, Copy)]
 pub struct QuantumAtomicityScenario {
     /// Buggy (open window) or fixed (mutex-bracketed) variant.
-    pub variant: TimerVariant,
+    pub variant: Variant,
     /// Read-modify-write rounds each task performs.
     pub rounds: i64,
 }
@@ -296,7 +226,7 @@ impl QuantumAtomicityScenario {
     #[must_use]
     pub fn buggy() -> QuantumAtomicityScenario {
         QuantumAtomicityScenario {
-            variant: TimerVariant::Buggy,
+            variant: Variant::Buggy,
             rounds: 8,
         }
     }
@@ -305,7 +235,7 @@ impl QuantumAtomicityScenario {
     #[must_use]
     pub fn fixed() -> QuantumAtomicityScenario {
         QuantumAtomicityScenario {
-            variant: TimerVariant::Fixed,
+            variant: Variant::Fixed,
             ..QuantumAtomicityScenario::buggy()
         }
     }
@@ -322,8 +252,8 @@ impl QuantumAtomicityScenario {
 impl Scenario for QuantumAtomicityScenario {
     fn name(&self) -> &str {
         match self.variant {
-            TimerVariant::Buggy => "quantum-atomicity-buggy",
-            TimerVariant::Fixed => "quantum-atomicity-fixed",
+            Variant::Buggy => "quantum-atomicity-buggy",
+            Variant::Fixed => "quantum-atomicity-fixed",
         }
     }
 
@@ -339,7 +269,7 @@ impl Scenario for QuantumAtomicityScenario {
 
     fn setup(&self, sys: &mut MultiCoreSystem) -> Vec<ProgramId> {
         let guard_mutex = sys.kernel_mut().create_mutex();
-        let bracket = self.variant == TimerVariant::Fixed;
+        let bracket = self.variant == Variant::Fixed;
 
         // One RMW loop body, shared by both writers. The window is wider
         // than the default quantum, so slice rotation must split it.
@@ -373,11 +303,7 @@ impl Scenario for QuantumAtomicityScenario {
         // spins, so the serial total is exact.
         let checker = {
             let mut b = ProgramBuilder::new();
-            b.push(Op::WriteVar {
-                var: TIMER_READY0,
-                value: 1,
-            });
-            bounded_spin(&mut b, TIMER_READY1, 1, 7, "go");
+            barrier(&mut b, TIMER_READY0, TIMER_READY1);
             rmw_loop(&mut b, self.rounds);
             bounded_spin(&mut b, TIMER_DONE1, 1, 6, "check");
             b.push(Op::Compute(4)); // let the peer's last write settle
@@ -392,11 +318,7 @@ impl Scenario for QuantumAtomicityScenario {
         // loop, signal completion.
         let writer = {
             let mut b = ProgramBuilder::new();
-            b.push(Op::WriteVar {
-                var: TIMER_READY1,
-                value: 1,
-            });
-            bounded_spin(&mut b, TIMER_READY0, 1, 7, "go");
+            barrier(&mut b, TIMER_READY1, TIMER_READY0);
             rmw_loop(&mut b, self.rounds);
             b.push(Op::WriteVar {
                 var: TIMER_DONE1,
@@ -412,117 +334,50 @@ impl Scenario for QuantumAtomicityScenario {
     }
 }
 
-/// Whether a report contains the timer faults' manifestation symptom:
-/// the guard's stack-probe task fault on the checking task.
-#[must_use]
-pub fn timer_fault_manifested(report: &ptest_core::TestReport) -> bool {
-    report.found(|k| {
-        matches!(
-            k,
-            ptest_core::BugKind::TaskFault {
-                fault: ptest_pcore::TaskFault::StackOverflow,
-                ..
-            }
-        )
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testsupport::{AxisSpec, Probe};
-    use ptest_core::{TrialEngine, TrialScratch};
+    use crate::kit::probe;
 
     /// Non-preemptive execution hides the faults; the scenarios' own
     /// interrupt plan or quantum exposes them.
-    const PROBE: Probe = Probe {
-        control: AxisSpec::Preemption(PreemptionSpec {
-            quantum: None,
-            clock_skew: None,
-            interrupts: None,
-        }),
-        grid: (4, 8),
-        manifested: timer_fault_manifested,
-    };
+    fn non_preemptive(cfg: &mut AdaptiveTestConfig) {
+        cfg.preemption = PreemptionSpec::default();
+    }
 
     #[test]
     fn isr_race_is_invisible_without_interrupt_injection() {
-        PROBE.assert_invisible(&IsrSharedVarScenario::buggy());
+        probe::assert_invisible(IsrSharedVarScenario::buggy(), non_preemptive);
     }
 
     #[test]
     fn isr_race_manifests_under_injection_and_replays_from_the_quadruple() {
-        PROBE.assert_manifests_and_replays(&IsrSharedVarScenario::buggy());
+        probe::assert_manifests_and_replays(&IsrSharedVarScenario::buggy());
     }
 
     #[test]
     fn masked_isr_race_is_clean_under_any_injection_plan() {
         assert!(
-            PROBE
-                .find_manifestation(&IsrSharedVarScenario::fixed())
-                .is_none(),
+            probe::first_manifestation(&IsrSharedVarScenario::fixed()).is_none(),
             "the mask-bracketed variant must never lose an update"
         );
     }
 
     #[test]
     fn quantum_atomicity_is_invisible_without_a_quantum() {
-        PROBE.assert_invisible(&QuantumAtomicityScenario::buggy());
+        probe::assert_invisible(QuantumAtomicityScenario::buggy(), non_preemptive);
     }
 
     #[test]
     fn quantum_atomicity_manifests_under_a_quantum_and_replays() {
-        PROBE.assert_manifests_and_replays(&QuantumAtomicityScenario::buggy());
+        probe::assert_manifests_and_replays(&QuantumAtomicityScenario::buggy());
     }
 
     #[test]
     fn mutex_bracketed_quantum_variant_is_clean_under_any_quantum() {
         assert!(
-            PROBE
-                .find_manifestation(&QuantumAtomicityScenario::fixed())
-                .is_none(),
+            probe::first_manifestation(&QuantumAtomicityScenario::fixed()).is_none(),
             "the mutex-bracketed variant must never lose an update"
-        );
-    }
-
-    #[test]
-    fn minimization_shrinks_the_injection_mask_of_the_isr_race() {
-        use ptest_core::{minimize_scenario_trial, replay_minimized, MinimizeConfig};
-        let scenario = IsrSharedVarScenario::buggy();
-        let (seed, irq_seed) = PROBE.assert_manifests_and_replays(&scenario);
-        let base = scenario.base_config();
-        let engine = TrialEngine::new(base.clone()).expect("valid scenario config");
-        let mut scratch = TrialScratch::new();
-        let repro = minimize_scenario_trial(
-            &engine,
-            &scenario,
-            seed,
-            seed,
-            seed,
-            irq_seed,
-            base.schedule,
-            base.memory,
-            base.preemption,
-            None,
-            &MinimizeConfig::default(),
-            &mut scratch,
-        )
-        .expect("a manifesting trial minimizes");
-        assert_eq!(repro.irq_seed, irq_seed);
-        assert!(
-            repro.minimized_injections <= repro.original_injections,
-            "ddmin never grows the injection set"
-        );
-        assert!(
-            repro.minimized_injections >= 1,
-            "the fault needs at least one injection"
-        );
-        let replayed = replay_minimized(&engine, &scenario, &repro, &mut scratch)
-            .expect("the shrunk reproducer replays");
-        assert_eq!(
-            format!("{:?}", replayed.machine_summary()),
-            format!("{:?}", repro.summary),
-            "the reproducer replays byte-identically from its stored parts"
         );
     }
 }

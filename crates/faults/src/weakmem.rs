@@ -39,8 +39,9 @@
 //! clean under every memory seed; the integration tests pin all four
 //! quadrants (variant × memory model).
 
-use ptest_core::{AdaptiveTestConfig, MemoryModelSpec, MergeOp, Scenario, ScheduleSpec};
-use ptest_master::{MultiCoreSystem, SystemConfig};
+use crate::kit::{barrier, bounded_spin, guard, guarded_config, Variant, SPIN_BUDGET};
+use ptest_core::{AdaptiveTestConfig, MemoryModelSpec, Scenario};
+use ptest_master::MultiCoreSystem;
 use ptest_pcore::{Op, ProgramBuilder, ProgramId, VarId};
 
 /// Barrier / handshake flag of slave 0 (SRAM-mirrored).
@@ -67,16 +68,6 @@ pub const IRIW_OBS: VarId = VarId(14);
 /// SRAM offsets of the mirror words, above the `races` windows.
 const MIRROR_BASE: usize = 0x3_2000;
 
-/// Iterations a task spins on a flag before giving up benignly (exiting
-/// without running its check) — keeps pattern-mutilated protocols from
-/// reading as livelock.
-const SPIN_BUDGET: i64 = 30_000;
-
-/// A `StackProbe` far beyond any configured stack: the deterministic
-/// "the reordering manifested" symptom, killed by the kernel as a
-/// stack-overflow task fault and picked up by the detector.
-const GUARD_TRIP: u32 = 1 << 20;
-
 /// Cycles each Dekker task computes between announcing its flag and
 /// reading the peer's. Any value ≥ 1 makes the mutual-exclusion
 /// violation unreachable under sequential consistency; keeping it small
@@ -89,80 +80,14 @@ const FLAG_GAP: u32 = 2;
 /// each other's marker.
 const CS_DWELL: u32 = 96;
 
-/// Unfenced (reordering-prone) or fenced (control) variant.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WeakMemVariant {
-    /// No fences: correctness rests on store visibility order, which
-    /// only sequentially consistent propagation guarantees.
-    Unfenced,
-    /// [`Op::Fence`] at the protocol's linearization points; clean
-    /// under every memory model and seed.
-    Fenced,
-}
-
-/// Appends a bounded spin until `var == value`, falling through to the
-/// label `go`; gives up (plain `Exit`) after [`SPIN_BUDGET`] iterations.
-fn bounded_spin(b: &mut ProgramBuilder, var: VarId, value: i64, scratch: u8, go: &str) {
-    let spin = format!("spin_{var}_{go}");
-    let give_up = format!("give_up_{var}_{go}");
-    b.push(Op::AddReg {
-        reg: scratch,
-        delta: SPIN_BUDGET,
-    });
-    b.bind(&spin);
-    b.branch_if_var_eq(var, value, go);
-    b.push(Op::AddReg {
-        reg: scratch,
-        delta: -1,
-    });
-    b.branch_if_reg_eq(scratch, 0, &give_up);
-    b.jump_to(&spin);
-    b.bind(&give_up);
-    b.push(Op::Exit);
-    b.bind(go);
-}
-
-/// The two-sided barrier prologue: announce `mine`, await `theirs`.
-fn barrier(b: &mut ProgramBuilder, mine: VarId, theirs: VarId) {
-    b.push(Op::WriteVar {
-        var: mine,
-        value: 1,
-    });
-    bounded_spin(b, theirs, 1, 7, "after_barrier");
-}
-
-/// The shared base configuration of the weak-memory scenarios: one
-/// controlled task per kernel, a lifecycle distribution that almost
-/// never suspends or deletes mid-protocol, the **lock-step** schedule
-/// (keeping the schedule axis quiet so the memory axis is what's under
-/// test), and the default store buffer as the exploration mode.
+/// The configuration of the weak-memory scenarios: one guarded task per
+/// kernel, the lock-step schedule (keeping the schedule axis quiet so
+/// the memory axis is what's under test), and the default store buffer
+/// as the exploration mode.
 fn weakmem_base_config(slaves: usize) -> AdaptiveTestConfig {
     AdaptiveTestConfig {
-        n: slaves,
-        s: 6,
-        op: MergeOp::cyclic(),
-        inter_command_gap: 30,
-        pd: ptest_automata::ProbabilityAssignment::weights([
-            ("TC", 1.0),
-            ("TCH", 1.0),
-            ("TS", 1e-4),
-            ("TD", 1e-4),
-            ("TY", 0.05),
-            ("TR", 1.0),
-        ]),
-        max_cycles: 250_000,
-        drain_cycles: 80_000,
-        // A spin-bounded protocol under delayed visibility takes longer
-        // to settle than the defaults anticipate; keep schedule-axis
-        // margins anyway so nothing is misread as livelock.
-        detector: ptest_core::DetectorConfig {
-            progress_window: ptest_soc::Cycles::new(60_000),
-            ..ptest_core::DetectorConfig::default()
-        },
-        schedule: ScheduleSpec::LockStep,
         memory: MemoryModelSpec::store_buffer(),
-        system: SystemConfig::with_slaves(slaves),
-        ..AdaptiveTestConfig::default()
+        ..guarded_config(slaves, slaves)
     }
 }
 
@@ -171,7 +96,7 @@ fn weakmem_base_config(slaves: usize) -> AdaptiveTestConfig {
 #[derive(Debug, Clone, Copy)]
 pub struct StoreVisibilityScenario {
     /// Unfenced (racy) or fenced (control) variant.
-    pub variant: WeakMemVariant,
+    pub variant: Variant,
 }
 
 impl StoreVisibilityScenario {
@@ -179,7 +104,7 @@ impl StoreVisibilityScenario {
     #[must_use]
     pub fn buggy() -> StoreVisibilityScenario {
         StoreVisibilityScenario {
-            variant: WeakMemVariant::Unfenced,
+            variant: Variant::Buggy,
         }
     }
 
@@ -187,7 +112,7 @@ impl StoreVisibilityScenario {
     #[must_use]
     pub fn fenced() -> StoreVisibilityScenario {
         StoreVisibilityScenario {
-            variant: WeakMemVariant::Fenced,
+            variant: Variant::Fixed,
         }
     }
 }
@@ -195,8 +120,8 @@ impl StoreVisibilityScenario {
 impl Scenario for StoreVisibilityScenario {
     fn name(&self) -> &str {
         match self.variant {
-            WeakMemVariant::Unfenced => "store-visibility-buggy",
-            WeakMemVariant::Fenced => "store-visibility-fenced",
+            Variant::Buggy => "store-visibility-buggy",
+            Variant::Fixed => "store-visibility-fenced",
         }
     }
 
@@ -220,7 +145,7 @@ impl Scenario for StoreVisibilityScenario {
             sys.share_var(*var, MIRROR_BASE + 8 * i)
                 .expect("mirror words fit the OMAP SRAM");
         }
-        let contender = |mine: [VarId; 3], theirs: [VarId; 3], variant: WeakMemVariant| {
+        let contender = |mine: [VarId; 3], theirs: [VarId; 3], variant: Variant| {
             let [ready_mine, flag_mine, in_mine] = mine;
             let [ready_theirs, flag_theirs, in_theirs] = theirs;
             let mut b = ProgramBuilder::new();
@@ -229,7 +154,7 @@ impl Scenario for StoreVisibilityScenario {
                 var: flag_mine,
                 value: 1,
             });
-            if variant == WeakMemVariant::Fenced {
+            if variant == Variant::Fixed {
                 // Publish my intent to everyone before I sample the
                 // peer's — the store→load ordering Dekker rests on.
                 b.push(Op::Fence);
@@ -252,10 +177,7 @@ impl Scenario for StoreVisibilityScenario {
                 var: in_theirs,
                 reg: 1,
             });
-            b.branch_if_reg_eq(1, 0, "guard_ok");
-            b.push(Op::StackProbe(GUARD_TRIP));
-            b.bind("guard_ok");
-            b.push(Op::Exit);
+            guard(&mut b, 1, 0);
             b.build().expect("contender program is valid")
         };
         let p0 = contender(
@@ -280,7 +202,7 @@ impl Scenario for StoreVisibilityScenario {
 #[derive(Debug, Clone, Copy)]
 pub struct IriwScenario {
     /// Unfenced (racy) or reader-fenced (control) variant.
-    pub variant: WeakMemVariant,
+    pub variant: Variant,
 }
 
 impl IriwScenario {
@@ -288,7 +210,7 @@ impl IriwScenario {
     #[must_use]
     pub fn buggy() -> IriwScenario {
         IriwScenario {
-            variant: WeakMemVariant::Unfenced,
+            variant: Variant::Buggy,
         }
     }
 
@@ -296,7 +218,7 @@ impl IriwScenario {
     #[must_use]
     pub fn fenced() -> IriwScenario {
         IriwScenario {
-            variant: WeakMemVariant::Fenced,
+            variant: Variant::Fixed,
         }
     }
 }
@@ -304,8 +226,8 @@ impl IriwScenario {
 impl Scenario for IriwScenario {
     fn name(&self) -> &str {
         match self.variant {
-            WeakMemVariant::Unfenced => "iriw-buggy",
-            WeakMemVariant::Fenced => "iriw-fenced",
+            Variant::Buggy => "iriw-buggy",
+            Variant::Fixed => "iriw-fenced",
         }
     }
 
@@ -339,7 +261,7 @@ impl Scenario for IriwScenario {
         let checker = {
             let mut b = ProgramBuilder::new();
             bounded_spin(&mut b, IRIW_X, 1, 7, "saw_x");
-            if self.variant == WeakMemVariant::Fenced {
+            if self.variant == Variant::Fixed {
                 // Cumulative: force-publish the X I just observed (and
                 // everything else I have seen) before sampling Y.
                 b.push(Op::Fence);
@@ -368,10 +290,7 @@ impl Scenario for IriwScenario {
             });
             // The violation: I saw X before Y, the peer saw Y before X.
             b.branch_if_reg_eq(0, 1, "guard_ok");
-            b.branch_if_reg_eq(1, 2, "guard_ok");
-            b.push(Op::StackProbe(GUARD_TRIP));
-            b.bind("guard_ok");
-            b.push(Op::Exit);
+            guard(&mut b, 1, 2);
             b.build().expect("checker program is valid")
         };
         // Slave 1: reader of Y-then-X; publishes which side of history
@@ -379,7 +298,7 @@ impl Scenario for IriwScenario {
         let reporter = {
             let mut b = ProgramBuilder::new();
             bounded_spin(&mut b, IRIW_Y, 1, 7, "saw_y");
-            if self.variant == WeakMemVariant::Fenced {
+            if self.variant == Variant::Fixed {
                 b.push(Op::Fence);
             }
             b.push(Op::ReadVar {
@@ -424,61 +343,49 @@ impl Scenario for IriwScenario {
     }
 }
 
-/// Whether a report contains the reordering's manifestation symptom:
-/// the guard's stack-probe task fault on a checker task (the same
-/// symptom shape as [`races::race_manifested`](crate::races)).
-#[must_use]
-pub fn reordering_manifested(report: &ptest_core::TestReport) -> bool {
-    crate::races::race_manifested(report)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testsupport::{AxisSpec, Probe};
+    use crate::kit::probe;
 
     /// Sequential consistency hides the reorderings; the scenarios' store
     /// buffer exposes them.
-    const PROBE: Probe = Probe {
-        control: AxisSpec::Memory(MemoryModelSpec::SeqCst),
-        grid: (3, 16),
-        manifested: reordering_manifested,
-    };
+    fn seq_cst(cfg: &mut AdaptiveTestConfig) {
+        cfg.memory = MemoryModelSpec::SeqCst;
+    }
 
     #[test]
     fn dekker_is_invisible_under_sequential_consistency() {
-        PROBE.assert_invisible(&StoreVisibilityScenario::buggy());
+        probe::assert_invisible(StoreVisibilityScenario::buggy(), seq_cst);
     }
 
     #[test]
     fn dekker_manifests_under_a_store_buffer_and_replays() {
-        PROBE.assert_manifests_and_replays(&StoreVisibilityScenario::buggy());
+        probe::assert_manifests_and_replays(&StoreVisibilityScenario::buggy());
     }
 
     #[test]
     fn fenced_dekker_is_clean_under_a_store_buffer() {
         assert!(
-            PROBE
-                .find_manifestation(&StoreVisibilityScenario::fenced())
-                .is_none(),
+            probe::first_manifestation(&StoreVisibilityScenario::fenced()).is_none(),
             "the fenced variant must never trip its guard"
         );
     }
 
     #[test]
     fn iriw_is_invisible_under_sequential_consistency() {
-        PROBE.assert_invisible(&IriwScenario::buggy());
+        probe::assert_invisible(IriwScenario::buggy(), seq_cst);
     }
 
     #[test]
     fn iriw_manifests_under_a_store_buffer_and_replays() {
-        PROBE.assert_manifests_and_replays(&IriwScenario::buggy());
+        probe::assert_manifests_and_replays(&IriwScenario::buggy());
     }
 
     #[test]
     fn fenced_iriw_is_clean_under_a_store_buffer() {
         assert!(
-            PROBE.find_manifestation(&IriwScenario::fenced()).is_none(),
+            probe::first_manifestation(&IriwScenario::fenced()).is_none(),
             "the reader-fenced variant must never trip its guard"
         );
     }

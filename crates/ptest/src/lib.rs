@@ -40,12 +40,11 @@
 //!
 //! ```no_run
 //! use ptest::{AdaptiveTest, BugKind};
-//! use ptest::faults::stress::{stress_config, stress_setup, StressSpec};
+//! use ptest::faults::stress::StressScenario;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! // Case study 1: 16 quick-sorting tasks over a heap with a leaky GC.
-//! let spec = StressSpec::paper(1);
-//! let report = AdaptiveTest::run(stress_config(&spec), stress_setup(spec))?;
+//! let report = AdaptiveTest::run_scenario(&StressScenario::paper(), 1)?;
 //! assert!(report.found(|k| matches!(k, BugKind::SlaveCrash { .. } | BugKind::CommandTimeout { .. })));
 //! # Ok(())
 //! # }

@@ -22,8 +22,6 @@
 //!   (command/data doorbells inbound, response/event doorbells outbound)
 //!   with per-core interrupt lines, mirroring the OMAP mailbox peripheral;
 //!   [`MailboxBank::omap5912`] is the one-slave original.
-//! * [`EventQueue`] — a generic timer/event wheel for deadline-driven
-//!   components (watchdogs, timeouts, periodic pollers).
 //! * [`TraceBuffer`] — a bounded ring of timestamped hardware/software
 //!   events that the bug detector dumps when a failure is found.
 //!
@@ -53,7 +51,6 @@
 mod clock;
 mod error;
 mod mailbox;
-mod queue;
 pub mod seed;
 mod sram;
 mod trace;
@@ -61,7 +58,6 @@ mod trace;
 pub use clock::{Cycles, VirtualClock};
 pub use error::{MailboxError, SramError};
 pub use mailbox::{Mailbox, MailboxBank};
-pub use queue::{EventId, EventQueue};
 pub use sram::SharedSram;
 pub use trace::{TraceBuffer, TraceEvent};
 
@@ -190,7 +186,6 @@ mod tests {
         assert_send_sync::<SharedSram>();
         assert_send_sync::<MailboxBank>();
         assert_send_sync::<TraceBuffer>();
-        assert_send_sync::<EventQueue<u32>>();
         assert_send_sync::<CoreId>();
     }
 }

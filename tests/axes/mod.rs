@@ -19,11 +19,10 @@
 //!    master seed, outcomes record the replay quadruple, and per-spec
 //!    detection rows land in `RoundReport::axis_detection`.
 
-use ptest::faults::races::{race_manifested, AtomicityRaceScenario, OrderViolationScenario};
-use ptest::faults::timers::{
-    timer_fault_manifested, IsrSharedVarScenario, QuantumAtomicityScenario,
-};
-use ptest::faults::weakmem::{reordering_manifested, IriwScenario, StoreVisibilityScenario};
+use ptest::faults::guard_tripped;
+use ptest::faults::races::{AtomicityRaceScenario, OrderViolationScenario};
+use ptest::faults::timers::{IsrSharedVarScenario, QuantumAtomicityScenario};
+use ptest::faults::weakmem::{IriwScenario, StoreVisibilityScenario};
 use ptest::{
     AdaptiveTest, Campaign, CampaignConfig, LearningConfig, MemoryModelSpec, PreemptionSpec,
     RoundReport, Scenario, ScheduleSpec, TestReport, TrialEngine, TrialOverrides, TrialScratch,
@@ -48,7 +47,6 @@ pub struct Axis {
     fixed: Vec<Box<dyn Scenario>>,
     /// `(pattern seeds, axis seeds)` searched for a manifestation.
     grid: (u64, u64),
-    manifested: fn(&TestReport) -> bool,
     /// A two-lane rotation of the axis, and its lanes' labels.
     rotation: CampaignConfig,
     lanes: [&'static str; 2],
@@ -70,7 +68,6 @@ fn axes() -> [Axis; 3] {
                 Box::new(AtomicityRaceScenario::fixed()),
             ],
             grid: (4, 8),
-            manifested: race_manifested,
             rotation: CampaignConfig {
                 schedule_budgets: vec![0, 3],
                 ..CampaignConfig::default()
@@ -90,7 +87,6 @@ fn axes() -> [Axis; 3] {
                 Box::new(IriwScenario::fenced()),
             ],
             grid: (3, 16),
-            manifested: reordering_manifested,
             rotation: CampaignConfig {
                 memory_models: vec![MemoryModelSpec::SeqCst, MemoryModelSpec::store_buffer()],
                 ..CampaignConfig::default()
@@ -110,7 +106,6 @@ fn axes() -> [Axis; 3] {
                 Box::new(QuantumAtomicityScenario::fixed()),
             ],
             grid: (4, 8),
-            manifested: timer_fault_manifested,
             rotation: CampaignConfig {
                 preemption_specs: vec![
                     PreemptionSpec::default(),
@@ -175,9 +170,7 @@ impl Axis {
         let (seeds, axis_seeds) = self.grid;
         (0..seeds)
             .flat_map(|seed| (0..axis_seeds).map(move |axis_seed| (seed, axis_seed)))
-            .find(|&(seed, axis_seed)| {
-                (self.manifested)(&self.run(scenario, false, seed, axis_seed))
-            })
+            .find(|&(seed, axis_seed)| guard_tripped(&self.run(scenario, false, seed, axis_seed)))
     }
 
     /// The labels and trial counts of this axis's detection rows.
@@ -225,17 +218,14 @@ impl Axis {
             for seed in 0..6 {
                 let report = self.run(scenario.as_ref(), true, seed, seed ^ 0x5A5A);
                 let summary = report.summary();
-                assert!(
-                    !(self.manifested)(&report),
-                    "{name}: seed {seed}: {summary}"
-                );
+                assert!(!guard_tripped(&report), "{name}: seed {seed}: {summary}");
             }
             let (seed, axis_seed) = self
                 .find_detection(scenario.as_ref())
                 .unwrap_or_else(|| panic!("{name}: no seed pair in the search grid"));
             let first = self.run(scenario.as_ref(), false, seed, axis_seed);
             let again = self.run(scenario.as_ref(), false, seed, axis_seed);
-            assert!((self.manifested)(&first), "{name}");
+            assert!(guard_tripped(&first), "{name}");
             assert_eq!(first.machine_summary(), again.machine_summary(), "{name}");
         }
     }
@@ -251,7 +241,7 @@ impl Axis {
                 scenario.name()
             );
             let report = self.run(scenario.as_ref(), true, 0, 0);
-            assert!(!(self.manifested)(&report), "{}", report.summary());
+            assert!(!guard_tripped(&report), "{}", report.summary());
         }
     }
 

@@ -2,7 +2,8 @@
 //! scenarios — the comparison the paper argues qualitatively in §I.
 
 use ptest::baselines::{RandomTester, RandomTesterConfig, SystematicConfig, SystematicExplorer};
-use ptest::faults::philosophers::{self, Variant};
+use ptest::faults::philosophers;
+use ptest::faults::Variant;
 use ptest::pcore::{GcFaultMode, Op, Program};
 use ptest::{
     AdaptiveTest, AdaptiveTestConfig, BugKind, MultiCoreSystem, PatternGenerator, ProgramId,

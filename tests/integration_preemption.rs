@@ -6,8 +6,12 @@
 
 mod axes;
 
-use ptest::faults::timers::{timer_fault_manifested, IsrSharedVarScenario};
-use ptest::{Scenario, TrialEngine, TrialOverrides, TrialScratch, TrialTrace};
+use ptest::faults::guard_tripped;
+use ptest::faults::timers::IsrSharedVarScenario;
+use ptest::{
+    minimize_scenario_trial, replay_minimized, MinimizeConfig, Scenario, TrialEngine,
+    TrialOverrides, TrialScratch, TrialTrace,
+};
 
 #[test]
 fn timer_scenarios_are_non_preemptive_invisible_but_preemption_detected() {
@@ -53,7 +57,7 @@ fn isr_timeline_is_byte_identical_to_the_golden() {
     let report = engine
         .run_scenario_trial_overridden(&scenario, 1, 1, 1, overrides, &mut TrialScratch::new())
         .unwrap();
-    assert!(timer_fault_manifested(&report), "{}", report.summary());
+    assert!(guard_tripped(&report), "{}", report.summary());
     let kernels = trace.kernels.iter().enumerate();
     let sections = kernels.map(|(i, events)| (format!("kernel {i}"), events));
     let mut timeline = String::new();
@@ -65,4 +69,45 @@ fn isr_timeline_is_byte_identical_to_the_golden() {
     }
     let golden = include_str!("fixtures/isr_timeline.txt");
     assert_eq!(timeline, golden, "ISR execution drifted");
+}
+
+/// Minimizing the ISR race's trial at the quadruple the timeline golden
+/// pins as manifesting, (1, 1, 1, 2), keeps the irq seed, shrinks the
+/// injection set without emptying it, and replays byte for byte.
+#[test]
+fn minimization_shrinks_the_injection_mask_of_the_isr_race() {
+    let scenario = IsrSharedVarScenario::buggy();
+    let base = scenario.base_config();
+    let engine = TrialEngine::new(base.clone()).unwrap();
+    let mut scratch = TrialScratch::new();
+    let repro = minimize_scenario_trial(
+        &engine,
+        &scenario,
+        1,
+        1,
+        1,
+        2,
+        base.schedule,
+        base.memory,
+        base.preemption,
+        None,
+        &MinimizeConfig::default(),
+        &mut scratch,
+    )
+    .expect("a manifesting trial minimizes");
+    assert_eq!(repro.irq_seed, 2);
+    assert!(
+        repro.minimized_injections <= repro.original_injections,
+        "ddmin never grows the injection set"
+    );
+    assert!(
+        repro.minimized_injections >= 1,
+        "the fault needs at least one injection"
+    );
+    let replayed = replay_minimized(&engine, &scenario, &repro, &mut scratch).unwrap();
+    assert_eq!(
+        format!("{:?}", replayed.machine_summary()),
+        format!("{:?}", repro.summary),
+        "the reproducer replays byte-identically from its stored parts"
+    );
 }

@@ -2,10 +2,10 @@
 //! from the seed and configuration embedded in its report — the paper's
 //! "helps users reproduce the bugs", made checkable.
 
-use ptest::faults::philosophers::{case2_config, setup, Variant};
-use ptest::faults::stress::{stress_config, stress_setup, StressSpec};
+use ptest::faults::philosophers::PhilosophersScenario;
+use ptest::faults::stress::{StressScenario, StressSpec};
 use ptest::pcore::{Op, Program};
-use ptest::{AdaptiveTest, AdaptiveTestConfig, BugKind, MultiCoreSystem, ProgramId};
+use ptest::{AdaptiveTest, AdaptiveTestConfig, BugKind, MultiCoreSystem, ProgramId, Scenario};
 
 fn compute_setup(sys: &mut MultiCoreSystem) -> Vec<ProgramId> {
     vec![sys
@@ -36,8 +36,10 @@ fn clean_runs_reproduce_exactly() {
 
 #[test]
 fn gc_crash_reproduces_bit_for_bit() {
-    let spec = StressSpec::paper(4);
-    let first = AdaptiveTest::run(stress_config(&spec), stress_setup(spec)).unwrap();
+    let scenario = StressScenario {
+        spec: StressSpec::paper(4),
+    };
+    let first = AdaptiveTest::run_scenario(&scenario, 4).unwrap();
     assert!(
         first.found(|k| matches!(
             k,
@@ -46,7 +48,7 @@ fn gc_crash_reproduces_bit_for_bit() {
         "{}",
         first.summary()
     );
-    let again = AdaptiveTest::reproduce(&first, stress_setup(spec)).unwrap();
+    let again = AdaptiveTest::reproduce(&first, |sys| scenario.setup(sys)).unwrap();
     assert_eq!(first.bugs.len(), again.bugs.len());
     for (a, b) in first.bugs.iter().zip(&again.bugs) {
         assert_eq!(a.kind, b.kind);
@@ -59,16 +61,17 @@ fn gc_crash_reproduces_bit_for_bit() {
 #[test]
 fn deadlock_reproduces_with_same_cycle() {
     // Find a deadlocking seed first.
+    let scenario = PhilosophersScenario::buggy();
     let mut hit = None;
     for seed in 0..10 {
-        let report = AdaptiveTest::run(case2_config(seed), setup(Variant::Buggy)).unwrap();
+        let report = AdaptiveTest::run_scenario(&scenario, seed).unwrap();
         if report.found(|k| matches!(k, BugKind::Deadlock { .. })) {
             hit = Some(report);
             break;
         }
     }
     let first = hit.expect("a deadlocking seed exists in 0..10");
-    let again = AdaptiveTest::reproduce(&first, setup(Variant::Buggy)).unwrap();
+    let again = AdaptiveTest::reproduce(&first, |sys| scenario.setup(sys)).unwrap();
     let cycle_of = |r: &ptest::TestReport| {
         r.bugs.iter().find_map(|b| match &b.kind {
             BugKind::Deadlock { cycle } => Some(cycle.clone()),
@@ -84,8 +87,10 @@ fn deadlock_reproduces_with_same_cycle() {
 
 #[test]
 fn bug_reports_carry_reproduction_material() {
-    let spec = StressSpec::paper(8);
-    let report = AdaptiveTest::run(stress_config(&spec), stress_setup(spec)).unwrap();
+    let scenario = StressScenario {
+        spec: StressSpec::paper(8),
+    };
+    let report = AdaptiveTest::run_scenario(&scenario, 8).unwrap();
     let Some(bug) = report.bugs.first() else {
         panic!("stress must find the GC bug: {}", report.summary());
     };
