@@ -131,15 +131,16 @@ impl TrialEngine {
         })
     }
 
-    /// Enables or disables idle-cycle fast-forward for trials run by this
-    /// engine. Fast-forward is a pure latency optimisation — reports are
+    /// Enables or disables idle- and steady-cycle fast-forward for
+    /// trials run by this engine. Fast-forward is a pure latency optimisation — reports are
     /// byte-identical either way (the equivalence suite pins this) — so
     /// the switch exists for validation and debugging only.
     pub fn set_fast_forward(&mut self, enabled: bool) {
         self.fast_forward = enabled;
     }
 
-    /// Whether idle-cycle fast-forward is active for this engine.
+    /// Whether idle- and steady-cycle fast-forward is active for this
+    /// engine.
     #[must_use]
     pub fn fast_forward_enabled(&self) -> bool {
         self.fast_forward
@@ -318,30 +319,35 @@ impl TrialEngine {
         let mut bugs: Vec<Bug> = Vec::new();
         let mut cycles = 0u64;
         let mut done_at: Option<u64> = None;
-        // Whether no kernel's change epoch moved in the last executed
-        // cycle.
-        let mut quiet = true;
+        // Each kernel's change epoch before the cycle being executed.
+        let mut epochs = Vec::with_capacity(cfg.system.slaves);
+        // Whether every kernel whose change epoch moved in the last
+        // executed cycle is in a steady loop (in particular, whether the
+        // cycle was quiet: no epoch moved at all).
+        let mut settled = true;
         while cycles < cfg.max_cycles {
-            // --- Idle-cycle fast-forward. When every component can name
-            // the first future cycle at which it could do observable work
-            // (sleeper wake-ups, a pending store delivery, the
-            // committer's next issue/timeout/completion cycle), and that
-            // cycle — capped by the next detector observe point and the
-            // drain/end-of-trial deadlines — is more than one step away,
-            // the idle gap is advanced arithmetically: clocks jump, idle
-            // tick counters batch-update, and the schedule stream is
-            // consumed in closed form. Cycle `target` itself then
-            // executes normally, so every observable transition and every
-            // detector observation lands on exactly the cycle it would
-            // under cycle-by-cycle stepping (the equivalence suite and
-            // the golden fixtures pin the reports byte-identical).
+            // --- Idle- and steady-cycle fast-forward. When every
+            // component can name the first future cycle at which it could
+            // do observable work (sleeper wake-ups, a steady loop's exit
+            // bound, a pending store delivery, the committer's next
+            // issue/timeout/completion cycle), and that cycle — capped by
+            // the next detector observe point and the drain/end-of-trial
+            // deadlines — is more than one step away, the gap is advanced
+            // arithmetically: clocks jump, idle tick counters
+            // batch-update, steady loops advance whole iterations, and
+            // the schedule stream is consumed in closed form. Cycle
+            // `target` itself then executes normally, so every observable
+            // transition and every detector observation lands on exactly
+            // the cycle it would under cycle-by-cycle stepping (the
+            // equivalence suite and the golden fixtures pin the reports
+            // byte-identical).
             //
-            // A cycle in which some kernel did work is almost always
-            // followed by more work, so the horizon is asked only after
-            // a quiet cycle. Not asking is always exact — it just steps
-            // the cycle — and costs at most one executed idle cycle per
-            // idle window.
-            if self.fast_forward && quiet {
+            // A cycle in which some kernel did work other than spin in a
+            // steady loop is almost always followed by more work, so the
+            // horizon is asked only after a quiet or steady cycle. Not
+            // asking is always exact — it just steps the cycle — and
+            // costs at most one executed cycle per window.
+            if self.fast_forward && settled {
                 let sys_horizon = sys.quiescent_horizon();
                 let model_horizon = memory_model
                     .as_deref()
@@ -372,12 +378,16 @@ impl TrialEngine {
                 }
             }
             cycles += 1;
-            let epochs = epoch_sum(&sys);
+            epochs.clear();
+            epochs.extend((0..sys.slave_count()).map(|i| sys.kernel_of(i).change_epoch()));
             // One entry point for every axis combination: `None` on an
             // axis selects that axis's historical fast path inside the
             // system, so unexplored trials stay byte-identical.
             sys.step_explored(scheduler.as_deref_mut(), memory_model.as_deref_mut());
-            quiet = epoch_sum(&sys) == epochs;
+            settled = epochs.iter().enumerate().all(|(i, &epoch)| {
+                let kernel = sys.kernel_of(i);
+                kernel.change_epoch() == epoch || kernel.in_steady_loop()
+            });
             let status = committer.step(&mut sys);
             let committer_done = status != CommitterStatus::Running;
             if committer_done && done_at.is_none() {
@@ -447,14 +457,6 @@ impl TrialEngine {
             config: cfg,
         })
     }
-}
-
-/// The slave kernels' summed change epochs: it stands still across a
-/// cycle exactly when no kernel did observable work in it.
-fn epoch_sum(sys: &MultiCoreSystem) -> u64 {
-    (0..sys.slave_count())
-        .map(|i| sys.kernel_of(i).change_epoch())
-        .fold(0, u64::wrapping_add)
 }
 
 #[cfg(test)]

@@ -9,9 +9,13 @@
 //! a check that faults the checking task with an oversized stack probe
 //! when the race manifested. The kernel kills the task as a
 //! stack-overflow task fault, which the detector reports and
-//! [`guard_tripped`] recognizes. Every spin in a protocol is **bounded**:
-//! a task whose peer never arrives — deleted or suspended by a test
-//! pattern — exits benignly instead of reading as a livelock.
+//! [`guard_tripped`] recognizes. Every spin in a protocol is **bounded**
+//! by [`SPIN_BUDGET`] iterations, but the bound outlasts the detector:
+//! 30,000 iterations of four cycles are 120,000 cycles, twice the
+//! 60,000-cycle no-progress window of [`guarded_config`]. A task whose
+//! peer never arrives — never created, or deleted or suspended by a test
+//! pattern — therefore reads as a livelock one window after the
+//! committer finished, long before its spin would give up.
 
 use ptest_core::{AdaptiveTestConfig, BugKind, DetectorConfig, MergeOp, TestReport};
 use ptest_master::SystemConfig;
@@ -20,8 +24,9 @@ use ptest_pcore::{
 };
 use ptest_soc::Cycles;
 
-/// Iterations a task spins on a flag before giving up benignly (exiting
-/// without running its check).
+/// Iterations a task spins on a flag before giving up (exiting without
+/// running its check); longer than the no-progress window, see the
+/// [module docs](self).
 pub(crate) const SPIN_BUDGET: i64 = 30_000;
 
 /// A `StackProbe` far beyond any configured stack: the deterministic
@@ -185,5 +190,46 @@ pub(crate) mod probe {
             again.machine_summary(),
             "exact replay"
         );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::races::OrderViolationScenario;
+    use ptest_core::{AdaptiveTest, BugKind, Configured, Scenario};
+    use ptest_soc::CoreId;
+
+    #[test]
+    fn an_abandoned_barrier_reads_as_livelock_one_window_after_done() {
+        // One pattern on two slaves: slave 0's consumer is created, slave
+        // 1's initializer never is, so the consumer spins at the barrier.
+        let scenario = Configured::adjust(OrderViolationScenario::buggy(), |cfg| cfg.n = 1);
+        let cfg = scenario.base_config();
+        let report = AdaptiveTest::run_scenario(&scenario, 1).expect("trial runs");
+        assert_eq!(report.bugs.len(), 1, "{}", report.summary());
+        let bug = &report.bugs[0];
+        assert!(
+            matches!(bug.kind, BugKind::Livelock { .. }),
+            "{:?}",
+            bug.kind
+        );
+        assert_eq!(bug.core, CoreId::slave(0));
+        // Detected at the first observation one full window after the
+        // observation that saw the committer done, and fatal.
+        let done = report
+            .exec_records
+            .iter()
+            .filter_map(|r| r.completed_at)
+            .max()
+            .expect("the create completed")
+            .get();
+        let at = bug.detected_at.get();
+        let window = cfg.detector.progress_window.get();
+        assert_eq!(at % cfg.check_interval, 0);
+        assert!(
+            (done..done + cfg.check_interval).contains(&(at - window)),
+            "done at {done}, livelock at {at}"
+        );
+        assert_eq!(report.cycles, at);
     }
 }

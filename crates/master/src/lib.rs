@@ -92,8 +92,8 @@ pub use preempt::{
     ClockSkewConfig, InterruptConfig, InterruptEvent, InterruptPlan, PreemptionSpec, QuantumConfig,
 };
 pub use sched::{
-    IdleAdvance, LockStepScheduler, RandomPriorityConfig, RandomPriorityScheduler, ScheduleSpec,
-    Scheduler,
+    LockStepScheduler, RandomPriorityConfig, RandomPriorityScheduler, ScheduleSpec, Scheduler,
+    TickAdvance,
 };
 pub use system::{CouplingError, MultiCoreSystem, SemLink, SharedVar, SnapshotCache, SystemConfig};
 pub use thread::{MasterOp, MasterThread, ThreadId, ThreadState};

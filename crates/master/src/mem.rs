@@ -94,7 +94,7 @@ pub enum IdleHorizon {
     /// step (and [`MemoryModel::sync`]) cycle by cycle.
     Unknown,
     /// Nothing is in flight: with no new stores or fences, every future
-    /// sync is a no-op, so idle cycles may be skipped without bound.
+    /// sync is a no-op, so cycles may be skipped without bound.
     Unbounded,
     /// With no new stores or fences, every sync strictly before this
     /// cycle is a no-op; the sync *at* this cycle may deliver.

@@ -46,14 +46,14 @@ use std::fmt;
 
 use ptest_soc::Cycles;
 
-/// Per-kernel outcome of a batch of scheduler-skipped idle cycles
-/// ([`Scheduler::skip_idle_cycles`]): how the kernel's pure idle
-/// bookkeeping must advance to stay bit-identical with stepping the
-/// cycles one by one.
+/// Per-kernel outcome of a batch of skipped cycles
+/// ([`Scheduler::skip_cycles`]): how many ticks the kernel must apply in
+/// closed form to stay bit-identical with stepping the cycles one by
+/// one.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct IdleAdvance {
+pub struct TickAdvance {
     /// Number of skipped cycles the scheduler would have advanced the
-    /// kernel in (each a pure idle tick — nothing was runnable).
+    /// kernel in.
     pub ticks: u64,
     /// The last skipped cycle the kernel was advanced at, if any — the
     /// kernel's local clock must land there, exactly as its final
@@ -74,35 +74,49 @@ pub trait Scheduler: fmt::Debug + Send {
     /// or a sleeper due at `now`); `now` is the cycle about to execute.
     fn plan(&mut self, now: Cycles, runnable: &[bool], advance: &mut [bool]);
 
-    /// Plans `count` consecutive cycles starting at `start` during which
-    /// *no* slave is runnable, accumulating into `idle` (pre-sized to
+    /// Plans `count` consecutive cycles starting at `start` over one
+    /// constant `runnable` mask, accumulating into `ticks` (pre-sized to
     /// the slave count) how many of those cycles each kernel would have
-    /// been advanced in — each a pure idle tick — and the last cycle it
-    /// was advanced at. Must leave the scheduler in exactly the state
-    /// `count` calls of [`Scheduler::plan`] with all-false `runnable`
-    /// would have. `runnable` is the all-false slice those calls would
-    /// have seen; `advance` is caller-provided scratch.
+    /// been advanced in and the last cycle it was advanced at. Must
+    /// leave the scheduler in exactly the state `count` calls of
+    /// [`Scheduler::plan`] with that mask would have. A fast-forwarded
+    /// window holds the mask still: an idle window is the all-false
+    /// case, and a slave spinning in a steady loop stays runnable
+    /// throughout. `advance` is caller-provided scratch.
     ///
     /// The default implementation literally replays `plan` cycle by
     /// cycle — exact for any scheduler, with no speedup; schedulers
-    /// whose idle behaviour has a closed form override it.
-    fn skip_idle_cycles(
+    /// with a closed form override it.
+    fn skip_cycles(
         &mut self,
         start: Cycles,
         count: u64,
         runnable: &[bool],
         advance: &mut [bool],
-        idle: &mut [IdleAdvance],
+        ticks: &mut [TickAdvance],
     ) {
-        for c in 0..count {
-            let now = Cycles::new(start.get() + c);
-            advance.fill(true);
-            self.plan(now, runnable, advance);
-            for (i, &advanced) in advance.iter().enumerate() {
-                if advanced {
-                    idle[i].ticks += 1;
-                    idle[i].last = Some(now);
-                }
+        replay_cycles(self, start, count, runnable, advance, ticks);
+    }
+}
+
+/// The [`Scheduler::skip_cycles`] reference: `count` calls of
+/// [`Scheduler::plan`].
+fn replay_cycles<S: Scheduler + ?Sized>(
+    s: &mut S,
+    start: Cycles,
+    count: u64,
+    runnable: &[bool],
+    advance: &mut [bool],
+    ticks: &mut [TickAdvance],
+) {
+    for c in 0..count {
+        let now = Cycles::new(start.get() + c);
+        advance.fill(true);
+        s.plan(now, runnable, advance);
+        for (slot, &advanced) in ticks.iter_mut().zip(advance.iter()) {
+            if advanced {
+                slot.ticks += 1;
+                slot.last = Some(now);
             }
         }
     }
@@ -120,20 +134,20 @@ impl Scheduler for LockStepScheduler {
         // `advance` arrives all-true: lock-step is the identity plan.
     }
 
-    fn skip_idle_cycles(
+    fn skip_cycles(
         &mut self,
         start: Cycles,
         count: u64,
         _runnable: &[bool],
         _advance: &mut [bool],
-        idle: &mut [IdleAdvance],
+        ticks: &mut [TickAdvance],
     ) {
-        // Lock-step advances every kernel every cycle, idle or not.
+        // Lock-step advances every kernel every cycle, runnable or not.
         if count == 0 {
             return;
         }
         let last = Cycles::new(start.get() + count - 1);
-        for slot in idle.iter_mut() {
+        for slot in ticks.iter_mut() {
             slot.ticks += count;
             slot.last = Some(last);
         }
@@ -368,32 +382,47 @@ impl Scheduler for RandomPriorityScheduler {
         }
     }
 
-    fn skip_idle_cycles(
+    fn skip_cycles(
         &mut self,
-        _start: Cycles,
+        start: Cycles,
         count: u64,
-        _runnable: &[bool],
-        _advance: &mut [bool],
-        _idle: &mut [IdleAdvance],
+        runnable: &[bool],
+        advance: &mut [bool],
+        ticks: &mut [TickAdvance],
     ) {
-        // With nothing runnable, each planned cycle pops its passed
-        // change points with no leader to demote (the leader over an
-        // all-false runnable set is `None`), counts the cycle, and
-        // clears every slave's fairness debt; no slave is advanced. The
-        // whole batch collapses to a closed form.
+        if count == 0 {
+            return;
+        }
+        let mut runnable_slaves = runnable.iter().enumerate().filter(|&(_, &r)| r);
+        let lone = runnable_slaves.next().map(|(i, _)| i);
+        if runnable_slaves.next().is_some() {
+            return replay_cycles(self, start, count, runnable, advance, ticks);
+        }
+        // With at most one runnable slave, every planned cycle demotes
+        // that slave (if any) at each passed change point, counts the
+        // cycle, advances exactly that slave, and clears every slave's
+        // fairness debt. The whole batch collapses to a closed form.
         let end = self.planned + count;
         while self.change_points.last().is_some_and(|&cp| cp < end) {
             self.change_points.pop();
+            if let Some(i) = lone {
+                self.next_demoted -= 1;
+                self.priorities[i] = self.next_demoted;
+            }
         }
         self.planned = end;
         self.skipped.fill(0);
+        if let Some(i) = lone {
+            ticks[i].ticks += count;
+            ticks[i].last = Some(Cycles::new(start.get() + count - 1));
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testsupport::{plan_once, replay_idle, skip_idle};
+    use crate::testsupport::{plan_once, replay, skip};
 
     #[test]
     fn lock_step_advances_everyone() {
@@ -497,34 +526,49 @@ mod tests {
         }
     }
 
+    /// The masks a fast-forwarded window can hold still on three
+    /// slaves: all idle, one runnable, and (through the default replay)
+    /// two runnable.
+    const MASKS: [[bool; 3]; 5] = [
+        [false, false, false],
+        [true, false, false],
+        [false, true, false],
+        [false, false, true],
+        [true, false, true],
+    ];
+
     #[test]
     fn lock_step_skip_matches_per_cycle_replay() {
-        let mut replayed = LockStepScheduler;
-        let mut skipped = LockStepScheduler;
-        assert_eq!(
-            skip_idle(&mut skipped, 7, 1_000, 3),
-            replay_idle(&mut replayed, 7, 1_000, 3)
-        );
-        assert_eq!(
-            skip_idle(&mut skipped, 1, 0, 3),
-            vec![IdleAdvance::default(); 3]
-        );
+        for mask in MASKS {
+            let mut replayed = LockStepScheduler;
+            let mut skipped = LockStepScheduler;
+            assert_eq!(
+                skip(&mut skipped, 7, 1_000, &mask),
+                replay(&mut replayed, 7, 1_000, &mask),
+                "{mask:?}"
+            );
+            assert_eq!(
+                skip(&mut skipped, 1, 0, &mask),
+                vec![TickAdvance::default(); 3]
+            );
+        }
     }
 
     #[test]
     fn random_priority_skip_matches_per_cycle_replay() {
         // Exercise the closed form across change-point boundaries: a
-        // short horizon guarantees all three change points fall inside
-        // the skipped window, and interleaving idle batches with live
-        // plan calls checks the scheduler state (planned, change points,
-        // fairness debt) is left exactly as the replay leaves it.
-        let cfg = RandomPriorityConfig {
-            change_points: 3,
-            horizon: 500,
-            fairness_window: 8,
-            ..RandomPriorityConfig::default()
-        };
-        for seed in 0..16u64 {
+        // short horizon puts every change point inside one of the
+        // skipped windows, a cleared mask bit drops one of them, and
+        // interleaving skipped batches with live plan calls checks the
+        // scheduler state (planned, change points, priorities, fairness
+        // debt) is left exactly as the replay leaves it.
+        for (seed, mask) in (0..16u64).zip(MASKS.iter().cycle()) {
+            let cfg = RandomPriorityConfig {
+                change_points: 3,
+                horizon: 500,
+                fairness_window: 8,
+                change_point_mask: if seed % 3 == 0 { 0b101 } else { u64::MAX },
+            };
             let mut replayed = RandomPriorityScheduler::new(3, seed, cfg);
             let mut skipped = RandomPriorityScheduler::new(3, seed, cfg);
             // Build up some fairness debt and demotions first.
@@ -535,13 +579,15 @@ mod tests {
                     plan_once(&mut skipped, &runnable)
                 );
             }
-            assert_eq!(
-                skip_idle(&mut skipped, 41, 600, 3),
-                replay_idle(&mut replayed, 41, 600, 3)
-            );
+            for (start, count) in [(41, 150), (191, 0), (191, 450)] {
+                assert_eq!(
+                    skip(&mut skipped, start, count, mask),
+                    replay(&mut replayed, start, count, mask),
+                    "seed {seed} mask {mask:?}"
+                );
+            }
             // Post-skip streams must stay identical: the internal state
-            // (planned, remaining change points, priorities, skipped)
-            // agrees, not just the idle outcome.
+            // agrees, not just the per-slave ticks.
             for step in 0..100u64 {
                 let runnable = [step % 5 != 0, true, true];
                 assert_eq!(

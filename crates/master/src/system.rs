@@ -20,7 +20,7 @@ use ptest_soc::{CoreId, Cycles, MailboxBank, SharedSram, SramError, TraceBuffer,
 
 use crate::mem::{IdleHorizon, MemoryModel, SharedVarBus};
 use crate::preempt::{self, InterruptPlan, PreemptionSpec};
-use crate::sched::{IdleAdvance, Scheduler};
+use crate::sched::{Scheduler, TickAdvance};
 use crate::thread::{MasterOp, MasterThread, ThreadId, ThreadState};
 
 /// Configuration of a [`MultiCoreSystem`].
@@ -177,7 +177,7 @@ pub struct MultiCoreSystem {
     sched_runnable: Vec<bool>,
     sched_advance: Vec<bool>,
     /// Reused scratch of [`MultiCoreSystem::fast_forward_idle_with`].
-    sched_idle: Vec<IdleAdvance>,
+    sched_ticks: Vec<TickAdvance>,
     /// The installed preemption axis, if any (`None` is the inert
     /// unpreempted fast path the golden fixtures pin).
     preempt: Option<PreemptState>,
@@ -292,7 +292,7 @@ impl MultiCoreSystem {
             mirrored_at_writes: None,
             sched_runnable: Vec::new(),
             sched_advance: Vec::new(),
-            sched_idle: Vec::new(),
+            sched_ticks: Vec::new(),
             preempt: None,
             cfg,
         }
@@ -647,21 +647,25 @@ impl MultiCoreSystem {
         }
     }
 
-    /// The platform's idle-cycle fast-forward horizon: the earliest
-    /// future cycle at which anything observable can happen, assuming no
-    /// external input arrives in the meantime.
+    /// The platform's fast-forward horizon: the earliest future cycle at
+    /// which anything observable can happen, assuming no external input
+    /// arrives in the meantime. Until then every kernel is *idle* or
+    /// *steady*: it has no dispatchable work, or its running task spins
+    /// in a side-effect-free loop ([`Kernel::steady_window`]) that
+    /// changes nothing but its own frame and counters.
     ///
     /// * [`IdleHorizon::Unknown`] — the platform is *not* quiescent
-    ///   (dispatchable kernel work, in-flight bridge or mailbox traffic,
-    ///   pending semaphore hand-offs or fences, un-mirrored shared-var
-    ///   stores, or a live master thread); it must be stepped cycle by
-    ///   cycle.
+    ///   (dispatchable kernel work that is not a steady loop, in-flight
+    ///   bridge or mailbox traffic, pending semaphore hand-offs or
+    ///   fences, un-mirrored shared-var stores, or a live master
+    ///   thread); it must be stepped cycle by cycle.
     /// * [`IdleHorizon::Until`]`(c)` — every cycle strictly before `c` is
-    ///   a pure idle cycle (skippable via
-    ///   [`MultiCoreSystem::fast_forward_idle`]); `c` is the earliest
-    ///   sleeper deadline (kernel task or master thread).
+    ///   skippable via [`MultiCoreSystem::fast_forward_idle`]; `c` is
+    ///   the earliest sleeper deadline (kernel task or master thread),
+    ///   planned interrupt, or the first cycle past a steady loop's exit
+    ///   bound.
     /// * [`IdleHorizon::Unbounded`] — quiescent with nothing scheduled
-    ///   to wake: every future cycle is a pure idle cycle.
+    ///   to happen: every future cycle is skippable.
     ///
     /// The active [`MemoryModel`]'s own
     /// [`idle_horizon`](MemoryModel::idle_horizon) must be intersected
@@ -670,7 +674,7 @@ impl MultiCoreSystem {
     pub fn quiescent_horizon(&self) -> IdleHorizon {
         let next = Cycles::new(self.clock.now().get() + 1);
         // Disqualifiers: work or traffic that can mutate state on any
-        // upcoming cycle in ways plain idle bookkeeping cannot replay.
+        // upcoming cycle in ways closed-form bookkeeping cannot replay.
         if self.current_thread.is_some() || !self.inbox.is_empty() || self.mailboxes.any_pending() {
             return IdleHorizon::Unknown;
         }
@@ -679,9 +683,11 @@ impl MultiCoreSystem {
             // time, so dispatchability (sleeper deadlines, pending
             // unmasked interrupts, an active ISR frame, quantum-expiry
             // rotations — all kernel-local) is probed at local time.
+            // Only a kernel in a steady loop may have work.
             let local_next = self.local_time_of(i, next);
-            if slave.kernel.has_dispatchable_work(local_next)
-                || slave.kernel.pending_fence_count() > 0
+            if slave.kernel.pending_fence_count() > 0
+                || (!slave.kernel.in_steady_loop()
+                    && slave.kernel.has_dispatchable_work(local_next))
             {
                 return IdleHorizon::Unknown;
             }
@@ -699,11 +705,22 @@ impl MultiCoreSystem {
         if !self.mirror_is_current() && self.shared_vars_diverge() {
             return IdleHorizon::Unknown;
         }
-        // Candidates: the only self-timed future events are sleepers.
         let mut horizon: Option<u64> = None;
         let mut merge = |at: u64| {
             horizon = Some(horizon.map_or(at, |h| h.min(at)));
         };
+        for slave in &self.slaves {
+            // A steady loop ticks in closed form up to its exit bound;
+            // the kernel ticks at most once per cycle, so the bound in
+            // ticks caps the window in cycles.
+            if slave.kernel.in_steady_loop() {
+                match slave.kernel.steady_window() {
+                    Some(window) => merge(next.get().saturating_add(window)),
+                    None => return IdleHorizon::Unknown,
+                }
+            }
+        }
+        // The other self-timed future events: sleepers and injections.
         for (i, slave) in self.slaves.iter().enumerate() {
             if let Some(at) = slave.kernel.next_sleeper_wake() {
                 // Kernel sleeper deadlines are local-time; convert back
@@ -713,7 +730,7 @@ impl MultiCoreSystem {
             }
         }
         // A planned interrupt injection is an observable future event:
-        // never certify an idle window that crosses its firing cycle.
+        // never certify a window that crosses its firing cycle.
         if let Some(state) = &self.preempt {
             if let Some(fire) = state.plan.next_fire() {
                 merge(fire.max(next.get()));
@@ -735,13 +752,12 @@ impl MultiCoreSystem {
         }
     }
 
-    /// Batch-advances the platform across `count` cycles known to be
-    /// idle (a window certified by
-    /// [`MultiCoreSystem::quiescent_horizon`]) on the lock-step path:
-    /// the clock jumps and every kernel applies the pure idle-tick
-    /// bookkeeping arithmetically. Bit-identical to calling
-    /// [`MultiCoreSystem::step`] `count` times under the quiescence
-    /// precondition.
+    /// Batch-advances the platform across `count` cycles of a window
+    /// certified by [`MultiCoreSystem::quiescent_horizon`] on the
+    /// lock-step path: the clock jumps and every kernel applies its
+    /// `count` idle or steady ticks in closed form
+    /// ([`Kernel::fast_forward`]). Bit-identical to calling
+    /// [`MultiCoreSystem::step`] `count` times within the window.
     pub fn fast_forward_idle(&mut self, count: u64) {
         if count == 0 {
             return;
@@ -755,18 +771,19 @@ impl MultiCoreSystem {
                 Some(state) => preempt::local_time(now, state.skew_rates[i]),
                 None => now,
             };
-            slave.kernel.fast_forward_idle(count, lnow);
+            slave.kernel.fast_forward(count, lnow);
         }
     }
 
     /// The scheduled counterpart of
     /// [`MultiCoreSystem::fast_forward_idle`]: the scheduler plans the
-    /// whole idle window in one call (its internal state advances
-    /// exactly as `count` all-idle [`Scheduler::plan`] calls would), and
-    /// each kernel applies the idle ticks of precisely the cycles the
-    /// scheduler would have advanced it in. Bit-identical to calling
+    /// whole window in one call over the runnable mask, which holds
+    /// still across a certified window (its internal state advances
+    /// exactly as `count` [`Scheduler::plan`] calls would), and each
+    /// kernel applies the ticks of precisely the cycles the scheduler
+    /// would have advanced it in. Bit-identical to calling
     /// [`MultiCoreSystem::step_explored`] with the scheduler `count`
-    /// times under the quiescence precondition.
+    /// times within the window.
     pub fn fast_forward_idle_with(&mut self, count: u64, scheduler: &mut dyn Scheduler) {
         if count == 0 {
             return;
@@ -774,27 +791,31 @@ impl MultiCoreSystem {
         let start = Cycles::new(self.clock.now().get() + 1);
         let mut runnable = std::mem::take(&mut self.sched_runnable);
         let mut advance = std::mem::take(&mut self.sched_advance);
-        let mut idle = std::mem::take(&mut self.sched_idle);
+        let mut ticks = std::mem::take(&mut self.sched_ticks);
+        // In a certified window exactly the steady kernels have work.
         runnable.clear();
-        runnable.resize(self.slaves.len(), false);
+        runnable.extend(self.slaves.iter().map(|s| s.kernel.in_steady_loop()));
+        debug_assert!(self.slaves.iter().enumerate().all(|(i, s)| {
+            s.kernel.has_dispatchable_work(self.local_time_of(i, start)) == runnable[i]
+        }));
         advance.clear();
         advance.resize(self.slaves.len(), true);
-        idle.clear();
-        idle.resize(self.slaves.len(), IdleAdvance::default());
-        scheduler.skip_idle_cycles(start, count, &runnable, &mut advance, &mut idle);
+        ticks.clear();
+        ticks.resize(self.slaves.len(), TickAdvance::default());
+        scheduler.skip_cycles(start, count, &runnable, &mut advance, &mut ticks);
         self.clock.advance(Cycles::new(count));
-        for (i, (slave, adv)) in self.slaves.iter_mut().zip(idle.iter()).enumerate() {
+        for (i, (slave, adv)) in self.slaves.iter_mut().zip(ticks.iter()).enumerate() {
             if let Some(last) = adv.last {
                 let llast = match &self.preempt {
                     Some(state) => preempt::local_time(last, state.skew_rates[i]),
                     None => last,
                 };
-                slave.kernel.fast_forward_idle(adv.ticks, llast);
+                slave.kernel.fast_forward(adv.ticks, llast);
             }
         }
         self.sched_runnable = runnable;
         self.sched_advance = advance;
-        self.sched_idle = idle;
+        self.sched_ticks = ticks;
     }
 
     /// Advances the whole platform by one cycle: per-slave interrupt
@@ -1973,6 +1994,103 @@ mod tests {
         }
         assert_eq!(stepped.snapshots(), forwarded.snapshots());
         assert_eq!(stepped.take_responses(), forwarded.take_responses());
+    }
+
+    /// Slave 0 spins down a 2,000-iteration countdown, polling a
+    /// variable nobody writes; slave 1 naps between compute bursts.
+    fn spinner_sys() -> MultiCoreSystem {
+        let mut s = MultiCoreSystem::new(SystemConfig::with_slaves(2));
+        let mut b = ptest_pcore::ProgramBuilder::new();
+        b.push(Op::AddReg {
+            reg: 0,
+            delta: 2_000,
+        });
+        b.bind("spin");
+        b.branch_if_var_eq(VarId(3), 1, "done");
+        b.push(Op::AddReg { reg: 0, delta: -1 });
+        b.branch_if_reg_eq(0, 0, "done");
+        b.jump_to("spin");
+        b.bind("done");
+        b.push(Op::Exit);
+        let spin = s.kernel_of_mut(0).register_program(b.build().unwrap());
+        let nap = s.kernel_of_mut(1).register_program(
+            Program::new(vec![
+                Op::Compute(5),
+                Op::SleepFor(3_000),
+                Op::Compute(5),
+                Op::Exit,
+            ])
+            .unwrap(),
+        );
+        create_on(&mut s, 0, spin, 5);
+        create_on(&mut s, 1, nap, 5);
+        s
+    }
+
+    /// Runs `s` to cycle `end`, fast-forwarding every window the horizon
+    /// certifies when `forward`; returns the cycles skipped.
+    fn run_to(
+        s: &mut MultiCoreSystem,
+        sched: &mut Option<Box<dyn Scheduler>>,
+        forward: bool,
+        end: u64,
+    ) -> u64 {
+        let mut skipped = 0;
+        while s.now().get() < end {
+            let now = s.now().get();
+            let target = match s.quiescent_horizon() {
+                _ if !forward => 0,
+                IdleHorizon::Until(at) => at.min(end),
+                IdleHorizon::Unbounded => end,
+                IdleHorizon::Unknown => 0,
+            };
+            if target > now + 1 {
+                let skip = target - now - 1;
+                match sched.as_deref_mut() {
+                    Some(sched) => s.fast_forward_idle_with(skip, sched),
+                    None => s.fast_forward_idle(skip),
+                }
+                skipped += skip;
+            }
+            s.step_explored(sched.as_deref_mut(), None);
+            s.drain_responses();
+        }
+        skipped
+    }
+
+    #[test]
+    fn steady_spin_fast_forward_matches_stepping() {
+        use crate::sched::{RandomPriorityConfig, RandomPriorityScheduler};
+        let traces = |s: &MultiCoreSystem| -> Vec<Vec<ptest_soc::TraceEvent>> {
+            (0..2)
+                .map(|i| s.kernel_of(i).trace().iter().cloned().collect())
+                .collect()
+        };
+        for seed in [None, Some(3), Some(4)] {
+            let scheduler = || {
+                seed.map(|seed| {
+                    Box::new(RandomPriorityScheduler::new(
+                        2,
+                        seed,
+                        RandomPriorityConfig {
+                            horizon: 8_000,
+                            ..RandomPriorityConfig::default()
+                        },
+                    )) as Box<dyn Scheduler>
+                })
+            };
+            let (mut sched_a, mut sched_b) = (scheduler(), scheduler());
+            let mut stepped = spinner_sys();
+            let mut forwarded = spinner_sys();
+            run_to(&mut stepped, &mut sched_a, false, 12_000);
+            let skipped = run_to(&mut forwarded, &mut sched_b, true, 12_000);
+            assert!(skipped > 5_000, "seed {seed:?}: skipped only {skipped}");
+            assert_eq!(stepped.snapshots(), forwarded.snapshots(), "{seed:?}");
+            assert_eq!(traces(&stepped), traces(&forwarded), "{seed:?}");
+            // The spin ran out and the napper finished, either way.
+            assert_eq!(forwarded.kernel_of(0).live_task_count(), 0);
+            assert_eq!(forwarded.kernel_of(1).live_task_count(), 0);
+        }
     }
 
     #[test]

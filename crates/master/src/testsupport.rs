@@ -1,9 +1,9 @@
 //! Shared test-only scheduler replay shims, used by the `sched` unit
 //! tests and the preemption/system suites alike: one-cycle planning and
-//! the per-cycle idle replay that closed-form `skip_idle_cycles`
-//! overrides are checked against.
+//! the per-cycle replay that closed-form `skip_cycles` overrides are
+//! checked against.
 
-use crate::sched::{IdleAdvance, Scheduler};
+use crate::sched::{Scheduler, TickAdvance};
 use ptest_soc::Cycles;
 
 /// Plans one cycle (at cycle 1) over `runnable` and returns the advance
@@ -14,48 +14,46 @@ pub(crate) fn plan_once(s: &mut dyn Scheduler, runnable: &[bool]) -> Vec<bool> {
     advance
 }
 
-/// Replays `count` cycles one by one with an all-false runnable set —
-/// the `skip_idle_cycles` default implementation, hoisted so tests can
+/// Replays `count` cycles one by one over the constant `runnable` mask —
+/// what `skip_cycles` must equal, written out independently so tests can
 /// compare a closed-form override against it on the same type.
-pub(crate) fn replay_idle(
+pub(crate) fn replay(
     s: &mut dyn Scheduler,
     start: u64,
     count: u64,
-    slaves: usize,
-) -> Vec<IdleAdvance> {
-    let runnable = vec![false; slaves];
-    let mut advance = vec![true; slaves];
-    let mut idle = vec![IdleAdvance::default(); slaves];
+    runnable: &[bool],
+) -> Vec<TickAdvance> {
+    let mut advance = vec![true; runnable.len()];
+    let mut ticks = vec![TickAdvance::default(); runnable.len()];
     for c in 0..count {
         advance.fill(true);
-        s.plan(Cycles::new(start + c), &runnable, &mut advance);
+        s.plan(Cycles::new(start + c), runnable, &mut advance);
         for (i, &a) in advance.iter().enumerate() {
             if a {
-                idle[i].ticks += 1;
-                idle[i].last = Some(Cycles::new(start + c));
+                ticks[i].ticks += 1;
+                ticks[i].last = Some(Cycles::new(start + c));
             }
         }
     }
-    idle
+    ticks
 }
 
-/// Skips `count` idle cycles in one `skip_idle_cycles` call and returns
-/// the per-slave idle advances.
-pub(crate) fn skip_idle(
+/// Skips `count` cycles over the constant `runnable` mask in one
+/// `skip_cycles` call and returns the per-slave tick advances.
+pub(crate) fn skip(
     s: &mut dyn Scheduler,
     start: u64,
     count: u64,
-    slaves: usize,
-) -> Vec<IdleAdvance> {
-    let runnable = vec![false; slaves];
-    let mut advance = vec![true; slaves];
-    let mut idle = vec![IdleAdvance::default(); slaves];
-    s.skip_idle_cycles(
+    runnable: &[bool],
+) -> Vec<TickAdvance> {
+    let mut advance = vec![true; runnable.len()];
+    let mut ticks = vec![TickAdvance::default(); runnable.len()];
+    s.skip_cycles(
         Cycles::new(start),
         count,
-        &runnable,
+        runnable,
         &mut advance,
-        &mut idle,
+        &mut ticks,
     );
-    idle
+    ticks
 }

@@ -16,6 +16,13 @@
 //! priority. Ops only a task may execute (heap, stack probe, yield,
 //! sleep, semaphore wait, mutexes) abort it, and it traces its stores
 //! only.
+//!
+//! A task that spins in a side-effect-free loop (a polling loop over
+//! registers and shared variables, see [`Op::is_side_effect_free`])
+//! changes nothing but its own frame and the kernel's counters, one
+//! iteration like the next. [`Kernel::fast_forward`] advances such a
+//! *steady loop* by whole iterations in closed form, exactly as the
+//! same number of [`Kernel::tick`]s would.
 
 use std::fmt;
 
@@ -23,7 +30,7 @@ use ptest_soc::{CoreId, Cycles, TraceBuffer};
 
 use crate::heap::{BlockHandle, GcFaultMode, Heap, HeapError, HeapStats, Owner};
 use crate::ids::{MutexId, Priority, SemId, TaskId, VarId};
-use crate::program::{Op, Program};
+use crate::program::{Op, Program, NUM_REGS};
 use crate::services::Service;
 use crate::sync::{KernelMutex, LockOutcome, Semaphore};
 use crate::task::{ExitKind, TaskFault, TaskState, Tcb, WaitReason};
@@ -276,8 +283,77 @@ pub enum TickOutcome {
 #[derive(Debug, Clone, Copy, Default)]
 struct Frame {
     pc: u16,
-    regs: [i64; crate::program::NUM_REGS],
+    regs: [i64; NUM_REGS],
     compute_remaining: u64,
+}
+
+/// Longest loop iteration, in ops, [`Kernel::steady_loop`] follows
+/// before it gives up.
+const STEADY_MAX_OPS: u64 = 64;
+
+/// A register during one symbolic loop iteration: its value at the
+/// iteration's start plus an offset, or a constant loaded from a shared
+/// variable.
+#[derive(Debug, Clone, Copy)]
+enum SymReg {
+    Rel(i64),
+    Abs(i64),
+}
+
+impl SymReg {
+    fn add(self, delta: i64) -> SymReg {
+        match self {
+            SymReg::Rel(o) => SymReg::Rel(o.wrapping_add(delta)),
+            SymReg::Abs(v) => SymReg::Abs(v.wrapping_add(delta)),
+        }
+    }
+}
+
+/// The running task's steady loop, as [`Kernel::steady_loop`] finds it
+/// from the current state: after `lead` cycles of a `Compute` in
+/// progress, the task runs iterations from its current pc back to it,
+/// each taking `period` cycles, retiring `ops` ops and adding `deltas`
+/// to its registers. The first `iterations` of them take the same path.
+#[derive(Debug, Clone, Copy)]
+struct SteadyLoop {
+    task: TaskId,
+    lead: u64,
+    period: u64,
+    ops: u64,
+    deltas: [i64; NUM_REGS],
+    iterations: u64,
+}
+
+impl SteadyLoop {
+    /// Ticks the loop can be advanced in closed form.
+    fn window(&self) -> u64 {
+        self.lead
+            .saturating_add(self.iterations.saturating_mul(self.period))
+    }
+}
+
+/// The first iteration `j >= 1` at which a register worth `x` in
+/// iteration 0 and moving by `delta` per iteration compares differently
+/// against `value`, or from which `x + j * delta` leaves the `i64`
+/// range, where wrapping would make the comparison non-affine.
+/// `u64::MAX` if neither ever happens.
+fn first_flip(x: i64, delta: i64, value: i64) -> u64 {
+    if delta == 0 {
+        return u64::MAX;
+    }
+    if x == value {
+        return 1;
+    }
+    let (x, d, value) = (i128::from(x), i128::from(delta), i128::from(value));
+    let limit = i128::from(if d > 0 { i64::MAX } else { i64::MIN });
+    let overflow = (limit - x) / d + 1;
+    let diff = value - x;
+    let hit = if diff % d == 0 && diff / d > 0 {
+        diff / d
+    } else {
+        overflow
+    };
+    u64::try_from(hit.min(overflow)).unwrap_or(u64::MAX)
 }
 
 /// What executes a cycle: a scheduled task, or the ISR, which shares
@@ -478,6 +554,9 @@ pub struct Kernel {
     isr_runs: u64,
     /// Cycles consumed in interrupt context.
     isr_cycles: u64,
+    /// The pc range of the side-effect-free loop body the running task
+    /// is in, while [`Kernel::in_steady_loop`].
+    steady: Option<(u16, u16)>,
 }
 
 impl Kernel {
@@ -530,6 +609,7 @@ impl Kernel {
             irq_masked: false,
             isr_runs: 0,
             isr_cycles: 0,
+            steady: None,
             cfg,
         }
     }
@@ -708,21 +788,223 @@ impl Kernel {
         snap.idle_ticks = self.idle_ticks;
     }
 
-    /// Applies `count` consecutive idle ticks arithmetically, leaving
-    /// the kernel in exactly the state `count` calls of
-    /// [`Kernel::tick`] would have produced given that each would have
-    /// found no dispatchable work: time moves to `final_now` (the time
-    /// of the last skipped tick) and the tick/idle counters advance; no
-    /// trace is recorded and the change epoch stays put, just like real
-    /// idle ticks. On a panicked kernel only `now` moves, matching
+    /// Applies `count` consecutive ticks in closed form, leaving the
+    /// kernel in exactly the state `count` calls of [`Kernel::tick`]
+    /// would have produced, the last at `final_now`. Two windows
+    /// qualify, and the caller must certify one of them:
+    ///
+    /// * An **idle** window, where no tick finds dispatchable work: the
+    ///   tick and idle counters advance, no trace is recorded and the
+    ///   change epoch stays put, just like real idle ticks.
+    /// * A **steady** window of at most [`Kernel::steady_window`]
+    ///   ticks: the running task's side-effect-free loop advances by
+    ///   whole iterations arithmetically (registers by `k` times their
+    ///   per-iteration change; instructions retired, cycles used, ticks,
+    ///   the change epoch and the time slice by their exact per-tick
+    ///   amounts), and any remainder of less than one iteration runs
+    ///   through [`Kernel::tick`]. A steady tick reads no time, so
+    ///   handing each remainder tick `final_now` is exact.
+    ///
+    /// On a panicked kernel only `now` moves, matching
     /// [`Kernel::tick`]'s early return.
-    pub fn fast_forward_idle(&mut self, count: u64, final_now: Cycles) {
+    pub fn fast_forward(&mut self, count: u64, final_now: Cycles) {
+        let steady = self.steady_loop();
         self.now = final_now;
         if self.panic.is_some() {
             return;
         }
-        self.ticks += count;
-        self.idle_ticks += count;
+        let Some(lp) = steady else {
+            debug_assert!(!self.has_dispatchable_work(final_now), "not an idle window");
+            self.ticks += count;
+            self.idle_ticks += count;
+            return;
+        };
+        debug_assert!(count <= lp.window(), "{count} ticks past {lp:?}");
+        let lead = lp.lead.min(count);
+        self.burn(lp.task, lead);
+        let iterations = (count - lead) / lp.period;
+        self.run_in_place(lp.task, iterations * lp.period);
+        let t = self.running(lp.task);
+        for (reg, delta) in t.regs.iter_mut().zip(lp.deltas) {
+            // Registers wrap, so `k` wrapping adds are one wrapping
+            // multiply, whatever `k as i64` reinterprets.
+            *reg = reg.wrapping_add(delta.wrapping_mul(iterations as i64));
+        }
+        t.ops_retired += iterations * lp.ops;
+        let mut left = count - lead - iterations * lp.period;
+        while left > 0 {
+            let burn = self.running(lp.task).compute_remaining.min(left);
+            if burn > 0 {
+                self.burn(lp.task, burn);
+                left -= burn;
+            } else {
+                self.tick(final_now);
+                left -= 1;
+            }
+        }
+    }
+
+    /// Whether the running task is inside a side-effect-free loop: it
+    /// took a back-edge into a loop body made only of
+    /// [side-effect-free](Op::is_side_effect_free) ops, keeping the core
+    /// (under a quantum: alone), and has not left the body since, with
+    /// no context switch, interrupt or idle tick in between. O(1): set
+    /// at the back-edge and cleared where those events happen. A hint
+    /// for when [`Kernel::steady_window`] is worth asking, which checks
+    /// everything itself.
+    #[must_use]
+    pub fn in_steady_loop(&self) -> bool {
+        self.steady.is_some()
+    }
+
+    /// How many ticks from now [`Kernel::fast_forward`] can advance the
+    /// running task's steady loop in closed form, or `None` when the
+    /// kernel is not in one. The window ends before the first iteration
+    /// in which a `BranchIfRegEq` would branch differently, so every
+    /// tick in it takes the same path as the loop's current iteration.
+    /// It assumes nothing else happens meanwhile: no service, interrupt,
+    /// sleeper wake or shared-variable write, which the caller must
+    /// rule out for the window.
+    #[must_use]
+    pub fn steady_window(&self) -> Option<u64> {
+        self.steady_loop().map(|lp| lp.window())
+    }
+
+    /// The running task's steady loop: the task keeps the core (the
+    /// highest-priority runnable task, or under a quantum the only one,
+    /// whose slice renews in place), no interrupt can enter, accesses
+    /// are untraced, and one walk from the current pc comes back to it
+    /// through side-effect-free ops only. A register loaded from a
+    /// variable must come back to the value it holds now, so every
+    /// iteration moves each register by the same amount.
+    fn steady_loop(&self) -> Option<SteadyLoop> {
+        if self.steady.is_none()
+            || self.panic.is_some()
+            || self.isr.is_some()
+            || (self.irq_pending > 0 && !self.irq_masked)
+        {
+            return None;
+        }
+        let task = self.current?;
+        let t = self.tcb(task)?;
+        if !t.is_runnable() || t.yield_requested {
+            return None;
+        }
+        if !self.keeps_core(task) {
+            return None;
+        }
+        // Two walks of one iteration: the first finds each register's
+        // per-iteration change, the second the first iteration in which
+        // a register branch flips.
+        let (regs, period, ops) = self.walk_loop(t, |_, _, _| {})?;
+        let mut deltas = [0; NUM_REGS];
+        for (r, sym) in regs.into_iter().enumerate() {
+            match sym {
+                SymReg::Rel(offset) => deltas[r] = offset,
+                SymReg::Abs(v) if v == t.regs[r] => {}
+                SymReg::Abs(_) => return None,
+            }
+        }
+        let mut iterations = u64::MAX;
+        self.walk_loop(t, |r, x, value| {
+            iterations = iterations.min(first_flip(x, deltas[r], value));
+        })?;
+        Some(SteadyLoop {
+            task,
+            lead: t.compute_remaining,
+            period,
+            ops,
+            deltas,
+            iterations,
+        })
+    }
+
+    /// Walks one iteration of `t`'s loop symbolically, from its pc back
+    /// to it, and returns the registers, the cycles and the ops it took.
+    /// `check(reg, x, value)` sees each `BranchIfRegEq` on a register
+    /// that moves with the iteration, worth `x` in this one. `None` if
+    /// the walk meets an op with side effects, a bad variable, or runs
+    /// longer than [`STEADY_MAX_OPS`].
+    fn walk_loop(
+        &self,
+        t: &Tcb,
+        mut check: impl FnMut(usize, i64, i64),
+    ) -> Option<([SymReg; NUM_REGS], u64, u64)> {
+        let mut regs = [SymReg::Rel(0); NUM_REGS];
+        let (mut pc, mut period, mut ops) = (t.pc, 0u64, 0u64);
+        loop {
+            if ops == STEADY_MAX_OPS {
+                return None;
+            }
+            let op = t.program.op(pc)?;
+            ops += 1;
+            period += 1;
+            pc += 1;
+            match op {
+                Op::Compute(n) => period += u64::from(n.saturating_sub(1)),
+                Op::AddReg { reg, delta } => {
+                    let r = &mut regs[usize::from(reg)];
+                    *r = r.add(delta);
+                }
+                Op::ReadVar { var, reg } => {
+                    regs[usize::from(reg)] = SymReg::Abs(self.read_var(var).ok()?);
+                }
+                Op::BranchIfVarEq { var, value, target } => {
+                    if self.read_var(var).ok()? == value {
+                        pc = target;
+                    }
+                }
+                Op::BranchIfRegEq { reg, value, target } => {
+                    let r = usize::from(reg);
+                    let x = match regs[r] {
+                        SymReg::Rel(offset) => {
+                            let x = t.regs[r].wrapping_add(offset);
+                            check(r, x, value);
+                            x
+                        }
+                        SymReg::Abs(v) => v,
+                    };
+                    if x == value {
+                        pc = target;
+                    }
+                }
+                Op::Jump(target) => pc = target,
+                _ => return None,
+            }
+            if pc == t.pc {
+                return Some((regs, period, ops));
+            }
+        }
+    }
+
+    /// The bookkeeping of `cycles` ticks that each run `task`, already
+    /// current, for one cycle: ticks, the change epoch, the task's
+    /// cycles and the time slice (renewed in place at each quantum
+    /// expiry, as for a lone task).
+    fn run_in_place(&mut self, task: TaskId, cycles: u64) {
+        if cycles == 0 {
+            return;
+        }
+        self.ticks += cycles;
+        self.epoch += cycles;
+        self.running(task).cycles_used += cycles;
+        self.slice_used = match self.quantum {
+            Some(q) => {
+                // The slice counts 1..=q and renews after q; a zero
+                // quantum renews every cycle, like a quantum of one.
+                let q = u64::from(q.max(1));
+                ((u64::from(self.slice_used) + cycles - 1) % q + 1) as u32
+            }
+            // The slice counter wraps, so only `cycles` mod 2^32 counts.
+            None => self.slice_used.wrapping_add(cycles as u32),
+        };
+    }
+
+    /// [`Kernel::run_in_place`] for `cycles` cycles of `task`'s
+    /// `Compute` in progress.
+    fn burn(&mut self, task: TaskId, cycles: u64) {
+        self.run_in_place(task, cycles);
+        self.running(task).compute_remaining -= cycles;
     }
 
     /// Whether a [`Kernel::tick`] at `now` could make task-level progress:
@@ -1030,7 +1312,7 @@ impl Kernel {
             reaped: false,
             program: prog,
             pc: 0,
-            regs: [0; crate::program::NUM_REGS],
+            regs: [0; NUM_REGS],
             compute_remaining: 0,
             stack_bytes: stack,
             stack_peak: 0,
@@ -1094,6 +1376,7 @@ impl Kernel {
         }
         if self.current == Some(task) {
             self.current = None;
+            self.steady = None;
         }
         // The task's memory (TCB, stack, task allocations) becomes garbage
         // for the next GC pass — this is the churn that exposes the GC bug.
@@ -1228,6 +1511,7 @@ impl Kernel {
         }
         let ctx = if self.isr.is_some() {
             self.isr_cycles += 1;
+            self.steady = None;
             Context::Isr
         } else {
             let picked = match self.quantum {
@@ -1236,10 +1520,12 @@ impl Kernel {
             };
             let Some(next) = picked else {
                 self.idle_ticks += 1;
+                self.steady = None;
                 return TickOutcome::Idle;
             };
             if self.current != Some(next) {
                 self.ctx_switches += 1;
+                self.steady = None;
                 self.trace
                     .record(self.now, self.core, "sched", format!("run {next}"));
                 self.current = Some(next);
@@ -1364,6 +1650,10 @@ impl Kernel {
         };
         let op = program.and_then(|p| p.op(frame.pc));
         let op = op.ok_or(Trap::Fault(TaskFault::PcOutOfRange))?;
+        if !op.is_side_effect_free() {
+            self.steady = None;
+        }
+        let at = frame.pc;
         frame.pc += 1;
         match op {
             Op::Compute(n) => frame.compute_remaining = u64::from(n.saturating_sub(1)),
@@ -1482,7 +1772,54 @@ impl Kernel {
             }
             Op::Exit => return Ok(Flow::Exit),
         }
+        if frame.pc <= at {
+            // A taken back-edge: the task enters (or goes round) a loop.
+            let body = (frame.pc, at);
+            self.steady = match ctx {
+                Context::Task(task) if self.steady_body(task, body) => Some(body),
+                _ => None,
+            };
+        } else if self
+            .steady
+            .is_some_and(|(head, tail)| frame.pc < head || frame.pc > tail)
+        {
+            self.steady = None;
+        }
         Ok(Flow::Continue)
+    }
+
+    /// Whether `task`, running now, keeps the core while nothing else
+    /// changes: it is the highest-priority runnable task, or under a
+    /// quantum the only one, whose slice renews in place.
+    fn keeps_core(&self, task: TaskId) -> bool {
+        match self.quantum {
+            Some(_) => {
+                self.tasks
+                    .iter()
+                    .flatten()
+                    .filter(|t| t.is_runnable())
+                    .count()
+                    == 1
+            }
+            None => self.pick_next() == Some(task),
+        }
+    }
+
+    /// Whether the loop body `(from, to)` that `task`, running now, has
+    /// just gone round is a steady one: accesses are untraced, the ops
+    /// `from..=to` of its program are all side-effect-free (known when
+    /// the task was already in this body), and under a quantum the task
+    /// is alone. Without one the running task is the highest-priority
+    /// runnable task by construction.
+    fn steady_body(&self, task: TaskId, (from, to): (u16, u16)) -> bool {
+        let pure = self.steady == Some((from, to))
+            || (!self.cfg.trace_accesses
+                && u64::from(to - from) < STEADY_MAX_OPS
+                && self.tcb(task).is_some_and(|t| {
+                    (from..=to)
+                        .all(|pc| t.program.op(pc).is_some_and(|op| op.is_side_effect_free()))
+                }));
+        pure && (self.quantum.is_none() || self.keeps_core(task))
     }
 
     /// Applies the outcome of `ctx`'s cycle: stores its frame, retires
@@ -2485,5 +2822,198 @@ mod tests {
             Some(TaskState::Terminated(ExitKind::Normal)),
             "ISR post must wake the waiter"
         );
+    }
+
+    /// Whether two kernels are in exactly the same state: snapshot,
+    /// change epoch, and everything else (frames, counters, time slice,
+    /// trace) through `Debug`.
+    fn assert_same(stepped: &Kernel, forwarded: &Kernel) {
+        assert_eq!(stepped.snapshot(), forwarded.snapshot());
+        assert_eq!(stepped.change_epoch(), forwarded.change_epoch());
+        assert_eq!(format!("{stepped:?}"), format!("{forwarded:?}"));
+    }
+
+    #[test]
+    fn steady_spin_fast_forwards_to_its_exit_bound() {
+        // The guarded races' bounded spin, abandoned by its peer: 30,000
+        // four-cycle iterations, then the countdown branch flips.
+        let mut b = ProgramBuilder::new();
+        b.push(Op::AddReg {
+            reg: 7,
+            delta: 30_000,
+        });
+        b.bind("spin");
+        b.branch_if_var_eq(VarId(9), 1, "go");
+        b.push(Op::AddReg { reg: 7, delta: -1 });
+        b.branch_if_reg_eq(7, 0, "give_up");
+        b.jump_to("spin");
+        b.bind("give_up");
+        b.push(Op::Exit);
+        b.bind("go");
+        b.push(Op::Exit);
+        let mut k = kernel();
+        let p = k.register_program(b.build().unwrap());
+        let t = create(&mut k, p, 5);
+        run(&mut k, 5);
+        assert!(k.in_steady_loop());
+        let window = k.steady_window().expect("an abandoned spin is steady");
+        assert!(window > 100_000, "{window}");
+        let mut stepped = k.clone();
+        run(&mut stepped, window);
+        k.fast_forward(window, Cycles::new(5 + window));
+        assert_same(&stepped, &k);
+        // Past the bound the countdown branch flips and the task exits,
+        // on the same cycle either way.
+        run(&mut stepped, 8);
+        run(&mut k, 8);
+        assert_same(&stepped, &k);
+        assert_eq!(
+            k.task_state(t),
+            Some(TaskState::Terminated(ExitKind::Normal))
+        );
+        assert!(!k.in_steady_loop());
+    }
+
+    #[test]
+    fn first_flip_finds_the_branch_flip_or_the_overflow() {
+        // A countdown reaching its bound, exactly or never.
+        assert_eq!(first_flip(10, -1, 0), 10);
+        assert_eq!(first_flip(10, -2, 0), 5);
+        assert_eq!(
+            first_flip(10, -3, 0),
+            ((10 - i128::from(i64::MIN)) / 3 + 1) as u64
+        );
+        assert_eq!(first_flip(0, 2, -4), (i64::MAX / 2 + 1) as u64);
+        // A branch taken now flips next iteration, unless nothing moves.
+        assert_eq!(first_flip(5, 1, 5), 1);
+        assert_eq!(first_flip(5, 0, 5), u64::MAX);
+        assert_eq!(first_flip(5, 0, 7), u64::MAX);
+        // Past `i64::MAX` the register wraps: stop before it does.
+        assert_eq!(first_flip(i64::MAX - 5, 2, i64::MIN), 3);
+    }
+
+    mod steady {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// One op of a random loop body; branches go to the exit or skip
+        /// the next op.
+        #[derive(Debug, Clone, Copy)]
+        enum BodyOp {
+            Add(u8, i64),
+            Read(u16, u8),
+            VarBranch(u16, i64, bool),
+            RegBranch(u8, i64, bool),
+            Compute(u32),
+        }
+
+        fn body_op() -> impl Strategy<Value = BodyOp> {
+            prop_oneof![
+                (0u8..4, -2i64..3).prop_map(|(r, d)| BodyOp::Add(r, d)),
+                (0u16..3, 0u8..4).prop_map(|(v, r)| BodyOp::Read(v, r)),
+                (0u16..3, 0i64..3, any::<bool>()).prop_map(|(v, x, e)| BodyOp::VarBranch(v, x, e)),
+                (0u8..4, -12i64..12, any::<bool>())
+                    .prop_map(|(r, x, e)| BodyOp::RegBranch(r, x, e)),
+                (0u32..5).prop_map(BodyOp::Compute),
+            ]
+        }
+
+        /// Registers seeded by a prelude, the body, a `Jump` back to its
+        /// head, and an `Exit` every exiting branch lands on.
+        fn loop_program(init: [i64; 4], body: &[BodyOp]) -> Program {
+            let head = init.len() as u16;
+            let jump = head + body.len() as u16;
+            let exit = jump + 1;
+            let mut ops: Vec<Op> = (0..4)
+                .map(|r| Op::AddReg {
+                    reg: r as u8,
+                    delta: init[r],
+                })
+                .collect();
+            for (i, op) in body.iter().enumerate() {
+                let target = |to_exit: bool| {
+                    if to_exit {
+                        exit
+                    } else {
+                        (head + i as u16 + 2).min(jump)
+                    }
+                };
+                ops.push(match *op {
+                    BodyOp::Add(reg, delta) => Op::AddReg { reg, delta },
+                    BodyOp::Read(var, reg) => Op::ReadVar {
+                        var: VarId(var),
+                        reg,
+                    },
+                    BodyOp::VarBranch(var, value, e) => Op::BranchIfVarEq {
+                        var: VarId(var),
+                        value,
+                        target: target(e),
+                    },
+                    BodyOp::RegBranch(reg, value, e) => Op::BranchIfRegEq {
+                        reg,
+                        value,
+                        target: target(e),
+                    },
+                    BodyOp::Compute(n) => Op::Compute(n),
+                });
+            }
+            ops.push(Op::Jump(head));
+            ops.push(Op::Exit);
+            Program::new(ops).unwrap()
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(512))]
+
+            #[test]
+            fn closed_form_equals_ticks(
+                init in (-40i64..40, -40i64..40, -40i64..40, -40i64..40),
+                vars in (0i64..3, 0i64..3, 0i64..3),
+                body in proptest::collection::vec(body_op(), 1..8),
+                countdown in proptest::option::of((0u8..4, -2i64..3, -12i64..12)),
+                quantum in proptest::option::of(1u32..6),
+                rival in any::<bool>(),
+                warmup in 0u64..6,
+                count in 0u64..400,
+            ) {
+                let mut k = kernel();
+                k.set_quantum(quantum);
+                for (var, value) in [vars.0, vars.1, vars.2].into_iter().enumerate() {
+                    k.set_var(VarId(var as u16), value);
+                }
+                let mut body = body;
+                if let Some((reg, delta, bound)) = countdown {
+                    // A counted loop: exits once the counter hits `bound`.
+                    body.extend([BodyOp::Add(reg, delta), BodyOp::RegBranch(reg, bound, true)]);
+                }
+                let p = k.register_program(loop_program([init.0, init.1, init.2, init.3], &body));
+                create(&mut k, p, 5);
+                if rival {
+                    // Never picked without a quantum; rotated with under one.
+                    create(&mut k, p, 3);
+                }
+                run(&mut k, warmup);
+                for _ in 0..200 {
+                    if k.steady_window().is_some() {
+                        break;
+                    }
+                    run(&mut k, 1);
+                }
+                let Some(window) = k.steady_window() else {
+                    return Ok(());
+                };
+                prop_assert!(k.in_steady_loop());
+                let count = count.min(window);
+                let now = k.now.get();
+                let mut stepped = k.clone();
+                run(&mut stepped, count);
+                k.fast_forward(count, Cycles::new(now + count));
+                assert_same(&stepped, &k);
+                // The exit bound is exact: stepping on from either agrees.
+                run(&mut stepped, 30);
+                run(&mut k, 30);
+                assert_same(&stepped, &k);
+            }
+        }
     }
 }

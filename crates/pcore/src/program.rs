@@ -144,6 +144,25 @@ impl Op {
             Op::Alloc { .. } | Op::Free { .. } => 8,
         }
     }
+
+    /// Whether the op only moves the executing task's own frame: it
+    /// reads registers and shared variables, branches, or computes, but
+    /// writes no variable, touches no kernel object, and never blocks or
+    /// exits. A loop built from these ops alone is a steady loop the
+    /// kernel can advance in closed form
+    /// ([`Kernel::fast_forward`](crate::Kernel::fast_forward)).
+    #[must_use]
+    pub fn is_side_effect_free(&self) -> bool {
+        matches!(
+            self,
+            Op::Compute(_)
+                | Op::AddReg { .. }
+                | Op::ReadVar { .. }
+                | Op::BranchIfVarEq { .. }
+                | Op::BranchIfRegEq { .. }
+                | Op::Jump(_)
+        )
+    }
 }
 
 impl fmt::Display for Op {

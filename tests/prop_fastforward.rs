@@ -1,12 +1,15 @@
-//! Idle-cycle fast-forward equivalence: across a matrix of scenarios ×
+//! Idle- and steady-cycle fast-forward equivalence: across a matrix of scenarios ×
 //! schedulers × memory models × preemption lanes, a fast-forwarded trial
 //! must produce a `TestReport` that serializes **byte-for-byte
 //! identically** to a forced cycle-by-cycle run of the same seeds.
 //!
 //! The buggy race scenarios are here because the engine asks for the
-//! idle horizon only after a cycle in which no kernel did work: on these
-//! dense workloads it skips almost every query, and the reports must not
-//! notice.
+//! horizon only after a cycle in which no kernel did work other than
+//! spin in a side-effect-free loop: on these dense workloads it skips
+//! almost every query, and the reports must not notice. The abandoned
+//! barrier is the other extreme: a task spins at a barrier its peer
+//! never reaches until the livelock rule fires, and almost every one of
+//! those cycles is a steady-loop iteration applied in closed form.
 //!
 //! This is the contract that makes the event-driven trial loop safe to
 //! ship: fast-forward is a pure latency optimisation, invisible in every
@@ -15,13 +18,14 @@
 
 use ptest::faults::philosophers::PhilosophersScenario;
 use ptest::faults::races::{AtomicityRaceScenario, OrderViolationScenario};
-use ptest::faults::timers::IsrSharedVarScenario;
-use ptest::master::{MemoryModelSpec, ScheduleSpec};
+use ptest::faults::timers::{IsrSharedVarScenario, QuantumAtomicityScenario};
+use ptest::faults::weakmem::StoreVisibilityScenario;
+use ptest::master::{ClockSkewConfig, MemoryModelSpec, ScheduleSpec};
 use ptest::pcore::{Op, Program, ProgramId};
 use ptest::{
-    derived_memory_seed, derived_schedule_seed, AdaptiveTestConfig, FnScenario, InterruptConfig,
-    MultiCoreSystem, PreemptionSpec, QuantumConfig, Scenario, TrialEngine, TrialOverrides,
-    TrialScratch,
+    derived_memory_seed, derived_schedule_seed, AdaptiveTestConfig, Configured, FnScenario,
+    InterruptConfig, MultiCoreSystem, PreemptionSpec, QuantumConfig, Scenario, TrialEngine,
+    TrialOverrides, TrialScratch,
 };
 
 /// A sleeper-dominated worker: short compute bursts separated by long
@@ -68,9 +72,17 @@ fn compute_scenario() -> impl Scenario {
     )
 }
 
-/// The exploration lanes: scheduler × memory model, plus a quantum lane
-/// and an interrupt lane. A lane's preemption features are added on top
-/// of the scenario's own (an ISR scenario keeps its interrupt plan).
+/// The guarded order-violation race with one pattern on its two slaves:
+/// slave 0's consumer is created, slave 1's initializer never is, so
+/// the consumer spins at the barrier until the livelock rule fires.
+fn abandoned_barrier_scenario() -> impl Scenario {
+    Configured::adjust(OrderViolationScenario::buggy(), |cfg| cfg.n = 1)
+}
+
+/// The exploration lanes: scheduler × memory model, plus a quantum lane,
+/// an interrupt lane and a clock-skew lane. A lane's preemption features
+/// are added on top of the scenario's own (an ISR scenario keeps its
+/// interrupt plan).
 fn explorations() -> Vec<(ScheduleSpec, MemoryModelSpec, PreemptionSpec)> {
     let none = PreemptionSpec::default();
     vec![
@@ -110,6 +122,14 @@ fn explorations() -> Vec<(ScheduleSpec, MemoryModelSpec, PreemptionSpec)> {
                 ..none
             },
         ),
+        (
+            ScheduleSpec::random_priority(),
+            MemoryModelSpec::SeqCst,
+            PreemptionSpec {
+                clock_skew: Some(ClockSkewConfig::default()),
+                ..none
+            },
+        ),
     ]
 }
 
@@ -123,6 +143,7 @@ fn assert_fast_forward_equivalence(scenario: &dyn Scenario, seeds: std::ops::Ran
         cfg.memory = memory;
         cfg.preemption.quantum = preemption.quantum.or(cfg.preemption.quantum);
         cfg.preemption.interrupts = preemption.interrupts.or(cfg.preemption.interrupts);
+        cfg.preemption.clock_skew = preemption.clock_skew.or(cfg.preemption.clock_skew);
         let mut fast = TrialEngine::new(cfg.clone()).unwrap();
         fast.set_fast_forward(true);
         let mut slow = TrialEngine::new(cfg).unwrap();
@@ -193,4 +214,19 @@ fn buggy_atomicity_race_reports_are_byte_identical_with_and_without_fast_forward
 #[test]
 fn buggy_isr_shared_var_reports_are_byte_identical_with_and_without_fast_forward() {
     assert_fast_forward_equivalence(&IsrSharedVarScenario::buggy(), 1..=2);
+}
+
+#[test]
+fn buggy_store_visibility_reports_are_byte_identical_with_and_without_fast_forward() {
+    assert_fast_forward_equivalence(&StoreVisibilityScenario::buggy(), 1..=2);
+}
+
+#[test]
+fn buggy_quantum_atomicity_reports_are_byte_identical_with_and_without_fast_forward() {
+    assert_fast_forward_equivalence(&QuantumAtomicityScenario::buggy(), 1..=2);
+}
+
+#[test]
+fn abandoned_barrier_reports_are_byte_identical_with_and_without_fast_forward() {
+    assert_fast_forward_equivalence(&abandoned_barrier_scenario(), 1..=2);
 }
