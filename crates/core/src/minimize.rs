@@ -888,7 +888,7 @@ fn build_root_cause(
                     at: e.at.get(),
                     core: e.core.to_string(),
                     kind: e.kind.to_owned(),
-                    detail: e.detail.clone(),
+                    detail: e.detail.to_string(),
                 },
             ));
         }
@@ -996,7 +996,7 @@ mod tests {
             at: ptest_soc::Cycles::new(at),
             core,
             kind,
-            detail: detail.to_owned(),
+            detail: detail.to_owned().into(),
         }
     }
 

@@ -131,16 +131,20 @@ impl TrialEngine {
         })
     }
 
-    /// Enables or disables idle- and steady-cycle fast-forward for
-    /// trials run by this engine. Fast-forward is a pure latency optimisation — reports are
-    /// byte-identical either way (the equivalence suite pins this) — so
-    /// the switch exists for validation and debugging only.
+    /// Enables or disables fast-forward for trials run by this engine:
+    /// windows in which every kernel is idle, spins in a steady loop
+    /// that keeps its core, or polls and yields in a steady rotation
+    /// ([`Kernel::fast_forward`](ptest_pcore::Kernel::fast_forward)) are
+    /// applied in closed form. Fast-forward is a pure latency
+    /// optimisation — reports are byte-identical either way (the
+    /// equivalence suite pins this) — so the switch exists for
+    /// validation and debugging only, and disabled it is the reference.
     pub fn set_fast_forward(&mut self, enabled: bool) {
         self.fast_forward = enabled;
     }
 
-    /// Whether idle- and steady-cycle fast-forward is active for this
-    /// engine.
+    /// Whether fast-forward over idle windows, steady loops and yielding
+    /// rotations is active for this engine.
     #[must_use]
     pub fn fast_forward_enabled(&self) -> bool {
         self.fast_forward
@@ -322,19 +326,19 @@ impl TrialEngine {
         // Each kernel's change epoch before the cycle being executed.
         let mut epochs = Vec::with_capacity(cfg.system.slaves);
         // Whether every kernel whose change epoch moved in the last
-        // executed cycle is in a steady loop (in particular, whether the
-        // cycle was quiet: no epoch moved at all).
+        // executed cycle may be steady (in particular, whether the cycle
+        // was quiet: no epoch moved at all).
         let mut settled = true;
         while cycles < cfg.max_cycles {
             // --- Idle- and steady-cycle fast-forward. When every
             // component can name the first future cycle at which it could
-            // do observable work (sleeper wake-ups, a steady loop's exit
-            // bound, a pending store delivery, the committer's next
+            // do observable work (sleeper wake-ups, the end of a steady
+            // window, a pending store delivery, the committer's next
             // issue/timeout/completion cycle), and that cycle — capped by
             // the next detector observe point and the drain/end-of-trial
             // deadlines — is more than one step away, the gap is advanced
             // arithmetically: clocks jump, idle tick counters
-            // batch-update, steady loops advance whole iterations, and
+            // batch-update, steady kernels advance whole rotations, and
             // the schedule stream is consumed in closed form. Cycle
             // `target` itself then executes normally, so every observable
             // transition and every detector observation lands on exactly
@@ -342,38 +346,44 @@ impl TrialEngine {
             // equivalence suite and the golden fixtures pin the reports
             // byte-identical).
             //
-            // A cycle in which some kernel did work other than spin in a
-            // steady loop is almost always followed by more work, so the
-            // horizon is asked only after a quiet or steady cycle. Not
-            // asking is always exact — it just steps the cycle — and
-            // costs at most one executed cycle per window.
+            // A cycle in which some kernel did work other than turn its
+            // steady rotation is almost always followed by more work, so the
+            // horizon is asked only after a quiet or steady cycle, and only
+            // when the observe point, the committer's next event and the
+            // deadlines leave room for a window: the horizon walks steady
+            // kernels, which costs more than those caps. Not asking is
+            // always exact — it just steps the cycle — and costs at most
+            // one executed cycle per window.
             if self.fast_forward && settled {
-                let sys_horizon = sys.quiescent_horizon();
-                let model_horizon = memory_model
-                    .as_deref()
-                    .map_or(IdleHorizon::Unbounded, MemoryModel::idle_horizon);
-                if sys_horizon != IdleHorizon::Unknown && model_horizon != IdleHorizon::Unknown {
-                    let mut target = (cycles / cfg.check_interval + 1) * cfg.check_interval;
-                    if let IdleHorizon::Until(h) = sys_horizon {
-                        target = target.min(h);
-                    }
-                    if let IdleHorizon::Until(h) = model_horizon {
-                        target = target.min(h);
-                    }
-                    if let Some(event) = committer.next_event_cycle(sys.now()) {
-                        target = target.min(event);
-                    }
-                    if let Some(done) = done_at {
-                        target = target.min(done + cfg.drain_cycles);
-                    }
-                    target = target.min(cfg.max_cycles);
-                    if target > cycles + 1 {
-                        let skip = target - cycles - 1;
-                        match scheduler.as_deref_mut() {
-                            None => sys.fast_forward_idle(skip),
-                            Some(sched) => sys.fast_forward_idle_with(skip, sched),
+                let mut target = (cycles / cfg.check_interval + 1) * cfg.check_interval;
+                if let Some(event) = committer.next_event_cycle(sys.now()) {
+                    target = target.min(event);
+                }
+                if let Some(done) = done_at {
+                    target = target.min(done + cfg.drain_cycles);
+                }
+                target = target.min(cfg.max_cycles);
+                if target > cycles + 1 {
+                    let sys_horizon = sys.quiescent_horizon();
+                    let model_horizon = memory_model
+                        .as_deref()
+                        .map_or(IdleHorizon::Unbounded, MemoryModel::idle_horizon);
+                    if sys_horizon != IdleHorizon::Unknown && model_horizon != IdleHorizon::Unknown
+                    {
+                        if let IdleHorizon::Until(h) = sys_horizon {
+                            target = target.min(h);
                         }
-                        cycles += skip;
+                        if let IdleHorizon::Until(h) = model_horizon {
+                            target = target.min(h);
+                        }
+                        if target > cycles + 1 {
+                            let skip = target - cycles - 1;
+                            match scheduler.as_deref_mut() {
+                                None => sys.fast_forward_idle(skip),
+                                Some(sched) => sys.fast_forward_idle_with(skip, sched),
+                            }
+                            cycles += skip;
+                        }
                     }
                 }
             }

@@ -276,13 +276,24 @@ pub fn run_with_master_threads(scenario: Fig1Scenario) -> Fig1Outcome {
 /// The Figure 1 fault as an adaptive-test [`Scenario`]: the committer's
 /// `task_create` commands play the role of the master's `K`/`L` resumes.
 /// Pattern 0 starts S1 (spin-wait on `y`, with the `a→b` compute window)
-/// and pattern 1 starts S2 (spin-wait on `x`); whenever the merged
-/// pattern lands both creates inside S1's window — and neither task is
-/// deleted before the spin closes — the mutual yield loop forms and the
-/// detector reports a livelock. Distributions that keep tasks alive
-/// (pattern truncated before its terminal `TD`/`TY`) reveal the fault;
-/// churn-heavy ones destroy the processes before it can form, which is
-/// exactly the signal the campaign's cross-trial learning feeds on.
+/// and pattern 1 starts S2 (spin-wait on `x`). Whenever the merged
+/// pattern lands both creates inside S1's window, each process sets its
+/// own variable before the other's spin tests it, and a spin that sees
+/// its partner's variable at 1 never ends. The detector then reports a
+/// livelock in one of three shapes, which at the base configuration
+/// occur in these proportions over seeds 0–1023 (393 livelocks):
+///
+/// * **one spinner alone** (314): the partner was deleted by a later
+///   `TD` after setting its variable, which stays at 1 — seed 1;
+/// * **a spinner beside a suspended task** (27): the partner was
+///   suspended by a `TS` before its spin closed — seed 91;
+/// * **two tasks yielding to each other** (52), the figure's own
+///   mutual yield loop — seed 30.
+///
+/// Distributions that keep tasks alive (pattern truncated before its
+/// terminal `TD`/`TY`) reveal the fault; churn-heavy ones destroy the
+/// processes before it can form, which is exactly the signal the
+/// campaign's cross-trial learning feeds on.
 #[derive(Debug, Clone, Copy)]
 pub struct Fig1AdaptiveScenario {
     /// Compute cycles between S1's `a:` and `b:` statements.
@@ -430,6 +441,40 @@ mod tests {
             found,
             "cyclic creates must land inside S1's window for some seed"
         );
+    }
+
+    #[test]
+    fn adaptive_livelocks_take_three_shapes() {
+        use ptest_core::AdaptiveTest;
+        // (seed, spinners, the suspended bystander's state), at the base
+        // configuration.
+        let shapes = [(1, 1, None), (91, 1, Some(TaskState::Ready)), (30, 2, None)];
+        let scenario = Fig1AdaptiveScenario::default();
+        for (seed, spinners, bystander) in shapes {
+            let report = AdaptiveTest::run_scenario(&scenario, seed).unwrap();
+            let bug = report
+                .bugs
+                .iter()
+                .find(|b| matches!(b.kind, BugKind::Livelock { .. }))
+                .unwrap_or_else(|| panic!("seed {seed} livelocks"));
+            let live: Vec<_> = bug
+                .snapshot
+                .tasks
+                .iter()
+                .filter(|t| !matches!(t.state, TaskState::Terminated(_)))
+                .collect();
+            let spinning = live.iter().filter(|t| !t.suspended).count();
+            let suspended: Vec<_> = live
+                .iter()
+                .filter(|t| t.suspended)
+                .map(|t| t.state)
+                .collect();
+            assert_eq!(
+                (spinning, suspended),
+                (spinners, bystander.into_iter().collect::<Vec<_>>()),
+                "seed {seed}"
+            );
+        }
     }
 
     #[test]

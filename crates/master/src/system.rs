@@ -178,10 +178,18 @@ pub struct MultiCoreSystem {
     sched_advance: Vec<bool>,
     /// Reused scratch of [`MultiCoreSystem::fast_forward_idle_with`].
     sched_ticks: Vec<TickAdvance>,
+    /// A [`Scheduler`] has driven the system, so a kernel ticks only on
+    /// the cycles it picks, not at consecutive times.
+    scheduled: bool,
     /// The installed preemption axis, if any (`None` is the inert
     /// unpreempted fast path the golden fixtures pin).
     preempt: Option<PreemptState>,
     cfg: SystemConfig,
+}
+
+/// Lowers `horizon` to `at`.
+fn merge(horizon: &mut Option<u64>, at: u64) {
+    *horizon = Some(horizon.map_or(at, |h| h.min(at)));
 }
 
 /// The compiled preemption axis of one trial: the live injection queue
@@ -293,6 +301,7 @@ impl MultiCoreSystem {
             sched_runnable: Vec::new(),
             sched_advance: Vec::new(),
             sched_ticks: Vec::new(),
+            scheduled: false,
             preempt: None,
             cfg,
         }
@@ -650,20 +659,25 @@ impl MultiCoreSystem {
     /// The platform's fast-forward horizon: the earliest future cycle at
     /// which anything observable can happen, assuming no external input
     /// arrives in the meantime. Until then every kernel is *idle* or
-    /// *steady*: it has no dispatchable work, or its running task spins
-    /// in a side-effect-free loop ([`Kernel::steady_window`]) that
-    /// changes nothing but its own frame and counters.
+    /// *steady*: it has no dispatchable work, or its tasks loop over
+    /// side-effect-free ops and `Yield`s ([`Kernel::steady_window`]),
+    /// changing nothing but their own frames, sleeps and the kernel's
+    /// counters and trace. A steady rotation that
+    /// [reads time](ptest_pcore::SteadyWindow::reads_time) is certified
+    /// only where the kernel ticks at consecutive times: on a system no
+    /// [`Scheduler`] has driven, without clock skew on its core.
     ///
     /// * [`IdleHorizon::Unknown`] — the platform is *not* quiescent
-    ///   (dispatchable kernel work that is not a steady loop, in-flight
-    ///   bridge or mailbox traffic, pending semaphore hand-offs or
-    ///   fences, un-mirrored shared-var stores, or a live master
-    ///   thread); it must be stepped cycle by cycle.
+    ///   (dispatchable kernel work that is not a certified steady
+    ///   rotation, in-flight bridge or mailbox traffic, pending
+    ///   semaphore hand-offs or fences, un-mirrored shared-var stores,
+    ///   or a live master thread); it must be stepped cycle by cycle.
     /// * [`IdleHorizon::Until`]`(c)` — every cycle strictly before `c` is
     ///   skippable via [`MultiCoreSystem::fast_forward_idle`]; `c` is
     ///   the earliest sleeper deadline (kernel task or master thread),
-    ///   planned interrupt, or the first cycle past a steady loop's exit
-    ///   bound.
+    ///   planned interrupt, or the first cycle past a steady window. A
+    ///   rotation's own sleepers wake inside its window and do not
+    ///   bound it.
     /// * [`IdleHorizon::Unbounded`] — quiescent with nothing scheduled
     ///   to happen: every future cycle is skippable.
     ///
@@ -683,7 +697,7 @@ impl MultiCoreSystem {
             // time, so dispatchability (sleeper deadlines, pending
             // unmasked interrupts, an active ISR frame, quantum-expiry
             // rotations — all kernel-local) is probed at local time.
-            // Only a kernel in a steady loop may have work.
+            // Only a kernel that may be steady may have work.
             let local_next = self.local_time_of(i, next);
             if slave.kernel.pending_fence_count() > 0
                 || (!slave.kernel.in_steady_loop()
@@ -706,34 +720,12 @@ impl MultiCoreSystem {
             return IdleHorizon::Unknown;
         }
         let mut horizon: Option<u64> = None;
-        let mut merge = |at: u64| {
-            horizon = Some(horizon.map_or(at, |h| h.min(at)));
-        };
-        for slave in &self.slaves {
-            // A steady loop ticks in closed form up to its exit bound;
-            // the kernel ticks at most once per cycle, so the bound in
-            // ticks caps the window in cycles.
-            if slave.kernel.in_steady_loop() {
-                match slave.kernel.steady_window() {
-                    Some(window) => merge(next.get().saturating_add(window)),
-                    None => return IdleHorizon::Unknown,
-                }
-            }
-        }
-        // The other self-timed future events: sleepers and injections.
-        for (i, slave) in self.slaves.iter().enumerate() {
-            if let Some(at) = slave.kernel.next_sleeper_wake() {
-                // Kernel sleeper deadlines are local-time; convert back
-                // to the system cycle that first reaches them.
-                let rate = self.preempt.as_ref().map_or(0, |p| p.skew_rates[i]);
-                merge(preempt::system_time_for(at, rate));
-            }
-        }
-        // A planned interrupt injection is an observable future event:
-        // never certify a window that crosses its firing cycle.
+        // Self-timed events first: planned injections (never certify a
+        // window that crosses a firing cycle), master-thread sleeps, and
+        // the sleepers of kernels that are not steady.
         if let Some(state) = &self.preempt {
             if let Some(fire) = state.plan.next_fire() {
-                merge(fire.max(next.get()));
+                merge(&mut horizon, fire.max(next.get()));
             }
         }
         for t in &self.threads {
@@ -742,14 +734,64 @@ impl MultiCoreSystem {
                 // for one rotation); waiting threads wake only through
                 // response traffic, which is disqualified above.
                 ThreadState::Ready => return IdleHorizon::Unknown,
-                ThreadState::Sleeping { until } => merge(until),
+                ThreadState::Sleeping { until } => merge(&mut horizon, until),
                 ThreadState::Waiting(_) | ThreadState::Done => {}
+            }
+        }
+        for (i, slave) in self.slaves.iter().enumerate() {
+            if !slave.kernel.in_steady_loop() {
+                self.merge_sleepers(i, &mut horizon);
+            }
+        }
+        // When they leave no cycle to skip, the steady kernels' walks
+        // could not open a window either.
+        if let Some(at) = horizon.filter(|&at| at <= next.get()) {
+            return IdleHorizon::Until(at);
+        }
+        for (i, slave) in self.slaves.iter().enumerate() {
+            if !slave.kernel.in_steady_loop() {
+                continue;
+            }
+            // A steady rotation ticks in closed form up to its window; the
+            // kernel ticks at most once per cycle, so the window in ticks
+            // caps the window in cycles.
+            match slave.kernel.steady_window() {
+                Some(w) if !w.reads_time || self.consecutive_ticks(i) => {
+                    merge(&mut horizon, next.get().saturating_add(w.ticks));
+                    // A window that reads time already ends before any
+                    // wake that is not the rotation's own.
+                    if !w.reads_time {
+                        self.merge_sleepers(i, &mut horizon);
+                    }
+                }
+                _ => return IdleHorizon::Unknown,
             }
         }
         match horizon {
             Some(at) => IdleHorizon::Until(at),
             None => IdleHorizon::Unbounded,
         }
+    }
+
+    /// Merges slave `slave`'s earliest sleeper wake into `horizon`,
+    /// converted from its kernel's local time to the system cycle that
+    /// first reaches it.
+    fn merge_sleepers(&self, slave: usize, horizon: &mut Option<u64>) {
+        if let Some(at) = self.slaves[slave].kernel.next_sleeper_wake() {
+            let rate = self.preempt.as_ref().map_or(0, |p| p.skew_rates[slave]);
+            merge(horizon, preempt::system_time_for(at, rate));
+        }
+    }
+
+    /// Whether slave `slave`'s kernel ticks once per cycle at the
+    /// system's own times: no scheduler has driven the system and its
+    /// core runs without clock skew.
+    fn consecutive_ticks(&self, slave: usize) -> bool {
+        !self.scheduled
+            && self
+                .preempt
+                .as_ref()
+                .is_none_or(|p| p.skew_rates[slave] == 0)
     }
 
     /// Batch-advances the platform across `count` cycles of a window
@@ -792,11 +834,14 @@ impl MultiCoreSystem {
         let mut runnable = std::mem::take(&mut self.sched_runnable);
         let mut advance = std::mem::take(&mut self.sched_advance);
         let mut ticks = std::mem::take(&mut self.sched_ticks);
-        // In a certified window exactly the steady kernels have work.
+        self.scheduled = true;
+        // In a certified window exactly the steady kernels have work, and
+        // none of their rotations reads time.
         runnable.clear();
         runnable.extend(self.slaves.iter().map(|s| s.kernel.in_steady_loop()));
         debug_assert!(self.slaves.iter().enumerate().all(|(i, s)| {
             s.kernel.has_dispatchable_work(self.local_time_of(i, start)) == runnable[i]
+                && (!runnable[i] || s.kernel.steady_window().is_some_and(|w| !w.reads_time))
         }));
         advance.clear();
         advance.resize(self.slaves.len(), true);
@@ -865,6 +910,7 @@ impl MultiCoreSystem {
         scheduler: &mut dyn crate::sched::Scheduler,
         memory: Option<&mut (dyn MemoryModel + '_)>,
     ) {
+        self.scheduled = true;
         let next = Cycles::new(self.clock.now().get() + 1);
         let mut runnable = std::mem::take(&mut self.sched_runnable);
         let mut advance = std::mem::take(&mut self.sched_advance);

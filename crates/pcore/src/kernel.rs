@@ -17,12 +17,13 @@
 //! sleep, semaphore wait, mutexes) abort it, and it traces its stores
 //! only.
 //!
-//! A task that spins in a side-effect-free loop (a polling loop over
-//! registers and shared variables, see [`Op::is_side_effect_free`])
-//! changes nothing but its own frame and the kernel's counters, one
-//! iteration like the next. [`Kernel::fast_forward`] advances such a
-//! *steady loop* by whole iterations in closed form, exactly as the
-//! same number of [`Kernel::tick`]s would.
+//! Tasks that poll in side-effect-free loops (over registers and shared
+//! variables, see [`Op::is_side_effect_free`]), possibly yielding
+//! between polls, change nothing but their own frames, sleeps and the
+//! kernel's counters and trace, one rotation of the kernel like the
+//! next. [`Kernel::fast_forward`] advances such a *steady* kernel by
+//! whole rotations in closed form, exactly as the same number of
+//! [`Kernel::tick`]s would.
 
 use std::fmt;
 
@@ -33,7 +34,12 @@ use crate::ids::{MutexId, Priority, SemId, TaskId, VarId};
 use crate::program::{Op, Program, NUM_REGS};
 use crate::services::Service;
 use crate::sync::{KernelMutex, LockOutcome, Semaphore};
-use crate::task::{ExitKind, TaskFault, TaskState, Tcb, WaitReason};
+use crate::task::{ExitKind, SteadyBody, TaskFault, TaskState, Tcb, WaitReason};
+
+mod rotation;
+
+pub use rotation::SteadyWindow;
+use rotation::{slice_after, Rotation, RotationMemo, SchedEvent, STEADY_MAX_OPS};
 
 /// Identifies a program registered with the kernel's code registry.
 ///
@@ -287,75 +293,6 @@ struct Frame {
     compute_remaining: u64,
 }
 
-/// Longest loop iteration, in ops, [`Kernel::steady_loop`] follows
-/// before it gives up.
-const STEADY_MAX_OPS: u64 = 64;
-
-/// A register during one symbolic loop iteration: its value at the
-/// iteration's start plus an offset, or a constant loaded from a shared
-/// variable.
-#[derive(Debug, Clone, Copy)]
-enum SymReg {
-    Rel(i64),
-    Abs(i64),
-}
-
-impl SymReg {
-    fn add(self, delta: i64) -> SymReg {
-        match self {
-            SymReg::Rel(o) => SymReg::Rel(o.wrapping_add(delta)),
-            SymReg::Abs(v) => SymReg::Abs(v.wrapping_add(delta)),
-        }
-    }
-}
-
-/// The running task's steady loop, as [`Kernel::steady_loop`] finds it
-/// from the current state: after `lead` cycles of a `Compute` in
-/// progress, the task runs iterations from its current pc back to it,
-/// each taking `period` cycles, retiring `ops` ops and adding `deltas`
-/// to its registers. The first `iterations` of them take the same path.
-#[derive(Debug, Clone, Copy)]
-struct SteadyLoop {
-    task: TaskId,
-    lead: u64,
-    period: u64,
-    ops: u64,
-    deltas: [i64; NUM_REGS],
-    iterations: u64,
-}
-
-impl SteadyLoop {
-    /// Ticks the loop can be advanced in closed form.
-    fn window(&self) -> u64 {
-        self.lead
-            .saturating_add(self.iterations.saturating_mul(self.period))
-    }
-}
-
-/// The first iteration `j >= 1` at which a register worth `x` in
-/// iteration 0 and moving by `delta` per iteration compares differently
-/// against `value`, or from which `x + j * delta` leaves the `i64`
-/// range, where wrapping would make the comparison non-affine.
-/// `u64::MAX` if neither ever happens.
-fn first_flip(x: i64, delta: i64, value: i64) -> u64 {
-    if delta == 0 {
-        return u64::MAX;
-    }
-    if x == value {
-        return 1;
-    }
-    let (x, d, value) = (i128::from(x), i128::from(delta), i128::from(value));
-    let limit = i128::from(if d > 0 { i64::MAX } else { i64::MIN });
-    let overflow = (limit - x) / d + 1;
-    let diff = value - x;
-    let hit = if diff % d == 0 && diff / d > 0 {
-        diff / d
-    } else {
-        overflow
-    };
-    u64::try_from(hit.min(overflow)).unwrap_or(u64::MAX)
-}
-
 /// What executes a cycle: a scheduled task, or the ISR, which shares
 /// the task ISA but runs above every task priority and cannot block.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -554,9 +491,9 @@ pub struct Kernel {
     isr_runs: u64,
     /// Cycles consumed in interrupt context.
     isr_cycles: u64,
-    /// The pc range of the side-effect-free loop body the running task
-    /// is in, while [`Kernel::in_steady_loop`].
-    steady: Option<(u16, u16)>,
+    /// [`Kernel::in_steady_loop`].
+    steady: bool,
+    memo: RotationMemo,
 }
 
 impl Kernel {
@@ -609,7 +546,8 @@ impl Kernel {
             irq_masked: false,
             isr_runs: 0,
             isr_cycles: 0,
-            steady: None,
+            steady: false,
+            memo: RotationMemo::default(),
             cfg,
         }
     }
@@ -790,221 +728,115 @@ impl Kernel {
 
     /// Applies `count` consecutive ticks in closed form, leaving the
     /// kernel in exactly the state `count` calls of [`Kernel::tick`]
-    /// would have produced, the last at `final_now`. Two windows
+    /// would have produced, the last at `final_now`. Three windows
     /// qualify, and the caller must certify one of them:
     ///
     /// * An **idle** window, where no tick finds dispatchable work: the
     ///   tick and idle counters advance, no trace is recorded and the
     ///   change epoch stays put, just like real idle ticks.
-    /// * A **steady** window of at most [`Kernel::steady_window`]
-    ///   ticks: the running task's side-effect-free loop advances by
-    ///   whole iterations arithmetically (registers by `k` times their
-    ///   per-iteration change; instructions retired, cycles used, ticks,
-    ///   the change epoch and the time slice by their exact per-tick
-    ///   amounts), and any remainder of less than one iteration runs
-    ///   through [`Kernel::tick`]. A steady tick reads no time, so
-    ///   handing each remainder tick `final_now` is exact.
+    /// * A **steady loop** of at most [`Kernel::steady_window`] ticks,
+    ///   in which one task keeps the core spinning in a side-effect-free
+    ///   loop: such a window reads no time, so any `final_now` is exact.
+    /// * A **yielding rotation** of at most [`Kernel::steady_window`]
+    ///   ticks, in which tasks poll and `Yield`, sleeping, waking and
+    ///   switching: such a window
+    ///   [reads time](SteadyWindow::reads_time), and `final_now` must be
+    ///   `count` cycles past now.
+    ///
+    /// A steady window burns the running task's compute in progress,
+    /// then advances the kernel by whole rotations arithmetically.
+    /// Registers, instructions retired and cycles used move by `k` times
+    /// their per-rotation change, and so do the kernel's ticks, idle
+    /// ticks, context switches, preemptions and change epoch. Sleep
+    /// deadlines and the cached earliest wake shift by `k` periods. The
+    /// trace ring receives the last of the `k` rotations' scheduler
+    /// events, at their own times, and counts the rest as dropped. Any
+    /// remainder of less than one rotation runs through
+    /// [`Kernel::tick`].
     ///
     /// On a panicked kernel only `now` moves, matching
     /// [`Kernel::tick`]'s early return.
     pub fn fast_forward(&mut self, count: u64, final_now: Cycles) {
-        let steady = self.steady_loop();
+        let mut memo = self.memo.take();
+        let steady = self.rotation_into(&mut memo);
+        let start = self.now.get();
         self.now = final_now;
-        if self.panic.is_some() {
-            return;
-        }
-        let Some(lp) = steady else {
-            debug_assert!(!self.has_dispatchable_work(final_now), "not an idle window");
-            self.ticks += count;
-            self.idle_ticks += count;
-            return;
-        };
-        debug_assert!(count <= lp.window(), "{count} ticks past {lp:?}");
-        let lead = lp.lead.min(count);
-        self.burn(lp.task, lead);
-        let iterations = (count - lead) / lp.period;
-        self.run_in_place(lp.task, iterations * lp.period);
-        let t = self.running(lp.task);
-        for (reg, delta) in t.regs.iter_mut().zip(lp.deltas) {
-            // Registers wrap, so `k` wrapping adds are one wrapping
-            // multiply, whatever `k as i64` reinterprets.
-            *reg = reg.wrapping_add(delta.wrapping_mul(iterations as i64));
-        }
-        t.ops_retired += iterations * lp.ops;
-        let mut left = count - lead - iterations * lp.period;
-        while left > 0 {
-            let burn = self.running(lp.task).compute_remaining.min(left);
-            if burn > 0 {
-                self.burn(lp.task, burn);
-                left -= burn;
+        if self.panic.is_none() {
+            if steady {
+                self.advance(&memo.rot, count, start, final_now);
             } else {
-                self.tick(final_now);
-                left -= 1;
+                debug_assert!(!self.has_dispatchable_work(final_now), "not an idle window");
+                self.ticks += count;
+                self.idle_ticks += count;
             }
         }
+        self.memo.restore(memo);
     }
 
-    /// Whether the running task is inside a side-effect-free loop: it
-    /// took a back-edge into a loop body made only of
-    /// [side-effect-free](Op::is_side_effect_free) ops, keeping the core
-    /// (under a quantum: alone), and has not left the body since, with
-    /// no context switch, interrupt or idle tick in between. O(1): set
-    /// at the back-edge and cleared where those events happen. A hint
-    /// for when [`Kernel::steady_window`] is worth asking, which checks
-    /// everything itself.
+    /// The steady window of [`Kernel::fast_forward`]: `count` ticks of
+    /// `rot` from time `start`.
+    fn advance(&mut self, rot: &Rotation, count: u64, start: u64, final_now: Cycles) {
+        debug_assert!(count <= rot.window, "{count} ticks past {rot:?}");
+        debug_assert!(
+            !rot.yields || final_now.get() == start + count,
+            "a rotation that reads time needs consecutive ticks"
+        );
+        let lead = rot.lead.min(count);
+        if lead > 0 {
+            let task = self.current.expect("a lead burns the running task");
+            self.burn(task, lead);
+        }
+        let rotations = (count - lead) / rot.period;
+        if rotations > 0 {
+            self.apply_rotations(rot, rotations, start + lead);
+        }
+        let mut left = count - lead - rotations * rot.period;
+        while left > 0 {
+            let burning = self.current.filter(|&task| {
+                !rot.yields && self.tcb(task).is_some_and(|t| t.compute_remaining > 0)
+            });
+            match burning {
+                // One task holds the core: its compute burns in one go.
+                Some(task) => {
+                    let burn = self.running(task).compute_remaining.min(left);
+                    self.burn(task, burn);
+                    left -= burn;
+                }
+                None => {
+                    self.tick(Cycles::new(final_now.get() - (left - 1)));
+                    left -= 1;
+                }
+            }
+        }
+        self.now = final_now;
+    }
+
+    /// Whether the kernel may be steady: a task went round a loop body
+    /// made only of [side-effect-free](Op::is_side_effect_free) ops and
+    /// `Yield`s, and since then every executed op stayed inside its
+    /// task's body. A body that yields needs every other live task in a
+    /// loop of its own or unable to run; one that does not must keep
+    /// the core (under a quantum: alone). O(1): set at the back-edge
+    /// and cleared by any other op, an interrupt, the running task's
+    /// exit, and any idle tick or context switch that is not a yielding
+    /// loop's own. A hint for when [`Kernel::steady_window`] is worth
+    /// asking, which checks everything itself.
     #[must_use]
     pub fn in_steady_loop(&self) -> bool {
-        self.steady.is_some()
+        self.steady
     }
 
-    /// How many ticks from now [`Kernel::fast_forward`] can advance the
-    /// running task's steady loop in closed form, or `None` when the
-    /// kernel is not in one. The window ends before the first iteration
-    /// in which a `BranchIfRegEq` would branch differently, so every
-    /// tick in it takes the same path as the loop's current iteration.
-    /// It assumes nothing else happens meanwhile: no service, interrupt,
-    /// sleeper wake or shared-variable write, which the caller must
-    /// rule out for the window.
-    #[must_use]
-    pub fn steady_window(&self) -> Option<u64> {
-        self.steady_loop().map(|lp| lp.window())
-    }
-
-    /// The running task's steady loop: the task keeps the core (the
-    /// highest-priority runnable task, or under a quantum the only one,
-    /// whose slice renews in place), no interrupt can enter, accesses
-    /// are untraced, and one walk from the current pc comes back to it
-    /// through side-effect-free ops only. A register loaded from a
-    /// variable must come back to the value it holds now, so every
-    /// iteration moves each register by the same amount.
-    fn steady_loop(&self) -> Option<SteadyLoop> {
-        if self.steady.is_none()
-            || self.panic.is_some()
-            || self.isr.is_some()
-            || (self.irq_pending > 0 && !self.irq_masked)
-        {
-            return None;
-        }
-        let task = self.current?;
-        let t = self.tcb(task)?;
-        if !t.is_runnable() || t.yield_requested {
-            return None;
-        }
-        if !self.keeps_core(task) {
-            return None;
-        }
-        // Two walks of one iteration: the first finds each register's
-        // per-iteration change, the second the first iteration in which
-        // a register branch flips.
-        let (regs, period, ops) = self.walk_loop(t, |_, _, _| {})?;
-        let mut deltas = [0; NUM_REGS];
-        for (r, sym) in regs.into_iter().enumerate() {
-            match sym {
-                SymReg::Rel(offset) => deltas[r] = offset,
-                SymReg::Abs(v) if v == t.regs[r] => {}
-                SymReg::Abs(_) => return None,
-            }
-        }
-        let mut iterations = u64::MAX;
-        self.walk_loop(t, |r, x, value| {
-            iterations = iterations.min(first_flip(x, deltas[r], value));
-        })?;
-        Some(SteadyLoop {
-            task,
-            lead: t.compute_remaining,
-            period,
-            ops,
-            deltas,
-            iterations,
-        })
-    }
-
-    /// Walks one iteration of `t`'s loop symbolically, from its pc back
-    /// to it, and returns the registers, the cycles and the ops it took.
-    /// `check(reg, x, value)` sees each `BranchIfRegEq` on a register
-    /// that moves with the iteration, worth `x` in this one. `None` if
-    /// the walk meets an op with side effects, a bad variable, or runs
-    /// longer than [`STEADY_MAX_OPS`].
-    fn walk_loop(
-        &self,
-        t: &Tcb,
-        mut check: impl FnMut(usize, i64, i64),
-    ) -> Option<([SymReg; NUM_REGS], u64, u64)> {
-        let mut regs = [SymReg::Rel(0); NUM_REGS];
-        let (mut pc, mut period, mut ops) = (t.pc, 0u64, 0u64);
-        loop {
-            if ops == STEADY_MAX_OPS {
-                return None;
-            }
-            let op = t.program.op(pc)?;
-            ops += 1;
-            period += 1;
-            pc += 1;
-            match op {
-                Op::Compute(n) => period += u64::from(n.saturating_sub(1)),
-                Op::AddReg { reg, delta } => {
-                    let r = &mut regs[usize::from(reg)];
-                    *r = r.add(delta);
-                }
-                Op::ReadVar { var, reg } => {
-                    regs[usize::from(reg)] = SymReg::Abs(self.read_var(var).ok()?);
-                }
-                Op::BranchIfVarEq { var, value, target } => {
-                    if self.read_var(var).ok()? == value {
-                        pc = target;
-                    }
-                }
-                Op::BranchIfRegEq { reg, value, target } => {
-                    let r = usize::from(reg);
-                    let x = match regs[r] {
-                        SymReg::Rel(offset) => {
-                            let x = t.regs[r].wrapping_add(offset);
-                            check(r, x, value);
-                            x
-                        }
-                        SymReg::Abs(v) => v,
-                    };
-                    if x == value {
-                        pc = target;
-                    }
-                }
-                Op::Jump(target) => pc = target,
-                _ => return None,
-            }
-            if pc == t.pc {
-                return Some((regs, period, ops));
-            }
-        }
-    }
-
-    /// The bookkeeping of `cycles` ticks that each run `task`, already
-    /// current, for one cycle: ticks, the change epoch, the task's
-    /// cycles and the time slice (renewed in place at each quantum
-    /// expiry, as for a lone task).
-    fn run_in_place(&mut self, task: TaskId, cycles: u64) {
-        if cycles == 0 {
-            return;
-        }
+    /// The bookkeeping of `cycles` ticks that each burn a cycle of
+    /// `task`'s `Compute` in progress, `task` already current: ticks,
+    /// the change epoch, the task's cycles and the time slice (renewed
+    /// in place at each quantum expiry, as for a lone task).
+    fn burn(&mut self, task: TaskId, cycles: u64) {
         self.ticks += cycles;
         self.epoch += cycles;
-        self.running(task).cycles_used += cycles;
-        self.slice_used = match self.quantum {
-            Some(q) => {
-                // The slice counts 1..=q and renews after q; a zero
-                // quantum renews every cycle, like a quantum of one.
-                let q = u64::from(q.max(1));
-                ((u64::from(self.slice_used) + cycles - 1) % q + 1) as u32
-            }
-            // The slice counter wraps, so only `cycles` mod 2^32 counts.
-            None => self.slice_used.wrapping_add(cycles as u32),
-        };
-    }
-
-    /// [`Kernel::run_in_place`] for `cycles` cycles of `task`'s
-    /// `Compute` in progress.
-    fn burn(&mut self, task: TaskId, cycles: u64) {
-        self.run_in_place(task, cycles);
-        self.running(task).compute_remaining -= cycles;
+        self.slice_used = slice_after(self.slice_used, cycles, self.quantum);
+        let t = self.running(task);
+        t.cycles_used += cycles;
+        t.compute_remaining -= cycles;
     }
 
     /// Whether a [`Kernel::tick`] at `now` could make task-level progress:
@@ -1040,6 +872,7 @@ impl Kernel {
     pub fn set_quantum(&mut self, quantum: Option<u32>) {
         self.quantum = quantum;
         self.slice_used = 0;
+        self.memo.clear();
     }
 
     /// The active scheduling quantum, if any.
@@ -1321,6 +1154,7 @@ impl Kernel {
             ops_retired: 0,
             cycles_used: 0,
             held_mutexes: Vec::new(),
+            steady_body: None,
         });
         self.live_count += 1;
         Ok(SvcReply::Created(id))
@@ -1376,7 +1210,7 @@ impl Kernel {
         }
         if self.current == Some(task) {
             self.current = None;
-            self.steady = None;
+            self.steady = false;
         }
         // The task's memory (TCB, stack, task allocations) becomes garbage
         // for the next GC pass — this is the churn that exposes the GC bug.
@@ -1452,7 +1286,7 @@ impl Kernel {
                     self.now,
                     self.core,
                     "sched",
-                    format!("quantum expires: preempt for {next}"),
+                    SchedEvent::Preempt(next).detail(),
                 );
                 Some(next)
             }
@@ -1511,7 +1345,7 @@ impl Kernel {
         }
         let ctx = if self.isr.is_some() {
             self.isr_cycles += 1;
-            self.steady = None;
+            self.steady = false;
             Context::Isr
         } else {
             let picked = match self.quantum {
@@ -1520,14 +1354,24 @@ impl Kernel {
             };
             let Some(next) = picked else {
                 self.idle_ticks += 1;
-                self.steady = None;
+                // A yielding loop's nap keeps the kernel steady.
+                self.steady = self.steady
+                    && self.tasks.iter().flatten().any(|t| {
+                        matches!(t.state, TaskState::Blocked(WaitReason::Sleep { .. }))
+                            && t.steady_body.is_some_and(|b| b.yields)
+                    });
                 return TickOutcome::Idle;
             };
             if self.current != Some(next) {
                 self.ctx_switches += 1;
-                self.steady = None;
+                // So does switching to a yielding loop.
+                self.steady = self.steady
+                    && self
+                        .tcb(next)
+                        .and_then(|t| t.steady_body)
+                        .is_some_and(|b| b.yields);
                 self.trace
-                    .record(self.now, self.core, "sched", format!("run {next}"));
+                    .record(self.now, self.core, "sched", SchedEvent::Run(next).detail());
                 self.current = Some(next);
                 self.slice_used = 0;
             }
@@ -1650,10 +1494,19 @@ impl Kernel {
         };
         let op = program.and_then(|p| p.op(frame.pc));
         let op = op.ok_or(Trap::Fault(TaskFault::PcOutOfRange))?;
-        if !op.is_side_effect_free() {
-            self.steady = None;
-        }
         let at = frame.pc;
+        if !(op.is_side_effect_free() || matches!(op, Op::Yield)) {
+            self.steady = false;
+        } else if self.steady {
+            // Another task's loop may have made the kernel steady; this
+            // one must run inside a loop of its own.
+            self.steady = match ctx {
+                Context::Task(task) => self
+                    .tcb(task)
+                    .is_some_and(|t| t.steady_body.is_some_and(|b| b.contains(at))),
+                Context::Isr => false,
+            };
+        }
         frame.pc += 1;
         match op {
             Op::Compute(n) => frame.compute_remaining = u64::from(n.saturating_sub(1)),
@@ -1772,54 +1625,88 @@ impl Kernel {
             }
             Op::Exit => return Ok(Flow::Exit),
         }
-        if frame.pc <= at {
-            // A taken back-edge: the task enters (or goes round) a loop.
-            let body = (frame.pc, at);
-            self.steady = match ctx {
-                Context::Task(task) if self.steady_body(task, body) => Some(body),
-                _ => None,
-            };
-        } else if self
-            .steady
-            .is_some_and(|(head, tail)| frame.pc < head || frame.pc > tail)
-        {
-            self.steady = None;
+        if let Context::Task(task) = ctx {
+            if frame.pc <= at {
+                // A taken back-edge: the task enters (or goes round) a loop.
+                let body = self.steady_body(task, frame.pc, at);
+                self.running(task).steady_body = body;
+                self.steady = body.is_some_and(|body| self.steadies_kernel(task, body));
+            } else if self.steady {
+                let t = self.running(task);
+                if t.steady_body.is_some_and(|b| !b.contains(frame.pc)) {
+                    t.steady_body = None;
+                    self.steady = false;
+                }
+            }
         }
         Ok(Flow::Continue)
     }
 
-    /// Whether `task`, running now, keeps the core while nothing else
-    /// changes: it is the highest-priority runnable task, or under a
-    /// quantum the only one, whose slice renews in place.
+    /// Whether `task`, running now under a quantum, keeps the core
+    /// while nothing else changes: it is the only runnable task, whose
+    /// slice renews in place.
     fn keeps_core(&self, task: TaskId) -> bool {
-        match self.quantum {
-            Some(_) => {
-                self.tasks
-                    .iter()
-                    .flatten()
-                    .filter(|t| t.is_runnable())
-                    .count()
-                    == 1
+        self.tasks
+            .iter()
+            .flatten()
+            .filter(|t| t.is_runnable())
+            .all(|t| t.id == task)
+    }
+
+    /// The loop body `head..=tail` that `task`, running now, has just
+    /// gone round, if it is a steady one: accesses are untraced and its
+    /// ops are all side-effect-free or `Yield` (known when the task was
+    /// already in this body).
+    fn steady_body(&self, task: TaskId, head: u16, tail: u16) -> Option<SteadyBody> {
+        let t = self.tcb(task)?;
+        let body = match t.steady_body {
+            Some(body) if (body.head, body.tail) == (head, tail) => body,
+            _ => {
+                if self.cfg.trace_accesses || u64::from(tail - head) >= STEADY_MAX_OPS {
+                    return None;
+                }
+                let mut yields = false;
+                for pc in head..=tail {
+                    match t.program.op(pc)? {
+                        Op::Yield => yields = true,
+                        op if op.is_side_effect_free() => {}
+                        _ => return None,
+                    }
+                }
+                SteadyBody { head, tail, yields }
             }
-            None => self.pick_next() == Some(task),
+        };
+        Some(body)
+    }
+
+    /// Whether `task`'s loop `body`, just gone round, makes the kernel
+    /// steady. A loop that yields lets other tasks run, so they must all
+    /// be in steady loops too or unable to run. A loop that does not
+    /// yield must keep the core: under a quantum the task is alone;
+    /// without one it is the highest-priority runnable task by
+    /// construction.
+    fn steadies_kernel(&self, task: TaskId, body: SteadyBody) -> bool {
+        if body.yields {
+            self.others_settled(task)
+        } else {
+            self.quantum.is_none() || self.keeps_core(task)
         }
     }
 
-    /// Whether the loop body `(from, to)` that `task`, running now, has
-    /// just gone round is a steady one: accesses are untraced, the ops
-    /// `from..=to` of its program are all side-effect-free (known when
-    /// the task was already in this body), and under a quantum the task
-    /// is alone. Without one the running task is the highest-priority
-    /// runnable task by construction.
-    fn steady_body(&self, task: TaskId, (from, to): (u16, u16)) -> bool {
-        let pure = self.steady == Some((from, to))
-            || (!self.cfg.trace_accesses
-                && u64::from(to - from) < STEADY_MAX_OPS
-                && self.tcb(task).is_some_and(|t| {
-                    (from..=to)
-                        .all(|pc| t.program.op(pc).is_some_and(|op| op.is_side_effect_free()))
-                }));
-        pure && (self.quantum.is_none() || self.keeps_core(task))
+    /// Whether every live task but `task` is suspended, blocked on a
+    /// semaphore or mutex, or in a steady loop of its own: a yielding
+    /// loop beside a task doing anything else is not steady.
+    fn others_settled(&self, task: TaskId) -> bool {
+        self.tasks.iter().flatten().all(|t| {
+            t.id == task
+                || !t.is_live()
+                || t.suspended
+                || t.steady_body.is_some()
+                || matches!(
+                    t.state,
+                    TaskState::Blocked(WaitReason::Semaphore(_) | WaitReason::Mutex(_))
+                )
+        })
     }
 
     /// Applies the outcome of `ctx`'s cycle: stores its frame, retires
@@ -1942,6 +1829,7 @@ impl Kernel {
 
 #[cfg(test)]
 mod tests {
+    use super::rotation::first_flip;
     use super::*;
     use crate::program::ProgramBuilder;
 
@@ -2856,7 +2744,10 @@ mod tests {
         let t = create(&mut k, p, 5);
         run(&mut k, 5);
         assert!(k.in_steady_loop());
-        let window = k.steady_window().expect("an abandoned spin is steady");
+        let window = k
+            .steady_window()
+            .expect("an abandoned spin is steady")
+            .ticks;
         assert!(window > 100_000, "{window}");
         let mut stepped = k.clone();
         run(&mut stepped, window);
@@ -2905,6 +2796,7 @@ mod tests {
             VarBranch(u16, i64, bool),
             RegBranch(u8, i64, bool),
             Compute(u32),
+            Yield,
         }
 
         fn body_op() -> impl Strategy<Value = BodyOp> {
@@ -2955,6 +2847,7 @@ mod tests {
                         target: target(e),
                     },
                     BodyOp::Compute(n) => Op::Compute(n),
+                    BodyOp::Yield => Op::Yield,
                 });
             }
             ops.push(Op::Jump(head));
@@ -2999,7 +2892,7 @@ mod tests {
                     }
                     run(&mut k, 1);
                 }
-                let Some(window) = k.steady_window() else {
+                let Some(window) = k.steady_window().map(|w| w.ticks) else {
                     return Ok(());
                 };
                 prop_assert!(k.in_steady_loop());
@@ -3010,6 +2903,80 @@ mod tests {
                 k.fast_forward(count, Cycles::new(now + count));
                 assert_same(&stepped, &k);
                 // The exit bound is exact: stepping on from either agrees.
+                run(&mut stepped, 30);
+                run(&mut k, 30);
+                assert_same(&stepped, &k);
+            }
+
+            #[test]
+            fn steady_kernel_closed_form_equals_ticks(
+                spinners in proptest::collection::vec(
+                    (1u8..40, (-40i64..40, -40i64..40), proptest::collection::vec(body_op(), 0..5), 0usize..6),
+                    1..4,
+                ),
+                vars in (0i64..3, 0i64..3, 0i64..3),
+                quantum in proptest::option::of(1u32..6),
+                bystander in proptest::option::of(any::<bool>()),
+                setup in (1usize..12, 0u64..8, 0u64..400),
+            ) {
+                let (trace_capacity, warmup, count) = setup;
+                let mut k = Kernel::new(KernelConfig {
+                    trace_capacity,
+                    ..KernelConfig::default()
+                });
+                k.set_quantum(quantum);
+                for (var, value) in [vars.0, vars.1, vars.2].into_iter().enumerate() {
+                    k.set_var(VarId(var as u16), value);
+                }
+                match bystander {
+                    // Suspended before it ever runs.
+                    Some(true) => {
+                        let p = k.register_program(
+                            Program::new(vec![Op::Compute(3), Op::Exit]).unwrap(),
+                        );
+                        let t = create(&mut k, p, 200);
+                        k.dispatch(SvcRequest::Suspend { task: t }, Cycles::ZERO).unwrap();
+                    }
+                    // Runs first and blocks on a semaphore nothing posts.
+                    Some(false) => {
+                        let sem = k.create_semaphore(0);
+                        let p = k.register_program(
+                            Program::new(vec![Op::SemWait(sem), Op::Exit]).unwrap(),
+                        );
+                        create(&mut k, p, 200);
+                    }
+                    None => {}
+                }
+                let mut priorities = Vec::new();
+                for (priority, init, body, yield_at) in spinners {
+                    if priorities.contains(&priority) {
+                        continue;
+                    }
+                    priorities.push(priority);
+                    // A polling loop that yields somewhere in its body.
+                    let mut body = body;
+                    body.insert(yield_at.min(body.len()), BodyOp::Yield);
+                    let p = k.register_program(loop_program([init.0, init.1, 0, 0], &body));
+                    create(&mut k, p, priority);
+                }
+                run(&mut k, warmup);
+                for _ in 0..200 {
+                    if k.steady_window().is_some() {
+                        break;
+                    }
+                    run(&mut k, 1);
+                }
+                let Some(window) = k.steady_window() else {
+                    return Ok(());
+                };
+                prop_assert!(k.in_steady_loop());
+                let count = count.min(window.ticks);
+                let now = k.now.get();
+                let mut stepped = k.clone();
+                run(&mut stepped, count);
+                k.fast_forward(count, Cycles::new(now + count));
+                assert_same(&stepped, &k);
+                prop_assert_eq!(stepped.trace().dropped(), k.trace().dropped());
                 run(&mut stepped, 30);
                 run(&mut k, 30);
                 assert_same(&stepped, &k);

@@ -147,6 +147,29 @@ pub struct Tcb {
     pub cycles_used: u64,
     /// Mutexes currently held, in acquisition order.
     pub held_mutexes: Vec<MutexId>,
+    /// The steady loop body the task last went round, if any. A hint
+    /// for the kernel's steady flag: it is replaced at the task's next
+    /// back-edge and dropped when the task branches out of it while the
+    /// kernel is steady.
+    pub(crate) steady_body: Option<SteadyBody>,
+}
+
+/// A loop body a task went round: the pc range `head..=tail` of ops
+/// that change nothing but the task's own frame
+/// ([`Op::is_side_effect_free`](crate::Op::is_side_effect_free)) or
+/// `Yield`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct SteadyBody {
+    pub(crate) head: u16,
+    pub(crate) tail: u16,
+    /// The body contains a `Yield`.
+    pub(crate) yields: bool,
+}
+
+impl SteadyBody {
+    pub(crate) fn contains(self, pc: u16) -> bool {
+        (self.head..=self.tail).contains(&pc)
+    }
 }
 
 impl Tcb {
@@ -193,6 +216,7 @@ mod tests {
             ops_retired: 0,
             cycles_used: 0,
             held_mutexes: Vec::new(),
+            steady_body: None,
         }
     }
 

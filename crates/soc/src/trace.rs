@@ -1,5 +1,6 @@
 //! Bounded event tracing used for bug reproduction dumps.
 
+use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::fmt;
 
@@ -15,8 +16,10 @@ pub struct TraceEvent {
     pub core: CoreId,
     /// Short machine-readable category, e.g. `"svc"`, `"irq"`, `"sched"`.
     pub kind: &'static str,
-    /// Human-readable detail, e.g. `"task_create slot=3 prio=7"`.
-    pub detail: String,
+    /// Human-readable detail, e.g. `"task_create slot=3 prio=7"`. A
+    /// recurring detail can be a `&'static str`, which records without
+    /// allocating.
+    pub detail: Cow<'static, str>,
 }
 
 impl fmt::Display for TraceEvent {
@@ -44,9 +47,9 @@ impl fmt::Display for TraceEvent {
 /// ```
 /// use ptest_soc::{Cycles, CoreId, TraceBuffer};
 /// let mut tb = TraceBuffer::new(2);
-/// tb.record(Cycles::new(1), CoreId::Arm, "cmd", "issue TC".into());
-/// tb.record(Cycles::new(2), CoreId::Dsp, "svc", "task_create".into());
-/// tb.record(Cycles::new(3), CoreId::Dsp, "sched", "run slot 0".into());
+/// tb.record(Cycles::new(1), CoreId::Arm, "cmd", "issue TC");
+/// tb.record(Cycles::new(2), CoreId::Dsp, "svc", "task_create");
+/// tb.record(Cycles::new(3), CoreId::Dsp, "sched", "run slot 0");
 /// assert_eq!(tb.len(), 2); // oldest evicted
 /// assert_eq!(tb.dropped(), 1);
 /// ```
@@ -78,7 +81,13 @@ impl TraceBuffer {
     }
 
     /// Appends an event, evicting the oldest if the buffer is full.
-    pub fn record(&mut self, at: Cycles, core: CoreId, kind: &'static str, detail: String) {
+    pub fn record(
+        &mut self,
+        at: Cycles,
+        core: CoreId,
+        kind: &'static str,
+        detail: impl Into<Cow<'static, str>>,
+    ) {
         if self.events.len() == self.capacity {
             self.events.pop_front();
             self.dropped += 1;
@@ -87,8 +96,17 @@ impl TraceBuffer {
             at,
             core,
             kind,
-            detail,
+            detail: detail.into(),
         });
+    }
+
+    /// Counts `n` events as recorded and already evicted, without
+    /// storing them. Followed by at least `capacity` more records, this
+    /// leaves the buffer exactly as recording those `n` events first
+    /// would: the later records evict everything held now, and the
+    /// drop count includes the `n`.
+    pub fn count_evicted(&mut self, n: u64) {
+        self.dropped += n;
     }
 
     /// Number of events currently held.
@@ -156,7 +174,7 @@ mod tests {
         let mut tb = TraceBuffer::new(10);
         ev(&mut tb, 1, "a");
         ev(&mut tb, 2, "b");
-        let all: Vec<&str> = tb.iter().map(|e| e.detail.as_str()).collect();
+        let all: Vec<&str> = tb.iter().map(|e| e.detail.as_ref()).collect();
         assert_eq!(all, vec!["a", "b"]);
     }
 
@@ -187,9 +205,9 @@ mod tests {
     #[test]
     fn of_kind_filters() {
         let mut tb = TraceBuffer::new(10);
-        tb.record(Cycles::new(1), CoreId::Arm, "cmd", "x".into());
-        tb.record(Cycles::new(2), CoreId::Dsp, "svc", "y".into());
-        tb.record(Cycles::new(3), CoreId::Arm, "cmd", "z".into());
+        tb.record(Cycles::new(1), CoreId::Arm, "cmd", "x");
+        tb.record(Cycles::new(2), CoreId::Dsp, "svc", "y");
+        tb.record(Cycles::new(3), CoreId::Arm, "cmd", "z");
         let cmds = tb.of_kind("cmd");
         assert_eq!(cmds.len(), 2);
         assert!(cmds.iter().all(|e| e.kind == "cmd"));

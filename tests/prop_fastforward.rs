@@ -10,12 +10,16 @@
 //! barrier is the other extreme: a task spins at a barrier its peer
 //! never reaches until the livelock rule fires, and almost every one of
 //! those cycles is a steady-loop iteration applied in closed form.
+//! Figure 1's livelock is the yielding case: one or two tasks spin on a
+//! shared variable and `Yield` between polls, so every rotation of the
+//! kernel sleeps, wakes, idles and switches tasks, all in closed form.
 //!
 //! This is the contract that makes the event-driven trial loop safe to
 //! ship: fast-forward is a pure latency optimisation, invisible in every
 //! archived report — cycle counts, detection times, exec records, all of
 //! it.
 
+use ptest::faults::fig1::Fig1AdaptiveScenario;
 use ptest::faults::philosophers::PhilosophersScenario;
 use ptest::faults::races::{AtomicityRaceScenario, OrderViolationScenario};
 use ptest::faults::timers::{IsrSharedVarScenario, QuantumAtomicityScenario};
@@ -136,7 +140,10 @@ fn explorations() -> Vec<(ScheduleSpec, MemoryModelSpec, PreemptionSpec)> {
 /// Runs `scenario` across every exploration lane for `seeds`, once
 /// fast-forwarded and once forced cycle-by-cycle, asserting
 /// byte-identical report JSON.
-fn assert_fast_forward_equivalence(scenario: &dyn Scenario, seeds: std::ops::RangeInclusive<u64>) {
+fn assert_fast_forward_equivalence(
+    scenario: &dyn Scenario,
+    seeds: impl IntoIterator<Item = u64> + Clone,
+) {
     for (schedule, memory, preemption) in explorations() {
         let mut cfg = scenario.base_config();
         cfg.schedule = schedule;
@@ -229,4 +236,12 @@ fn buggy_quantum_atomicity_reports_are_byte_identical_with_and_without_fast_forw
 #[test]
 fn abandoned_barrier_reports_are_byte_identical_with_and_without_fast_forward() {
     assert_fast_forward_equivalence(&abandoned_barrier_scenario(), 1..=2);
+}
+
+#[test]
+fn fig1_livelock_reports_are_byte_identical_with_and_without_fast_forward() {
+    // At the base configuration seed 1 livelocks with one task spinning
+    // alone, seed 91 with a spinner beside a suspended task, seed 30
+    // with two tasks yielding to each other; seed 0 finds no bug.
+    assert_fast_forward_equivalence(&Fig1AdaptiveScenario::default(), [0, 1, 30, 91]);
 }

@@ -232,7 +232,7 @@ fn run_program(ops: &[Op], as_isr: bool) -> (Kernel, u64) {
 /// How the ISR's last activation ended, as its trace records it.
 fn isr_end(k: &Kernel) -> String {
     let last = k.trace().iter().filter(|e| e.kind == "isr").last();
-    last.expect("the ISR ran").detail.clone()
+    last.expect("the ISR ran").detail.to_string()
 }
 
 proptest! {
