@@ -1,13 +1,14 @@
-//! Shared run loop: execute one merged pattern on a fresh system with a
-//! detector attached. Used by the systematic explorer and by ablation
+//! [`run_merged`] and its knobs: one merged pattern executed on a fresh
+//! system by the trial engine's [`CycleLoop`], with a [`Committer`] as
+//! its driver. Used by the systematic explorer and by ablation
 //! experiments that bypass pattern generation.
 
 use ptest_automata::Alphabet;
 use ptest_core::{
-    Bug, BugDetector, BugKind, Committer, CommitterConfig, CommitterStatus, DetectorConfig,
+    Bug, BugKind, Committer, CommitterConfig, CommitterStatus, CycleLoop, DetectorConfig,
     MergedPattern, Scenario,
 };
-use ptest_master::{MultiCoreSystem, SystemConfig};
+use ptest_master::{MultiCoreSystem, SnapshotCache, SystemConfig};
 use ptest_pcore::ProgramId;
 
 /// Knobs of a single merged-pattern run.
@@ -89,7 +90,8 @@ impl RunOutcome {
     }
 }
 
-/// Executes `merged` on a fresh system.
+/// Executes `merged` on a fresh system: the trial engine's
+/// [`CycleLoop`] with a [`Committer`] driving this explicit pattern.
 ///
 /// # Panics
 ///
@@ -101,6 +103,17 @@ pub fn run_merged(
     alphabet: &Alphabet,
     knobs: &RunKnobs,
     setup: impl FnOnce(&mut MultiCoreSystem) -> Vec<ProgramId>,
+) -> RunOutcome {
+    run_merged_with(merged, alphabet, knobs, setup, true)
+}
+
+/// [`run_merged`] with fast-forward on or off (off is the reference).
+pub(crate) fn run_merged_with(
+    merged: MergedPattern,
+    alphabet: &Alphabet,
+    knobs: &RunKnobs,
+    setup: impl FnOnce(&mut MultiCoreSystem) -> Vec<ProgramId>,
+    fast_forward: bool,
 ) -> RunOutcome {
     let mut sys = MultiCoreSystem::new(knobs.system.clone());
     let programs = setup(&mut sys);
@@ -116,31 +129,20 @@ pub fn run_merged(
         },
     )
     .expect("caller-provided pattern is valid");
-    let mut detector = BugDetector::new(knobs.detector);
-    let mut bugs = Vec::new();
-    let mut cycles = 0u64;
-    let mut done_at = None;
-    while cycles < knobs.max_cycles {
-        cycles += 1;
-        sys.step();
-        let status = committer.step(&mut sys);
-        let done = status != CommitterStatus::Running;
-        if done && done_at.is_none() {
-            done_at = Some(cycles);
-        }
-        if cycles.is_multiple_of(knobs.check_interval) {
-            bugs.extend(detector.observe(&sys, Some(&committer), done));
-        }
-        if bugs.iter().any(|b| b.kind.is_fatal()) {
-            break;
-        }
-        if let Some(done) = done_at {
-            if sys.snapshot().live_tasks() == 0 || cycles - done >= knobs.drain_cycles {
-                bugs.extend(detector.observe(&sys, Some(&committer), true));
-                break;
-            }
-        }
-    }
+    let cycle_loop = CycleLoop {
+        detector: knobs.detector,
+        check_interval: knobs.check_interval,
+        max_cycles: knobs.max_cycles,
+        drain_cycles: knobs.drain_cycles,
+        fast_forward,
+    };
+    let (bugs, cycles) = cycle_loop.run(
+        &mut sys,
+        &mut committer,
+        None,
+        None,
+        &mut SnapshotCache::new(),
+    );
     RunOutcome {
         bugs,
         commands: committer.commands_issued(),
@@ -211,5 +213,43 @@ mod tests {
         assert_eq!(via_scenario.commands, via_closure.commands);
         assert_eq!(via_scenario.cycles, via_closure.cycles);
         assert_eq!(via_scenario.status, via_closure.status);
+    }
+
+    #[test]
+    fn fast_forward_leaves_merged_runs_unchanged() {
+        use ptest_core::TrialEngine;
+        use ptest_faults::multicore::CrossCorePipelineScenario;
+        use ptest_faults::philosophers::PhilosophersScenario;
+
+        let scenarios: [&dyn Scenario; 2] = [
+            &PhilosophersScenario::buggy(),
+            &CrossCorePipelineScenario::buggy(),
+        ];
+        let mut bugs = 0;
+        for scenario in scenarios {
+            let cfg = scenario.base_config();
+            let engine = TrialEngine::new(cfg.clone()).unwrap();
+            let g = engine.generator();
+            let knobs = RunKnobs::from_scenario(scenario);
+            for seed in 0..8 {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let patterns = g.generate_batch(&mut rng, cfg.n, GenerateOptions::sized(cfg.s));
+                let merged = PatternMerger::new().merge(&patterns, cfg.op);
+                let run = |fast_forward| {
+                    let outcome = run_merged_with(
+                        merged.clone(),
+                        g.regex().alphabet(),
+                        &knobs,
+                        |sys| scenario.setup(sys),
+                        fast_forward,
+                    );
+                    format!("{outcome:?}")
+                };
+                let reference = run(false);
+                assert_eq!(run(true), reference, "{} seed {seed}", scenario.name());
+                bugs += usize::from(!reference.contains("bugs: []"));
+            }
+        }
+        assert!(bugs > 0, "some run finds a bug");
     }
 }

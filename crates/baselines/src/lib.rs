@@ -12,8 +12,13 @@
 //!   patterns and executes each deterministically. Exhaustive on small
 //!   spaces, combinatorially explosive beyond them.
 //!
-//! [`harness`] provides the shared single-run executor used by the
-//! explorer and by ablation experiments.
+//! Both run on the trial engine's cycle loop
+//! ([`CycleLoop`](ptest_core::CycleLoop)), so they share pTest's
+//! fast-forward and stop rules and differ from it only in what drives
+//! the slave: the random tester's uniform command issuer, or a
+//! [`Committer`](ptest_core::Committer) over each enumerated
+//! interleaving. [`harness`] provides [`run_merged`], the single-run
+//! executor used by the explorer and by ablation experiments.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -8,18 +8,27 @@
 //! large share of its budget on illegal orders the slave rejects — the
 //! comparison that motivates pTest's "rational order" patterns.
 
-use ptest_core::{Bug, BugDetector, BugKind, DetectorConfig};
-use ptest_master::{MultiCoreSystem, SystemConfig};
-use ptest_pcore::{Priority, ProgramId, Service, SvcError, SvcRequest, TaskId};
+use ptest_core::{Bug, BugKind, CommitterError, CycleLoop, DetectorConfig, Driver, PriorityBands};
+use ptest_master::{MultiCoreSystem, SnapshotCache, SystemConfig};
+use ptest_pcore::{ProgramId, Service, SvcError, SvcReply, SvcRequest, TaskId};
+use ptest_soc::Cycles;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+/// Priorities per worker band, as the committer's default band.
+const BAND: u8 = 15;
+
+/// Cycles the session keeps running once the command budget is spent and
+/// the last reply is in.
+const DRAIN_CYCLES: u64 = 60_000;
 
 /// Configuration of the random tester.
 #[derive(Debug, Clone)]
 pub struct RandomTesterConfig {
     /// Commands to issue before giving up.
     pub command_budget: u64,
-    /// Number of "virtual threads" (priority bands / target slots).
+    /// Number of "virtual threads" (priority bands / target slots), at
+    /// most 17 like the committer's patterns.
     pub workers: usize,
     /// RNG seed.
     pub seed: u64,
@@ -54,7 +63,7 @@ impl Default for RandomTesterConfig {
 }
 
 /// Outcome of a random-tester session.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct RandomTestReport {
     /// Bugs detected.
     pub bugs: Vec<Bug>,
@@ -106,139 +115,177 @@ impl RandomTester {
     /// only the scenario's slave preparation is reused.
     ///
     /// [`Scenario`]: ptest_core::Scenario
-    pub fn run_scenario(&self, scenario: &dyn ptest_core::Scenario) -> RandomTestReport {
+    ///
+    /// # Errors
+    ///
+    /// As for [`RandomTester::run`].
+    pub fn run_scenario(
+        &self,
+        scenario: &dyn ptest_core::Scenario,
+    ) -> Result<RandomTestReport, CommitterError> {
         self.run(|sys| scenario.setup(sys))
     }
 
     /// Runs the session: `setup` registers scenario programs (one per
-    /// worker, cycled).
+    /// worker, cycled). The trial engine's cycle loop steps the system;
+    /// the random command issuer is its driver.
+    ///
+    /// # Errors
+    ///
+    /// As the committer validates its patterns and programs:
+    /// [`CommitterError::NoPrograms`] if `setup` registers none,
+    /// [`CommitterError::TooManyPatterns`] if the workers' priority bands
+    /// overflow the priority space.
     pub fn run(
         &self,
         setup: impl FnOnce(&mut MultiCoreSystem) -> Vec<ProgramId>,
-    ) -> RandomTestReport {
+    ) -> Result<RandomTestReport, CommitterError> {
+        self.run_with(setup, true)
+    }
+
+    /// [`RandomTester::run`] with fast-forward on or off (off is the
+    /// reference).
+    fn run_with(
+        &self,
+        setup: impl FnOnce(&mut MultiCoreSystem) -> Vec<ProgramId>,
+        fast_forward: bool,
+    ) -> Result<RandomTestReport, CommitterError> {
         let cfg = &self.cfg;
         let mut sys = MultiCoreSystem::new(cfg.system.clone());
         let programs = setup(&mut sys);
-        let mut rng = StdRng::seed_from_u64(cfg.seed);
-        let mut detector = BugDetector::new(cfg.detector);
-
-        // Per-worker state: created task (if any) and priority rotation.
-        let band = 15u8;
-        let mut created: Vec<Option<TaskId>> = vec![None; cfg.workers];
-        let mut prio_counter = vec![0u8; cfg.workers];
-
-        let mut bugs: Vec<Bug> = Vec::new();
-        let mut commands_issued = 0u64;
-        let mut error_replies = 0u64;
-        let mut ordering_errors = 0u64;
-        let mut cycles = 0u64;
-        let mut awaiting = false;
-        let mut next_issue_at = 0u64;
-        let mut budget_done_at: Option<u64> = None;
-
-        while cycles < cfg.max_cycles {
-            cycles += 1;
-            sys.step();
-            for resp in sys.take_responses() {
-                awaiting = false;
-                next_issue_at = sys.now().get() + cfg.inter_command_gap;
-                match resp.result {
-                    Ok(ptest_pcore::SvcReply::Created(task)) => {
-                        if let SvcRequest::Create { priority, .. } = resp.request {
-                            // Track which worker band the task belongs to.
-                            let worker =
-                                usize::from((priority.level() - 1) / band).min(cfg.workers - 1);
-                            created[worker] = Some(task);
-                        }
-                    }
-                    Ok(_) => {}
-                    Err(
-                        SvcError::AlreadySuspended(_)
-                        | SvcError::NotSuspended(_)
-                        | SvcError::PriorityInUse(_)
-                        | SvcError::NoSuchProgram(_),
-                    ) => {
-                        error_replies += 1;
-                        ordering_errors += 1;
-                    }
-                    Err(_) => error_replies += 1,
-                }
-            }
-            if cycles.is_multiple_of(cfg.check_interval) {
-                let budget_exhausted = commands_issued >= cfg.command_budget && !awaiting;
-                bugs.extend(detector.observe(&sys, None, budget_exhausted));
-            }
-            if bugs.iter().any(|b| b.kind.is_fatal()) {
-                break;
-            }
-            if commands_issued >= cfg.command_budget {
-                if !awaiting && budget_done_at.is_none() {
-                    budget_done_at = Some(cycles);
-                }
-                if let Some(done) = budget_done_at {
-                    if cycles - done >= 60_000 || sys.snapshot().live_tasks() == 0 {
-                        bugs.extend(detector.observe(&sys, None, true));
-                        break;
-                    }
-                }
-                continue;
-            }
-            if awaiting || sys.now().get() < next_issue_at {
-                continue;
-            }
-            // Issue a uniformly random command.
-            let worker = rng.random_range(0..cfg.workers);
-            let service = Service::ALL[rng.random_range(0..Service::ALL.len())];
-            let request = match service {
-                Service::Create => {
-                    let offset = prio_counter[worker] % band;
-                    prio_counter[worker] = prio_counter[worker].wrapping_add(1);
-                    SvcRequest::Create {
-                        program: programs[worker % programs.len()],
-                        priority: Priority::new(1 + (worker as u8) * band + offset),
-                        stack_bytes: cfg.stack_bytes,
-                    }
-                }
-                other => {
-                    // Random target: the worker's task if it has one, else
-                    // a random slot (which the slave will likely reject).
-                    let task =
-                        created[worker].unwrap_or_else(|| TaskId::new(rng.random_range(0..16u8)));
-                    match other {
-                        Service::Delete => SvcRequest::Delete { task },
-                        Service::Suspend => SvcRequest::Suspend { task },
-                        Service::Resume => SvcRequest::Resume { task },
-                        Service::ChangePriority => {
-                            let offset = prio_counter[worker] % band;
-                            prio_counter[worker] = prio_counter[worker].wrapping_add(1);
-                            SvcRequest::ChangePriority {
-                                task,
-                                priority: Priority::new(1 + (worker as u8) * band + offset),
-                            }
-                        }
-                        Service::Yield => SvcRequest::Yield { task },
-                        Service::Create => unreachable!("handled above"),
-                    }
-                }
-            };
-            if sys.issue(request).is_ok() {
-                commands_issued += 1;
-                awaiting = true;
-            }
+        if programs.is_empty() {
+            return Err(CommitterError::NoPrograms);
         }
-        RandomTestReport {
+        let mut driver = RandomDriver {
+            bands: PriorityBands::new(cfg.workers, BAND)?,
+            cfg,
+            rng: StdRng::seed_from_u64(cfg.seed),
+            programs,
+            created: vec![None; cfg.workers],
+            awaiting: false,
+            next_issue_at: 0,
+            counts: RandomTestReport::default(),
+        };
+        let cycle_loop = CycleLoop {
+            detector: cfg.detector,
+            check_interval: cfg.check_interval,
+            max_cycles: cfg.max_cycles,
+            drain_cycles: DRAIN_CYCLES,
+            fast_forward,
+        };
+        let (bugs, cycles) =
+            cycle_loop.run(&mut sys, &mut driver, None, None, &mut SnapshotCache::new());
+        Ok(RandomTestReport {
             bugs,
-            commands_issued,
-            error_replies,
-            ordering_errors,
             cycles,
+            ..driver.counts
+        })
+    }
+}
+
+/// The random tester's command issuer: one uniformly random command at a
+/// time, each awaited, paced by the inter-command gap.
+struct RandomDriver<'a> {
+    cfg: &'a RandomTesterConfig,
+    rng: StdRng,
+    programs: Vec<ProgramId>,
+    /// Per worker: the task its last create made, if any.
+    created: Vec<Option<TaskId>>,
+    bands: PriorityBands,
+    awaiting: bool,
+    next_issue_at: u64,
+    /// The command and reply counters; bugs and cycles are the loop's.
+    counts: RandomTestReport,
+}
+
+impl RandomDriver<'_> {
+    /// Whether the budget is spent and every reply is in (with no workers
+    /// there is nothing to issue at all).
+    fn done(&self) -> bool {
+        let budget_spent = self.counts.commands_issued >= self.cfg.command_budget;
+        !self.awaiting && (budget_spent || self.created.is_empty())
+    }
+}
+
+impl Driver for RandomDriver<'_> {
+    fn step(&mut self, sys: &mut MultiCoreSystem) -> bool {
+        let now = sys.now().get();
+        for resp in sys.drain_responses() {
+            self.awaiting = false;
+            self.next_issue_at = now + self.cfg.inter_command_gap;
+            match resp.result {
+                Ok(SvcReply::Created(task)) => {
+                    if let SvcRequest::Create { priority, .. } = resp.request {
+                        // Track which worker band the task belongs to.
+                        let worker =
+                            usize::from((priority.level() - 1) / BAND).min(self.created.len() - 1);
+                        self.created[worker] = Some(task);
+                    }
+                }
+                Ok(_) => {}
+                Err(
+                    SvcError::AlreadySuspended(_)
+                    | SvcError::NotSuspended(_)
+                    | SvcError::PriorityInUse(_)
+                    | SvcError::NoSuchProgram(_),
+                ) => {
+                    self.counts.error_replies += 1;
+                    self.counts.ordering_errors += 1;
+                }
+                Err(_) => self.counts.error_replies += 1,
+            }
         }
+        self.done()
+    }
+
+    /// Issues a uniformly random command once the cycle's observation
+    /// found no reason to stop.
+    fn issue(&mut self, sys: &mut MultiCoreSystem) {
+        if self.awaiting || self.done() || sys.now().get() < self.next_issue_at {
+            return;
+        }
+        let worker = self.rng.random_range(0..self.created.len());
+        let service = Service::ALL[self.rng.random_range(0..Service::ALL.len())];
+        let request = match service {
+            Service::Create => SvcRequest::Create {
+                program: self.programs[worker % self.programs.len()],
+                priority: self.bands.next(worker),
+                stack_bytes: self.cfg.stack_bytes,
+            },
+            other => {
+                // Random target: the worker's task if it has one, else a
+                // random slot (which the slave will likely reject).
+                let task = self.created[worker]
+                    .unwrap_or_else(|| TaskId::new(self.rng.random_range(0..16u8)));
+                match other {
+                    Service::Delete => SvcRequest::Delete { task },
+                    Service::Suspend => SvcRequest::Suspend { task },
+                    Service::Resume => SvcRequest::Resume { task },
+                    Service::ChangePriority => SvcRequest::ChangePriority {
+                        task,
+                        priority: self.bands.next(worker),
+                    },
+                    Service::Yield => SvcRequest::Yield { task },
+                    Service::Create => unreachable!("handled above"),
+                }
+            }
+        };
+        if sys.issue(request).is_ok() {
+            self.counts.commands_issued += 1;
+            self.awaiting = true;
+        }
+    }
+
+    fn next_event_cycle(&self, now: Cycles) -> Option<u64> {
+        // Awaiting, only the reply (a platform event) can move it on.
+        (!self.awaiting && !self.done()).then(|| self.next_issue_at.max(now.get() + 1))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ptest_core::Scenario;
     use ptest_pcore::{Op, Program};
 
     fn worker_setup(sys: &mut MultiCoreSystem) -> Vec<ProgramId> {
@@ -254,7 +301,8 @@ mod tests {
             seed: 5,
             ..RandomTesterConfig::default()
         })
-        .run(worker_setup);
+        .run(worker_setup)
+        .unwrap();
         assert!(report.commands_issued >= 150);
         assert!(
             report.error_replies > 20,
@@ -272,7 +320,8 @@ mod tests {
                 seed,
                 ..RandomTesterConfig::default()
             })
-            .run(worker_setup);
+            .run(worker_setup)
+            .unwrap();
             (r.commands_issued, r.error_replies, r.cycles)
         };
         assert_eq!(run(9), run(9));
@@ -284,12 +333,12 @@ mod tests {
         let mut cfg = RandomTesterConfig {
             command_budget: 3_000,
             seed: 2,
-            max_cycles: 20_000_000,
             ..RandomTesterConfig::default()
         };
+        cfg.max_cycles = 20_000_000;
         cfg.system.kernel.heap_bytes = 4 * 1024;
         cfg.system.kernel.gc_fault = ptest_pcore::GcFaultMode::LeakDeadBlocks { leak_every: 1 };
-        let report = RandomTester::new(cfg).run(worker_setup);
+        let report = RandomTester::new(cfg).run(worker_setup).unwrap();
         assert!(
             report.found(|k| matches!(
                 k,
@@ -299,5 +348,85 @@ mod tests {
             report.commands_issued,
             report.error_replies,
         );
+    }
+
+    /// Runs a default session with `workers` workers over `programs`
+    /// copies of the worker program.
+    fn run_shaped(workers: usize, programs: usize) -> Result<RandomTestReport, CommitterError> {
+        RandomTester::new(RandomTesterConfig {
+            workers,
+            ..RandomTesterConfig::default()
+        })
+        .run(|sys| (0..programs).flat_map(|_| worker_setup(sys)).collect())
+    }
+
+    #[test]
+    fn too_many_workers_overflow_the_priority_space() {
+        let error = CommitterError::TooManyPatterns {
+            patterns: 18,
+            max: 17,
+        };
+        assert_eq!(run_shaped(18, 1).unwrap_err(), error);
+        // The last band still fits: worker 16's top priority is 255.
+        assert_eq!(run_shaped(17, 1).unwrap().commands_issued, 200);
+    }
+
+    #[test]
+    fn no_programs_is_an_error() {
+        assert_eq!(run_shaped(3, 0).unwrap_err(), CommitterError::NoPrograms);
+    }
+
+    #[test]
+    fn zero_workers_issue_nothing() {
+        let report = RandomTester::new(RandomTesterConfig {
+            workers: 0,
+            ..RandomTesterConfig::default()
+        })
+        .run(worker_setup)
+        .unwrap();
+        assert_eq!((report.commands_issued, report.cycles), (0, 1));
+    }
+
+    #[test]
+    fn fast_forward_leaves_random_sessions_unchanged() {
+        let healthy = |budget, seed| RandomTesterConfig {
+            command_budget: budget,
+            seed,
+            ..RandomTesterConfig::default()
+        };
+        let leaky = |seed| {
+            let mut cfg = healthy(3_000, seed);
+            cfg.system.kernel.heap_bytes = 6 * 1024;
+            cfg.system.kernel.gc_fault = ptest_pcore::GcFaultMode::LeakDeadBlocks { leak_every: 1 };
+            cfg
+        };
+        let configs = (0..6)
+            .flat_map(|seed| [0, 1, 40, 150].map(|budget| healthy(budget, seed)))
+            .chain((0..4).map(leaky));
+        let mut bugs = 0;
+        for cfg in configs {
+            let tester = RandomTester::new(cfg.clone());
+            let run = |fast_forward| format!("{:?}", tester.run_with(worker_setup, fast_forward));
+            let reference = run(false);
+            assert_eq!(run(true), reference, "{cfg:?}");
+            bugs += usize::from(!reference.contains("bugs: []"));
+        }
+        assert!(bugs > 0, "some session finds a bug");
+        // Sessions over mutexes; at seeds 19 and 236 they end in a
+        // deadlock, which is detected while commands are still issued.
+        let philosophers = ptest_faults::philosophers::PhilosophersScenario::buggy();
+        for seed in [0, 19, 236] {
+            let tester = RandomTester::new(RandomTesterConfig {
+                system: philosophers.base_config().system,
+                ..healthy(150, seed)
+            });
+            let run = |fast_forward| {
+                let setup = |sys: &mut MultiCoreSystem| philosophers.setup(sys);
+                format!("{:?}", tester.run_with(setup, fast_forward))
+            };
+            let reference = run(false);
+            assert_eq!(run(true), reference, "philosophers seed {seed}");
+            assert_eq!(reference.contains("Deadlock"), seed != 0, "{reference}");
+        }
     }
 }

@@ -10,7 +10,7 @@
 //! the trade-off the paper positions pTest against.
 
 use ptest_automata::Alphabet;
-use ptest_core::{BugKind, MergedPattern, PatternMerger, TestPattern};
+use ptest_core::{BugKind, PatternMerger, TestPattern};
 use ptest_master::MultiCoreSystem;
 use ptest_pcore::ProgramId;
 
@@ -38,7 +38,7 @@ impl Default for SystematicConfig {
 }
 
 /// Outcome of a systematic exploration.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct SystematicReport {
     /// Interleavings executed.
     pub runs: usize,
@@ -89,26 +89,14 @@ impl SystematicExplorer {
     ) -> SystematicReport {
         let merger = PatternMerger::new();
         let Some(all) = merger.enumerate_all(patterns, self.cfg.interleaving_limit) else {
-            return SystematicReport {
-                runs: 0,
-                space_size: None,
-                first_bug_run: None,
-                bugs: Vec::new(),
-                total_commands: 0,
-                total_cycles: 0,
-            };
+            return SystematicReport::default();
         };
-        let space = all.len();
         let mut report = SystematicReport {
-            runs: 0,
-            space_size: Some(space),
-            first_bug_run: None,
-            bugs: Vec::new(),
-            total_commands: 0,
-            total_cycles: 0,
+            space_size: Some(all.len()),
+            ..SystematicReport::default()
         };
         for (i, merged) in all.into_iter().enumerate() {
-            let outcome = self.run_one(merged, alphabet, &mut setup);
+            let outcome = run_merged(merged, alphabet, &self.cfg.knobs, &mut setup);
             report.runs += 1;
             report.total_commands += outcome.commands;
             report.total_cycles += outcome.cycles;
@@ -138,15 +126,6 @@ impl SystematicExplorer {
         scenario: &dyn ptest_core::Scenario,
     ) -> SystematicReport {
         self.explore(patterns, alphabet, |sys| scenario.setup(sys))
-    }
-
-    fn run_one(
-        &self,
-        merged: MergedPattern,
-        alphabet: &Alphabet,
-        setup: &mut impl FnMut(&mut MultiCoreSystem) -> Vec<ProgramId>,
-    ) -> crate::harness::RunOutcome {
-        run_merged(merged, alphabet, &self.cfg.knobs, |sys| setup(sys))
     }
 }
 

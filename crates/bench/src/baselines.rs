@@ -29,7 +29,9 @@ pub(crate) fn tables() -> Vec<Table> {
         seed: 8,
         ..RandomTesterConfig::default()
     };
-    let random = RandomTester::new(random_cfg).run_scenario(&server);
+    let random = RandomTester::new(random_cfg)
+        .run_scenario(&server)
+        .expect("the scenario registers a program");
     let title = "Section I: command legality on a healthy slave (same budget)";
     let header = &["tester", "commands", "ordering errors", "total errors"];
     let mut legality = Table::new(title, header);
@@ -51,7 +53,9 @@ pub(crate) fn tables() -> Vec<Table> {
         ..RandomTesterConfig::default()
     };
     random_cfg.system = gc.base_config().system;
-    let random = RandomTester::new(random_cfg).run_scenario(&gc);
+    let random = RandomTester::new(random_cfg)
+        .run_scenario(&gc)
+        .expect("the scenario registers a program");
     let title = "commands to detect the GC crash (case-study-1 shape)";
     let mut crash = Table::new(title, &["tester", "found", "commands issued"]);
     let found = format!("{}/{} trials", d.hits, d.trials);

@@ -323,8 +323,28 @@ fn bug_table(title: &str, bug: Option<&Bug>, trace_lines: usize) -> Table {
 mod tests {
     use super::*;
 
+    /// `exp --figure all`'s output: every table the figures must print,
+    /// byte for byte. A change meant to move a printed number records it
+    /// again.
+    const EXP_ALL: &str = include_str!("../tests/fixtures/exp_all.txt");
+
+    /// The tables `EXP_ALL` prints for figure `name`, each followed by a
+    /// blank line, as `exp` prints them.
+    fn golden_tables(name: &str) -> &'static str {
+        let header = format!("## {name}\n\n");
+        let start = EXP_ALL.find(&header).expect("figure in the golden") + header.len();
+        let rest = &EXP_ALL[start..];
+        // The next figure's header, else the closing claims-count line.
+        let end = rest
+            .find("\n## ")
+            .or_else(|| rest.trim_end().rfind('\n'))
+            .expect("a line follows every figure");
+        &rest[..=end]
+    }
+
     /// Runs one figure at its printed size and asserts that it carries
-    /// exactly `claims` claim rows and that every one holds.
+    /// exactly `claims` claim rows, that every one holds, and that it
+    /// prints exactly the golden tables.
     fn assert_claims(name: &str, claims: usize) {
         let tables = (select(&["--figure", name]).expect("registered")[0].1)();
         let all: Vec<&Claim> = tables.iter().flat_map(Table::claims).collect();
@@ -333,10 +353,14 @@ mod tests {
             .filter(|c| !c.holds)
             .map(|c| c.paper.as_str())
             .collect();
-        let printed: String = tables.iter().map(ToString::to_string).collect();
+        let printed: String = tables.iter().map(|t| format!("{t}\n")).collect();
         assert!(failed.is_empty(), "{name}: {failed:?} fail\n{printed}");
         assert_eq!(all.len(), claims, "{name}: claim rows\n{printed}");
         assert!(claims > 0, "{name} carries no claim");
+        assert!(
+            printed == golden_tables(name),
+            "{name}: tables drifted from the golden\n{printed}"
+        );
     }
 
     /// One test per figure: `test: figure => number of claim rows`, and

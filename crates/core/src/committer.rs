@@ -143,7 +143,7 @@ pub struct Committer {
     service_of: HashMap<Sym, Service>,
     pos: usize,
     bound: Vec<Option<TaskId>>,
-    prio_counter: Vec<u8>,
+    bands: PriorityBands,
     progress: Vec<usize>,
     /// Per-pattern symbol projections, interned so every state record of
     /// a pattern shares one allocation instead of cloning the buffer.
@@ -157,6 +157,43 @@ pub struct Committer {
     commands_issued: u64,
     error_replies: u64,
     skipped_steps: u64,
+}
+
+/// Disjoint priority bands, one per pattern (for the random tester, one
+/// per worker): band `i` holds priorities `1 + i·band ..`, handed out in
+/// rotation, so tasks of different patterns never share a priority.
+#[derive(Debug, Clone)]
+pub struct PriorityBands {
+    band: u8,
+    issued: Vec<u8>,
+}
+
+impl PriorityBands {
+    /// `patterns` bands of `band` priorities each.
+    ///
+    /// # Errors
+    ///
+    /// [`CommitterError::TooManyPatterns`] if the bands overflow the
+    /// priority space.
+    pub fn new(patterns: usize, band: u8) -> Result<PriorityBands, CommitterError> {
+        let max = usize::from(u8::MAX / band.max(1));
+        if patterns > max {
+            return Err(CommitterError::TooManyPatterns { patterns, max });
+        }
+        Ok(PriorityBands {
+            band,
+            issued: vec![0; patterns],
+        })
+    }
+
+    /// The next priority of `pattern`'s band.
+    pub fn next(&mut self, pattern: usize) -> Priority {
+        let offset = self.issued[pattern] % self.band.max(1);
+        self.issued[pattern] = self.issued[pattern].wrapping_add(1);
+        // `pattern < u8::MAX / band`, checked at construction, keeps the
+        // priority in range.
+        Priority::new(1 + (pattern as u8) * self.band + offset)
+    }
 }
 
 impl Committer {
@@ -180,14 +217,7 @@ impl Committer {
             .map(|s| s.pattern + 1)
             .max()
             .unwrap_or(0);
-        let band = cfg.priority_band.max(1);
-        let max = (255 / band) as usize;
-        if n_patterns > max {
-            return Err(CommitterError::TooManyPatterns {
-                patterns: n_patterns,
-                max,
-            });
-        }
+        let bands = PriorityBands::new(n_patterns, cfg.priority_band)?;
         let mut service_of = HashMap::new();
         for step in merged.steps() {
             if let std::collections::hash_map::Entry::Vacant(e) = service_of.entry(step.sym) {
@@ -219,7 +249,7 @@ impl Committer {
             service_of,
             pos: 0,
             bound: vec![None; n_patterns],
-            prio_counter: vec![0; n_patterns],
+            bands,
             progress: vec![0; n_patterns],
             pattern_syms,
             last_completed: vec![None; n_patterns],
@@ -287,17 +317,6 @@ impl Committer {
     #[must_use]
     pub fn slave_of(pattern: usize, slave_count: usize) -> usize {
         pattern % slave_count.max(1)
-    }
-
-    fn base_priority(&self, pattern: usize) -> u8 {
-        1 + (pattern as u8) * self.cfg.priority_band
-    }
-
-    fn next_priority(&mut self, pattern: usize) -> Priority {
-        let band = self.cfg.priority_band.max(1);
-        let offset = self.prio_counter[pattern] % band;
-        self.prio_counter[pattern] = self.prio_counter[pattern].wrapping_add(1);
-        Priority::new(self.base_priority(pattern) + offset)
     }
 
     /// Advances the committer by (at most) one action: consume a pending
@@ -372,7 +391,7 @@ impl Committer {
         let request = match service {
             Service::Create => {
                 let program = self.cfg.programs[pattern % self.cfg.programs.len()];
-                let priority = self.next_priority(pattern);
+                let priority = self.bands.next(pattern);
                 Some(SvcRequest::Create {
                     program,
                     priority,
@@ -384,7 +403,7 @@ impl Committer {
             Service::Resume => self.bound[pattern].map(|task| SvcRequest::Resume { task }),
             Service::ChangePriority => {
                 if let Some(task) = self.bound[pattern] {
-                    let priority = self.next_priority(pattern);
+                    let priority = self.bands.next(pattern);
                     Some(SvcRequest::ChangePriority { task, priority })
                 } else {
                     None

@@ -255,7 +255,7 @@ impl SlaveTaskSet {
 
 /// The bug detector. Runs as an independent observer (the paper forks it
 /// as a child process); here it is polled with
-/// [`BugDetector::observe`] at a configurable cadence.
+/// [`BugDetector::observe_cached`] at a configurable cadence.
 ///
 /// A detector observes one system: its per-task progress records and
 /// snapshot cache belong to the system it was first pointed at. Use a
@@ -276,11 +276,9 @@ pub struct BugDetector {
     /// `committer_done` at the previous observation: when the gate opens
     /// the gated rules must re-run even if every kernel is clean.
     last_done: bool,
-    /// Reused across observations: the epoch-keyed snapshot cache of
-    /// [`BugDetector::observe`] and the progress-rule work lists. The
+    /// Reused across observations: the progress-rule work lists. The
     /// detector observes thousands of times per trial; without these the
     /// observation cadence dominates the trial's allocation profile.
-    cache: SnapshotCache,
     stalled_scratch: Vec<(usize, TaskId, bool)>,
     moving_scratch: Vec<(usize, TaskId)>,
 }
@@ -301,7 +299,6 @@ impl BugDetector {
             reported_starvation: SlaveTaskSet::default(),
             done_since: None,
             last_done: false,
-            cache: SnapshotCache::new(),
             stalled_scratch: Vec::new(),
             moving_scratch: Vec::new(),
         }
@@ -348,21 +345,7 @@ impl BugDetector {
     /// `task_create` could still start the task that would resolve the
     /// wait.
     ///
-    /// Observation goes through the detector's own [`SnapshotCache`], as
-    /// [`BugDetector::observe_cached`] describes.
-    pub fn observe(
-        &mut self,
-        sys: &MultiCoreSystem,
-        committer: Option<&Committer>,
-        committer_done: bool,
-    ) -> Vec<Bug> {
-        let mut cache = std::mem::take(&mut self.cache);
-        let bugs = self.observe_cached(sys, committer, committer_done, &mut cache);
-        self.cache = cache;
-        bugs
-    }
-
-    /// [`BugDetector::observe`] through a caller-owned, epoch-keyed
+    /// Observation goes through a caller-owned, epoch-keyed
     /// [`SnapshotCache`]: kernels whose change epoch is unchanged since
     /// the previous observation skip re-serialization (only their scalar
     /// counters are refreshed), and the state-change rules (crash, task
@@ -372,7 +355,8 @@ impl BugDetector {
     /// snapshots, so detection cadence and report bytes are unchanged.
     /// The trial engine passes its per-worker
     /// [`TrialScratch`](crate::TrialScratch) cache here so the snapshot
-    /// buffers survive across trials, not just across steps.
+    /// buffers survive across trials, not just across steps. A fresh
+    /// cache sees every kernel dirty, the uncached reference.
     ///
     /// The cache must be [`reset`](SnapshotCache::reset) between trials.
     pub fn observe_cached(
@@ -831,10 +815,11 @@ mod tests {
             done: bool,
         ) -> Vec<Bug> {
             let mut all = Vec::new();
+            let mut cache = SnapshotCache::new();
             for i in 0..cycles {
                 sys.step();
                 if i % 200 == 0 {
-                    all.extend(det.observe(sys, None, done));
+                    all.extend(det.observe_cached(sys, None, done, &mut cache));
                 }
             }
             all
@@ -956,7 +941,8 @@ mod tests {
             let mut sys = crossed_handoff_system();
             sys.run(500);
             let mut det = BugDetector::new(DetectorConfig::default());
-            let bugs = det.observe(&sys, None, true);
+            let mut cache = SnapshotCache::new();
+            let bugs = det.observe_cached(&sys, None, true, &mut cache);
             let cross: Vec<&Bug> = bugs
                 .iter()
                 .filter(|b| matches!(b.kind, BugKind::CrossCoreDeadlock { .. }))
@@ -968,7 +954,7 @@ mod tests {
             let cores: std::collections::BTreeSet<CoreId> = cycle.iter().map(|(c, _)| *c).collect();
             assert!(cores.len() >= 2, "cycle must span kernels: {cycle:?}");
             // Reported once.
-            assert!(det.observe(&sys, None, true).is_empty());
+            assert!(det.observe_cached(&sys, None, true, &mut cache).is_empty());
         }
 
         #[test]
@@ -977,7 +963,8 @@ mod tests {
             sys.run(500);
             let mut det = BugDetector::new(DetectorConfig::default());
             assert!(
-                det.observe(&sys, None, false).is_empty(),
+                det.observe_cached(&sys, None, false, &mut SnapshotCache::new())
+                    .is_empty(),
                 "an in-flight create could still resolve the wait"
             );
         }
@@ -985,7 +972,8 @@ mod tests {
         #[test]
         fn cached_observation_matches_uncached() {
             // A fresh cache per observation sees every kernel dirty: the
-            // uncached reference the detector's own cache must match.
+            // uncached reference a cache kept across observations must
+            // match.
             let mut sys = spin_system();
             let mut plain = BugDetector::new(DetectorConfig {
                 progress_window: Cycles::new(2_000),
@@ -994,11 +982,12 @@ mod tests {
             let mut cached = plain.clone();
             let mut a = Vec::new();
             let mut b = Vec::new();
+            let mut cache = SnapshotCache::new();
             for i in 0..30_000u64 {
                 sys.step();
                 if i % 200 == 0 {
                     a.extend(plain.observe_cached(&sys, None, true, &mut SnapshotCache::new()));
-                    b.extend(cached.observe(&sys, None, true));
+                    b.extend(cached.observe_cached(&sys, None, true, &mut cache));
                 }
             }
             assert!(!a.is_empty());

@@ -59,7 +59,9 @@ mod scenario;
 mod trial;
 
 pub use adaptive::{AdaptiveTest, AdaptiveTestConfig, AdaptiveTestError, TestReport};
-pub use committer::{Committer, CommitterConfig, CommitterError, CommitterStatus, ExecRecord};
+pub use committer::{
+    Committer, CommitterConfig, CommitterError, CommitterStatus, ExecRecord, PriorityBands,
+};
 pub use coverage::CoverageReport;
 pub use detector::{Bug, BugDetector, BugKind, DetectorConfig};
 pub use generator::PatternGenerator;
@@ -73,8 +75,8 @@ pub use record::{MasterState, StateRecord};
 pub use report::{BugSummary, ReportSummary};
 pub use scenario::{Configured, FnScenario, Scenario};
 pub use trial::{
-    derived_irq_seed, derived_memory_seed, derived_schedule_seed, TrialEngine, TrialOverrides,
-    TrialScratch, TrialTrace,
+    derived_irq_seed, derived_memory_seed, derived_schedule_seed, CycleLoop, Driver, TrialEngine,
+    TrialOverrides, TrialScratch, TrialTrace,
 };
 
 // Schedule and memory-model exploration vocabulary, re-exported so

@@ -10,6 +10,10 @@
 //! trial. [`AdaptiveTest::run`] is a thin wrapper: compile, run one
 //! trial.
 //!
+//! The engine's cycle loop is public as [`CycleLoop`]: the baseline
+//! testers and Figure 1's scripted runs step their systems in the same
+//! loop, each with its own [`Driver`] in the committer's place.
+//!
 //! [`AdaptiveTest`]: crate::AdaptiveTest
 //! [`AdaptiveTest::run`]: crate::AdaptiveTest::run
 
@@ -18,14 +22,14 @@ use ptest_master::{
     IdleHorizon, MemoryModel, MemoryModelSpec, MultiCoreSystem, Scheduler, SnapshotCache,
 };
 use ptest_pcore::ProgramId;
-use ptest_soc::TraceEvent;
+use ptest_soc::{Cycles, TraceEvent};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::adaptive::{AdaptiveTestConfig, AdaptiveTestError, TestReport};
 use crate::committer::{Committer, CommitterConfig, CommitterStatus};
 use crate::coverage;
-use crate::detector::{Bug, BugDetector};
+use crate::detector::{Bug, BugDetector, DetectorConfig};
 use crate::generator::PatternGenerator;
 use crate::merger::PatternMerger;
 use crate::pattern::TestPattern;
@@ -308,7 +312,6 @@ impl TrialEngine {
             },
         )
         .map_err(AdaptiveTestError::Committer)?;
-        let mut detector = BugDetector::new(cfg.detector);
         // Lock-step compiles to no scheduler at all: the trial drives the
         // plain `step()` path, bit-identical to the pre-scheduler engine
         // (the golden fixtures pin this).
@@ -319,120 +322,20 @@ impl TrialEngine {
         // engine (the golden fixtures pin this).
         let mut memory_model: Option<Box<dyn MemoryModel>> = cfg.memory.model(memory_seed);
 
-        scratch.cache.reset();
-        let mut bugs: Vec<Bug> = Vec::new();
-        let mut cycles = 0u64;
-        let mut done_at: Option<u64> = None;
-        // Each kernel's change epoch before the cycle being executed.
-        let mut epochs = Vec::with_capacity(cfg.system.slaves);
-        // Whether every kernel whose change epoch moved in the last
-        // executed cycle may be steady (in particular, whether the cycle
-        // was quiet: no epoch moved at all).
-        let mut settled = true;
-        while cycles < cfg.max_cycles {
-            // --- Idle- and steady-cycle fast-forward. When every
-            // component can name the first future cycle at which it could
-            // do observable work (sleeper wake-ups, the end of a steady
-            // window, a pending store delivery, the committer's next
-            // issue/timeout/completion cycle), and that cycle — capped by
-            // the next detector observe point and the drain/end-of-trial
-            // deadlines — is more than one step away, the gap is advanced
-            // arithmetically: clocks jump, idle tick counters
-            // batch-update, steady kernels advance whole rotations, and
-            // the schedule stream is consumed in closed form. Cycle
-            // `target` itself then executes normally, so every observable
-            // transition and every detector observation lands on exactly
-            // the cycle it would under cycle-by-cycle stepping (the
-            // equivalence suite and the golden fixtures pin the reports
-            // byte-identical).
-            //
-            // A cycle in which some kernel did work other than turn its
-            // steady rotation is almost always followed by more work, so the
-            // horizon is asked only after a quiet or steady cycle, and only
-            // when the observe point, the committer's next event and the
-            // deadlines leave room for a window: the horizon walks steady
-            // kernels, which costs more than those caps. Not asking is
-            // always exact — it just steps the cycle — and costs at most
-            // one executed cycle per window.
-            if self.fast_forward && settled {
-                let mut target = (cycles / cfg.check_interval + 1) * cfg.check_interval;
-                if let Some(event) = committer.next_event_cycle(sys.now()) {
-                    target = target.min(event);
-                }
-                if let Some(done) = done_at {
-                    target = target.min(done + cfg.drain_cycles);
-                }
-                target = target.min(cfg.max_cycles);
-                if target > cycles + 1 {
-                    let sys_horizon = sys.quiescent_horizon();
-                    let model_horizon = memory_model
-                        .as_deref()
-                        .map_or(IdleHorizon::Unbounded, MemoryModel::idle_horizon);
-                    if sys_horizon != IdleHorizon::Unknown && model_horizon != IdleHorizon::Unknown
-                    {
-                        if let IdleHorizon::Until(h) = sys_horizon {
-                            target = target.min(h);
-                        }
-                        if let IdleHorizon::Until(h) = model_horizon {
-                            target = target.min(h);
-                        }
-                        if target > cycles + 1 {
-                            let skip = target - cycles - 1;
-                            match scheduler.as_deref_mut() {
-                                None => sys.fast_forward_idle(skip),
-                                Some(sched) => sys.fast_forward_idle_with(skip, sched),
-                            }
-                            cycles += skip;
-                        }
-                    }
-                }
-            }
-            cycles += 1;
-            epochs.clear();
-            epochs.extend((0..sys.slave_count()).map(|i| sys.kernel_of(i).change_epoch()));
-            // One entry point for every axis combination: `None` on an
-            // axis selects that axis's historical fast path inside the
-            // system, so unexplored trials stay byte-identical.
-            sys.step_explored(scheduler.as_deref_mut(), memory_model.as_deref_mut());
-            settled = epochs.iter().enumerate().all(|(i, &epoch)| {
-                let kernel = sys.kernel_of(i);
-                kernel.change_epoch() == epoch || kernel.in_steady_loop()
-            });
-            let status = committer.step(&mut sys);
-            let committer_done = status != CommitterStatus::Running;
-            if committer_done && done_at.is_none() {
-                done_at = Some(cycles);
-            }
-            if cycles.is_multiple_of(cfg.check_interval) {
-                bugs.extend(detector.observe_cached(
-                    &sys,
-                    Some(&committer),
-                    committer_done,
-                    &mut scratch.cache,
-                ));
-            }
-            // Stop once a crash-class bug is in hand, or after the drain
-            // period following completion.
-            if bugs.iter().any(|b| b.kind.is_fatal()) {
-                break;
-            }
-            if let Some(done) = done_at {
-                // Slave 0's quiescence, exactly as `snapshot().live_tasks()`
-                // historically measured it, but without building a snapshot
-                // every drain cycle.
-                let quiescent = sys.kernel_of(0).live_task_count() == 0;
-                if quiescent || cycles - done >= cfg.drain_cycles {
-                    // Final sweep before ending.
-                    bugs.extend(detector.observe_cached(
-                        &sys,
-                        Some(&committer),
-                        true,
-                        &mut scratch.cache,
-                    ));
-                    break;
-                }
-            }
-        }
+        let cycle_loop = CycleLoop {
+            detector: cfg.detector,
+            check_interval: cfg.check_interval,
+            max_cycles: cfg.max_cycles,
+            drain_cycles: cfg.drain_cycles,
+            fast_forward: self.fast_forward,
+        };
+        let (bugs, cycles) = cycle_loop.run(
+            &mut sys,
+            &mut committer,
+            scheduler.as_deref_mut(),
+            memory_model.as_deref_mut(),
+            &mut scratch.cache,
+        );
 
         if let Some(trace) = capture_trace {
             trace.kernels = (0..cfg.system.slaves)
@@ -466,6 +369,206 @@ impl TrialEngine {
             irq_seed,
             config: cfg,
         })
+    }
+}
+
+/// What the cycle loop drives after each platform cycle: the master side
+/// of a tester. [`Committer`] drives a merged pattern, a baseline tester
+/// can drive its own command stream, and `()` drives nothing (the system's
+/// own tasks and master threads are the whole test).
+pub trait Driver {
+    /// Drives one cycle before the detector observes it: consume
+    /// responses and (the committer) issue or time out commands. Returns
+    /// whether the driver is done, which opens the detector's
+    /// no-progress rules and starts the drain.
+    fn step(&mut self, sys: &mut MultiCoreSystem) -> bool;
+
+    /// Ends a cycle the loop did not stop in, after the observation: a
+    /// driver that issues only past the cycle's stop rules (the random
+    /// tester) issues here. The default does nothing.
+    fn issue(&mut self, _sys: &mut MultiCoreSystem) {}
+
+    /// The first future cycle at which [`Driver::step`] or
+    /// [`Driver::issue`] could act without a platform event prompting it
+    /// (an issue, a timeout, becoming done), or `None` if only platform
+    /// events can. Fast-forward never skips past it, and never skips the
+    /// first cycle of a run.
+    fn next_event_cycle(&self, now: Cycles) -> Option<u64>;
+
+    /// The committer whose Definition-2 state records go into bug
+    /// reports, if the driver has one.
+    fn committer(&self) -> Option<&Committer> {
+        None
+    }
+}
+
+impl Driver for Committer {
+    fn step(&mut self, sys: &mut MultiCoreSystem) -> bool {
+        Committer::step(self, sys) != CommitterStatus::Running
+    }
+
+    fn next_event_cycle(&self, now: Cycles) -> Option<u64> {
+        Committer::next_event_cycle(self, now)
+    }
+
+    fn committer(&self) -> Option<&Committer> {
+        Some(self)
+    }
+}
+
+impl Driver for () {
+    fn step(&mut self, _: &mut MultiCoreSystem) -> bool {
+        true
+    }
+
+    fn next_event_cycle(&self, _: Cycles) -> Option<u64> {
+        None
+    }
+}
+
+/// The cycle loop every tester runs: the trial engine, the baseline
+/// testers and Figure 1's scripted runs differ only in their [`Driver`].
+/// Each cycle it steps the platform, then the driver, observes on the
+/// detector's cadence, and stops at the first fatal bug, once slave 0 is
+/// quiescent after the driver is done, after the drain, or at the budget;
+/// a cycle it does not stop in ends with [`Driver::issue`].
+/// Cycles count from the system's time at the start of [`CycleLoop::run`].
+#[derive(Debug, Clone, Copy)]
+pub struct CycleLoop {
+    /// Detector thresholds; the loop runs a fresh detector.
+    pub detector: DetectorConfig,
+    /// Detector cadence in cycles.
+    pub check_interval: u64,
+    /// Simulation budget in cycles.
+    pub max_cycles: u64,
+    /// Cycles to keep running after the driver is done.
+    pub drain_cycles: u64,
+    /// Whether idle and steady windows are applied in closed form; off
+    /// is the reference ([`TrialEngine::set_fast_forward`]).
+    pub fast_forward: bool,
+}
+
+impl CycleLoop {
+    /// Runs `sys` under `driver` until a stop rule fires, returning the
+    /// bugs detected and the cycles run. `None` on the scheduler or
+    /// memory axis selects that axis's historical fast path.
+    pub fn run<D: Driver>(
+        &self,
+        sys: &mut MultiCoreSystem,
+        driver: &mut D,
+        mut scheduler: Option<&mut (dyn Scheduler + '_)>,
+        mut memory_model: Option<&mut (dyn MemoryModel + '_)>,
+        cache: &mut SnapshotCache,
+    ) -> (Vec<Bug>, u64) {
+        let mut detector = BugDetector::new(self.detector);
+        let start = sys.now().get();
+        cache.reset();
+        let mut bugs: Vec<Bug> = Vec::new();
+        let mut cycles = 0u64;
+        let mut done_at: Option<u64> = None;
+        // Each kernel's change epoch before the cycle being executed.
+        let mut epochs = Vec::with_capacity(sys.slave_count());
+        // Whether every kernel whose change epoch moved in the last
+        // executed cycle may be steady (in particular, whether the cycle
+        // was quiet: no epoch moved at all). The first cycle always
+        // executes: a driver may be done from its first step on.
+        let mut settled = false;
+        while cycles < self.max_cycles {
+            // --- Idle- and steady-cycle fast-forward. When every
+            // component can name the first future cycle at which it could
+            // do observable work (sleeper wake-ups, the end of a steady
+            // window, a pending store delivery, the driver's next
+            // issue/timeout/completion cycle), and that cycle — capped by
+            // the next detector observe point and the drain/end-of-run
+            // deadlines — is more than one step away, the gap is advanced
+            // arithmetically: clocks jump, idle tick counters
+            // batch-update, steady kernels advance whole rotations, and
+            // the schedule stream is consumed in closed form. Cycle
+            // `target` itself then executes normally, so every observable
+            // transition and every detector observation lands on exactly
+            // the cycle it would under cycle-by-cycle stepping (the
+            // equivalence suite and the golden fixtures pin the reports
+            // byte-identical).
+            //
+            // A cycle in which some kernel did work other than turn its
+            // steady rotation is almost always followed by more work, so the
+            // horizon is asked only after a quiet or steady cycle, and only
+            // when the observe point, the driver's next event and the
+            // deadlines leave room for a window: the horizon walks steady
+            // kernels, which costs more than those caps. Not asking is
+            // always exact — it just steps the cycle — and costs at most
+            // one executed cycle per window.
+            if self.fast_forward && settled {
+                let mut target = (cycles / self.check_interval + 1) * self.check_interval;
+                if let Some(event) = driver.next_event_cycle(sys.now()) {
+                    target = target.min(event - start);
+                }
+                if let Some(done) = done_at {
+                    target = target.min(done + self.drain_cycles);
+                }
+                target = target.min(self.max_cycles);
+                if target > cycles + 1 {
+                    let sys_horizon = sys.quiescent_horizon();
+                    let model_horizon = memory_model
+                        .as_deref()
+                        .map_or(IdleHorizon::Unbounded, MemoryModel::idle_horizon);
+                    if sys_horizon != IdleHorizon::Unknown && model_horizon != IdleHorizon::Unknown
+                    {
+                        if let IdleHorizon::Until(h) = sys_horizon {
+                            target = target.min(h - start);
+                        }
+                        if let IdleHorizon::Until(h) = model_horizon {
+                            target = target.min(h - start);
+                        }
+                        if target > cycles + 1 {
+                            let skip = target - cycles - 1;
+                            match scheduler.as_deref_mut() {
+                                None => sys.fast_forward_idle(skip),
+                                Some(sched) => sys.fast_forward_idle_with(skip, sched),
+                            }
+                            cycles += skip;
+                        }
+                    }
+                }
+            }
+            cycles += 1;
+            epochs.clear();
+            epochs.extend((0..sys.slave_count()).map(|i| sys.kernel_of(i).change_epoch()));
+            // One entry point for every axis combination: `None` on an
+            // axis selects that axis's historical fast path inside the
+            // system, so unexplored trials stay byte-identical.
+            sys.step_explored(scheduler.as_deref_mut(), memory_model.as_deref_mut());
+            settled = epochs.iter().enumerate().all(|(i, &epoch)| {
+                let kernel = sys.kernel_of(i);
+                kernel.change_epoch() == epoch || kernel.in_steady_loop()
+            });
+            let driver_done = driver.step(sys);
+            if driver_done && done_at.is_none() {
+                done_at = Some(cycles);
+            }
+            if cycles.is_multiple_of(self.check_interval) {
+                let committer = driver.committer();
+                bugs.extend(detector.observe_cached(sys, committer, driver_done, cache));
+            }
+            // Stop once a crash-class bug is in hand, or after the drain
+            // period following completion.
+            if bugs.iter().any(|b| b.kind.is_fatal()) {
+                break;
+            }
+            if let Some(done) = done_at {
+                // Slave 0's quiescence, exactly as `snapshot().live_tasks()`
+                // historically measured it, but without building a snapshot
+                // every drain cycle.
+                let quiescent = sys.kernel_of(0).live_task_count() == 0;
+                if quiescent || cycles - done >= self.drain_cycles {
+                    // Final sweep before ending.
+                    bugs.extend(detector.observe_cached(sys, driver.committer(), true, cache));
+                    break;
+                }
+            }
+            driver.issue(sys);
+        }
+        (bugs, cycles)
     }
 }
 

@@ -24,8 +24,8 @@
 //! much.
 
 use crate::kit::create_task;
-use ptest_core::{AdaptiveTestConfig, BugDetector, BugKind, DetectorConfig, MergeOp, Scenario};
-use ptest_master::{MultiCoreSystem, SystemConfig};
+use ptest_core::{AdaptiveTestConfig, BugKind, CycleLoop, DetectorConfig, MergeOp, Scenario};
+use ptest_master::{MultiCoreSystem, SnapshotCache, SystemConfig};
 use ptest_pcore::{Op, Program, ProgramBuilder, ProgramId, SvcRequest, TaskId, TaskState, VarId};
 use ptest_soc::Cycles;
 
@@ -78,8 +78,8 @@ pub enum Fig1Outcome {
         /// Cycle at which the second process terminated.
         cycles: u64,
     },
-    /// The processes yielded to each other until the budget ran out; the
-    /// listed tasks never terminated.
+    /// The processes yielded to each other until the detector reported a
+    /// livelock or the budget ran out; the listed tasks never terminated.
     Livelock {
         /// The spinning tasks.
         tasks: Vec<TaskId>,
@@ -141,30 +141,37 @@ fn suspended_processes(sys: &mut MultiCoreSystem, window: u32) -> (TaskId, TaskI
     (s1, s2)
 }
 
-/// Steps `sys` for up to `max_cycles` cycles: `Completed` once both
-/// processes have terminated, whatever `watch` (given the cycle index)
-/// classifies first, else a livelock of the tasks still alive.
-fn settle(
-    sys: &mut MultiCoreSystem,
-    processes: [TaskId; 2],
-    max_cycles: u64,
-    mut watch: impl FnMut(&MultiCoreSystem, u64) -> Option<Fig1Outcome>,
-) -> Fig1Outcome {
-    for cycle in 0..max_cycles {
-        sys.step();
-        let both_done = processes
-            .iter()
-            .all(|&t| matches!(sys.kernel().task_state(t), Some(TaskState::Terminated(_))));
-        if both_done {
-            return Fig1Outcome::Completed {
-                cycles: sys.now().get(),
-            };
-        }
-        if let Some(outcome) = watch(sys, cycle) {
-            return outcome;
-        }
+/// Runs `sys` in the trial engine's cycle loop with nothing left to
+/// drive, observing every 200 cycles, for up to `max_cycles` cycles:
+/// a livelock once the detector reports one, `Completed` once both
+/// processes (slave 0's only tasks) have terminated, else a livelock of
+/// the tasks still alive.
+fn outcome(sys: &mut MultiCoreSystem, max_cycles: u64, fast_forward: bool) -> Fig1Outcome {
+    let cycle_loop = CycleLoop {
+        detector: DetectorConfig {
+            progress_window: Cycles::new(10_000),
+            ..DetectorConfig::default()
+        },
+        check_interval: 200,
+        max_cycles,
+        // Nothing is driven, so there is no drain: only the budget ends
+        // a run that neither completes nor livelocks.
+        drain_cycles: max_cycles,
+        fast_forward,
+    };
+    let (bugs, _) = cycle_loop.run(sys, &mut (), None, None, &mut SnapshotCache::new());
+    let livelock = bugs.into_iter().find_map(|bug| match bug.kind {
+        BugKind::Livelock { tasks } => Some(tasks),
+        _ => None,
+    });
+    if let Some(tasks) = livelock {
+        return Fig1Outcome::Livelock { tasks };
     }
-    // Budget exhausted without termination: the live tasks are spinning.
+    if sys.kernel().live_task_count() == 0 {
+        return Fig1Outcome::Completed {
+            cycles: sys.now().get(),
+        };
+    }
     let tasks = sys
         .snapshot()
         .tasks
@@ -186,6 +193,11 @@ fn settle(
 /// default-configured kernel).
 #[must_use]
 pub fn run(scenario: Fig1Scenario) -> Fig1Outcome {
+    run_with(scenario, true)
+}
+
+/// [`run`] with fast-forward on or off (off is the reference).
+fn run_with(scenario: Fig1Scenario, fast_forward: bool) -> Fig1Outcome {
     let mut sys = MultiCoreSystem::new(SystemConfig::default());
     let (s1, s2) = suspended_processes(&mut sys, scenario.window);
 
@@ -212,23 +224,7 @@ pub fn run(scenario: Fig1Scenario) -> Fig1Outcome {
         }
     }
 
-    // Let the system run; watch for termination of both processes.
-    let mut detector = BugDetector::new(DetectorConfig {
-        progress_window: Cycles::new(10_000),
-        ..DetectorConfig::default()
-    });
-    settle(&mut sys, [s1, s2], scenario.max_cycles, |sys, cycle| {
-        if cycle % 200 != 0 {
-            return None;
-        }
-        detector
-            .observe(sys, None, true)
-            .into_iter()
-            .find_map(|bug| match bug.kind {
-                BugKind::Livelock { tasks } => Some(Fig1Outcome::Livelock { tasks }),
-                _ => None,
-            })
-    })
+    outcome(&mut sys, scenario.max_cycles, fast_forward)
 }
 
 /// The scripted-master variant: the paper's `M1`/`M2` processes as real
@@ -245,6 +241,12 @@ pub fn run(scenario: Fig1Scenario) -> Fig1Outcome {
 /// kernel).
 #[must_use]
 pub fn run_with_master_threads(scenario: Fig1Scenario) -> Fig1Outcome {
+    run_with_master_threads_with(scenario, true)
+}
+
+/// [`run_with_master_threads`] with fast-forward on or off (off is the
+/// reference).
+fn run_with_master_threads_with(scenario: Fig1Scenario, fast_forward: bool) -> Fig1Outcome {
     use ptest_master::MasterOp;
 
     let mut sys = MultiCoreSystem::new(SystemConfig::default());
@@ -270,7 +272,7 @@ pub fn run_with_master_threads(scenario: Fig1Scenario) -> Fig1Outcome {
             sys.add_thread("M1", m1);
         }
     }
-    settle(&mut sys, [s1, s2], scenario.max_cycles, |_, _| None)
+    outcome(&mut sys, scenario.max_cycles, fast_forward)
 }
 
 /// The Figure 1 fault as an adaptive-test [`Scenario`]: the committer's
@@ -490,6 +492,27 @@ mod tests {
                 std::mem::discriminant(&direct),
                 std::mem::discriminant(&threaded),
                 "{order:?}: direct {direct:?} vs threaded {threaded:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn fast_forward_leaves_outcomes_unchanged() {
+        let base = Fig1Scenario::default();
+        let points = [0, 4, 64, 128]
+            .map(|window| Fig1Scenario { window, ..base })
+            .into_iter()
+            .chain([0, 64, 65, 512].map(|resume_gap| Fig1Scenario { resume_gap, ..base }))
+            .chain([Fig1Scenario {
+                order: Fig1Order::S2First,
+                ..base
+            }]);
+        for point in points {
+            assert_eq!(run_with(point, true), run_with(point, false), "{point:?}");
+            assert_eq!(
+                run_with_master_threads_with(point, true),
+                run_with_master_threads_with(point, false),
+                "{point:?}"
             );
         }
     }

@@ -242,6 +242,7 @@ mod tests {
     use super::*;
     use crate::scenarios::lost_updates;
     use ptest_core::{AdaptiveTest, BugKind};
+    use ptest_master::SnapshotCache;
     use ptest_pcore::{Priority, SvcRequest, TaskState};
     use ptest_soc::CoreId;
 
@@ -282,7 +283,7 @@ mod tests {
         let (mut sys, _) = run_pipeline_raw(Variant::Buggy);
         assert!(!sys.run_until_quiescent(100_000), "stages must wedge");
         let mut detector = ptest_core::BugDetector::new(ptest_core::DetectorConfig::default());
-        let bugs = detector.observe(&sys, None, true);
+        let bugs = detector.observe_cached(&sys, None, true, &mut SnapshotCache::new());
         let cycle = bugs
             .iter()
             .find_map(|b| match &b.kind {

@@ -249,6 +249,7 @@ impl Scenario for StarvationScenario {
 mod tests {
     use super::*;
     use ptest_core::{BugDetector, BugKind, DetectorConfig};
+    use ptest_master::SnapshotCache;
     use ptest_pcore::TaskState;
 
     #[test]
@@ -259,10 +260,11 @@ mod tests {
             ..DetectorConfig::default()
         });
         let mut found = None;
+        let mut cache = SnapshotCache::new();
         for i in 0..100_000u64 {
             sys.step();
             if i % 500 == 0 {
-                for bug in detector.observe(&sys, None, true) {
+                for bug in detector.observe_cached(&sys, None, true, &mut cache) {
                     if let BugKind::Starvation { task, runnable } = bug.kind {
                         found = Some((task, runnable));
                     }
@@ -285,10 +287,11 @@ mod tests {
             ..DetectorConfig::default()
         });
         let mut starved_high = false;
+        let mut cache = SnapshotCache::new();
         for i in 0..200_000u64 {
             sys.step();
             if i % 500 == 0 {
-                for bug in detector.observe(&sys, None, true) {
+                for bug in detector.observe_cached(&sys, None, true, &mut cache) {
                     if let BugKind::Starvation { task, runnable } = bug.kind {
                         if task == high {
                             starved_high = true;

@@ -1,19 +1,35 @@
 //! pTest vs the ConTest-style and CHESS-style baselines on shared
 //! scenarios — the comparison the paper argues qualitatively in §I.
 
-use ptest::baselines::{RandomTester, RandomTesterConfig, SystematicConfig, SystematicExplorer};
-use ptest::faults::philosophers;
+use ptest::baselines::{
+    RandomTestReport, RandomTester, RandomTesterConfig, RunKnobs, SystematicConfig,
+    SystematicExplorer, SystematicReport,
+};
+use ptest::faults::fig1::{self, Fig1Order, Fig1Scenario};
+use ptest::faults::multicore::CrossCorePipelineScenario;
+use ptest::faults::philosophers::{self, PhilosophersScenario};
 use ptest::faults::Variant;
 use ptest::pcore::{GcFaultMode, Op, Program};
 use ptest::{
-    AdaptiveTest, AdaptiveTestConfig, BugKind, MultiCoreSystem, PatternGenerator, ProgramId,
-    TestPattern,
+    AdaptiveTest, AdaptiveTestConfig, BugKind, FnScenario, MultiCoreSystem, PatternGenerator,
+    ProgramId, Scenario, TestPattern,
 };
 
 fn worker_setup(sys: &mut MultiCoreSystem) -> Vec<ProgramId> {
     vec![sys
         .kernel_mut()
         .register_program(Program::new(vec![Op::Compute(30), Op::Exit]).expect("valid"))]
+}
+
+/// Two philosophers over two forks in the buggy (AB-BA) order.
+fn ab_ba_setup(sys: &mut MultiCoreSystem) -> Vec<ProgramId> {
+    let kernel = sys.kernel_mut();
+    let forks = vec![kernel.create_mutex(), kernel.create_mutex()];
+    (0..2)
+        .map(|i| {
+            kernel.register_program(philosophers::philosopher_program(i, &forks, Variant::Buggy))
+        })
+        .collect()
 }
 
 #[test]
@@ -43,7 +59,8 @@ fn ptest_wastes_no_commands_where_random_wastes_many() {
         seed: 8,
         ..RandomTesterConfig::default()
     })
-    .run(worker_setup);
+    .run(worker_setup)
+    .expect("one worker program");
     assert!(
         random_report.error_replies > 0,
         "uniform random burns budget on illegal orders"
@@ -80,7 +97,9 @@ fn both_ptest_and_random_find_the_gc_crash() {
     };
     rcfg.system.kernel.heap_bytes = 6 * 1024;
     rcfg.system.kernel.gc_fault = GcFaultMode::LeakDeadBlocks { leak_every: 1 };
-    let random_report = RandomTester::new(rcfg).run(worker_setup);
+    let random_report = RandomTester::new(rcfg)
+        .run(worker_setup)
+        .expect("one worker program");
     assert!(random_report.found(crash));
 
     // pTest needs fewer commands: all of its churn is legal create/delete
@@ -107,19 +126,7 @@ fn systematic_explorer_is_exhaustive_but_explodes() {
         TestPattern::new(vec![tc, tch, td]),
     ];
     let explorer = SystematicExplorer::new(SystematicConfig::default());
-    let report = explorer.explore(&patterns, &a, |sys| {
-        let kernel = sys.kernel_mut();
-        let forks = vec![kernel.create_mutex(), kernel.create_mutex()];
-        (0..2)
-            .map(|i| {
-                kernel.register_program(philosophers::philosopher_program(
-                    i,
-                    &forks,
-                    Variant::Buggy,
-                ))
-            })
-            .collect()
-    });
+    let report = explorer.explore(&patterns, &a, ab_ba_setup);
     assert!(report.found(|k| matches!(k, BugKind::Deadlock { .. })));
 
     // Paper-scale space: 16 patterns of size 8 — the multinomial explodes
@@ -130,4 +137,131 @@ fn systematic_explorer_is_exhaustive_but_explodes() {
     let refused = explorer.explore(&big, &a, worker_setup);
     assert_eq!(refused.space_size, None, "the space must be refused");
     assert_eq!(refused.runs, 0);
+}
+
+/// One line per random-tester session: its counters and every bug with
+/// its detection cycle.
+fn random_line(name: &str, seed: u64, report: &RandomTestReport) -> String {
+    let bugs: Vec<String> = report
+        .bugs
+        .iter()
+        .map(|b| format!("{}@{}", b.kind, b.detected_at))
+        .collect();
+    format!(
+        "random {name} seed={seed} commands={} errors={} ordering={} cycles={} bugs=[{}]\n",
+        report.commands_issued,
+        report.error_replies,
+        report.ordering_errors,
+        report.cycles,
+        bugs.join("; ")
+    )
+}
+
+/// One line per systematic exploration.
+fn systematic_line(name: &str, report: &SystematicReport) -> String {
+    let bugs: Vec<String> = report
+        .bugs
+        .iter()
+        .map(|(run, kind)| format!("{run}:{kind}"))
+        .collect();
+    format!(
+        "systematic {name} runs={} space={:?} first_bug_run={:?} commands={} cycles={} bugs=[{}]\n",
+        report.runs,
+        report.space_size,
+        report.first_bug_run,
+        report.total_commands,
+        report.total_cycles,
+        bugs.join("; ")
+    )
+}
+
+/// Every point of the Figure 1 tables: both orders, the race-window
+/// sweep and the resume-gap sweep.
+fn fig1_points() -> Vec<Fig1Scenario> {
+    let base = Fig1Scenario::default();
+    let mut points = vec![
+        Fig1Scenario {
+            order: Fig1Order::S2First,
+            ..base
+        },
+        base,
+    ];
+    points.extend([0u32, 2, 4, 8, 16, 32, 64, 128].map(|window| Fig1Scenario { window, ..base }));
+    points.extend(
+        [0u64, 16, 32, 64, 128, 256, 512].map(|resume_gap| Fig1Scenario { resume_gap, ..base }),
+    );
+    points
+}
+
+#[test]
+fn baseline_outcomes_match_the_golden() {
+    let mut actual = String::new();
+    for seed in 0..60 {
+        let cfg = RandomTesterConfig {
+            command_budget: 150,
+            seed,
+            ..RandomTesterConfig::default()
+        };
+        let report = RandomTester::new(cfg).run(worker_setup).unwrap();
+        actual += &random_line("healthy", seed, &report);
+    }
+    for seed in 0..60 {
+        let mut cfg = RandomTesterConfig {
+            command_budget: 3_000,
+            seed,
+            ..RandomTesterConfig::default()
+        };
+        cfg.system.kernel.heap_bytes = 6 * 1024;
+        cfg.system.kernel.gc_fault = GcFaultMode::LeakDeadBlocks { leak_every: 1 };
+        let report = RandomTester::new(cfg).run(worker_setup).unwrap();
+        actual += &random_line("gc-leak", seed, &report);
+    }
+    // The buggy philosophers' sessions among seeds 0-299 that end in a
+    // deadlock. That rule is not gated on the budget, so at seed 236 it
+    // fires in a cycle the tester would also issue in: the golden pins
+    // that the tester issues only after the cycle's stop rules.
+    let philosophers = PhilosophersScenario::buggy();
+    for seed in [19, 26, 44, 69, 89, 101, 131, 212, 236, 260, 280] {
+        let cfg = RandomTesterConfig {
+            command_budget: 150,
+            seed,
+            system: philosophers.base_config().system,
+            ..RandomTesterConfig::default()
+        };
+        let report = RandomTester::new(cfg).run_scenario(&philosophers).unwrap();
+        actual += &random_line(philosophers.name(), seed, &report);
+    }
+
+    let g = PatternGenerator::pcore_paper().unwrap();
+    let a = g.regex().alphabet().clone();
+    let sym = |name| a.sym(name).unwrap();
+    let (tc, tch, td) = (sym("TC"), sym("TCH"), sym("TD"));
+    let ab_ba = FnScenario::new("ab-ba", AdaptiveTestConfig::default(), ab_ba_setup);
+    let patterns = vec![TestPattern::new(vec![tc, tch, td]); 2];
+    let report = SystematicExplorer::new(SystematicConfig::default())
+        .explore_scenario(&patterns, &a, &ab_ba);
+    actual += &systematic_line("ab-ba", &report);
+    let pipeline = CrossCorePipelineScenario::buggy();
+    let explore = |pattern: Vec<_>, stop_at_first_bug| {
+        let explorer = SystematicExplorer::new(SystematicConfig {
+            stop_at_first_bug,
+            knobs: RunKnobs::from_scenario(&pipeline),
+            ..SystematicConfig::default()
+        });
+        explorer.explore_scenario(&vec![TestPattern::new(pattern); 3], &a, &pipeline)
+    };
+    let report = explore(vec![tc, tch, td], false);
+    actual += &systematic_line("pipeline-3 TC-TCH-TD", &report);
+    let report = explore(vec![tc, tch, tch], true);
+    actual += &systematic_line("pipeline-3 TC-TCH-TCH", &report);
+
+    for p in fig1_points() {
+        let (order, window, gap) = (p.order, p.window, p.resume_gap);
+        let point = format!("{order:?} window={window} gap={gap}");
+        actual += &format!("fig1 direct {point} {:?}\n", fig1::run(p));
+        let threaded = fig1::run_with_master_threads(p);
+        actual += &format!("fig1 threads {point} {threaded:?}\n");
+    }
+    let golden = include_str!("fixtures/baseline_outcomes.txt");
+    assert!(actual == golden, "baseline outcomes drifted:\n{actual}");
 }

@@ -92,6 +92,7 @@ fn producer_consumer_survives_command_churn() {
 
 #[test]
 fn starvation_and_inversion_scenarios_detect() {
+    use ptest::master::SnapshotCache;
     use ptest::{BugDetector, DetectorConfig};
 
     let (mut sys, _hog, worker) = scenarios::starvation_system();
@@ -100,10 +101,11 @@ fn starvation_and_inversion_scenarios_detect() {
         ..DetectorConfig::default()
     });
     let mut starved = false;
+    let mut cache = SnapshotCache::new();
     for i in 0..60_000u64 {
         sys.step();
         if i % 500 == 0 {
-            for bug in det.observe(&sys, None, true) {
+            for bug in det.observe_cached(&sys, None, true, &mut cache) {
                 if matches!(bug.kind, BugKind::Starvation { task, .. } if task == worker) {
                     starved = true;
                 }
@@ -118,6 +120,7 @@ fn starvation_and_inversion_scenarios_detect() {
 
 #[test]
 fn lost_update_race_needs_value_oracle() {
+    use ptest::master::SnapshotCache;
     use ptest::{BugDetector, DetectorConfig};
 
     // The race corrupts data but never hangs: pTest's detector stays
@@ -126,11 +129,12 @@ fn lost_update_race_needs_value_oracle() {
     let (mut sys, tasks) = scenarios::race_system(3, 40);
     let mut det = BugDetector::new(DetectorConfig::default());
     let mut hang_bugs = 0;
+    let mut cache = SnapshotCache::new();
     for i in 0..300_000u64 {
         sys.step();
         if i % 1_000 == 0 {
             hang_bugs += det
-                .observe(&sys, None, false)
+                .observe_cached(&sys, None, false, &mut cache)
                 .iter()
                 .filter(|b| matches!(b.kind, BugKind::Deadlock { .. } | BugKind::Livelock { .. }))
                 .count();
