@@ -244,6 +244,13 @@ impl MasterPort {
         self.pending.len()
     }
 
+    /// When the longest-outstanding command was issued, or `None` if no
+    /// command awaits a response.
+    #[must_use]
+    pub fn oldest_issue(&self) -> Option<Cycles> {
+        self.pending.values().map(|p| p.issued_at).min()
+    }
+
     /// Number of commands awaiting a response from one slave.
     #[must_use]
     pub fn pending_count_for(&self, slave: usize) -> usize {

@@ -30,7 +30,7 @@
 use std::collections::HashMap;
 use std::fmt;
 
-use ptest_master::{MultiCoreSystem, SnapshotCache};
+use ptest_master::{IdleHorizon, MultiCoreSystem, SnapshotCache};
 use ptest_pcore::{ExitKind, KernelPanic, KernelSnapshot, TaskFault, TaskId, TaskState, WaitEdge};
 use ptest_soc::{CoreId, Cycles};
 
@@ -251,6 +251,13 @@ impl SlaveTaskSet {
         *word |= mask;
         fresh
     }
+
+    fn contains(&self, slave: usize, task: TaskId) -> bool {
+        let slot = task.index();
+        self.bits
+            .get(slave)
+            .is_some_and(|b| b[slot / 64] & (1u64 << (slot % 64)) != 0)
+    }
 }
 
 /// The bug detector. Runs as an independent observer (the paper forks it
@@ -276,6 +283,8 @@ pub struct BugDetector {
     /// `committer_done` at the previous observation: when the gate opens
     /// the gated rules must re-run even if every kernel is clean.
     last_done: bool,
+    /// [`BugDetector::deadline`] as of the last observation.
+    deadline: IdleHorizon,
     /// Reused across observations: the progress-rule work lists. The
     /// detector observes thousands of times per trial; without these the
     /// observation cadence dominates the trial's allocation profile.
@@ -299,6 +308,7 @@ impl BugDetector {
             reported_starvation: SlaveTaskSet::default(),
             done_since: None,
             last_done: false,
+            deadline: IdleHorizon::Unknown,
             stalled_scratch: Vec::new(),
             moving_scratch: Vec::new(),
         }
@@ -308,6 +318,24 @@ impl BugDetector {
     #[must_use]
     pub fn config(&self) -> &DetectorConfig {
         &self.cfg
+    }
+
+    /// The first time at which a time-driven rule (starvation, livelock,
+    /// command timeout) could report a bug, as of the last observation,
+    /// provided every live task keeps retiring ops between observations
+    /// if it did before the last one, and keeps retiring none if it did
+    /// not: observations strictly before it report nothing new, and
+    /// leave the detector as the last observation did, but for the
+    /// moving tasks' progress times, which the next observation
+    /// overwrites. [`IdleHorizon::Unknown`] while the committer is not
+    /// done (the no-progress rules are gated off, and a new command may
+    /// come), [`IdleHorizon::Unbounded`] if no such rule can fire.
+    ///
+    /// The state-driven rules are not covered: the caller must rule out
+    /// crashes, faults, and wait-for or live-set changes meanwhile.
+    #[must_use]
+    pub fn deadline(&self) -> IdleHorizon {
+        self.deadline
     }
 
     fn make_bug(
@@ -350,9 +378,12 @@ impl BugDetector {
     /// the previous observation skip re-serialization (only their scalar
     /// counters are refreshed), and the state-change rules (crash, task
     /// fault, deadlock, cross-core) skip those *clean* kernels entirely.
-    /// The time-driven rules (command timeout, starvation, livelock)
-    /// still run every observation over the cached — content-identical —
-    /// snapshots, so detection cadence and report bytes are unchanged.
+    /// The time-driven rules (command timeout, starvation, livelock) run
+    /// on every observation over the cached — content-identical —
+    /// snapshots, so detection cadence and report bytes are unchanged;
+    /// the observation also names the next time at which one of them
+    /// could fire ([`BugDetector::deadline`]), so that a caller can
+    /// leave out the observations before it.
     /// The trial engine passes its per-worker
     /// [`TrialScratch`](crate::TrialScratch) cache here so the snapshot
     /// buffers survive across trials, not just across steps. A fresh
@@ -492,6 +523,10 @@ impl BugDetector {
             }
         }
         // --- Progress accounting for starvation/livelock, per slave.
+        // `next` collects the deadline: here, the first time a frozen
+        // task not yet reported could starve.
+        let mut next: Option<u64> = None;
+        let window = self.cfg.progress_window.get();
         let mut any_live = false;
         let mut stalled = std::mem::take(&mut self.stalled_scratch);
         let mut moving = std::mem::take(&mut self.moving_scratch);
@@ -518,6 +553,9 @@ impl BugDetector {
                     if !t.suspended {
                         stalled.push((slave, t.id, runnable));
                     }
+                } else if !t.suspended && !self.reported_starvation.contains(slave, t.id) {
+                    let starves = entry.since.get().saturating_add(window);
+                    next = Some(next.map_or(starves, |at| at.min(starves)));
                 }
             }
         }
@@ -561,6 +599,23 @@ impl BugDetector {
                     ));
                 }
             }
+            // A slave still moving and not yet reported livelocks a full
+            // window after the pattern was delivered; a pending command
+            // times out (on any lane, which can only bring this earlier).
+            let livelocks = moving
+                .iter()
+                .any(|&(slave, _)| !self.reported_livelock.contains(slave))
+                .then(|| done_since.get().saturating_add(window));
+            let times_out = sys.oldest_pending_issue().map(|issued| {
+                issued
+                    .get()
+                    .saturating_add(self.cfg.command_timeout.get())
+                    .saturating_add(1)
+            });
+            let next = [next, livelocks, times_out].into_iter().flatten().min();
+            self.deadline = next.map_or(IdleHorizon::Unbounded, IdleHorizon::Until);
+        } else {
+            self.deadline = IdleHorizon::Unknown;
         }
         self.stalled_scratch = stalled;
         self.moving_scratch = moving;

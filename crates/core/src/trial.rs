@@ -139,8 +139,9 @@ impl TrialEngine {
     /// windows in which every kernel is idle, spins in a steady loop
     /// that keeps its core, or polls and yields in a steady rotation
     /// ([`Kernel::fast_forward`](ptest_pcore::Kernel::fast_forward)) are
-    /// applied in closed form. Fast-forward is a pure latency
-    /// optimisation — reports are byte-identical either way (the
+    /// applied in closed form, across the detector's observe points up
+    /// to its next deadline ([`CycleLoop`]). Fast-forward is a pure
+    /// latency optimisation — reports are byte-identical either way (the
     /// equivalence suite pins this) — so the switch exists for
     /// validation and debugging only, and disabled it is the reference.
     pub fn set_fast_forward(&mut self, enabled: bool) {
@@ -433,6 +434,18 @@ impl Driver for () {
 /// quiescent after the driver is done, after the drain, or at the budget;
 /// a cycle it does not stop in ends with [`Driver::issue`].
 /// Cycles count from the system's time at the start of [`CycleLoop::run`].
+///
+/// With fast-forward on, stretches in which the platform is idle or
+/// steady are applied in closed form. Such a window normally ends at the
+/// next observe point. Once the driver is done and the platform has been
+/// steady for an observe interval, it ends at the observe point of the
+/// detector's [deadline](BugDetector::deadline) instead: the first at
+/// which starvation, livelock or a command timeout could be reported.
+/// That needs every task that moves to retire an op within each
+/// interval, which holds for lock-step platforms whose steady rotations
+/// [turn](ptest_pcore::SteadyWindow::turn) within an interval, and for
+/// idle ones under any schedule. Every executed observe point is still
+/// observed, so reports are the same either way.
 #[derive(Debug, Clone, Copy)]
 pub struct CycleLoop {
     /// Detector thresholds; the loop runs a fresh detector.
@@ -462,6 +475,7 @@ impl CycleLoop {
     ) -> (Vec<Bug>, u64) {
         let mut detector = BugDetector::new(self.detector);
         let start = sys.now().get();
+        let interval = self.check_interval;
         cache.reset();
         let mut bugs: Vec<Bug> = Vec::new();
         let mut cycles = 0u64;
@@ -473,13 +487,21 @@ impl CycleLoop {
         // was quiet: no epoch moved at all). The first cycle always
         // executes: a driver may be done from its first step on.
         let mut settled = false;
+        // Detector deadlines: whether every cycle executed since the last
+        // observation sat inside a window the horizon certified, whether
+        // every task moving there retires an op within each interval (as
+        // checked when the first window after that observation opened),
+        // and the observe point of the detector's deadline, if armed.
+        let mut certified = false;
+        let mut turns_fit = false;
+        let mut deadline: Option<u64> = None;
         while cycles < self.max_cycles {
             // --- Idle- and steady-cycle fast-forward. When every
             // component can name the first future cycle at which it could
             // do observable work (sleeper wake-ups, the end of a steady
             // window, a pending store delivery, the driver's next
             // issue/timeout/completion cycle), and that cycle — capped by
-            // the next detector observe point and the drain/end-of-run
+            // the detector's next observation and the drain/end-of-run
             // deadlines — is more than one step away, the gap is advanced
             // arithmetically: clocks jump, idle tick counters
             // batch-update, steady kernels advance whole rotations, and
@@ -490,36 +512,66 @@ impl CycleLoop {
             // equivalence suite and the golden fixtures pin the reports
             // byte-identical).
             //
+            // The detector's next observation is the next observe point,
+            // or, once the detector has named a deadline (see below), the
+            // observe point of that deadline: the observations in between
+            // would report nothing and change nothing the deadline's
+            // observation does not overwrite. A window that ends before
+            // its deadline for any other reason stops at the last observe
+            // point before that end instead, so that every observation
+            // that does run sees the detector as stepping leaves it.
+            //
             // A cycle in which some kernel did work other than turn its
             // steady rotation is almost always followed by more work, so the
             // horizon is asked only after a quiet or steady cycle, and only
-            // when the observe point, the driver's next event and the
+            // when the observation, the driver's next event and the
             // deadlines leave room for a window: the horizon walks steady
             // kernels, which costs more than those caps. Not asking is
             // always exact — it just steps the cycle — and costs at most
             // one executed cycle per window.
+            let mut horizon = None;
             if self.fast_forward && settled {
-                let mut target = (cycles / self.check_interval + 1) * self.check_interval;
+                let next_observe = (cycles / interval + 1) * interval;
+                let armed = deadline
+                    .filter(|_| certified)
+                    .map(|at| at.max(next_observe));
+                let stop = |end: u64| match armed {
+                    Some(at) if at < end => at,
+                    Some(_) => (end.saturating_sub(1) / interval * interval)
+                        .max(next_observe)
+                        .min(end),
+                    None => next_observe.min(end),
+                };
+                let mut end = self.max_cycles;
                 if let Some(event) = driver.next_event_cycle(sys.now()) {
-                    target = target.min(event - start);
+                    end = end.min(event - start);
                 }
                 if let Some(done) = done_at {
-                    target = target.min(done + self.drain_cycles);
+                    end = end.min(done + self.drain_cycles);
                 }
-                target = target.min(self.max_cycles);
-                if target > cycles + 1 {
+                if stop(end) > cycles + 1 {
                     let sys_horizon = sys.quiescent_horizon();
                     let model_horizon = memory_model
                         .as_deref()
                         .map_or(IdleHorizon::Unbounded, MemoryModel::idle_horizon);
                     if sys_horizon != IdleHorizon::Unknown && model_horizon != IdleHorizon::Unknown
                     {
-                        if let IdleHorizon::Until(h) = sys_horizon {
-                            target = target.min(h - start);
+                        let mut certain = u64::MAX;
+                        for h in [sys_horizon, model_horizon] {
+                            if let IdleHorizon::Until(h) = h {
+                                certain = certain.min(h - start);
+                            }
                         }
-                        if let IdleHorizon::Until(h) = model_horizon {
-                            target = target.min(h - start);
+                        horizon = Some(certain);
+                        // The horizon has just walked the rotations the
+                        // next observation's split will come from.
+                        if cycles.is_multiple_of(interval)
+                            && done_at.is_some()
+                            && certain > cycles + 1
+                        {
+                            turns_fit = turns_within(sys, scheduler.is_some(), interval);
                         }
+                        let target = stop(end.min(certain));
                         if target > cycles + 1 {
                             let skip = target - cycles - 1;
                             match scheduler.as_deref_mut() {
@@ -532,6 +584,7 @@ impl CycleLoop {
                 }
             }
             cycles += 1;
+            certified &= horizon.is_some_and(|certain| cycles < certain);
             epochs.clear();
             epochs.extend((0..sys.slave_count()).map(|i| sys.kernel_of(i).change_epoch()));
             // One entry point for every axis combination: `None` on an
@@ -546,9 +599,28 @@ impl CycleLoop {
             if driver_done && done_at.is_none() {
                 done_at = Some(cycles);
             }
-            if cycles.is_multiple_of(self.check_interval) {
+            if cycles.is_multiple_of(interval) {
                 let committer = driver.committer();
                 bugs.extend(detector.observe_cached(sys, committer, driver_done, cache));
+                // Arm the detector's deadline once its split into moving
+                // and frozen tasks is the platform's steady one: every
+                // cycle since the last observation, at least an interval
+                // ago, ran inside certified windows, where each task that
+                // moves retires an op within every interval.
+                deadline = None;
+                if certified && turns_fit {
+                    deadline = match detector.deadline() {
+                        IdleHorizon::Unknown => None,
+                        IdleHorizon::Until(at) => Some(
+                            at.saturating_sub(start)
+                                .div_ceil(interval)
+                                .saturating_mul(interval),
+                        ),
+                        IdleHorizon::Unbounded => Some(u64::MAX),
+                    };
+                }
+                turns_fit = false;
+                certified = true;
             }
             // Stop once a crash-class bug is in hand, or after the drain
             // period following completion.
@@ -570,6 +642,21 @@ impl CycleLoop {
         }
         (bugs, cycles)
     }
+}
+
+/// Whether every task that retires ops in the platform's certified
+/// windows retires one within every `interval` cycles from now: each
+/// kernel that may be steady ticks once per cycle (no scheduler) and its
+/// rotation [turns](ptest_pcore::SteadyWindow::turn) within `interval`
+/// ticks. In a certified window every other kernel is idle. Kept out
+/// of the cycle loop's body: it runs once per observe interval at most.
+#[inline(never)]
+fn turns_within(sys: &MultiCoreSystem, scheduled: bool, interval: u64) -> bool {
+    (0..sys.slave_count()).all(|i| {
+        let kernel = sys.kernel_of(i);
+        !kernel.in_steady_loop()
+            || (!scheduled && kernel.steady_window().is_some_and(|w| w.turn <= interval))
+    })
 }
 
 #[cfg(test)]

@@ -231,7 +231,10 @@ fn run_with(scenario: Fig1Scenario, fast_forward: bool) -> Fig1Outcome {
 /// master threads under the time-sharing scheduler, each issuing its
 /// resume via `remote_cmd` (`K` in M1, `L` in M2). The thread added first
 /// is scheduled first, so the add order plays the role of the execution
-/// order of Figure 1.
+/// order of Figure 1. The second thread first runs the cycle after the
+/// first one's response, when the first thread finishes; it sleeps one
+/// cycle less than the [`resume_gap`](Fig1Scenario::resume_gap), so that
+/// its resume is issued the gap after that response, as in [`run`].
 ///
 /// Returns the same outcome classification as [`run`].
 ///
@@ -254,24 +257,18 @@ fn run_with_master_threads_with(scenario: Fig1Scenario, fast_forward: bool) -> F
 
     // M1 issues K = Resume(S1); M2 issues L = Resume(S2). The scenario
     // order decides which thread enters the run queue first.
-    let m1 = vec![
-        MasterOp::IssueAndWait(SvcRequest::Resume { task: s1 }),
-        MasterOp::Done,
-    ];
-    let m2 = vec![
-        MasterOp::IssueAndWait(SvcRequest::Resume { task: s2 }),
-        MasterOp::Done,
-    ];
-    match scenario.order {
-        Fig1Order::S1First => {
-            sys.add_thread("M1", m1);
-            sys.add_thread("M2", m2);
-        }
-        Fig1Order::S2First => {
-            sys.add_thread("M2", m2);
-            sys.add_thread("M1", m1);
-        }
+    let (first, second) = match scenario.order {
+        Fig1Order::S1First => (("M1", s1), ("M2", s2)),
+        Fig1Order::S2First => (("M2", s2), ("M1", s1)),
+    };
+    let resume = |task| MasterOp::IssueAndWait(SvcRequest::Resume { task });
+    sys.add_thread(first.0, vec![resume(first.1), MasterOp::Done]);
+    let mut ops = vec![resume(second.1), MasterOp::Done];
+    if scenario.resume_gap > 1 {
+        let sleep = u32::try_from(scenario.resume_gap - 1).unwrap_or(u32::MAX);
+        ops.insert(0, MasterOp::SleepFor(sleep));
     }
+    sys.add_thread(second.0, ops);
     outcome(&mut sys, scenario.max_cycles, fast_forward)
 }
 
@@ -481,18 +478,22 @@ mod tests {
 
     #[test]
     fn master_thread_variant_agrees_with_direct_variant() {
+        let gaps = [0, 16, 32, 64, 128, 256, 512];
         for order in [Fig1Order::S1First, Fig1Order::S2First] {
-            let scenario = Fig1Scenario {
-                order,
-                ..Fig1Scenario::default()
-            };
-            let direct = run(scenario);
-            let threaded = run_with_master_threads(scenario);
-            assert_eq!(
-                std::mem::discriminant(&direct),
-                std::mem::discriminant(&threaded),
-                "{order:?}: direct {direct:?} vs threaded {threaded:?}"
-            );
+            for resume_gap in gaps {
+                let scenario = Fig1Scenario {
+                    order,
+                    resume_gap,
+                    ..Fig1Scenario::default()
+                };
+                let direct = run(scenario);
+                let threaded = run_with_master_threads(scenario);
+                assert_eq!(
+                    std::mem::discriminant(&direct),
+                    std::mem::discriminant(&threaded),
+                    "{scenario:?}: direct {direct:?} vs threaded {threaded:?}"
+                );
+            }
         }
     }
 

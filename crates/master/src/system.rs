@@ -610,6 +610,13 @@ impl MultiCoreSystem {
         self.master_port.pending_count()
     }
 
+    /// When the longest-outstanding command (any slave) was issued, or
+    /// `None` if no command awaits a response.
+    #[must_use]
+    pub fn oldest_pending_issue(&self) -> Option<Cycles> {
+        self.master_port.oldest_issue()
+    }
+
     /// A snapshot of slave 0's kernel (the dual-core legacy accessor).
     #[must_use]
     pub fn snapshot(&self) -> KernelSnapshot {

@@ -2721,6 +2721,38 @@ mod tests {
         assert_eq!(format!("{stepped:?}"), format!("{forwarded:?}"));
     }
 
+    /// Steps a clone of `k` through the first ticks of its steady
+    /// `window` and asserts its turn: each task retires an op within
+    /// every `turn` ticks, or retires none.
+    fn assert_turns(k: &Kernel, window: SteadyWindow) {
+        let ops =
+            |k: &Kernel| -> Vec<u64> { k.tasks.iter().flatten().map(|t| t.ops_retired).collect() };
+        let span = window.ticks.min(4 * window.turn);
+        let mut k = k.clone();
+        let mut prev = ops(&k);
+        let mut last = vec![None; prev.len()];
+        for tick in 1..=span {
+            run(&mut k, 1);
+            let now = ops(&k);
+            for (i, last) in last.iter_mut().enumerate() {
+                if now[i] != prev[i] {
+                    let gap = tick - last.unwrap_or(0);
+                    assert!(gap <= window.turn, "task {i} idle {gap} ticks: {window:?}");
+                    *last = Some(tick);
+                }
+            }
+            prev = now;
+        }
+        for (i, last) in last.iter().enumerate() {
+            if let Some(last) = last {
+                assert!(
+                    span - last < window.turn,
+                    "task {i} stopped at {last}: {window:?}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn steady_spin_fast_forwards_to_its_exit_bound() {
         // The guarded races' bounded spin, abandoned by its peer: 30,000
@@ -2892,11 +2924,12 @@ mod tests {
                     }
                     run(&mut k, 1);
                 }
-                let Some(window) = k.steady_window().map(|w| w.ticks) else {
+                let Some(window) = k.steady_window() else {
                     return Ok(());
                 };
                 prop_assert!(k.in_steady_loop());
-                let count = count.min(window);
+                assert_turns(&k, window);
+                let count = count.min(window.ticks);
                 let now = k.now.get();
                 let mut stepped = k.clone();
                 run(&mut stepped, count);
@@ -2970,6 +3003,7 @@ mod tests {
                     return Ok(());
                 };
                 prop_assert!(k.in_steady_loop());
+                assert_turns(&k, window);
                 let count = count.min(window.ticks);
                 let now = k.now.get();
                 let mut stepped = k.clone();

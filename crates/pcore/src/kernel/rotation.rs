@@ -44,6 +44,11 @@ pub struct SteadyWindow {
     /// a platform driven without a schedule or clock skew. A window that
     /// reads no time has one task keep the core throughout.
     pub reads_time: bool,
+    /// Ticks within which every task that retires ops in the rotation
+    /// has retired one: the running task's compute in progress plus one
+    /// rotation. Past that, each such task retires one again within
+    /// every rotation, and every other task retires none.
+    pub turn: u64,
 }
 
 /// A register during one symbolic rotation: its value at the rotation's
@@ -610,6 +615,7 @@ impl Rotation {
         SteadyWindow {
             ticks: self.window,
             reads_time: self.yields,
+            turn: self.lead + self.period,
         }
     }
 }
