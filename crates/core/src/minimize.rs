@@ -1071,6 +1071,7 @@ mod tests {
                     event(8, CoreId::Slave(1), "sem-wait", "T0 blocks on s1"),
                 ],
             ],
+            dropped: Vec::new(),
         };
         // Detection happens later than the fault; the window anchors on
         // the fault event itself.
@@ -1109,6 +1110,7 @@ mod tests {
         let trace = TrialTrace {
             master: Vec::new(),
             kernels,
+            dropped: Vec::new(),
         };
         let report = build_root_cause(
             &faulting_summary(49),
@@ -1135,6 +1137,7 @@ mod tests {
                 vec![event(1, CoreId::Slave(0), "var-read", "T0 v5=0")],
                 vec![event(2, CoreId::Slave(1), "var-read", "T0 v5=0")],
             ],
+            dropped: Vec::new(),
         };
         let report = build_root_cause(
             &faulting_summary(10),

@@ -42,12 +42,15 @@ use crate::scenario::Scenario;
 /// ([`trace_accesses`](ptest_pcore::KernelConfig::trace_accesses)), so
 /// shared-variable reads/writes, fences and semaphore hand-offs appear in
 /// the timeline — the raw material of a root-cause interleaving report.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TrialTrace {
     /// Per-slave kernel trace events, in per-kernel chronological order.
     pub kernels: Vec<Vec<TraceEvent>>,
     /// Master-side system trace events (commands, threads, sem links).
     pub master: Vec<TraceEvent>,
+    /// Per-slave count of the events each kernel's ring has dropped
+    /// ([`TraceBuffer::dropped`](ptest_soc::TraceBuffer::dropped)).
+    pub dropped: Vec<u64>,
 }
 
 /// Per-trial overrides of a compiled [`TrialEngine`]'s configuration,
@@ -343,6 +346,9 @@ impl TrialEngine {
                 .map(|i| sys.kernel_of(i).trace().iter().cloned().collect())
                 .collect();
             trace.master = sys.trace().iter().cloned().collect();
+            trace.dropped = (0..cfg.system.slaves)
+                .map(|i| sys.kernel_of(i).trace().dropped())
+                .collect();
         }
 
         let coverage = coverage::measure(
@@ -550,7 +556,7 @@ impl CycleLoop {
                     end = end.min(done + self.drain_cycles);
                 }
                 if stop(end) > cycles + 1 {
-                    let sys_horizon = sys.quiescent_horizon();
+                    let sys_horizon = sys.quiescent_horizon_with(scheduler.as_deref());
                     let model_horizon = memory_model
                         .as_deref()
                         .map_or(IdleHorizon::Unbounded, MemoryModel::idle_horizon);
@@ -648,7 +654,8 @@ impl CycleLoop {
 /// windows retires one within every `interval` cycles from now: each
 /// kernel that may be steady ticks once per cycle (no scheduler) and its
 /// rotation [turns](ptest_pcore::SteadyWindow::turn) within `interval`
-/// ticks. In a certified window every other kernel is idle. Kept out
+/// ticks. In a certified window every other kernel is idle, or frozen
+/// by a scheduler beside a steady leader, which fails the check. Kept out
 /// of the cycle loop's body: it runs once per observe interval at most.
 #[inline(never)]
 fn turns_within(sys: &MultiCoreSystem, scheduled: bool, interval: u64) -> bool {

@@ -74,6 +74,20 @@ pub trait Scheduler: fmt::Debug + Send {
     /// or a sleeper due at `now`); `now` is the cycle about to execute.
     fn plan(&mut self, now: Cycles, runnable: &[bool], advance: &mut [bool]);
 
+    /// Certifies the next calls of [`Scheduler::plan`] under one constant
+    /// `runnable` mask: marks in `advance` (pre-sized to the slave count)
+    /// the slaves each of them would advance, and returns for how many
+    /// calls that holds; every other slave is advanced in none of them.
+    /// `u64::MAX` means for every call, 0 that the scheduler cannot tell,
+    /// and then `advance` means nothing. A fast-forward window may then
+    /// hold every runnable slave that is not marked frozen, whatever its
+    /// work, for that many cycles.
+    ///
+    /// The default certifies nothing.
+    fn plan_window(&self, _runnable: &[bool], _advance: &mut [bool]) -> u64 {
+        0
+    }
+
     /// Plans `count` consecutive cycles starting at `start` over one
     /// constant `runnable` mask, accumulating into `ticks` (pre-sized to
     /// the slave count) how many of those cycles each kernel would have
@@ -132,6 +146,11 @@ pub struct LockStepScheduler;
 impl Scheduler for LockStepScheduler {
     fn plan(&mut self, _now: Cycles, _runnable: &[bool], _advance: &mut [bool]) {
         // `advance` arrives all-true: lock-step is the identity plan.
+    }
+
+    fn plan_window(&self, _runnable: &[bool], advance: &mut [bool]) -> u64 {
+        advance.fill(true);
+        u64::MAX
     }
 
     fn skip_cycles(
@@ -382,6 +401,35 @@ impl Scheduler for RandomPriorityScheduler {
         }
     }
 
+    fn plan_window(&self, runnable: &[bool], advance: &mut [bool]) -> u64 {
+        let is_runnable = |i: usize| runnable.get(i).copied().unwrap_or(false);
+        let leader = self.leader(is_runnable);
+        for (i, slot) in advance.iter_mut().enumerate() {
+            *slot = Some(i) == leader;
+        }
+        if (0..self.skipped.len()).filter(|&i| is_runnable(i)).count() <= 1 {
+            // A lone runnable slave is its own leader, demoted or not.
+            return u64::MAX;
+        }
+        // The leader holds until the next change point demotes it, and
+        // every other runnable slave waits until its fairness tick.
+        let mut window = self
+            .change_points
+            .last()
+            .map_or(u64::MAX, |&cp| cp.saturating_sub(self.planned));
+        if self.fairness_window > 0 {
+            for (i, &skipped) in self.skipped.iter().enumerate() {
+                if is_runnable(i) && Some(i) != leader {
+                    let wait = self
+                        .fairness_window
+                        .saturating_sub(skipped.saturating_add(1));
+                    window = window.min(u64::from(wait));
+                }
+            }
+        }
+        window
+    }
+
     fn skip_cycles(
         &mut self,
         start: Cycles,
@@ -393,10 +441,30 @@ impl Scheduler for RandomPriorityScheduler {
         if count == 0 {
             return;
         }
+        let last = Cycles::new(start.get() + count - 1);
         let mut runnable_slaves = runnable.iter().enumerate().filter(|&(_, &r)| r);
         let lone = runnable_slaves.next().map(|(i, _)| i);
         if runnable_slaves.next().is_some() {
-            return replay_cycles(self, start, count, runnable, advance, ticks);
+            if count > self.plan_window(runnable, advance) {
+                return replay_cycles(self, start, count, runnable, advance, ticks);
+            }
+            // Inside the certified window no change point passes, the
+            // leader advances every cycle and the other runnable slaves'
+            // fairness debt grows by one each cycle.
+            self.planned += count;
+            let count32 = u32::try_from(count).unwrap_or(u32::MAX);
+            for (i, skipped) in self.skipped.iter_mut().enumerate() {
+                if advance[i] {
+                    *skipped = 0;
+                    ticks[i].ticks += count;
+                    ticks[i].last = Some(last);
+                } else if runnable.get(i).copied().unwrap_or(false) {
+                    *skipped = skipped.saturating_add(count32);
+                } else {
+                    *skipped = 0;
+                }
+            }
+            return;
         }
         // With at most one runnable slave, every planned cycle demotes
         // that slave (if any) at each passed change point, counts the
@@ -414,7 +482,7 @@ impl Scheduler for RandomPriorityScheduler {
         self.skipped.fill(0);
         if let Some(i) = lone {
             ticks[i].ticks += count;
-            ticks[i].last = Some(Cycles::new(start.get() + count - 1));
+            ticks[i].last = Some(last);
         }
     }
 }
@@ -596,6 +664,66 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn plan_windows_certify_exactly_the_plans_that_follow() {
+        // Random slave counts, seeds, change-point budgets and masks,
+        // fairness windows (0 included), a random prefix of plans, then
+        // a constant runnable mask: the certified number of following
+        // plans advance exactly the certified slaves, and skipping them
+        // in one call leaves the scheduler as those plans do.
+        let mut stream = 0x5eed_u64;
+        let mut draw = |n: u64| splitmix64_next(&mut stream) % n;
+        let mut certified = 0;
+        for case in 0..3_000 {
+            let slaves = 1 + draw(4) as usize;
+            let cfg = RandomPriorityConfig {
+                change_points: draw(5) as usize,
+                horizon: 1 + draw(400),
+                fairness_window: [0, 1, 2, 8, 64][draw(5) as usize],
+                change_point_mask: if draw(2) == 0 { u64::MAX } else { draw(32) },
+            };
+            let mut s = RandomPriorityScheduler::new(slaves, draw(1 << 20), cfg);
+            for _ in 0..draw(300) {
+                let runnable: Vec<bool> = (0..slaves).map(|_| draw(3) != 0).collect();
+                plan_once(&mut s, &runnable);
+            }
+            let runnable: Vec<bool> = (0..slaves).map(|_| draw(3) != 0).collect();
+            let mut advance = vec![false; slaves];
+            let window = s.plan_window(&runnable, &mut advance);
+            if window == 0 {
+                continue;
+            }
+            certified += 1;
+            let calls = window.min(500);
+            let mut skipped = s.clone();
+            for call in 0..calls {
+                assert_eq!(
+                    plan_once(&mut s, &runnable),
+                    advance,
+                    "case {case}: call {call} of {window}, {cfg:?}, {runnable:?}"
+                );
+            }
+            let ticks = skip(&mut skipped, 1, calls, &runnable);
+            for (i, t) in ticks.iter().enumerate() {
+                assert_eq!(t.ticks, if advance[i] { calls } else { 0 }, "case {case}");
+            }
+            for _ in 0..100 {
+                assert_eq!(
+                    plan_once(&mut skipped, &[true; 4][..slaves]),
+                    plan_once(&mut s, &[true; 4][..slaves]),
+                    "case {case}: state after the window"
+                );
+            }
+        }
+        assert!(certified > 1_000, "only {certified} windows certified");
+        let mut advance = [false; 3];
+        assert_eq!(
+            LockStepScheduler.plan_window(&[true, false, true], &mut advance),
+            u64::MAX
+        );
+        assert_eq!(advance, [true; 3]);
     }
 
     #[test]

@@ -178,6 +178,10 @@ pub struct MultiCoreSystem {
     sched_advance: Vec<bool>,
     /// Reused scratch of [`MultiCoreSystem::fast_forward_idle_with`].
     sched_ticks: Vec<TickAdvance>,
+    /// The runnable slaves the last
+    /// [`MultiCoreSystem::quiescent_horizon_with`] left frozen in the
+    /// window it certified; empty when it froze none.
+    frozen: Vec<bool>,
     /// A [`Scheduler`] has driven the system, so a kernel ticks only on
     /// the cycles it picks, not at consecutive times.
     scheduled: bool,
@@ -301,6 +305,7 @@ impl MultiCoreSystem {
             sched_runnable: Vec::new(),
             sched_advance: Vec::new(),
             sched_ticks: Vec::new(),
+            frozen: Vec::new(),
             scheduled: false,
             preempt: None,
             cfg,
@@ -693,26 +698,75 @@ impl MultiCoreSystem {
     /// by the caller; this method only covers the platform.
     #[must_use]
     pub fn quiescent_horizon(&self) -> IdleHorizon {
+        self.horizon(None, &mut Vec::new(), &mut Vec::new())
+    }
+
+    /// [`MultiCoreSystem::quiescent_horizon`] for a system driven by
+    /// `scheduler` (`None`: lock-step). Where a kernel that is not steady
+    /// has work, it asks the scheduler's
+    /// [`plan_window`](Scheduler::plan_window): a runnable slave the
+    /// plan will not advance is frozen, so its work does not end the
+    /// window, which then ends with the plan's; the next
+    /// [`MultiCoreSystem::fast_forward_idle_with`] keeps them frozen.
+    #[must_use]
+    pub fn quiescent_horizon_with(&mut self, scheduler: Option<&dyn Scheduler>) -> IdleHorizon {
+        let mut runnable = std::mem::take(&mut self.sched_runnable);
+        let mut frozen = std::mem::take(&mut self.frozen);
+        frozen.clear();
+        let horizon = self.horizon(scheduler, &mut runnable, &mut frozen);
+        if horizon == IdleHorizon::Unknown {
+            frozen.clear();
+        }
+        self.sched_runnable = runnable;
+        self.frozen = frozen;
+        horizon
+    }
+
+    /// The horizon of [`MultiCoreSystem::quiescent_horizon_with`], with
+    /// scratch for the scheduler's runnable mask and frozen set.
+    fn horizon(
+        &self,
+        scheduler: Option<&dyn Scheduler>,
+        runnable: &mut Vec<bool>,
+        frozen: &mut Vec<bool>,
+    ) -> IdleHorizon {
         let next = Cycles::new(self.clock.now().get() + 1);
         // Disqualifiers: work or traffic that can mutate state on any
         // upcoming cycle in ways closed-form bookkeeping cannot replay.
         if self.current_thread.is_some() || !self.inbox.is_empty() || self.mailboxes.any_pending() {
             return IdleHorizon::Unknown;
         }
+        // The cycles the scheduler's plan holds, once asked.
+        let mut plan: Option<u64> = None;
         for (i, slave) in self.slaves.iter().enumerate() {
             // Under clock skew a slave's next tick carries its *local*
             // time, so dispatchability (sleeper deadlines, pending
             // unmasked interrupts, an active ISR frame, quantum-expiry
             // rotations — all kernel-local) is probed at local time.
-            // Only a kernel that may be steady may have work.
-            let local_next = self.local_time_of(i, next);
-            if slave.kernel.pending_fence_count() > 0
-                || (!slave.kernel.in_steady_loop()
-                    && slave.kernel.has_dispatchable_work(local_next))
-            {
+            // Only a kernel that may be steady, or that the schedule
+            // freezes, may have work.
+            if slave.kernel.pending_fence_count() > 0 {
                 return IdleHorizon::Unknown;
             }
+            if !slave.kernel.in_steady_loop()
+                && slave
+                    .kernel
+                    .has_dispatchable_work(self.local_time_of(i, next))
+            {
+                if plan.is_none() {
+                    let window =
+                        scheduler.map_or(0, |s| self.plan_frozen(s, next, runnable, frozen));
+                    if window == 0 {
+                        return IdleHorizon::Unknown;
+                    }
+                    plan = Some(window);
+                }
+                if !frozen[i] {
+                    return IdleHorizon::Unknown;
+                }
+            }
         }
+        let is_frozen = |i: usize| plan.is_some() && frozen[i];
         for link in &self.sem_links {
             if self.slaves[link.from_slave]
                 .kernel
@@ -727,9 +781,13 @@ impl MultiCoreSystem {
             return IdleHorizon::Unknown;
         }
         let mut horizon: Option<u64> = None;
-        // Self-timed events first: planned injections (never certify a
-        // window that crosses a firing cycle), master-thread sleeps, and
-        // the sleepers of kernels that are not steady.
+        // Self-timed events first: the end of the scheduler's plan,
+        // planned injections (never certify a window that crosses a
+        // firing cycle), master-thread sleeps, and the sleepers of
+        // kernels that are neither steady nor frozen.
+        if let Some(window) = plan.filter(|&w| w != u64::MAX) {
+            merge(&mut horizon, next.get().saturating_add(window));
+        }
         if let Some(state) = &self.preempt {
             if let Some(fire) = state.plan.next_fire() {
                 merge(&mut horizon, fire.max(next.get()));
@@ -746,7 +804,7 @@ impl MultiCoreSystem {
             }
         }
         for (i, slave) in self.slaves.iter().enumerate() {
-            if !slave.kernel.in_steady_loop() {
+            if !slave.kernel.in_steady_loop() && !is_frozen(i) {
                 self.merge_sleepers(i, &mut horizon);
             }
         }
@@ -778,6 +836,39 @@ impl MultiCoreSystem {
             Some(at) => IdleHorizon::Until(at),
             None => IdleHorizon::Unbounded,
         }
+    }
+
+    /// Asks `scheduler` which runnable slaves its plans from cycle
+    /// `next` on leave frozen: fills the runnable mask and `frozen`, and
+    /// returns for how many cycles (0: unknown).
+    fn plan_frozen(
+        &self,
+        scheduler: &dyn Scheduler,
+        next: Cycles,
+        runnable: &mut Vec<bool>,
+        frozen: &mut Vec<bool>,
+    ) -> u64 {
+        self.runnable_into(next, runnable);
+        frozen.clear();
+        frozen.resize(self.slaves.len(), false);
+        let window = scheduler.plan_window(runnable, frozen);
+        for (slot, &work) in frozen.iter_mut().zip(runnable.iter()) {
+            *slot = work && !*slot;
+        }
+        window
+    }
+
+    /// Fills `runnable` with whether each slave's kernel has work a task
+    /// cycle at system cycle `at` could progress, probed at its local
+    /// time.
+    fn runnable_into(&self, at: Cycles, runnable: &mut Vec<bool>) {
+        runnable.clear();
+        runnable.extend(
+            self.slaves
+                .iter()
+                .enumerate()
+                .map(|(i, s)| s.kernel.has_dispatchable_work(self.local_time_of(i, at))),
+        );
     }
 
     /// Merges slave `slave`'s earliest sleeper wake into `horizon`,
@@ -830,7 +921,9 @@ impl MultiCoreSystem {
     /// still across a certified window (its internal state advances
     /// exactly as `count` [`Scheduler::plan`] calls would), and each
     /// kernel applies the ticks of precisely the cycles the scheduler
-    /// would have advanced it in. Bit-identical to calling
+    /// would have advanced it in. The slaves that
+    /// [`MultiCoreSystem::quiescent_horizon_with`] froze for the window
+    /// count as runnable and get no ticks. Bit-identical to calling
     /// [`MultiCoreSystem::step_explored`] with the scheduler `count`
     /// times within the window.
     pub fn fast_forward_idle_with(&mut self, count: u64, scheduler: &mut dyn Scheduler) {
@@ -842,19 +935,30 @@ impl MultiCoreSystem {
         let mut advance = std::mem::take(&mut self.sched_advance);
         let mut ticks = std::mem::take(&mut self.sched_ticks);
         self.scheduled = true;
-        // In a certified window exactly the steady kernels have work, and
-        // none of their rotations reads time.
+        // In a certified window exactly the steady kernels have work, none
+        // of their rotations reads time, and so have the slaves the
+        // horizon left frozen, which tick not at all.
+        let frozen = |i: usize| self.frozen.get(i).copied().unwrap_or(false);
         runnable.clear();
-        runnable.extend(self.slaves.iter().map(|s| s.kernel.in_steady_loop()));
+        runnable.extend(
+            self.slaves
+                .iter()
+                .enumerate()
+                .map(|(i, s)| s.kernel.in_steady_loop() || frozen(i)),
+        );
         debug_assert!(self.slaves.iter().enumerate().all(|(i, s)| {
             s.kernel.has_dispatchable_work(self.local_time_of(i, start)) == runnable[i]
-                && (!runnable[i] || s.kernel.steady_window().is_some_and(|w| !w.reads_time))
+                && (frozen(i)
+                    || !runnable[i]
+                    || s.kernel.steady_window().is_some_and(|w| !w.reads_time))
         }));
         advance.clear();
         advance.resize(self.slaves.len(), true);
         ticks.clear();
         ticks.resize(self.slaves.len(), TickAdvance::default());
         scheduler.skip_cycles(start, count, &runnable, &mut advance, &mut ticks);
+        debug_assert!((0..self.slaves.len()).all(|i| !frozen(i) || ticks[i].ticks == 0));
+        self.frozen.clear();
         self.clock.advance(Cycles::new(count));
         for (i, (slave, adv)) in self.slaves.iter_mut().zip(ticks.iter()).enumerate() {
             if let Some(last) = adv.last {
@@ -921,14 +1025,7 @@ impl MultiCoreSystem {
         let next = Cycles::new(self.clock.now().get() + 1);
         let mut runnable = std::mem::take(&mut self.sched_runnable);
         let mut advance = std::mem::take(&mut self.sched_advance);
-        runnable.clear();
-        runnable.extend(self.slaves.iter().enumerate().map(|(i, s)| {
-            let local_next = match &self.preempt {
-                Some(state) => preempt::local_time(next, state.skew_rates[i]),
-                None => next,
-            };
-            s.kernel.has_dispatchable_work(local_next)
-        }));
+        self.runnable_into(next, &mut runnable);
         advance.clear();
         advance.resize(self.slaves.len(), true);
         scheduler.plan(next, &runnable, &mut advance);
@@ -2091,7 +2188,7 @@ mod tests {
         let mut skipped = 0;
         while s.now().get() < end {
             let now = s.now().get();
-            let target = match s.quiescent_horizon() {
+            let target = match s.quiescent_horizon_with(sched.as_deref()) {
                 _ if !forward => 0,
                 IdleHorizon::Until(at) => at.min(end),
                 IdleHorizon::Unbounded => end,
@@ -2111,39 +2208,81 @@ mod tests {
         skipped
     }
 
-    #[test]
-    fn steady_spin_fast_forward_matches_stepping() {
+    /// Runs two copies of `make()` to cycle 12,000, one stepped and one
+    /// fast-forwarded, under the randomized schedule at `seed` (`None`:
+    /// lock-step); asserts they end identical, traces included, and
+    /// returns the forwarded one with the cycles it skipped.
+    fn forwarded_matches_stepped(
+        make: impl Fn() -> MultiCoreSystem,
+        seed: Option<u64>,
+    ) -> (MultiCoreSystem, u64) {
         use crate::sched::{RandomPriorityConfig, RandomPriorityScheduler};
+        let scheduler = || {
+            seed.map(|seed| {
+                let cfg = RandomPriorityConfig {
+                    horizon: 8_000,
+                    ..RandomPriorityConfig::default()
+                };
+                Box::new(RandomPriorityScheduler::new(2, seed, cfg)) as Box<dyn Scheduler>
+            })
+        };
         let traces = |s: &MultiCoreSystem| -> Vec<Vec<ptest_soc::TraceEvent>> {
             (0..2)
                 .map(|i| s.kernel_of(i).trace().iter().cloned().collect())
                 .collect()
         };
+        let (mut sched_a, mut sched_b) = (scheduler(), scheduler());
+        let mut stepped = make();
+        let mut forwarded = make();
+        run_to(&mut stepped, &mut sched_a, false, 12_000);
+        let skipped = run_to(&mut forwarded, &mut sched_b, true, 12_000);
+        assert_eq!(stepped.snapshots(), forwarded.snapshots(), "{seed:?}");
+        assert_eq!(traces(&stepped), traces(&forwarded), "{seed:?}");
+        (forwarded, skipped)
+    }
+
+    #[test]
+    fn steady_spin_fast_forward_matches_stepping() {
         for seed in [None, Some(3), Some(4)] {
-            let scheduler = || {
-                seed.map(|seed| {
-                    Box::new(RandomPriorityScheduler::new(
-                        2,
-                        seed,
-                        RandomPriorityConfig {
-                            horizon: 8_000,
-                            ..RandomPriorityConfig::default()
-                        },
-                    )) as Box<dyn Scheduler>
-                })
-            };
-            let (mut sched_a, mut sched_b) = (scheduler(), scheduler());
-            let mut stepped = spinner_sys();
-            let mut forwarded = spinner_sys();
-            run_to(&mut stepped, &mut sched_a, false, 12_000);
-            let skipped = run_to(&mut forwarded, &mut sched_b, true, 12_000);
+            let (forwarded, skipped) = forwarded_matches_stepped(spinner_sys, seed);
             assert!(skipped > 5_000, "seed {seed:?}: skipped only {skipped}");
-            assert_eq!(stepped.snapshots(), forwarded.snapshots(), "{seed:?}");
-            assert_eq!(traces(&stepped), traces(&forwarded), "{seed:?}");
             // The spin ran out and the napper finished, either way.
             assert_eq!(forwarded.kernel_of(0).live_task_count(), 0);
             assert_eq!(forwarded.kernel_of(1).live_task_count(), 0);
         }
+    }
+
+    #[test]
+    fn a_slave_the_schedule_starves_does_not_end_the_window() {
+        // Slave 1 loops over a compute and a write, which never makes a
+        // kernel steady. Where slave 0's spinner leads the randomized
+        // schedule, slave 1 runs once per fairness window, and the
+        // horizon freezes it in between.
+        let looper_sys = || {
+            let mut s = spinner_sys();
+            let looper = s.kernel_of_mut(1).register_program(
+                Program::new(vec![
+                    Op::Compute(3),
+                    Op::WriteVar {
+                        var: VarId(5),
+                        value: 1,
+                    },
+                    Op::Jump(0),
+                ])
+                .unwrap(),
+            );
+            create_on(&mut s, 1, looper, 9);
+            s
+        };
+        let mut most = 0;
+        for seed in [None, Some(1), Some(2), Some(3), Some(4)] {
+            let (_, skipped) = forwarded_matches_stepped(looper_sys, seed);
+            if seed.is_none() {
+                assert_eq!(skipped, 0, "lock-step always runs the looper");
+            }
+            most = most.max(skipped);
+        }
+        assert!(most > 5_000, "skipped at most {most}");
     }
 
     #[test]

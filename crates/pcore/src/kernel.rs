@@ -81,7 +81,9 @@ pub struct KernelConfig {
     /// on the trial hot path, and the extra events would churn the ring
     /// ahead of the historical trace tails. Root-cause replays of
     /// minimized reproducers turn it on to reconstruct the cross-core
-    /// interleaving window around a failure.
+    /// interleaving window around a failure. Of the side-effect-free ops
+    /// only `ReadVar` traces, so only a loop with no traced `ReadVar` in
+    /// its body stays steady ([`Kernel::in_steady_loop`]) under it.
     pub trace_accesses: bool,
 }
 
@@ -736,7 +738,8 @@ impl Kernel {
     ///   change epoch stays put, just like real idle ticks.
     /// * A **steady loop** of at most [`Kernel::steady_window`] ticks,
     ///   in which one task keeps the core spinning in a side-effect-free
-    ///   loop: such a window reads no time, so any `final_now` is exact.
+    ///   loop with no traced `ReadVar` in the body: such a window reads
+    ///   no time, so any `final_now` is exact.
     /// * A **yielding rotation** of at most [`Kernel::steady_window`]
     ///   ticks, in which tasks poll and `Yield`, sleeping, waking and
     ///   switching: such a window
@@ -813,7 +816,9 @@ impl Kernel {
 
     /// Whether the kernel may be steady: a task went round a loop body
     /// made only of [side-effect-free](Op::is_side_effect_free) ops and
-    /// `Yield`s, and since then every executed op stayed inside its
+    /// `Yield`s, with no traced `ReadVar` in the body
+    /// ([`KernelConfig::trace_accesses`]), and since then every executed
+    /// op stayed inside its
     /// task's body. A body that yields needs every other live task in a
     /// loop of its own or unable to run; one that does not must keep
     /// the core (under a quantum: alone). O(1): set at the back-edge
@@ -1654,21 +1659,22 @@ impl Kernel {
     }
 
     /// The loop body `head..=tail` that `task`, running now, has just
-    /// gone round, if it is a steady one: accesses are untraced and its
-    /// ops are all side-effect-free or `Yield` (known when the task was
-    /// already in this body).
+    /// gone round, if it is a steady one: its ops are all
+    /// side-effect-free or `Yield`, and none is a `ReadVar` that access
+    /// tracing records (known when the task was already in this body).
     fn steady_body(&self, task: TaskId, head: u16, tail: u16) -> Option<SteadyBody> {
         let t = self.tcb(task)?;
         let body = match t.steady_body {
             Some(body) if (body.head, body.tail) == (head, tail) => body,
             _ => {
-                if self.cfg.trace_accesses || u64::from(tail - head) >= STEADY_MAX_OPS {
+                if u64::from(tail - head) >= STEADY_MAX_OPS {
                     return None;
                 }
                 let mut yields = false;
                 for pc in head..=tail {
                     match t.program.op(pc)? {
                         Op::Yield => yields = true,
+                        Op::ReadVar { .. } if self.cfg.trace_accesses => return None,
                         op if op.is_side_effect_free() => {}
                         _ => return None,
                     }
@@ -2795,6 +2801,68 @@ mod tests {
             Some(TaskState::Terminated(ExitKind::Normal))
         );
         assert!(!k.in_steady_loop());
+    }
+
+    #[test]
+    fn access_tracing_keeps_only_read_spins_stepped() {
+        let traced = || {
+            Kernel::new(KernelConfig {
+                trace_accesses: true,
+                ..KernelConfig::default()
+            })
+        };
+        // A spin that reads the variable into a register traces every
+        // read, so it is not steady under tracing.
+        let read_spin = Program::new(vec![
+            Op::ReadVar {
+                var: VarId(9),
+                reg: 0,
+            },
+            Op::BranchIfRegEq {
+                reg: 0,
+                value: 1,
+                target: 3,
+            },
+            Op::Jump(0),
+            Op::Exit,
+        ])
+        .unwrap();
+        let mut k = traced();
+        let p = k.register_program(read_spin.clone());
+        create(&mut k, p, 5);
+        run(&mut k, 20);
+        assert!(!k.in_steady_loop());
+        assert_eq!(k.steady_window(), None);
+        assert!(!k.trace().of_kind("var-read").is_empty());
+        let mut untraced = kernel();
+        let p = untraced.register_program(read_spin);
+        create(&mut untraced, p, 5);
+        run(&mut untraced, 20);
+        assert!(untraced.in_steady_loop());
+        // One that branches on the variable traces nothing, so it is
+        // steady, and its window equals stepping, trace ring included.
+        let mut k = traced();
+        let p = k.register_program(
+            Program::new(vec![
+                Op::BranchIfVarEq {
+                    var: VarId(9),
+                    value: 1,
+                    target: 2,
+                },
+                Op::Jump(0),
+                Op::Exit,
+            ])
+            .unwrap(),
+        );
+        create(&mut k, p, 5);
+        run(&mut k, 20);
+        assert!(k.in_steady_loop());
+        let window = k.steady_window().expect("a branch spin is steady").ticks;
+        assert!(window >= 1_000, "{window}");
+        let mut stepped = k.clone();
+        run(&mut stepped, 1_000);
+        k.fast_forward(1_000, Cycles::new(1_020));
+        assert_same(&stepped, &k);
     }
 
     #[test]

@@ -1,14 +1,17 @@
 //! The symbolic walk behind [`Kernel::fast_forward`]'s steady windows.
 //!
 //! A kernel is *steady* when every task that can run spins in a loop of
-//! side-effect-free ops ([`Op::is_side_effect_free`]) and `Yield`s:
-//! each of its ticks changes nothing but task frames, sleep deadlines,
-//! counters and the trace ring, and the whole kernel comes back to the
-//! same configuration after a fixed number of ticks. [`Rotation::walk`]
-//! follows [`Kernel::tick`]'s rules from the current state, one tick at
-//! a time (a task's compute in progress in one stretch), until the
-//! configuration recurs, and records what one such *rotation* does, so
-//! that `k` of them can be applied by multiplication.
+//! side-effect-free ops ([`Op::is_side_effect_free`]) and `Yield`s, with
+//! no `ReadVar` in the body while access tracing
+//! ([`KernelConfig::trace_accesses`]) records each read: each of its
+//! ticks changes nothing but task frames, sleep deadlines, counters and
+//! the trace ring's scheduler events, which a rotation records traced or
+//! not, and the whole kernel comes back to the same configuration after
+//! a fixed number of ticks. [`Rotation::walk`] follows [`Kernel::tick`]'s
+//! rules from the current state, one tick at a time (a task's compute in
+//! progress in one stretch), until the configuration recurs, and records
+//! what one such *rotation* does, so that `k` of them can be applied by
+//! multiplication.
 
 use std::borrow::Cow;
 use std::fmt;
@@ -235,8 +238,8 @@ impl Rotation {
     /// or a trap comes up, a task with a pending remote yield is
     /// picked, the configuration does not recur within the walk's
     /// bounds, or a rotation without `Yield` switches tasks (such a
-    /// rotation must keep one task on the core). The caller rules out
-    /// interrupts, panics and access tracing.
+    /// rotation must keep one task on the core), or a `ReadVar` comes up
+    /// under access tracing. The caller rules out interrupts and panics.
     ///
     /// Tasks asleep at the start are woken like any other; if that
     /// finds no rotation, a second walk holds them asleep (their wake
@@ -515,7 +518,7 @@ impl Rotation {
     }
 
     /// Executes the op at task `p`'s pc; `None` unless it is
-    /// side-effect-free or a `Yield`.
+    /// side-effect-free or a `Yield`, or if it is a traced `ReadVar`.
     fn exec(&mut self, k: &Kernel, p: usize, now: u64) -> Option<()> {
         if self.ops == STEADY_MAX_OPS {
             return None;
@@ -532,7 +535,8 @@ impl Rotation {
                 let r = &mut task.regs[usize::from(reg)];
                 *r = r.add(delta);
             }
-            Op::ReadVar { var, reg } => {
+            // Access tracing records every read, which no rotation replays.
+            Op::ReadVar { var, reg } if !k.cfg.trace_accesses => {
                 task.regs[usize::from(reg)] = SymReg::Abs(k.read_var(var).ok()?);
             }
             Op::BranchIfVarEq { var, value, target } => {
@@ -686,14 +690,13 @@ impl Kernel {
 
     /// Whether `memo` holds the kernel's steady rotation from its current
     /// state, walking it there unless the memo already does. No kernel
-    /// that the hint calls unsteady, or that an interrupt, a panic or
-    /// access tracing could disturb, has one.
+    /// that the hint calls unsteady, or that an interrupt or a panic
+    /// could disturb, has one.
     pub(super) fn rotation_into(&self, memo: &mut Memo) -> bool {
         let steady = self.steady
             && self.panic.is_none()
             && self.isr.is_none()
-            && (self.irq_pending == 0 || self.irq_masked)
-            && !self.cfg.trace_accesses;
+            && (self.irq_pending == 0 || self.irq_masked);
         if !steady {
             return false;
         }

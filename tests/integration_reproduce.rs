@@ -2,10 +2,18 @@
 //! from the seed and configuration embedded in its report — the paper's
 //! "helps users reproduce the bugs", made checkable.
 
+use ptest::faults::fig1::Fig1AdaptiveScenario;
 use ptest::faults::philosophers::PhilosophersScenario;
+use ptest::faults::races::{AtomicityRaceScenario, OrderViolationScenario};
 use ptest::faults::stress::{StressScenario, StressSpec};
+use ptest::faults::timers::{IsrSharedVarScenario, QuantumAtomicityScenario};
+use ptest::faults::weakmem::StoreVisibilityScenario;
 use ptest::pcore::{Op, Program};
-use ptest::{AdaptiveTest, AdaptiveTestConfig, BugKind, MultiCoreSystem, ProgramId, Scenario};
+use ptest::{
+    minimize_scenario_trial, AdaptiveTest, AdaptiveTestConfig, BugKind, Campaign, CampaignConfig,
+    LearningConfig, MinimizeConfig, MultiCoreSystem, ProgramId, Scenario, TrialEngine,
+    TrialScratch,
+};
 
 fn compute_setup(sys: &mut MultiCoreSystem) -> Vec<ProgramId> {
     vec![sys
@@ -100,4 +108,72 @@ fn bug_reports_carry_reproduction_material() {
     assert!(bug.snapshot.panic.is_some() || !bug.trace_tail.is_empty());
     // The report echoes the exact configuration (the reproduction input).
     assert_eq!(report.config.seed, 8);
+}
+
+/// The reproducers of the first two hits of a 48-trial campaign (master
+/// seed 1) of each race scenario and of Fig. 1, plus the first livelock
+/// hit after those two where there is one, serialized whole: the shrunk
+/// patterns and masks, the candidate count and the root-cause
+/// interleaving of the traced replay. A race livelock's traced replay
+/// runs the whole 60,500-cycle drain with one task spinning in a bounded
+/// spin, Fig. 1's the 20,000-cycle livelock wait.
+#[test]
+fn root_cause_reports_match_the_golden() {
+    let scenarios: Vec<Box<dyn Scenario>> = vec![
+        Box::new(OrderViolationScenario::buggy()),
+        Box::new(AtomicityRaceScenario::buggy()),
+        Box::new(QuantumAtomicityScenario::buggy()),
+        Box::new(StoreVisibilityScenario::buggy()),
+        Box::new(IsrSharedVarScenario::buggy()),
+        Box::new(Fig1AdaptiveScenario::default()),
+    ];
+    let mut actual = String::new();
+    for scenario in &scenarios {
+        let cfg = CampaignConfig {
+            trials_per_round: 48,
+            rounds: 1,
+            workers: 2,
+            master_seed: 1,
+            learning: LearningConfig {
+                enabled: false,
+                ..LearningConfig::default()
+            },
+            ..CampaignConfig::default()
+        };
+        let report = Campaign::run(&cfg, scenario.as_ref()).unwrap();
+        let base = scenario.base_config();
+        let engine = TrialEngine::new(base.clone()).unwrap();
+        let mut scratch = TrialScratch::new();
+        let hits: Vec<_> = report.rounds[0]
+            .trials
+            .iter()
+            .filter(|o| !o.summary.bugs.is_empty())
+            .collect();
+        assert!(hits.len() >= 2, "{} hit fewer than twice", scenario.name());
+        let livelock = hits
+            .iter()
+            .skip(2)
+            .find(|o| o.summary.bugs.iter().any(|b| b.class == "livelock"));
+        for hit in hits[..2].iter().chain(livelock) {
+            let repro = minimize_scenario_trial(
+                &engine,
+                scenario.as_ref(),
+                hit.seed,
+                hit.schedule_seed,
+                hit.memory_seed,
+                hit.irq_seed,
+                base.schedule,
+                base.memory,
+                base.preemption,
+                None,
+                &MinimizeConfig::default(),
+                &mut scratch,
+            )
+            .unwrap();
+            actual += &ptest::minimized_repro_to_json(&repro).unwrap();
+            actual.push('\n');
+        }
+    }
+    let golden = include_str!("fixtures/root_causes.txt");
+    assert!(actual == golden, "root-cause reports drifted:\n{actual}");
 }

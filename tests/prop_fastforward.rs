@@ -38,7 +38,7 @@ use ptest::pcore::{Op, Priority, Program, ProgramId, SemId, SvcReply, SvcRequest
 use ptest::{
     derived_memory_seed, derived_schedule_seed, AdaptiveTestConfig, Configured, Cycles, FnScenario,
     InterruptConfig, MasterOp, MultiCoreSystem, PreemptionSpec, QuantumConfig, Scenario,
-    TrialEngine, TrialOverrides, TrialScratch,
+    TrialEngine, TrialOverrides, TrialScratch, TrialTrace,
 };
 
 /// A sleeper-dominated worker: short compute bursts separated by long
@@ -172,26 +172,32 @@ fn straddling_hog_scenario(compute: u32) -> impl Scenario {
 
 /// Runs one trial of `scenario` under `cfg` at `seed`, once
 /// fast-forwarded and once forced cycle-by-cycle, and returns both
-/// reports as JSON.
+/// reports as JSON, each with the trial's captured trace when `traced`
+/// (which turns the kernels' access tracing on).
 fn fast_and_slow_reports(
     scenario: &dyn Scenario,
     cfg: AdaptiveTestConfig,
     seed: u64,
-) -> [String; 2] {
+    traced: bool,
+) -> [(String, Option<TrialTrace>); 2] {
     [true, false].map(|fast_forward| {
         let mut engine = TrialEngine::new(cfg.clone()).unwrap();
         engine.set_fast_forward(fast_forward);
+        let mut trace = traced.then(TrialTrace::default);
         let report = engine
             .run_scenario_trial_overridden(
                 scenario,
                 seed,
                 derived_schedule_seed(seed),
                 derived_memory_seed(seed),
-                TrialOverrides::default(),
+                TrialOverrides {
+                    capture_trace: trace.as_mut(),
+                    ..TrialOverrides::default()
+                },
                 &mut TrialScratch::new(),
             )
             .unwrap();
-        ptest::report_to_json(&report).unwrap()
+        (ptest::report_to_json(&report).unwrap(), trace)
     })
 }
 
@@ -202,6 +208,17 @@ fn assert_fast_forward_equivalence(
     scenario: &dyn Scenario,
     seeds: impl IntoIterator<Item = u64> + Clone,
 ) {
+    assert_equivalence(scenario, seeds, false);
+}
+
+/// [`assert_fast_forward_equivalence`], and when `traced` also an
+/// identical captured trace: every kernel and master event in order,
+/// and each kernel ring's dropped count.
+fn assert_equivalence(
+    scenario: &dyn Scenario,
+    seeds: impl IntoIterator<Item = u64> + Clone,
+    traced: bool,
+) {
     for (schedule, memory, preemption) in explorations() {
         let mut cfg = scenario.base_config();
         cfg.schedule = schedule;
@@ -210,7 +227,7 @@ fn assert_fast_forward_equivalence(
         cfg.preemption.interrupts = preemption.interrupts.or(cfg.preemption.interrupts);
         cfg.preemption.clock_skew = preemption.clock_skew.or(cfg.preemption.clock_skew);
         for seed in seeds.clone() {
-            let [fast, slow] = fast_and_slow_reports(scenario, cfg.clone(), seed);
+            let [fast, slow] = fast_and_slow_reports(scenario, cfg.clone(), seed, traced);
             assert_eq!(
                 fast,
                 slow,
@@ -275,6 +292,83 @@ fn fig1_livelock_reports_are_byte_identical_with_and_without_fast_forward() {
     // alone, seed 91 with a spinner beside a suspended task, seed 30
     // with two tasks yielding to each other; seed 0 finds no bug.
     assert_fast_forward_equivalence(&Fig1AdaptiveScenario::default(), [0, 1, 30, 91]);
+}
+
+#[test]
+fn traced_reports_and_traces_are_identical_with_and_without_fast_forward() {
+    // Root-cause replays trace accesses. The races' bounded spins and
+    // Fig. 1's polls branch on a variable without reading it into a
+    // register, so their livelock waits (seed 1 of the atomicity races,
+    // seeds 1, 30 and 91 of Fig. 1) still fast-forward under tracing.
+    assert_equivalence(&OrderViolationScenario::buggy(), 1..=2, true);
+    assert_equivalence(&AtomicityRaceScenario::buggy(), 1..=2, true);
+    assert_equivalence(&QuantumAtomicityScenario::buggy(), 1..=2, true);
+    assert_equivalence(&Fig1AdaptiveScenario::default(), [0, 1, 30, 91], true);
+    assert_equivalence(&abandoned_barrier_scenario(), 1..=2, true);
+}
+
+/// A spinner on slave 0 beside a loop on slave 1 that computes and
+/// writes a variable, which never makes its kernel steady. Under the
+/// randomized-priority scheduler, wherever the spinner leads, slave 1
+/// runs once per fairness window and is frozen in between.
+fn starved_slave_scenario() -> impl Scenario {
+    let mut cfg = AdaptiveTestConfig {
+        n: 1,
+        s: 3,
+        max_cycles: 20_000,
+        schedule: ScheduleSpec::random_priority(),
+        ..AdaptiveTestConfig::default()
+    };
+    cfg.system.slaves = 2;
+    FnScenario::new(
+        "starved-slave",
+        cfg,
+        |sys: &mut MultiCoreSystem| -> Vec<ProgramId> {
+            let spin = Program::new(vec![
+                Op::BranchIfVarEq {
+                    var: VarId(3),
+                    value: 1,
+                    target: 2,
+                },
+                Op::Jump(0),
+                Op::Exit,
+            ])
+            .expect("valid");
+            let work = Program::new(vec![
+                Op::Compute(3),
+                Op::WriteVar {
+                    var: VarId(5),
+                    value: 1,
+                },
+                Op::Jump(0),
+            ])
+            .expect("valid");
+            for (slave, program) in [(0, spin), (1, work)] {
+                let kernel = sys.kernel_of_mut(slave);
+                let program = kernel.register_program(program);
+                let request = SvcRequest::Create {
+                    program,
+                    priority: Priority::new(5),
+                    stack_bytes: None,
+                };
+                kernel.dispatch(request, Cycles::ZERO).expect("created");
+            }
+            let short = Program::new(vec![Op::Compute(3), Op::Exit]).expect("valid");
+            vec![sys.kernel_mut().register_program(short)]
+        },
+    )
+}
+
+#[test]
+fn starved_slave_reports_are_byte_identical_with_and_without_fast_forward() {
+    let scenario = starved_slave_scenario();
+    for seed in 1..=4 {
+        for traced in [false, true] {
+            let [fast, slow] =
+                fast_and_slow_reports(&scenario, scenario.base_config(), seed, traced);
+            assert_eq!(fast, slow, "seed {seed}, traced {traced}");
+        }
+    }
 }
 
 #[test]
@@ -515,14 +609,15 @@ fn generated_scenario(
     )
 }
 
-/// Runs one generated trial both ways and returns the two reports.
+/// Runs one generated trial both ways and returns the two reports, with
+/// their traces in the traced lane.
 fn generated_reports(
     shape: Shape,
     loopers: Vec<Looper>,
     vars: [i64; 3],
     (interval, window, drain, delay): (u64, u64, u64, u32),
     (lane, timeout, silent, seed): (usize, u64, bool, u64),
-) -> [String; 2] {
+) -> [(String, Option<TrialTrace>); 2] {
     let scenario = generated_scenario(shape, loopers, vars, interval, delay);
     let mut cfg = scenario.base_config();
     cfg.drain_cycles = drain;
@@ -536,11 +631,13 @@ fn generated_reports(
         }
     }
     match lane {
-        0 => {}
+        0 | 3 => {}
         1 => cfg.preemption.quantum = Some(QuantumConfig { cycles: 5 }),
         _ => cfg.schedule = ScheduleSpec::random_priority(),
     }
-    fast_and_slow_reports(&scenario, cfg, seed)
+    // The traced lane keeps `ReadVar` bodies stepped and fast-forwards
+    // the rest.
+    fast_and_slow_reports(&scenario, cfg, seed, lane == 3)
 }
 
 #[test]
@@ -579,7 +676,7 @@ proptest! {
         loopers in proptest::collection::vec(looper(), 2..3),
         vars in (0i64..3, 0i64..3, 0i64..3),
         timing in (1u64..=600, 1u64..=8_000, 0u64..=30_000, 0u32..3_000),
-        lane in (0usize..3, 1u64..=64, any::<bool>(), 0u64..4),
+        lane in (0usize..4, 1u64..=64, any::<bool>(), 0u64..4),
     ) {
         let [fast, slow] =
             generated_reports(SHAPES[shape], loopers, [vars.0, vars.1, vars.2], timing, lane);
