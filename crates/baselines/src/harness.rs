@@ -186,7 +186,7 @@ mod tests {
         let merged = PatternMerger::new().merge(&patterns, MergeOp::cyclic());
         let outcome = run_merged(merged, g.regex().alphabet(), &RunKnobs::default(), |sys| {
             vec![sys
-                .kernel_mut()
+                .kernel_of_mut(0)
                 .register_program(Program::new(vec![Op::Compute(10), Op::Exit]).unwrap())]
         });
         assert_eq!(outcome.status, CommitterStatus::Done);
@@ -202,7 +202,7 @@ mod tests {
         let merged = PatternMerger::new().merge(&patterns, MergeOp::cyclic());
         let setup = |sys: &mut MultiCoreSystem| {
             vec![sys
-                .kernel_mut()
+                .kernel_of_mut(0)
                 .register_program(Program::new(vec![Op::Compute(10), Op::Exit]).unwrap())]
         };
         let scenario = FnScenario::new("compute", ptest_core::AdaptiveTestConfig::default(), setup);

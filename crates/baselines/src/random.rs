@@ -270,7 +270,7 @@ impl Driver for RandomDriver<'_> {
                 }
             }
         };
-        if sys.issue(request).is_ok() {
+        if sys.issue_to(0, request).is_ok() {
             self.counts.commands_issued += 1;
             self.awaiting = true;
         }
@@ -290,7 +290,7 @@ mod tests {
 
     fn worker_setup(sys: &mut MultiCoreSystem) -> Vec<ProgramId> {
         vec![sys
-            .kernel_mut()
+            .kernel_of_mut(0)
             .register_program(Program::new(vec![Op::Compute(30), Op::Exit]).unwrap())]
     }
 

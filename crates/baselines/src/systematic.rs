@@ -163,7 +163,7 @@ mod tests {
         let (patterns, alphabet) = lifecycle_patterns(2);
         let explorer = SystematicExplorer::new(SystematicConfig::default());
         let report = explorer.explore(&patterns, &alphabet, |sys| {
-            let kernel = sys.kernel_mut();
+            let kernel = sys.kernel_of_mut(0);
             let forks = vec![kernel.create_mutex(), kernel.create_mutex()];
             (0..2)
                 .map(|i| {
@@ -223,7 +223,7 @@ mod tests {
         let explorer = SystematicExplorer::new(SystematicConfig::default());
         let report = explorer.explore(&patterns, &a, |sys| {
             vec![sys
-                .kernel_mut()
+                .kernel_of_mut(0)
                 .register_program(Program::new(vec![Op::Compute(5), Op::Exit]).unwrap())]
         });
         assert_eq!(report.space_size, Some(6), "C(4,2) = 6 interleavings");

@@ -71,7 +71,7 @@ pub(crate) fn tables() -> Vec<Table> {
     let sym = |name| alphabet.sym(name).expect("pCore service");
     let (tc, tch, td) = (sym("TC"), sym("TCH"), sym("TD"));
     let ab_ba = FnScenario::new("ab-ba", AdaptiveTestConfig::default(), |sys| {
-        let kernel = sys.kernel_mut();
+        let kernel = sys.kernel_of_mut(0);
         let forks = vec![kernel.create_mutex(), kernel.create_mutex()];
         (0..2)
             .map(|i| kernel.register_program(philosopher_program(i, &forks, Variant::Buggy)))

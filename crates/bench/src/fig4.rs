@@ -38,7 +38,7 @@ pub(crate) fn tables() -> Vec<Table> {
 
     let mut sys = MultiCoreSystem::new(SystemConfig::default());
     let program = Program::new(vec![Op::Compute(5_000), Op::Exit]).expect("valid");
-    let programs = vec![sys.kernel_mut().register_program(program)];
+    let programs = vec![sys.kernel_of_mut(0).register_program(program)];
     let config = CommitterConfig {
         programs,
         inter_command_gap: 40,

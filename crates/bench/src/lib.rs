@@ -227,7 +227,7 @@ fn worker_scenario(
 ) -> FnScenario<impl Fn(&mut MultiCoreSystem) -> Vec<ProgramId> + Send + Sync> {
     FnScenario::new(name, config, move |sys| {
         let program = Program::new(vec![Op::Compute(work), Op::Exit]).expect("valid");
-        vec![sys.kernel_mut().register_program(program)]
+        vec![sys.kernel_of_mut(0).register_program(program)]
     })
 }
 

@@ -12,13 +12,12 @@
 //! * [`BridgeLayout`] — where one slave's command/response ring pair
 //!   lives; [`BridgeLayout::for_slaves`] partitions the shared SRAM into
 //!   one disjoint window per slave of an N-slave platform
-//!   ([`BridgeLayout::standard`] is slave 0's window, unchanged from the
-//!   dual-core original).
+//!   ([`BridgeLayout::for_slave`]`(0)` is the dual-core original).
 //! * [`MasterPort`] — the ARM-side endpoint: encodes commands, rings the
 //!   target slave's doorbell mailbox, polls responses from every lane,
-//!   and tracks outstanding commands both in aggregate and per slave
-//!   ([`MasterPort::overdue`]/[`MasterPort::overdue_for`]) so a silent
-//!   (crashed) slave becomes observable as command timeouts.
+//!   and tracks outstanding commands per slave
+//!   ([`MasterPort::overdue_for`]) so a silent (crashed) slave becomes
+//!   observable as command timeouts.
 //! * [`SlaveEndpoint`] — one DSP-side interrupt handler per slave: drains
 //!   that slave's command ring, dispatches into its
 //!   [`Kernel`](ptest_pcore::Kernel), and writes responses. It goes
@@ -33,18 +32,18 @@
 //! use ptest_soc::{Cycles, MailboxBank, SharedSram};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
-//! let layout = BridgeLayout::standard();
+//! let layout = BridgeLayout::for_slave(0);
 //! let mut sram = SharedSram::omap5912();
 //! layout.init(&mut sram)?;
 //! let mut mailboxes = MailboxBank::omap5912();
 //! let mut kernel = Kernel::new(KernelConfig::default());
 //! let prog = kernel.register_program(Program::exit_immediately());
 //!
-//! let mut master = MasterPort::new(layout);
-//! let mut slave = SlaveEndpoint::new(layout);
+//! let mut master = MasterPort::for_slaves(vec![layout]);
+//! let mut slave = SlaveEndpoint::for_slave(layout, 0);
 //!
 //! let req = SvcRequest::Create { program: prog, priority: Priority::new(5), stack_bytes: None };
-//! master.issue(&mut sram, &mut mailboxes, req, Cycles::new(1))?;
+//! master.issue_to(0, &mut sram, &mut mailboxes, req, Cycles::new(1))?;
 //! slave.service(&mut sram, &mut mailboxes, &mut kernel, Cycles::new(2), 16);
 //! let responses = master.poll_responses(&mut sram, &mut mailboxes, Cycles::new(3));
 //! assert_eq!(responses.len(), 1);

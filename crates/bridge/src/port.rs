@@ -42,18 +42,11 @@ impl BridgeLayout {
         align16(8 + CMD_RECORD_BYTES * Self::RING_CAPACITY as usize)
             + align16(8 + RESP_RECORD_BYTES * Self::RING_CAPACITY as usize);
 
-    /// The default layout used by the legacy dual-core wiring: slave 0's
-    /// window — a 32-deep command ring at offset `0x100` and a 32-deep
-    /// response ring right after it.
-    #[must_use]
-    pub fn standard() -> BridgeLayout {
-        BridgeLayout::for_slave(0)
-    }
-
     /// The layout of slave `slave`'s window. Windows are laid out
     /// back-to-back from [`BridgeLayout::BASE_OFFSET`] with a stride of
-    /// [`BridgeLayout::SLAVE_WINDOW_BYTES`]; `for_slave(0)` is bit-identical
-    /// to the historical [`BridgeLayout::standard`].
+    /// [`BridgeLayout::SLAVE_WINDOW_BYTES`]; slave 0's is the dual-core
+    /// original, a 32-deep command ring at offset `0x100` and a 32-deep
+    /// response ring right after it.
     #[must_use]
     pub fn for_slave(slave: usize) -> BridgeLayout {
         let base = Self::BASE_OFFSET + slave * Self::SLAVE_WINDOW_BYTES;
@@ -89,12 +82,6 @@ impl BridgeLayout {
         self.cmd_ring.init(sram)?;
         self.resp_ring.init(sram)?;
         Ok(())
-    }
-}
-
-impl Default for BridgeLayout {
-    fn default() -> BridgeLayout {
-        BridgeLayout::standard()
     }
 }
 
@@ -178,8 +165,8 @@ struct PendingCmd {
 
 /// The master-side endpoint: issues commands to any slave over per-slave
 /// lanes (one command/response ring pair each) and collects responses.
-/// Command ids are unique across lanes, and issue/poll/overdue tracking is
-/// kept both in aggregate and per slave.
+/// Command ids are unique across lanes; issue and pending counts are kept
+/// both in aggregate and per slave, overdue tracking per slave.
 ///
 /// The port does not own the hardware; the system wiring passes the shared
 /// [`SharedSram`] and [`MailboxBank`] into each call, mirroring how real
@@ -194,13 +181,6 @@ pub struct MasterPort {
 }
 
 impl MasterPort {
-    /// Creates a single-lane port over the given layout (the legacy
-    /// dual-core wiring: everything targets slave 0).
-    #[must_use]
-    pub fn new(layout: BridgeLayout) -> MasterPort {
-        MasterPort::for_slaves(vec![layout])
-    }
-
     /// Creates a port with one lane per slave layout.
     ///
     /// # Panics
@@ -264,20 +244,6 @@ impl MasterPort {
         self.pending.get(&id).map(|p| p.slave)
     }
 
-    /// Commands issued before `now - timeout` that are still unanswered —
-    /// the master-side symptom of a crashed or wedged slave.
-    #[must_use]
-    pub fn overdue(&self, now: Cycles, timeout: Cycles) -> Vec<CmdId> {
-        let mut ids: Vec<CmdId> = self
-            .pending
-            .iter()
-            .filter(|(_, p)| now.since(p.issued_at) > timeout)
-            .map(|(id, _)| *id)
-            .collect();
-        ids.sort();
-        ids
-    }
-
     /// Number of commands overdue on `slave`'s lane, without allocating
     /// the id list ([`MasterPort::overdue_for`] for callers that only
     /// need the count).
@@ -289,7 +255,8 @@ impl MasterPort {
             .count()
     }
 
-    /// [`MasterPort::overdue`], restricted to commands targeting `slave`.
+    /// Commands to `slave` issued before `now - timeout` that are still
+    /// unanswered — the master-side symptom of a crashed or wedged slave.
     #[must_use]
     pub fn overdue_for(&self, slave: usize, now: Cycles, timeout: Cycles) -> Vec<CmdId> {
         let mut ids: Vec<CmdId> = self
@@ -300,21 +267,6 @@ impl MasterPort {
             .collect();
         ids.sort();
         ids
-    }
-
-    /// Issues a command to slave 0 (the legacy dual-core path).
-    ///
-    /// # Errors
-    ///
-    /// As for [`MasterPort::issue_to`].
-    pub fn issue(
-        &mut self,
-        sram: &mut SharedSram,
-        mailboxes: &mut MailboxBank,
-        req: SvcRequest,
-        now: Cycles,
-    ) -> Result<CmdId, BridgeError> {
-        self.issue_to(0, sram, mailboxes, req, now)
     }
 
     /// Issues a command to slave `slave`: writes the record into that
@@ -444,13 +396,6 @@ pub struct SlaveEndpoint {
 }
 
 impl SlaveEndpoint {
-    /// Creates the slave-0 endpoint over the given layout (the legacy
-    /// dual-core wiring).
-    #[must_use]
-    pub fn new(layout: BridgeLayout) -> SlaveEndpoint {
-        SlaveEndpoint::for_slave(layout, 0)
-    }
-
     /// Creates the endpoint of slave `slave`, listening on that slave's
     /// mailbox block.
     #[must_use]
@@ -552,7 +497,7 @@ mod tests {
     }
 
     fn rig() -> Rig {
-        let layout = BridgeLayout::standard();
+        let layout = BridgeLayout::for_slave(0);
         let mut sram = SharedSram::omap5912();
         layout.init(&mut sram).unwrap();
         let mut kernel = Kernel::new(KernelConfig::default());
@@ -561,8 +506,8 @@ mod tests {
             sram,
             mailboxes: MailboxBank::omap5912(),
             kernel,
-            master: MasterPort::new(layout),
-            slave: SlaveEndpoint::new(layout),
+            master: MasterPort::for_slaves(vec![layout]),
+            slave: SlaveEndpoint::for_slave(layout, 0),
         }
     }
 
@@ -576,7 +521,7 @@ mod tests {
         };
         let id = r
             .master
-            .issue(&mut r.sram, &mut r.mailboxes, req, Cycles::new(1))
+            .issue_to(0, &mut r.sram, &mut r.mailboxes, req, Cycles::new(1))
             .unwrap();
         assert_eq!(r.master.pending_count(), 1);
         let n = r.slave.service(
@@ -602,7 +547,8 @@ mod tests {
         let mut r = rig();
         for _ in 0..6 {
             r.master
-                .issue(
+                .issue_to(
+                    0,
                     &mut r.sram,
                     &mut r.mailboxes,
                     SvcRequest::PeekVar {
@@ -629,7 +575,8 @@ mod tests {
         let mut r = rig();
         for _ in 0..32 {
             r.master
-                .issue(
+                .issue_to(
+                    0,
                     &mut r.sram,
                     &mut r.mailboxes,
                     SvcRequest::PeekVar {
@@ -641,7 +588,8 @@ mod tests {
         }
         let err = r
             .master
-            .issue(
+            .issue_to(
+                0,
                 &mut r.sram,
                 &mut r.mailboxes,
                 SvcRequest::PeekVar {
@@ -659,7 +607,8 @@ mod tests {
         let mut r = rig();
         for _ in 0..10 {
             r.master
-                .issue(
+                .issue_to(
+                    0,
                     &mut r.sram,
                     &mut r.mailboxes,
                     SvcRequest::PeekVar {
@@ -695,7 +644,8 @@ mod tests {
     fn error_replies_propagate() {
         let mut r = rig();
         r.master
-            .issue(
+            .issue_to(
+                0,
                 &mut r.sram,
                 &mut r.mailboxes,
                 SvcRequest::Delete {
@@ -721,7 +671,8 @@ mod tests {
     fn overdue_detects_silent_slave() {
         let mut r = rig();
         r.master
-            .issue(
+            .issue_to(
+                0,
                 &mut r.sram,
                 &mut r.mailboxes,
                 SvcRequest::PeekVar {
@@ -733,9 +684,9 @@ mod tests {
         // Slave never services. After the timeout the command is overdue.
         assert!(r
             .master
-            .overdue(Cycles::new(20), Cycles::new(100))
+            .overdue_for(0, Cycles::new(20), Cycles::new(100))
             .is_empty());
-        let overdue = r.master.overdue(Cycles::new(200), Cycles::new(100));
+        let overdue = r.master.overdue_for(0, Cycles::new(200), Cycles::new(100));
         assert_eq!(overdue.len(), 1);
     }
 
@@ -747,18 +698,19 @@ mod tests {
         };
         let mut kernel = Kernel::new(cfg);
         let prog = kernel.register_program(Program::exit_immediately());
-        let layout = BridgeLayout::standard();
+        let layout = BridgeLayout::for_slave(0);
         let mut sram = SharedSram::omap5912();
         layout.init(&mut sram).unwrap();
         let mut mailboxes = MailboxBank::omap5912();
-        let mut master = MasterPort::new(layout);
-        let mut slave = SlaveEndpoint::new(layout);
+        let mut master = MasterPort::for_slaves(vec![layout]);
+        let mut slave = SlaveEndpoint::for_slave(layout, 0);
 
         // Two creates: 2 * (64 + 512) = 1152 > 1024, so the second one
         // panics the kernel (OOM with no garbage to collect).
         for p in [1u8, 2] {
             master
-                .issue(
+                .issue_to(
+                    0,
                     &mut sram,
                     &mut mailboxes,
                     SvcRequest::Create {
@@ -778,7 +730,8 @@ mod tests {
         assert_eq!(resps.len(), 2);
         // From now on the slave is silent.
         master
-            .issue(
+            .issue_to(
+                0,
                 &mut sram,
                 &mut mailboxes,
                 SvcRequest::PeekVar {
@@ -790,14 +743,15 @@ mod tests {
         let n = slave.service(&mut sram, &mut mailboxes, &mut kernel, Cycles::new(5), 16);
         assert_eq!(n, 0);
         assert_eq!(
-            master.overdue(Cycles::new(10_000), Cycles::new(100)).len(),
+            master
+                .overdue_for(0, Cycles::new(10_000), Cycles::new(100))
+                .len(),
             1
         );
     }
 
     #[test]
-    fn slave_windows_are_disjoint_and_standard_is_slave0() {
-        assert_eq!(BridgeLayout::standard(), BridgeLayout::for_slave(0));
+    fn slave_windows_are_disjoint_and_slave0_keeps_its_offsets() {
         let layouts = BridgeLayout::for_slaves(4);
         for pair in layouts.windows(2) {
             let end = pair[0].resp_ring.base + pair[0].resp_ring.footprint();
@@ -875,7 +829,7 @@ mod tests {
     fn issue_to_unknown_slave_is_rejected() {
         let mut sram = SharedSram::omap5912();
         let mut mailboxes = MailboxBank::omap5912();
-        let mut master = MasterPort::new(BridgeLayout::standard());
+        let mut master = MasterPort::for_slaves(vec![BridgeLayout::for_slave(0)]);
         let err = master
             .issue_to(
                 3,

@@ -695,7 +695,7 @@ mod tests {
             },
             |sys| {
                 vec![sys
-                    .kernel_mut()
+                    .kernel_of_mut(0)
                     .register_program(Program::new(vec![Op::Compute(20), Op::Exit]).unwrap())]
             },
         )

@@ -29,7 +29,7 @@
 //!     "compute-worker",
 //!     AdaptiveTestConfig { n: 2, s: 4, ..AdaptiveTestConfig::default() },
 //!     |sys| {
-//!         vec![sys.kernel_mut().register_program(
+//!         vec![sys.kernel_of_mut(0).register_program(
 //!             Program::new(vec![Op::Compute(20), Op::Exit]).expect("valid"),
 //!         )]
 //!     },

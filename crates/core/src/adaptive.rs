@@ -349,7 +349,7 @@ mod tests {
 
     fn quick_setup(sys: &mut MultiCoreSystem) -> Vec<ProgramId> {
         vec![sys
-            .kernel_mut()
+            .kernel_of_mut(0)
             .register_program(Program::new(vec![Op::Compute(20), Op::Exit]).unwrap())]
     }
 

@@ -554,7 +554,7 @@ mod tests {
 
     fn setup(n: usize, s: usize, op: MergeOp, seed: u64) -> (MultiCoreSystem, Committer) {
         let mut sys = MultiCoreSystem::new(SystemConfig::default());
-        let prog = sys.kernel_mut().register_program(
+        let prog = sys.kernel_of_mut(0).register_program(
             Program::new(vec![ptest_pcore::Op::Compute(30), ptest_pcore::Op::Exit]).unwrap(),
         );
         let generator = PatternGenerator::pcore_paper().unwrap();
@@ -617,7 +617,7 @@ mod tests {
         let status = run_to_completion(&mut sys, &mut committer, 2_000_000);
         assert_eq!(status, CommitterStatus::Done);
         assert_eq!(committer.skipped_steps(), skipped_expected);
-        assert_eq!(sys.snapshot().svc_count, total_steps);
+        assert_eq!(sys.snapshot_of(0).svc_count, total_steps);
     }
 
     #[test]
@@ -694,7 +694,7 @@ mod tests {
         cfg.kernel.gc_fault = ptest_pcore::GcFaultMode::LeakDeadBlocks { leak_every: 1 };
         let mut sys = MultiCoreSystem::new(cfg);
         let prog = sys
-            .kernel_mut()
+            .kernel_of_mut(0)
             .register_program(Program::exit_immediately());
         let generator = PatternGenerator::pcore_paper().unwrap();
         let mut rng = StdRng::seed_from_u64(6);

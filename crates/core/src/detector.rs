@@ -183,7 +183,7 @@ impl Bug {
     /// dual-core reports render byte-identically to the original tool.
     #[must_use]
     pub fn detail(&self) -> String {
-        if self.core == CoreId::Dsp || matches!(self.kind, BugKind::CrossCoreDeadlock { .. }) {
+        if self.core == CoreId::Slave(0) || matches!(self.kind, BugKind::CrossCoreDeadlock { .. }) {
             self.kind.to_string()
         } else {
             format!("[{}] {}", self.core, self.kind)
@@ -848,9 +848,9 @@ mod tests {
         fn spin_system() -> MultiCoreSystem {
             let mut sys = MultiCoreSystem::new(SystemConfig::default());
             let spin = sys
-                .kernel_mut()
+                .kernel_of_mut(0)
                 .register_program(Program::new(vec![Op::Jump(0)]).unwrap());
-            sys.kernel_mut()
+            sys.kernel_of_mut(0)
                 .dispatch(
                     SvcRequest::Create {
                         program: spin,
@@ -912,7 +912,7 @@ mod tests {
         #[test]
         fn suspended_tasks_are_not_reported_starved() {
             let mut sys = spin_system();
-            sys.kernel_mut()
+            sys.kernel_of_mut(0)
                 .dispatch(
                     SvcRequest::Suspend {
                         task: ptest_pcore::TaskId::new(0),
@@ -937,14 +937,17 @@ mod tests {
             cfg.kernel.heap_bytes = 500; // TCB fits, the 512 B stack cannot
             let mut sys = MultiCoreSystem::new(cfg);
             let prog = sys
-                .kernel_mut()
+                .kernel_of_mut(0)
                 .register_program(Program::exit_immediately());
             // Issue the fatal create through the bridge.
-            sys.issue(SvcRequest::Create {
-                program: prog,
-                priority: Priority::new(1),
-                stack_bytes: None,
-            })
+            sys.issue_to(
+                0,
+                SvcRequest::Create {
+                    program: prog,
+                    priority: Priority::new(1),
+                    stack_bytes: None,
+                },
+            )
             .unwrap();
             let mut det = BugDetector::new(DetectorConfig::default());
             let bugs = observe_window(&mut sys, &mut det, 5_000, false);
@@ -955,7 +958,7 @@ mod tests {
             assert_eq!(crashes.len(), 1);
             assert!(crashes[0].snapshot.panic.is_some());
             assert!(!crashes[0].trace_tail.is_empty());
-            assert_eq!(crashes[0].core, CoreId::Dsp);
+            assert_eq!(crashes[0].core, CoreId::Slave(0));
         }
 
         /// Two slaves, two crossed hand-off rings, tokens placed so the

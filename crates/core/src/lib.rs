@@ -32,7 +32,7 @@
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let report = AdaptiveTest::run(AdaptiveTestConfig::default(), |sys| {
-//!     vec![sys.kernel_mut().register_program(
+//!     vec![sys.kernel_of_mut(0).register_program(
 //!         Program::new(vec![Op::Compute(20), Op::Exit]).expect("valid program"),
 //!     )]
 //! })?;

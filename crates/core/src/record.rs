@@ -44,9 +44,8 @@ pub struct StateRecord {
     /// Which test pattern (and hence which master/slave process pair)
     /// this record describes.
     pub pattern_index: usize,
-    /// The slave core the controlled process runs on (always
-    /// [`CoreId::Dsp`] on the dual-core platform; pattern `i` of an
-    /// N-slave system runs on slave `i mod N`).
+    /// The slave core the controlled process runs on: pattern `i` of an
+    /// N-slave system runs on [`CoreId::Slave`] `i mod N`.
     pub slave_core: CoreId,
     /// `qm` — the state of the controlling master process.
     pub master_state: MasterState,
@@ -102,7 +101,7 @@ impl StateRecord {
         // dual-core rendering identical to the paper's Figure 4.
         match (self.slave_task, self.slave_state) {
             (Some(t), st) => {
-                if self.slave_core != CoreId::Dsp {
+                if self.slave_core != CoreId::Slave(0) {
                     let _ = write!(out, "{}:", self.slave_core);
                 }
                 match st {
@@ -136,7 +135,7 @@ mod tests {
         let td = a.intern("TD");
         let r = StateRecord {
             pattern_index: 1,
-            slave_core: CoreId::Dsp,
+            slave_core: CoreId::Slave(0),
             master_state: MasterState::AwaitingResponse(Service::ChangePriority),
             slave_task: Some(TaskId::new(3)),
             slave_state: Some(TaskState::Ready),

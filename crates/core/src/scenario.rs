@@ -54,7 +54,7 @@ pub trait Scenario: Send + Sync {
 ///     "compute-worker",
 ///     AdaptiveTestConfig::default(),
 ///     |sys| {
-///         vec![sys.kernel_mut().register_program(
+///         vec![sys.kernel_of_mut(0).register_program(
 ///             Program::new(vec![Op::Compute(20), Op::Exit]).expect("valid"),
 ///         )]
 ///     },
@@ -162,7 +162,7 @@ mod tests {
     fn compute_scenario() -> impl Scenario {
         FnScenario::new("compute", AdaptiveTestConfig::default(), |sys| {
             vec![sys
-                .kernel_mut()
+                .kernel_of_mut(0)
                 .register_program(Program::new(vec![Op::Compute(10), Op::Exit]).unwrap())]
         })
     }

@@ -674,7 +674,7 @@ mod tests {
 
     fn quick_setup(sys: &mut MultiCoreSystem) -> Vec<ProgramId> {
         vec![sys
-            .kernel_mut()
+            .kernel_of_mut(0)
             .register_program(Program::new(vec![Op::Compute(20), Op::Exit]).unwrap())]
     }
 
@@ -824,7 +824,7 @@ mod tests {
             let isr = sys.kernel_of_mut(slave).register_program(isr_body.clone());
             sys.kernel_of_mut(slave).set_isr_program(isr);
         }
-        vec![sys.kernel_mut().register_program(
+        vec![sys.kernel_of_mut(0).register_program(
             Program::new(vec![
                 Op::Compute(10),
                 Op::SleepFor(25),

@@ -127,7 +127,7 @@ fn spin_program(mine: VarId, theirs: VarId, window: u32) -> Program {
 /// Both processes of the figure on slave 0, created and suspended at
 /// time zero, before the first kernel tick: `(S1, S2)`.
 fn suspended_processes(sys: &mut MultiCoreSystem, window: u32) -> (TaskId, TaskId) {
-    let kernel = sys.kernel_mut();
+    let kernel = sys.kernel_of_mut(0);
     let p1 = kernel.register_program(s1_program(window));
     let p2 = kernel.register_program(s2_program());
     // S1 has the lower priority, S2 the higher.
@@ -167,13 +167,13 @@ fn outcome(sys: &mut MultiCoreSystem, max_cycles: u64, fast_forward: bool) -> Fi
     if let Some(tasks) = livelock {
         return Fig1Outcome::Livelock { tasks };
     }
-    if sys.kernel().live_task_count() == 0 {
+    if sys.kernel_of(0).live_task_count() == 0 {
         return Fig1Outcome::Completed {
             cycles: sys.now().get(),
         };
     }
     let tasks = sys
-        .snapshot()
+        .snapshot_of(0)
         .tasks
         .iter()
         .filter(|t| !matches!(t.state, TaskState::Terminated(_)))
@@ -213,12 +213,12 @@ fn run_with(scenario: Fig1Scenario, fast_forward: bool) -> Fig1Outcome {
             sys.run(scenario.resume_gap);
         }
         first = false;
-        sys.issue(SvcRequest::Resume { task })
+        sys.issue_to(0, SvcRequest::Resume { task })
             .expect("issue resume");
         // Await the response so command order = slave observation order.
         loop {
             sys.step();
-            if !sys.take_responses().is_empty() {
+            if sys.drain_responses().next().is_some() {
                 break;
             }
         }
@@ -335,7 +335,7 @@ impl Scenario for Fig1AdaptiveScenario {
     }
 
     fn setup(&self, sys: &mut MultiCoreSystem) -> Vec<ProgramId> {
-        let kernel = sys.kernel_mut();
+        let kernel = sys.kernel_of_mut(0);
         let p1 = kernel.register_program(s1_program(self.window));
         let p2 = kernel.register_program(s2_program());
         vec![p1, p2]

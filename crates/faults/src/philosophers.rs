@@ -125,7 +125,7 @@ impl Scenario for PhilosophersScenario {
     }
 
     fn setup(&self, sys: &mut MultiCoreSystem) -> Vec<ProgramId> {
-        let kernel = sys.kernel_mut();
+        let kernel = sys.kernel_of_mut(0);
         let forks: Vec<MutexId> = (0..PHILOSOPHERS).map(|_| kernel.create_mutex()).collect();
         (0..PHILOSOPHERS)
             .map(|i| kernel.register_program(philosopher_program(i, &forks, self.variant)))

@@ -38,7 +38,7 @@ pub fn worker_program(work: u32) -> Program {
 #[must_use]
 pub fn starvation_system() -> (MultiCoreSystem, TaskId, TaskId) {
     let mut sys = MultiCoreSystem::new(SystemConfig::default());
-    let kernel = sys.kernel_mut();
+    let kernel = sys.kernel_of_mut(0);
     let hog = kernel.register_program(cpu_hog_program());
     let worker = kernel.register_program(worker_program(100));
     let hog_task = create_task(kernel, hog, 200);
@@ -58,7 +58,7 @@ pub fn starvation_system() -> (MultiCoreSystem, TaskId, TaskId) {
 #[must_use]
 pub fn priority_inversion_system() -> (MultiCoreSystem, TaskId, TaskId, TaskId) {
     let mut sys = MultiCoreSystem::new(SystemConfig::default());
-    let kernel = sys.kernel_mut();
+    let kernel = sys.kernel_of_mut(0);
     let mutex = kernel.create_mutex();
 
     // Low: grab the mutex, then do long work before releasing.
@@ -142,7 +142,7 @@ pub fn race_writer_program(counter: VarId, rounds: u16) -> Program {
 #[must_use]
 pub fn race_system(writers: usize, rounds: u16) -> (MultiCoreSystem, Vec<TaskId>) {
     let mut sys = MultiCoreSystem::new(SystemConfig::default());
-    let kernel = sys.kernel_mut();
+    let kernel = sys.kernel_of_mut(0);
     let tasks = (0..writers)
         .map(|w| {
             let program = kernel.register_program(race_writer_program(RACE_COUNTER, rounds));
@@ -201,7 +201,7 @@ impl Scenario for RaceWorkloadScenario {
     fn setup(&self, sys: &mut MultiCoreSystem) -> Vec<ProgramId> {
         (0..self.writers)
             .map(|_| {
-                sys.kernel_mut()
+                sys.kernel_of_mut(0)
                     .register_program(race_writer_program(RACE_COUNTER, self.rounds))
             })
             .collect()
@@ -236,7 +236,7 @@ impl Scenario for StarvationScenario {
     }
 
     fn setup(&self, sys: &mut MultiCoreSystem) -> Vec<ProgramId> {
-        let kernel = sys.kernel_mut();
+        let kernel = sys.kernel_of_mut(0);
         let worker = kernel.register_program(worker_program(100));
         let hog = kernel.register_program(cpu_hog_program());
         // Pattern 1 draws from the higher priority band, so the hog
@@ -307,7 +307,7 @@ mod tests {
         assert!(starved_high, "priority inversion must starve the high task");
         // High never completed.
         assert!(!matches!(
-            sys.kernel().task_state(high),
+            sys.kernel_of(0).task_state(high),
             Some(TaskState::Terminated(_))
         ));
     }
@@ -317,10 +317,12 @@ mod tests {
         let (mut sys, tasks) = race_system(2, 50);
         for _ in 0..200_000u64 {
             sys.step();
-            if tasks
-                .iter()
-                .all(|&t| matches!(sys.kernel().task_state(t), Some(TaskState::Terminated(_))))
-            {
+            if tasks.iter().all(|&t| {
+                matches!(
+                    sys.kernel_of(0).task_state(t),
+                    Some(TaskState::Terminated(_))
+                )
+            }) {
                 break;
             }
         }
@@ -357,10 +359,12 @@ mod tests {
         let (mut sys, tasks) = race_system(1, 20);
         for _ in 0..100_000u64 {
             sys.step();
-            if tasks
-                .iter()
-                .all(|&t| matches!(sys.kernel().task_state(t), Some(TaskState::Terminated(_))))
-            {
+            if tasks.iter().all(|&t| {
+                matches!(
+                    sys.kernel_of(0).task_state(t),
+                    Some(TaskState::Terminated(_))
+                )
+            }) {
                 break;
             }
         }

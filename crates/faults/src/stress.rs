@@ -147,7 +147,7 @@ impl Scenario for StressScenario {
                     seed: self.spec.seed.wrapping_add(i as u64),
                     worst_case: false,
                 });
-                sys.kernel_mut().register_program(program)
+                sys.kernel_of_mut(0).register_program(program)
             })
             .collect()
     }

@@ -151,8 +151,8 @@ impl Scenario for IsrSharedVarScenario {
             b.push(Op::Exit);
             b.build().expect("isr program is valid")
         };
-        let isr = sys.kernel_mut().register_program(isr);
-        sys.kernel_mut().set_isr_program(isr);
+        let isr = sys.kernel_of_mut(0).register_program(isr);
+        sys.kernel_of_mut(0).set_isr_program(isr);
 
         // The worker: `rounds` RMW rounds with a deliberately padded
         // window between read and write-back, then a masked final check
@@ -207,7 +207,7 @@ impl Scenario for IsrSharedVarScenario {
             guard(&mut b, 2, 0);
             b.build().expect("worker program is valid")
         };
-        vec![sys.kernel_mut().register_program(worker)]
+        vec![sys.kernel_of_mut(0).register_program(worker)]
     }
 }
 
@@ -268,7 +268,7 @@ impl Scenario for QuantumAtomicityScenario {
     }
 
     fn setup(&self, sys: &mut MultiCoreSystem) -> Vec<ProgramId> {
-        let guard_mutex = sys.kernel_mut().create_mutex();
+        let guard_mutex = sys.kernel_of_mut(0).create_mutex();
         let bracket = self.variant == Variant::Fixed;
 
         // One RMW loop body, shared by both writers. The window is wider
@@ -328,8 +328,8 @@ impl Scenario for QuantumAtomicityScenario {
             b.build().expect("writer program is valid")
         };
         vec![
-            sys.kernel_mut().register_program(checker),
-            sys.kernel_mut().register_program(writer),
+            sys.kernel_of_mut(0).register_program(checker),
+            sys.kernel_of_mut(0).register_program(writer),
         ]
     }
 }

@@ -36,7 +36,7 @@
 //!   exact unpreempted path the golden fixtures pin.
 //!
 //! pTest's committer drives the system through
-//! [`MultiCoreSystem::issue_to`]/[`MultiCoreSystem::take_responses`];
+//! [`MultiCoreSystem::issue_to`]/[`MultiCoreSystem::drain_responses`];
 //! scripted threads and the committer can coexist.
 //!
 //! ## Topology
@@ -59,7 +59,7 @@
 //! use ptest_pcore::{Priority, Program, SvcRequest};
 //!
 //! let mut sys = MultiCoreSystem::new(SystemConfig::default());
-//! let prog = sys.kernel_mut().register_program(Program::exit_immediately());
+//! let prog = sys.kernel_of_mut(0).register_program(Program::exit_immediately());
 //! sys.add_thread(
 //!     "M1",
 //!     vec![

@@ -142,7 +142,7 @@ impl std::error::Error for CouplingError {}
 /// let prog = sys.kernel_of_mut(1).register_program(Program::exit_immediately());
 /// sys.issue_to(1, SvcRequest::Create { program: prog, priority: Priority::new(5), stack_bytes: None })?;
 /// sys.run(100);
-/// let resps = sys.take_responses();
+/// let resps: Vec<_> = sys.drain_responses().collect();
 /// assert_eq!(resps.len(), 1);
 /// assert_eq!(resps[0].slave, 1);
 /// # Ok(())
@@ -385,12 +385,6 @@ impl MultiCoreSystem {
         self.slaves.iter().map(|s| s.kernel.isr_runs()).sum()
     }
 
-    /// Total cycles spent in interrupt context across all slave kernels.
-    #[must_use]
-    pub fn total_isr_cycles(&self) -> u64 {
-        self.slaves.iter().map(|s| s.kernel.isr_cycles()).sum()
-    }
-
     /// Current virtual time.
     #[must_use]
     pub fn now(&self) -> Cycles {
@@ -401,18 +395,6 @@ impl MultiCoreSystem {
     #[must_use]
     pub fn slave_count(&self) -> usize {
         self.slaves.len()
-    }
-
-    /// Read access to slave 0's kernel (the dual-core legacy accessor;
-    /// see [`MultiCoreSystem::kernel_of`] for the general form).
-    #[must_use]
-    pub fn kernel(&self) -> &Kernel {
-        self.kernel_of(0)
-    }
-
-    /// Mutable access to slave 0's kernel for *scenario setup only*.
-    pub fn kernel_mut(&mut self) -> &mut Kernel {
-        self.kernel_of_mut(0)
     }
 
     /// Read access to slave `slave`'s kernel (for assertions and the bug
@@ -536,16 +518,6 @@ impl MultiCoreSystem {
         self.threads.iter().all(MasterThread::is_done)
     }
 
-    /// Issues a remote command directly to slave 0 (the dual-core legacy
-    /// path), stamped at the current virtual time.
-    ///
-    /// # Errors
-    ///
-    /// As for [`MultiCoreSystem::issue_to`].
-    pub fn issue(&mut self, req: SvcRequest) -> Result<CmdId, BridgeError> {
-        self.issue_to(0, req)
-    }
-
     /// Issues a remote command directly to slave `slave` (the committer's
     /// path), stamped at the current virtual time.
     ///
@@ -561,11 +533,11 @@ impl MultiCoreSystem {
             .issue_to(slave, &mut self.sram, &mut self.mailboxes, req, now)?;
         if slave == 0 {
             self.trace
-                .record(now, CoreId::Arm, "cmd", format!("{id} {req:?}"));
+                .record(now, CoreId::Master, "cmd", format!("{id} {req:?}"));
         } else {
             self.trace.record(
                 now,
-                CoreId::Arm,
+                CoreId::Master,
                 "cmd",
                 format!("{id} ->{} {req:?}", CoreId::slave(slave)),
             );
@@ -573,24 +545,12 @@ impl MultiCoreSystem {
         Ok(id)
     }
 
-    /// Drains responses that no scripted thread claimed (fire-and-forget
-    /// and committer-issued commands).
-    pub fn take_responses(&mut self) -> Vec<CmdResponse> {
-        std::mem::take(&mut self.inbox)
-    }
-
-    /// Drains pending responses in delivery order while keeping the
-    /// inbox's buffer — the allocation-free variant of
-    /// [`MultiCoreSystem::take_responses`] the committer polls every
-    /// cycle.
+    /// Drains, in delivery order, the responses that no scripted thread
+    /// claimed (fire-and-forget and committer-issued commands). The inbox
+    /// keeps its buffer, and dropping the iterator early still empties
+    /// it.
     pub fn drain_responses(&mut self) -> std::vec::Drain<'_, CmdResponse> {
         self.inbox.drain(..)
-    }
-
-    /// Commands outstanding longer than `timeout` (any slave).
-    #[must_use]
-    pub fn overdue(&self, timeout: Cycles) -> Vec<CmdId> {
-        self.master_port.overdue(self.clock.now(), timeout)
     }
 
     /// Commands outstanding longer than `timeout` on slave `slave`'s lane.
@@ -620,12 +580,6 @@ impl MultiCoreSystem {
     #[must_use]
     pub fn oldest_pending_issue(&self) -> Option<Cycles> {
         self.master_port.oldest_issue()
-    }
-
-    /// A snapshot of slave 0's kernel (the dual-core legacy accessor).
-    #[must_use]
-    pub fn snapshot(&self) -> KernelSnapshot {
-        self.snapshot_of(0)
     }
 
     /// A snapshot of slave `slave`'s kernel (the detector's debug window).
@@ -1321,45 +1275,28 @@ impl MultiCoreSystem {
                     self.current_thread = None;
                 }
                 self.trace
-                    .record(now, CoreId::Arm, "thread", format!("{} done", t.name));
+                    .record(now, CoreId::Master, "thread", format!("{} done", t.name));
             }
-            Some(MasterOp::Issue(req)) => {
-                match self
-                    .master_port
-                    .issue(&mut self.sram, &mut self.mailboxes, req, now)
+            Some(op @ (MasterOp::Issue(req) | MasterOp::IssueAndWait(req))) => {
+                // A full ring leaves the op in place: it retries next cycle.
+                if let Ok(cmd) =
+                    self.master_port
+                        .issue_to(0, &mut self.sram, &mut self.mailboxes, req, now)
                 {
-                    Ok(cmd) => {
-                        let t = &mut self.threads[idx];
-                        t.pc += 1;
-                        t.ops_retired += 1;
-                        self.trace.record(
-                            now,
-                            CoreId::Arm,
-                            "cmd",
-                            format!("{} issues {cmd} {req:?}", t.name),
-                        );
-                    }
-                    Err(_) => { /* ring full: retry next cycle */ }
-                }
-            }
-            Some(MasterOp::IssueAndWait(req)) => {
-                match self
-                    .master_port
-                    .issue(&mut self.sram, &mut self.mailboxes, req, now)
-                {
-                    Ok(cmd) => {
-                        let t = &mut self.threads[idx];
-                        t.pc += 1;
-                        t.ops_retired += 1;
+                    let t = &mut self.threads[idx];
+                    t.pc += 1;
+                    t.ops_retired += 1;
+                    let mut suffix = "";
+                    if let MasterOp::IssueAndWait(_) = op {
                         t.state = ThreadState::Waiting(cmd);
-                        self.trace.record(
-                            now,
-                            CoreId::Arm,
-                            "cmd",
-                            format!("{} issues {cmd} {req:?} (waits)", t.name),
-                        );
+                        suffix = " (waits)";
                     }
-                    Err(_) => { /* ring full: retry next cycle */ }
+                    self.trace.record(
+                        now,
+                        CoreId::Master,
+                        "cmd",
+                        format!("{} issues {cmd} {req:?}{suffix}", t.name),
+                    );
                 }
             }
             Some(MasterOp::Compute(n)) => {
@@ -1440,21 +1377,17 @@ mod tests {
     }
 
     fn exit_prog(s: &mut MultiCoreSystem) -> ProgramId {
-        s.kernel_mut().register_program(Program::exit_immediately())
+        s.kernel_of_mut(0)
+            .register_program(Program::exit_immediately())
     }
 
     #[test]
     fn committer_path_roundtrip() {
         let mut s = sys();
         let p = exit_prog(&mut s);
-        s.issue(SvcRequest::Create {
-            program: p,
-            priority: Priority::new(5),
-            stack_bytes: None,
-        })
-        .unwrap();
+        create_on(&mut s, 0, p, 5);
         s.run(50);
-        let resps = s.take_responses();
+        let resps: Vec<_> = s.drain_responses().collect();
         assert_eq!(resps.len(), 1);
         assert!(matches!(resps[0].result, Ok(SvcReply::Created(_))));
         assert!(s.run_until_quiescent(1_000));
@@ -1502,15 +1435,19 @@ mod tests {
     #[test]
     fn poke_peek_via_commands() {
         let mut s = sys();
-        s.issue(SvcRequest::PokeVar {
-            var: VarId(2),
-            value: 123,
-        })
+        s.issue_to(
+            0,
+            SvcRequest::PokeVar {
+                var: VarId(2),
+                value: 123,
+            },
+        )
         .unwrap();
         s.run(20);
-        s.issue(SvcRequest::PeekVar { var: VarId(2) }).unwrap();
+        s.issue_to(0, SvcRequest::PeekVar { var: VarId(2) })
+            .unwrap();
         s.run(20);
-        let resps = s.take_responses();
+        let resps: Vec<_> = s.drain_responses().collect();
         assert_eq!(resps.len(), 2);
         assert_eq!(resps[1].result, Ok(SvcReply::Value(123)));
     }
@@ -1520,18 +1457,19 @@ mod tests {
         let mut s = sys();
         let burst = s.cfg.slave_budget + 4;
         for _ in 0..burst {
-            s.issue(SvcRequest::PeekVar { var: VarId(0) }).unwrap();
+            s.issue_to(0, SvcRequest::PeekVar { var: VarId(0) })
+                .unwrap();
         }
         s.run(1_000);
         assert_eq!(s.pending_commands(), 0, "leftover commands were serviced");
-        assert_eq!(s.take_responses().len(), burst);
+        assert_eq!(s.drain_responses().len(), burst);
         assert_eq!(s.quiescent_horizon(), IdleHorizon::Unbounded);
     }
 
     #[test]
     fn slave_task_actually_runs() {
         let mut s = sys();
-        let prog = s.kernel_mut().register_program(
+        let prog = s.kernel_of_mut(0).register_program(
             Program::new(vec![
                 ptest_pcore::Op::WriteVar {
                     var: VarId(0),
@@ -1541,14 +1479,9 @@ mod tests {
             ])
             .unwrap(),
         );
-        s.issue(SvcRequest::Create {
-            program: prog,
-            priority: Priority::new(3),
-            stack_bytes: None,
-        })
-        .unwrap();
+        create_on(&mut s, 0, prog, 3);
         assert!(s.run_until_quiescent(1_000));
-        assert_eq!(s.kernel().var(VarId(0)), Some(7));
+        assert_eq!(s.kernel_of(0).var(VarId(0)), Some(7));
     }
 
     #[test]
@@ -1558,33 +1491,23 @@ mod tests {
         let mut s = MultiCoreSystem::new(cfg);
         let p = exit_prog(&mut s);
         // Park a long-running task so its memory stays live.
-        let hog = s.kernel_mut().register_program(
+        let hog = s.kernel_of_mut(0).register_program(
             Program::new(vec![
                 ptest_pcore::Op::Compute(1_000_000),
                 ptest_pcore::Op::Exit,
             ])
             .unwrap(),
         );
-        s.issue(SvcRequest::Create {
-            program: hog,
-            priority: Priority::new(1),
-            stack_bytes: None,
-        })
-        .unwrap();
+        create_on(&mut s, 0, hog, 1);
         s.run(20);
-        s.issue(SvcRequest::Create {
-            program: p,
-            priority: Priority::new(2),
-            stack_bytes: None,
-        })
-        .unwrap();
+        create_on(&mut s, 0, p, 2);
         s.run(20);
         assert!(s.slave_crashed(), "second create must OOM-panic the kernel");
         assert!(s.slave_crashed_at(0));
         // Commands issued after the crash never complete.
-        s.issue(SvcRequest::PeekVar { var: VarId(0) }).unwrap();
+        s.issue_to(0, SvcRequest::PeekVar { var: VarId(0) })
+            .unwrap();
         s.run(600);
-        assert_eq!(s.overdue(Cycles::new(500)).len(), 1);
         assert_eq!(s.overdue_for(0, Cycles::new(500)).len(), 1);
     }
 
@@ -1605,9 +1528,79 @@ mod tests {
         );
         assert!(s.run_until_quiescent(5_000));
         // The thread never waited, so the response went to the inbox.
-        let resps = s.take_responses();
+        let resps: Vec<_> = s.drain_responses().collect();
         assert_eq!(resps.len(), 1);
         assert!(matches!(resps[0].result, Ok(SvcReply::Created(_))));
+    }
+
+    #[test]
+    fn master_thread_trace_is_pinned() {
+        let mut s = sys();
+        let p = exit_prog(&mut s);
+        let create = SvcRequest::Create {
+            program: p,
+            priority: Priority::new(5),
+            stack_bytes: None,
+        };
+        let peek = SvcRequest::PeekVar { var: VarId(0) };
+        let m1 = s.add_thread(
+            "M1",
+            vec![
+                MasterOp::Issue(create),
+                MasterOp::IssueAndWait(create),
+                MasterOp::Compute(3),
+                MasterOp::Done,
+            ],
+        );
+        let mut burst = vec![MasterOp::Issue(peek); 33];
+        burst.push(MasterOp::Done);
+        let m2 = s.add_thread("M2", burst);
+        // A stalled slave lets the burst fill the 32-deep command ring,
+        // so its last issue meets a full ring and retries every cycle
+        // until the slave services again.
+        s.cfg.slave_budget = 0;
+        s.run(40);
+        s.cfg.slave_budget = 16;
+        assert!(s.run_until_quiescent(1_000));
+        let create = "Create { program: ProgramId(0), priority: Priority(5), stack_bytes: None }";
+        let peek_line = |at: u64, cmd: u64| {
+            format!("[{at}cy ARM cmd] M2 issues cmd{cmd} PeekVar {{ var: VarId(0) }}")
+        };
+        let mut expected = vec![
+            format!("[1cy ARM cmd] M1 issues cmd1 {create}"),
+            format!("[2cy ARM cmd] M1 issues cmd2 {create} (waits)"),
+        ];
+        expected.extend((3..=32).map(|i| peek_line(i, i)));
+        expected.extend([
+            peek_line(41, 33),
+            peek_line(42, 34),
+            "[46cy ARM thread] M1 done".to_string(),
+            peek_line(47, 35),
+            "[48cy ARM thread] M2 done".to_string(),
+        ]);
+        let events: Vec<String> = s.trace().iter().map(ToString::to_string).collect();
+        assert_eq!(events, expected);
+        let (t1, t2) = (s.thread(m1).unwrap(), s.thread(m2).unwrap());
+        assert_eq!((t1.ops_retired, t1.state), (3, ThreadState::Done));
+        assert_eq!((t2.ops_retired, t2.state), (33, ThreadState::Done));
+        // Only the fire-and-forget responses reach the inbox.
+        assert_eq!(s.drain_responses().len(), 34);
+    }
+
+    #[test]
+    fn a_dropped_drain_empties_the_inbox() {
+        let mut s = sys();
+        for _ in 0..3 {
+            s.issue_to(0, SvcRequest::PeekVar { var: VarId(0) })
+                .unwrap();
+        }
+        s.run(50);
+        assert_eq!(s.pending_commands(), 0, "all three were answered");
+        let mut drain = s.drain_responses();
+        assert_eq!(drain.len(), 3);
+        assert!(drain.next().is_some());
+        drop(drain);
+        assert_eq!(s.drain_responses().len(), 0);
     }
 
     #[test]
@@ -1631,16 +1624,11 @@ mod tests {
     fn quiescence_not_reached_by_spinning_task() {
         let mut s = sys();
         let spin = s
-            .kernel_mut()
+            .kernel_of_mut(0)
             .register_program(Program::new(vec![ptest_pcore::Op::Jump(0)]).unwrap());
-        s.issue(SvcRequest::Create {
-            program: spin,
-            priority: Priority::new(3),
-            stack_bytes: None,
-        })
-        .unwrap();
+        create_on(&mut s, 0, spin, 3);
         assert!(!s.run_until_quiescent(2_000));
-        let snap = s.snapshot();
+        let snap = s.snapshot_of(0);
         assert_eq!(snap.live_tasks(), 1);
         assert!(matches!(snap.tasks[0].state, TaskState::Ready));
     }
@@ -1685,7 +1673,7 @@ mod tests {
             );
             assert_eq!(s.kernel_of(slave).core(), CoreId::slave(slave));
         }
-        assert_eq!(s.take_responses().len(), 3);
+        assert_eq!(s.drain_responses().len(), 3);
         assert_eq!(s.snapshots().len(), 3);
     }
 
@@ -1711,7 +1699,7 @@ mod tests {
         s.issue_to(0, SvcRequest::PeekVar { var: VarId(0) })
             .unwrap();
         s.run(200);
-        let resps = s.take_responses();
+        let resps: Vec<_> = s.drain_responses().collect();
         assert!(
             resps.iter().any(|r| r.slave == 1 && r.result.is_ok()),
             "healthy slave keeps answering: {resps:?}"
@@ -1926,7 +1914,7 @@ mod tests {
         for _ in 0..100 {
             s.step_explored(Some(&mut sched), None);
         }
-        let resps = s.take_responses();
+        let resps: Vec<_> = s.drain_responses().collect();
         assert_eq!(resps.len(), 1, "doorbell must be serviced: {resps:?}");
         assert_eq!(s.kernel_of(1).var(VarId(2)), Some(55));
     }
@@ -2058,15 +2046,10 @@ mod tests {
     /// cycles, then exits — the canonical fast-forwardable workload.
     fn sleeper_sys(sleep: u32) -> MultiCoreSystem {
         let mut s = sys();
-        let prog = s.kernel_mut().register_program(
+        let prog = s.kernel_of_mut(0).register_program(
             Program::new(vec![Op::Compute(5), Op::SleepFor(sleep), Op::Exit]).unwrap(),
         );
-        s.issue(SvcRequest::Create {
-            program: prog,
-            priority: Priority::new(5),
-            stack_bytes: None,
-        })
-        .unwrap();
+        create_on(&mut s, 0, prog, 5);
         s
     }
 
@@ -2106,7 +2089,10 @@ mod tests {
         assert!(forwarded.run_until_quiescent(10_000));
         assert_eq!(stepped.now(), forwarded.now());
         assert_eq!(stepped.snapshots(), forwarded.snapshots());
-        assert_eq!(stepped.take_responses(), forwarded.take_responses());
+        assert_eq!(
+            stepped.drain_responses().collect::<Vec<_>>(),
+            forwarded.drain_responses().collect::<Vec<_>>()
+        );
     }
 
     #[test]
@@ -2143,7 +2129,10 @@ mod tests {
             forwarded.step_explored(Some(&mut sched_b), None);
         }
         assert_eq!(stepped.snapshots(), forwarded.snapshots());
-        assert_eq!(stepped.take_responses(), forwarded.take_responses());
+        assert_eq!(
+            stepped.drain_responses().collect::<Vec<_>>(),
+            forwarded.drain_responses().collect::<Vec<_>>()
+        );
     }
 
     /// Slave 0 spins down a 2,000-iteration countdown, polling a
@@ -2294,21 +2283,16 @@ mod tests {
             "an empty platform has nothing scheduled"
         );
         let prog = s
-            .kernel_mut()
+            .kernel_of_mut(0)
             .register_program(Program::new(vec![Op::Compute(50), Op::Exit]).unwrap());
-        s.issue(SvcRequest::Create {
-            program: prog,
-            priority: Priority::new(5),
-            stack_bytes: None,
-        })
-        .unwrap();
+        create_on(&mut s, 0, prog, 5);
         // In-flight command traffic disqualifies...
         assert_eq!(s.quiescent_horizon(), IdleHorizon::Unknown);
         s.run(5);
         // ...and so does the now-running task.
         assert_eq!(s.quiescent_horizon(), IdleHorizon::Unknown);
         assert!(s.run_until_quiescent(1_000));
-        s.take_responses();
+        s.drain_responses();
         assert_eq!(
             s.quiescent_horizon(),
             IdleHorizon::Unbounded,
@@ -2364,7 +2348,7 @@ mod tests {
     use crate::preempt::{ClockSkewConfig, InterruptConfig, PreemptionSpec, QuantumConfig};
 
     fn spin_prog(s: &mut MultiCoreSystem) -> ProgramId {
-        s.kernel_mut()
+        s.kernel_of_mut(0)
             .register_program(Program::new(vec![Op::Jump(0)]).unwrap())
     }
 
@@ -2391,18 +2375,13 @@ mod tests {
                 s.install_preemption(&PreemptionSpec::default(), 0xDEAD_BEEF);
             }
             let p = exit_prog(&mut s);
-            s.issue(SvcRequest::Create {
-                program: p,
-                priority: Priority::new(5),
-                stack_bytes: None,
-            })
-            .unwrap();
+            create_on(&mut s, 0, p, 5);
             s.run(200);
             s
         };
         let plain = run_workload(false);
         let inert = run_workload(true);
-        assert_eq!(plain.snapshot(), inert.snapshot());
+        assert_eq!(plain.snapshot_of(0), inert.snapshot_of(0));
         assert_eq!(inert.preemption_spec(), None, "inert spec installs nothing");
         assert_eq!(inert.total_preemptions(), 0);
         assert_eq!(inert.total_isr_runs(), 0);
@@ -2412,7 +2391,12 @@ mod tests {
     #[test]
     fn quantum_rotates_cores_between_spinning_tasks() {
         let ops_of = |s: &MultiCoreSystem| -> Vec<u64> {
-            let mut ops: Vec<u64> = s.snapshot().tasks.iter().map(|t| t.ops_retired).collect();
+            let mut ops: Vec<u64> = s
+                .snapshot_of(0)
+                .tasks
+                .iter()
+                .map(|t| t.ops_retired)
+                .collect();
             ops.sort_unstable();
             ops
         };
@@ -2423,11 +2407,14 @@ mod tests {
             }
             let p = spin_prog(&mut s);
             for pri in [5, 3] {
-                s.issue(SvcRequest::Create {
-                    program: p,
-                    priority: Priority::new(pri),
-                    stack_bytes: None,
-                })
+                s.issue_to(
+                    0,
+                    SvcRequest::Create {
+                        program: p,
+                        priority: Priority::new(pri),
+                        stack_bytes: None,
+                    },
+                )
                 .unwrap();
             }
             s.run(400);
@@ -2470,13 +2457,21 @@ mod tests {
         let a = run_once();
         assert_eq!(a.total_isr_runs(), 3, "every planned injection ran the ISR");
         assert_eq!(a.pending_injections(), 0);
-        assert_eq!(a.kernel().var(VarId(9)), Some(1), "the ISR body executed");
+        assert_eq!(
+            a.kernel_of(0).var(VarId(9)),
+            Some(1),
+            "the ISR body executed"
+        );
         assert!(
             a.trace().iter().any(|e| e.kind == "irq-inject"),
             "injections are traced"
         );
         let b = run_once();
-        assert_eq!(a.snapshot(), b.snapshot(), "the irq axis replays exactly");
+        assert_eq!(
+            a.snapshot_of(0),
+            b.snapshot_of(0),
+            "the irq axis replays exactly"
+        );
     }
 
     #[test]
@@ -2519,8 +2514,8 @@ mod tests {
         );
         assert_eq!(stepped.total_isr_runs(), 2);
         assert_eq!(
-            ffwd.snapshot(),
-            stepped.snapshot(),
+            ffwd.snapshot_of(0),
+            stepped.snapshot_of(0),
             "fast-forward is bit-identical across injection cycles"
         );
         assert_eq!(ffwd.total_isr_runs(), stepped.total_isr_runs());

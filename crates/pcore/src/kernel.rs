@@ -500,10 +500,10 @@ pub struct Kernel {
 
 impl Kernel {
     /// Boots a kernel with the given configuration, running on the
-    /// platform's original slave core ([`CoreId::Dsp`], i.e. slave 0).
+    /// platform's original slave core, slave 0 ([`CoreId::Slave`]).
     #[must_use]
     pub fn new(cfg: KernelConfig) -> Kernel {
-        Kernel::with_core(cfg, CoreId::Dsp)
+        Kernel::with_core(cfg, CoreId::Slave(0))
     }
 
     /// Boots a kernel bound to a specific slave core of an N-slave
@@ -2470,7 +2470,7 @@ mod tests {
 
     #[test]
     fn kernel_is_bound_to_a_core() {
-        assert_eq!(kernel().core(), CoreId::Dsp);
+        assert_eq!(kernel().core(), CoreId::Slave(0));
         let k = Kernel::with_core(KernelConfig::default(), CoreId::Slave(2));
         assert_eq!(k.core(), CoreId::Slave(2));
     }

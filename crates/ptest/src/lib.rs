@@ -27,7 +27,7 @@
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let report = AdaptiveTest::run(AdaptiveTestConfig::default(), |sys| {
-//!     vec![sys.kernel_mut().register_program(
+//!     vec![sys.kernel_of_mut(0).register_program(
 //!         Program::new(vec![Op::Compute(20), Op::Exit]).expect("valid program"),
 //!     )]
 //! })?;
@@ -232,7 +232,7 @@ mod tests {
             },
             |sys| {
                 vec![sys
-                    .kernel_mut()
+                    .kernel_of_mut(0)
                     .register_program(Program::new(vec![Op::Compute(10), Op::Exit]).unwrap())]
             },
         );
@@ -263,7 +263,7 @@ mod tests {
             },
             |sys| {
                 vec![sys
-                    .kernel_mut()
+                    .kernel_of_mut(0)
                     .register_program(Program::new(vec![Op::Compute(10), Op::Exit]).unwrap())]
             },
         )

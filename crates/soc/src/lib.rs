@@ -39,7 +39,7 @@
 //! let mut mboxes = MailboxBank::for_slaves(2);
 //! mboxes.post(MailboxBank::cmd_index(1), 42)?;
 //! assert!(mboxes.irq_pending(CoreId::Slave(1)));
-//! assert!(!mboxes.irq_pending(CoreId::Dsp));
+//! assert!(!mboxes.irq_pending(CoreId::Slave(0)));
 //! assert_eq!(mboxes.take(MailboxBank::cmd_index(1)), Some(42));
 //! # Ok(())
 //! # }
@@ -67,10 +67,6 @@ pub use trace::{TraceBuffer, TraceEvent};
 /// (running Linux) and each *slave* onto a DSP core (running pCore). The
 /// original OMAP5912 platform had exactly one slave; the generalized
 /// platform supports up to 256 slaves, identified by index.
-///
-/// The legacy dual-core names are kept as constants: [`CoreId::Arm`] is the
-/// master and [`CoreId::Dsp`] is slave 0, so existing call sites (and
-/// match patterns) keep compiling unchanged.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum CoreId {
     /// The ARM926EJ-S master core.
@@ -80,14 +76,6 @@ pub enum CoreId {
 }
 
 impl CoreId {
-    /// The ARM926EJ-S master core (legacy dual-core name).
-    #[allow(non_upper_case_globals)]
-    pub const Arm: CoreId = CoreId::Master;
-
-    /// The first (index 0) DSP slave core (legacy dual-core name).
-    #[allow(non_upper_case_globals)]
-    pub const Dsp: CoreId = CoreId::Slave(0);
-
     /// The slave core with the given index.
     ///
     /// # Panics
@@ -114,23 +102,6 @@ impl CoreId {
     pub fn is_master(self) -> bool {
         self == CoreId::Master
     }
-
-    /// The opposite core of the *dual-core* configuration: slave 0 for the
-    /// master and the master for any slave. Kept for the legacy two-core
-    /// call sites; multi-slave code should address slaves by index.
-    ///
-    /// ```
-    /// use ptest_soc::CoreId;
-    /// assert_eq!(CoreId::Arm.peer(), CoreId::Dsp);
-    /// assert_eq!(CoreId::Dsp.peer(), CoreId::Arm);
-    /// ```
-    #[must_use]
-    pub fn peer(self) -> CoreId {
-        match self {
-            CoreId::Master => CoreId::Slave(0),
-            CoreId::Slave(_) => CoreId::Master,
-        }
-    }
 }
 
 impl std::fmt::Display for CoreId {
@@ -148,23 +119,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn core_id_peer_is_involutive() {
-        assert_eq!(CoreId::Arm.peer().peer(), CoreId::Arm);
-        assert_eq!(CoreId::Dsp.peer().peer(), CoreId::Dsp);
-    }
-
-    #[test]
     fn core_id_display() {
-        assert_eq!(CoreId::Arm.to_string(), "ARM");
-        assert_eq!(CoreId::Dsp.to_string(), "DSP");
+        assert_eq!(CoreId::Master.to_string(), "ARM");
         assert_eq!(CoreId::Slave(0).to_string(), "DSP");
         assert_eq!(CoreId::Slave(3).to_string(), "DSP3");
     }
 
     #[test]
     fn legacy_names_alias_the_generalized_cores() {
-        assert_eq!(CoreId::Arm, CoreId::Master);
-        assert_eq!(CoreId::Dsp, CoreId::Slave(0));
         assert_eq!(CoreId::slave(2), CoreId::Slave(2));
         assert_eq!(CoreId::Slave(2).slave_index(), Some(2));
         assert_eq!(CoreId::Master.slave_index(), None);

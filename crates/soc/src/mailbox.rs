@@ -98,11 +98,6 @@ impl Mailbox {
 /// | 2 | [`MailboxBank::resp_index`]  | slave *i* → master | command responses |
 /// | 3 | [`MailboxBank::event_index`] | slave *i* → master | asynchronous events |
 ///
-/// (The pre-N-slave `ARM_TO_DSP_*`/`DSP_TO_ARM_*` raw-index constants
-/// were deprecated when the per-slave accessors landed and have since
-/// been removed; slave 0's block still occupies indices 0..=3 in
-/// cmd/data/resp/event order.)
-///
 /// The interrupt-line queries are O(1): a slave's line reads its own
 /// block, and [`MailboxBank::any_pending`] reads a count of queued words
 /// that [`MailboxBank::post`] and [`MailboxBank::take`] keep.
@@ -305,7 +300,7 @@ mod tests {
 
     #[test]
     fn fifo_order_is_preserved() {
-        let mut m = Mailbox::new(CoreId::Dsp, 4);
+        let mut m = Mailbox::new(CoreId::Slave(0), 4);
         m.post(1).unwrap();
         m.post(2).unwrap();
         m.post(3).unwrap();
@@ -317,7 +312,7 @@ mod tests {
 
     #[test]
     fn full_mailbox_rejects_posts() {
-        let mut m = Mailbox::new(CoreId::Arm, 2);
+        let mut m = Mailbox::new(CoreId::Master, 2);
         m.post(1).unwrap();
         m.post(2).unwrap();
         assert!(m.is_full());
@@ -329,27 +324,27 @@ mod tests {
     #[test]
     #[should_panic(expected = "capacity")]
     fn zero_capacity_panics() {
-        let _ = Mailbox::new(CoreId::Arm, 0);
+        let _ = Mailbox::new(CoreId::Master, 0);
     }
 
     #[test]
     fn bank_directions_match_omap_convention() {
         let bank = MailboxBank::omap5912();
         assert_eq!(bank.len(), 4);
-        assert_eq!(bank.inbound_for(CoreId::Dsp), vec![0, 1]);
-        assert_eq!(bank.inbound_for(CoreId::Arm), vec![2, 3]);
+        assert_eq!(bank.inbound_for(CoreId::Slave(0)), vec![0, 1]);
+        assert_eq!(bank.inbound_for(CoreId::Master), vec![2, 3]);
     }
 
     #[test]
     fn irq_tracks_pending_words() {
         let mut bank = MailboxBank::omap5912();
-        assert!(!bank.irq_pending(CoreId::Dsp));
-        assert!(!bank.irq_pending(CoreId::Arm));
+        assert!(!bank.irq_pending(CoreId::Slave(0)));
+        assert!(!bank.irq_pending(CoreId::Master));
         bank.post(MailboxBank::cmd_index(0), 5).unwrap();
-        assert!(bank.irq_pending(CoreId::Dsp));
-        assert!(!bank.irq_pending(CoreId::Arm));
+        assert!(bank.irq_pending(CoreId::Slave(0)));
+        assert!(!bank.irq_pending(CoreId::Master));
         assert_eq!(bank.take(MailboxBank::cmd_index(0)), Some(5));
-        assert!(!bank.irq_pending(CoreId::Dsp));
+        assert!(!bank.irq_pending(CoreId::Slave(0)));
     }
 
     #[test]

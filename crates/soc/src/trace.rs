@@ -47,9 +47,9 @@ impl fmt::Display for TraceEvent {
 /// ```
 /// use ptest_soc::{Cycles, CoreId, TraceBuffer};
 /// let mut tb = TraceBuffer::new(2);
-/// tb.record(Cycles::new(1), CoreId::Arm, "cmd", "issue TC");
-/// tb.record(Cycles::new(2), CoreId::Dsp, "svc", "task_create");
-/// tb.record(Cycles::new(3), CoreId::Dsp, "sched", "run slot 0");
+/// tb.record(Cycles::new(1), CoreId::Master, "cmd", "issue TC");
+/// tb.record(Cycles::new(2), CoreId::Slave(0), "svc", "task_create");
+/// tb.record(Cycles::new(3), CoreId::Slave(0), "sched", "run slot 0");
 /// assert_eq!(tb.len(), 2); // oldest evicted
 /// assert_eq!(tb.dropped(), 1);
 /// ```
@@ -166,7 +166,7 @@ mod tests {
     use super::*;
 
     fn ev(tb: &mut TraceBuffer, t: u64, detail: &str) {
-        tb.record(Cycles::new(t), CoreId::Dsp, "test", detail.to_owned());
+        tb.record(Cycles::new(t), CoreId::Slave(0), "test", detail.to_owned());
     }
 
     #[test]
@@ -205,9 +205,9 @@ mod tests {
     #[test]
     fn of_kind_filters() {
         let mut tb = TraceBuffer::new(10);
-        tb.record(Cycles::new(1), CoreId::Arm, "cmd", "x");
-        tb.record(Cycles::new(2), CoreId::Dsp, "svc", "y");
-        tb.record(Cycles::new(3), CoreId::Arm, "cmd", "z");
+        tb.record(Cycles::new(1), CoreId::Master, "cmd", "x");
+        tb.record(Cycles::new(2), CoreId::Slave(0), "svc", "y");
+        tb.record(Cycles::new(3), CoreId::Master, "cmd", "z");
         let cmds = tb.of_kind("cmd");
         assert_eq!(cmds.len(), 2);
         assert!(cmds.iter().all(|e| e.kind == "cmd"));
@@ -217,7 +217,7 @@ mod tests {
     fn display_contains_fields() {
         let e = TraceEvent {
             at: Cycles::new(7),
-            core: CoreId::Arm,
+            core: CoreId::Master,
             kind: "irq",
             detail: "mailbox 0".into(),
         };

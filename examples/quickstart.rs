@@ -25,7 +25,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         // to outlive its command lifecycle, then exit.
         let program =
             Program::new(vec![Op::Compute(2_000), Op::Exit]).expect("valid work-model program");
-        vec![sys.kernel_mut().register_program(program)]
+        vec![sys.kernel_of_mut(0).register_program(program)]
     })?;
 
     println!("== pTest quickstart ==");

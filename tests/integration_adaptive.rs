@@ -9,7 +9,7 @@ use ptest::{
 
 fn compute_setup(sys: &mut MultiCoreSystem) -> Vec<ProgramId> {
     vec![sys
-        .kernel_mut()
+        .kernel_of_mut(0)
         .register_program(Program::new(vec![Op::Compute(25), Op::Exit]).expect("valid"))]
 }
 

@@ -17,13 +17,13 @@ use ptest::{
 
 fn worker_setup(sys: &mut MultiCoreSystem) -> Vec<ProgramId> {
     vec![sys
-        .kernel_mut()
+        .kernel_of_mut(0)
         .register_program(Program::new(vec![Op::Compute(30), Op::Exit]).expect("valid"))]
 }
 
 /// Two philosophers over two forks in the buggy (AB-BA) order.
 fn ab_ba_setup(sys: &mut MultiCoreSystem) -> Vec<ProgramId> {
-    let kernel = sys.kernel_mut();
+    let kernel = sys.kernel_of_mut(0);
     let forks = vec![kernel.create_mutex(), kernel.create_mutex()];
     (0..2)
         .map(|i| {

@@ -20,7 +20,7 @@ fn compute_scenario() -> impl Scenario {
         },
         |sys| {
             vec![sys
-                .kernel_mut()
+                .kernel_of_mut(0)
                 .register_program(Program::new(vec![Op::Compute(20), Op::Exit]).expect("valid"))]
         },
     )

@@ -75,7 +75,7 @@ fn producer_consumer_survives_command_churn() {
         ..AdaptiveTestConfig::default()
     };
     let report = AdaptiveTest::run(cfg, |sys| {
-        let kernel = sys.kernel_mut();
+        let kernel = sys.kernel_of_mut(0);
         let slots = kernel.create_semaphore(2);
         let filled = kernel.create_semaphore(0);
         let (prod, cons) = producer_consumer(20, slots, filled, 5);
@@ -139,10 +139,12 @@ fn lost_update_race_needs_value_oracle() {
                 .filter(|b| matches!(b.kind, BugKind::Deadlock { .. } | BugKind::Livelock { .. }))
                 .count();
         }
-        if tasks
-            .iter()
-            .all(|&t| matches!(sys.kernel().task_state(t), Some(TaskState::Terminated(_))))
-        {
+        if tasks.iter().all(|&t| {
+            matches!(
+                sys.kernel_of(0).task_state(t),
+                Some(TaskState::Terminated(_))
+            )
+        }) {
             break;
         }
     }

@@ -29,7 +29,7 @@ fn compute_report(system: SystemConfig) -> ptest::TestReport {
         },
         |sys| {
             vec![sys
-                .kernel_mut()
+                .kernel_of_mut(0)
                 .register_program(Program::new(vec![Op::Compute(20), Op::Exit]).unwrap())]
         },
     )
@@ -110,7 +110,7 @@ fn pipeline_scenario_reveals_a_cross_core_deadlock() {
     assert!(bug
         .state_records
         .iter()
-        .any(|r| r.slave_core != CoreId::Dsp));
+        .any(|r| r.slave_core != CoreId::Slave(0)));
 }
 
 /// The machine summary classifies the new bug kind distinctly.

@@ -61,7 +61,7 @@ fn sleeper_scenario() -> impl Scenario {
                 Op::Exit,
             ];
             vec![sys
-                .kernel_mut()
+                .kernel_of_mut(0)
                 .register_program(Program::new(ops).expect("valid"))]
         },
     )
@@ -79,7 +79,7 @@ fn compute_scenario() -> impl Scenario {
         },
         |sys: &mut MultiCoreSystem| -> Vec<ProgramId> {
             vec![sys
-                .kernel_mut()
+                .kernel_of_mut(0)
                 .register_program(Program::new(vec![Op::Compute(30), Op::Exit]).expect("valid"))]
         },
     )
@@ -161,7 +161,7 @@ fn straddling_hog_scenario(compute: u32) -> impl Scenario {
         config,
         move |sys: &mut MultiCoreSystem| -> Vec<ProgramId> {
             let hog = Program::new(vec![Op::Compute(compute), Op::Jump(0)]).expect("valid");
-            let kernel = sys.kernel_mut();
+            let kernel = sys.kernel_of_mut(0);
             vec![
                 kernel.register_program(worker_program(100)),
                 kernel.register_program(hog),
@@ -354,7 +354,7 @@ fn starved_slave_scenario() -> impl Scenario {
                 kernel.dispatch(request, Cycles::ZERO).expect("created");
             }
             let short = Program::new(vec![Op::Compute(3), Op::Exit]).expect("valid");
-            vec![sys.kernel_mut().register_program(short)]
+            vec![sys.kernel_of_mut(0).register_program(short)]
         },
     )
 }
@@ -524,7 +524,7 @@ fn create(sys: &mut MultiCoreSystem, program: ProgramId, priority: u8) -> TaskId
         priority: Priority::new(priority),
         stack_bytes: None,
     };
-    match sys.kernel_mut().dispatch(request, Cycles::ZERO) {
+    match sys.kernel_of_mut(0).dispatch(request, Cycles::ZERO) {
         Ok(SvcReply::Created(task)) => task,
         other => panic!("scripted create must succeed: {other:?}"),
     }
@@ -552,9 +552,9 @@ fn generated_scenario(
         cfg,
         move |sys: &mut MultiCoreSystem| -> Vec<ProgramId> {
             for (var, value) in vars.into_iter().enumerate() {
-                sys.kernel_mut().set_var(VarId(var as u16), value);
+                sys.kernel_of_mut(0).set_var(VarId(var as u16), value);
             }
-            let sem = sys.kernel_mut().create_semaphore(0);
+            let sem = sys.kernel_of_mut(0).create_semaphore(0);
             let spinners = if shape == Shape::MutualYield { 2 } else { 1 };
             let mut first = None;
             for (i, looper) in loopers.iter().take(spinners).enumerate() {
@@ -565,7 +565,7 @@ fn generated_scenario(
                     _ => {}
                 }
                 let program = sys
-                    .kernel_mut()
+                    .kernel_of_mut(0)
                     .register_program(loop_program(&looper, interval, sem));
                 let task = create(sys, program, looper.0 + 40 * i as u8);
                 first.get_or_insert(task);
@@ -573,15 +573,15 @@ fn generated_scenario(
             let short = Program::new(vec![Op::Compute(3), Op::Exit]).expect("valid");
             match shape {
                 Shape::BesideSuspended => {
-                    let program = sys.kernel_mut().register_program(short.clone());
+                    let program = sys.kernel_of_mut(0).register_program(short.clone());
                     let task = create(sys, program, 200);
-                    sys.kernel_mut()
+                    sys.kernel_of_mut(0)
                         .dispatch(SvcRequest::Suspend { task }, Cycles::ZERO)
                         .expect("suspend");
                 }
                 Shape::BlockedForever => {
                     let blocked = Program::new(vec![Op::SemWait(sem), Op::Exit]).expect("valid");
-                    let program = sys.kernel_mut().register_program(blocked);
+                    let program = sys.kernel_of_mut(0).register_program(blocked);
                     create(sys, program, 200);
                 }
                 Shape::PendingCommand => {
@@ -598,13 +598,13 @@ fn generated_scenario(
                 Shape::WokenHog => {
                     let hog = vec![Op::SleepFor(delay), Op::Compute(50_000), Op::Exit];
                     let program = sys
-                        .kernel_mut()
+                        .kernel_of_mut(0)
                         .register_program(Program::new(hog).expect("valid"));
                     create(sys, program, 200);
                 }
                 Shape::LoneSpinner | Shape::MutualYield => {}
             }
-            vec![sys.kernel_mut().register_program(short)]
+            vec![sys.kernel_of_mut(0).register_program(short)]
         },
     )
 }

@@ -41,7 +41,7 @@ fn compute_scenario() -> impl Scenario {
         },
         |sys: &mut MultiCoreSystem| -> Vec<ProgramId> {
             vec![sys
-                .kernel_mut()
+                .kernel_of_mut(0)
                 .register_program(Program::new(vec![Op::Compute(20), Op::Exit]).expect("valid"))]
         },
     )
@@ -66,7 +66,7 @@ fn sleeper_scenario() -> impl Scenario {
                 Op::Exit,
             ];
             vec![sys
-                .kernel_mut()
+                .kernel_of_mut(0)
                 .register_program(Program::new(ops).expect("valid"))]
         },
     )

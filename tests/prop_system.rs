@@ -11,7 +11,7 @@ use ptest::{
 
 fn compute_setup(sys: &mut MultiCoreSystem) -> Vec<ProgramId> {
     vec![sys
-        .kernel_mut()
+        .kernel_of_mut(0)
         .register_program(Program::new(vec![Op::Compute(15), Op::Exit]).expect("valid"))]
 }
 
@@ -227,12 +227,12 @@ proptest! {
             }
             // An empty inbox lets the horizon reach its mailbox and
             // shared-var checks.
-            answered += sys.take_responses().len();
+            answered += sys.drain_responses().len();
             let _ = sys.quiescent_horizon();
         }
         sys.run(1_000);
         prop_assert!(sys.threads_done());
         prop_assert_eq!(sys.pending_commands(), 0);
-        prop_assert_eq!(answered + sys.take_responses().len(), issued);
+        prop_assert_eq!(answered + sys.drain_responses().len(), issued);
     }
 }
