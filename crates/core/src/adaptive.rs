@@ -145,6 +145,8 @@ pub enum AdaptiveTestError {
     Pfa(ptest_automata::PfaError),
     /// The committer rejected the configuration.
     Committer(CommitterError),
+    /// [`SystemConfig::validate`] rejected the system configuration.
+    System(String),
 }
 
 impl std::fmt::Display for AdaptiveTestError {
@@ -153,6 +155,7 @@ impl std::fmt::Display for AdaptiveTestError {
             AdaptiveTestError::Regex(e) => write!(f, "regex error: {e}"),
             AdaptiveTestError::Pfa(e) => write!(f, "pfa error: {e}"),
             AdaptiveTestError::Committer(e) => write!(f, "committer error: {e}"),
+            AdaptiveTestError::System(e) => write!(f, "system config error: {e}"),
         }
     }
 }
@@ -473,6 +476,16 @@ mod tests {
         assert!(matches!(
             AdaptiveTest::run(cfg, quick_setup),
             Err(AdaptiveTestError::Regex(_))
+        ));
+    }
+
+    #[test]
+    fn unbuildable_system_is_an_error_not_a_panic() {
+        let mut cfg = AdaptiveTestConfig::default();
+        cfg.system.slaves = 0;
+        assert!(matches!(
+            crate::TrialEngine::new(cfg),
+            Err(AdaptiveTestError::System(e)) if e.starts_with("slaves:")
         ));
     }
 }

@@ -127,8 +127,14 @@ impl TrialEngine {
     ///
     /// # Errors
     ///
-    /// [`AdaptiveTestError`] if the regex or distribution is invalid.
+    /// [`AdaptiveTestError::System`] if the system configuration cannot
+    /// be built, else [`AdaptiveTestError`] if the regex or distribution
+    /// is invalid.
     pub fn new(config: AdaptiveTestConfig) -> Result<TrialEngine, AdaptiveTestError> {
+        config
+            .system
+            .validate()
+            .map_err(AdaptiveTestError::System)?;
         let regex = Regex::parse(&config.regex_source).map_err(AdaptiveTestError::Regex)?;
         let generator = PatternGenerator::new(regex, &config.pd).map_err(AdaptiveTestError::Pfa)?;
         Ok(TrialEngine {

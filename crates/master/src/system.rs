@@ -34,7 +34,8 @@ pub struct SystemConfig {
     pub quantum: u32,
     /// Commands each slave endpoint services per doorbell interrupt.
     pub slave_budget: usize,
-    /// Capacity of the system trace ring.
+    /// Most events the system trace ring keeps: a bound on the ring, not
+    /// a reservation (it grows as events arrive).
     pub trace_capacity: usize,
 }
 
@@ -59,7 +60,43 @@ impl SystemConfig {
             ..SystemConfig::default()
         }
     }
+
+    /// Checks that [`MultiCoreSystem::new`] can build this configuration.
+    ///
+    /// # Errors
+    ///
+    /// A message that starts with the first field out of range: `slaves`
+    /// must be at least 1 and at most the 194 whose bridge windows fit
+    /// the OMAP SRAM, and `trace_capacity` and `kernel.trace_capacity`
+    /// must be at least 1.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.slaves == 0 {
+            return Err("slaves: a system needs at least one slave core".to_owned());
+        }
+        if self.slaves > MAX_SLAVES {
+            return Err(format!(
+                "slaves: {} exceed the {MAX_SLAVES} whose bridge windows fit the OMAP SRAM",
+                self.slaves
+            ));
+        }
+        if self.trace_capacity == 0 {
+            return Err("trace_capacity: a trace ring keeps at least 1 event".to_owned());
+        }
+        if self.kernel.trace_capacity == 0 {
+            return Err("kernel.trace_capacity: a trace ring keeps at least 1 event".to_owned());
+        }
+        Ok(())
+    }
 }
+
+/// The most slaves a system holds: as many as the OMAP SRAM fits bridge
+/// windows for.
+const MAX_SLAVES: usize =
+    (SharedSram::OMAP5912_BYTES - BridgeLayout::BASE_OFFSET) / BridgeLayout::SLAVE_WINDOW_BYTES;
+const _: () = assert!(
+    MAX_SLAVES <= 256,
+    "the mailbox bank addresses at most 256 slaves"
+);
 
 /// One slave core: its kernel plus its bridge endpoint.
 #[derive(Debug)]
@@ -261,26 +298,19 @@ impl MultiCoreSystem {
     ///
     /// # Panics
     ///
-    /// Panics if `cfg.slaves` is zero, or if the per-slave bridge windows
-    /// do not fit the shared SRAM (the 250 KB OMAP window fits well over a
-    /// hundred slaves).
+    /// Panics if `cfg` fails [`SystemConfig::validate`].
     #[must_use]
     pub fn new(cfg: SystemConfig) -> MultiCoreSystem {
-        assert!(cfg.slaves > 0, "a system needs at least one slave core");
+        if let Err(e) = cfg.validate() {
+            panic!("invalid system configuration: {e}");
+        }
         let layouts = BridgeLayout::for_slaves(cfg.slaves);
-        let sram = SharedSram::omap5912();
-        sram.carve_windows(
-            BridgeLayout::BASE_OFFSET,
-            BridgeLayout::SLAVE_WINDOW_BYTES,
-            cfg.slaves,
-        )
-        .expect("per-slave bridge windows fit the OMAP SRAM window");
-        let mut sram = sram;
+        let mut sram = SharedSram::omap5912();
         let mut slaves = Vec::with_capacity(cfg.slaves);
         for (i, layout) in layouts.iter().enumerate() {
             layout
                 .init(&mut sram)
-                .expect("carved bridge layout fits the OMAP SRAM window");
+                .expect("a validated slave count's bridge windows fit the OMAP SRAM window");
             slaves.push(SlaveCore {
                 kernel: Kernel::with_core(cfg.kernel.clone(), CoreId::slave(i)),
                 endpoint: SlaveEndpoint::for_slave(*layout, i),
@@ -1926,6 +1956,64 @@ mod tests {
             slaves: 0,
             ..SystemConfig::default()
         });
+    }
+
+    #[test]
+    fn validate_rejects_zero_slaves() {
+        let e = SystemConfig::with_slaves(0).validate().unwrap_err();
+        assert!(e.starts_with("slaves:"), "{e}");
+    }
+
+    #[test]
+    fn validate_rejects_more_slaves_than_the_sram_and_mailboxes_hold() {
+        for slaves in [195, 257] {
+            let e = SystemConfig::with_slaves(slaves).validate().unwrap_err();
+            assert!(e.starts_with(&format!("slaves: {slaves} ")), "{e}");
+        }
+        // The largest valid count's bridge windows fit the OMAP SRAM, and
+        // one more does not, so `new`'s layout init cannot fail on a
+        // validated config.
+        assert_eq!(SystemConfig::with_slaves(194).validate(), Ok(()));
+        let sram = SharedSram::omap5912();
+        let carve = |n| {
+            sram.carve_windows(
+                BridgeLayout::BASE_OFFSET,
+                BridgeLayout::SLAVE_WINDOW_BYTES,
+                n,
+            )
+        };
+        assert!(carve(194).is_ok() && carve(195).is_err());
+    }
+
+    #[test]
+    fn validate_rejects_a_zero_system_trace_capacity() {
+        let cfg = SystemConfig {
+            trace_capacity: 0,
+            ..SystemConfig::default()
+        };
+        let e = cfg.validate().unwrap_err();
+        assert!(e.starts_with("trace_capacity:"), "{e}");
+    }
+
+    #[test]
+    fn validate_rejects_a_zero_kernel_trace_capacity() {
+        let mut cfg = SystemConfig::default();
+        cfg.kernel.trace_capacity = 0;
+        let e = cfg.validate().unwrap_err();
+        assert!(e.starts_with("kernel.trace_capacity:"), "{e}");
+    }
+
+    #[test]
+    fn debug_shows_only_the_sram_pages_written() {
+        let mut s = MultiCoreSystem::new(SystemConfig::with_slaves(3));
+        // Building writes only the three bridge windows' ring headers, all
+        // in page 0 (slave 2's response records would reach page 1).
+        assert!(
+            format!("{s:?}").contains("sram: SharedSram { capacity: 256000, written_pages: [0] }")
+        );
+        s.share_var(VarId(2), 0x3_1000).unwrap();
+        assert!(format!("{s:?}")
+            .contains("sram: SharedSram { capacity: 256000, written_pages: [0, 49] }"));
     }
 
     // --- memory-model exploration ------------------------------------

@@ -70,7 +70,8 @@ pub struct KernelConfig {
     pub num_vars: usize,
     /// Injected garbage-collector fault.
     pub gc_fault: GcFaultMode,
-    /// Capacity of the kernel trace ring.
+    /// Most events the kernel trace ring keeps: a bound on the ring, not
+    /// a reservation (it grows as events arrive).
     pub trace_capacity: usize,
     /// Cycles a `Yield` keeps the task off the core, giving lower-priority
     /// tasks a chance to run (models pCore's cooperative `yield()`).

@@ -65,7 +65,9 @@ impl TraceBuffer {
     /// the full history of the paper-scale experiments.
     pub const DEFAULT_CAPACITY: usize = 65_536;
 
-    /// Creates a buffer keeping at most `capacity` events.
+    /// Creates a buffer keeping at most `capacity` events. The capacity
+    /// bounds the ring; it reserves nothing, and the ring grows as events
+    /// arrive.
     ///
     /// # Panics
     ///
@@ -74,7 +76,7 @@ impl TraceBuffer {
     pub fn new(capacity: usize) -> TraceBuffer {
         assert!(capacity > 0, "trace buffer capacity must be at least 1");
         TraceBuffer {
-            events: VecDeque::with_capacity(capacity.min(4096)),
+            events: VecDeque::new(),
             capacity,
             dropped: 0,
         }
