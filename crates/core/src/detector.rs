@@ -31,8 +31,10 @@ use std::collections::HashMap;
 use std::fmt;
 
 use ptest_master::{IdleHorizon, MultiCoreSystem, SnapshotCache};
-use ptest_pcore::{ExitKind, KernelPanic, KernelSnapshot, TaskFault, TaskId, TaskState, WaitEdge};
-use ptest_soc::{CoreId, Cycles};
+use ptest_pcore::{
+    ExitKind, KernelEvent, KernelPanic, KernelSnapshot, TaskFault, TaskId, TaskState, WaitEdge,
+};
+use ptest_soc::{CoreId, Cycles, TraceEvent};
 
 use crate::committer::Committer;
 use crate::record::StateRecord;
@@ -124,6 +126,22 @@ impl BugKind {
                 | BugKind::Livelock { .. }
         )
     }
+
+    /// The bug's class, as archived summaries name it: `"slave_crash"`,
+    /// `"command_timeout"`, `"deadlock"`, `"cross_core_deadlock"`,
+    /// `"starvation"`, `"livelock"` or `"task_fault"`.
+    #[must_use]
+    pub fn class(&self) -> &'static str {
+        match self {
+            BugKind::SlaveCrash { .. } => "slave_crash",
+            BugKind::CommandTimeout { .. } => "command_timeout",
+            BugKind::Deadlock { .. } => "deadlock",
+            BugKind::CrossCoreDeadlock { .. } => "cross_core_deadlock",
+            BugKind::Starvation { .. } => "starvation",
+            BugKind::Livelock { .. } => "livelock",
+            BugKind::TaskFault { .. } => "task_fault",
+        }
+    }
 }
 
 impl fmt::Display for BugKind {
@@ -173,8 +191,11 @@ pub struct Bug {
     pub snapshot: KernelSnapshot,
     /// Definition-2 state records of every controlled process.
     pub state_records: Vec<StateRecord>,
-    /// Tail of the concerned kernel's trace.
-    pub trace_tail: Vec<String>,
+    /// Tail of the concerned kernel's trace (at most
+    /// [`DetectorConfig::trace_tail`] events, oldest first), as the
+    /// typed events the kernel recorded; each renders its report line
+    /// (`[at core kind] detail`) through `Display`.
+    pub trace_tail: Vec<TraceEvent<KernelEvent>>,
 }
 
 impl Bug {
@@ -353,13 +374,7 @@ impl BugDetector {
             detected_at: sys.now(),
             snapshot: snapshot.clone(),
             state_records: committer.map(|c| c.state_records(sys)).unwrap_or_default(),
-            trace_tail: sys
-                .kernel_of(slave)
-                .trace()
-                .tail(self.cfg.trace_tail)
-                .iter()
-                .map(ToString::to_string)
-                .collect(),
+            trace_tail: sys.kernel_of(slave).trace().tail(self.cfg.trace_tail),
         }
     }
 

@@ -37,9 +37,11 @@
 
 use ptest_automata::Sym;
 use ptest_master::{
-    InterruptConfig, MemoryModelSpec, PreemptionSpec, RandomPriorityConfig, ScheduleSpec,
-    StoreBufferConfig,
+    InterruptConfig, MasterEvent, MemoryModelSpec, PreemptionSpec, RandomPriorityConfig,
+    ScheduleSpec, StoreBufferConfig,
 };
+use ptest_pcore::{KernelEvent, VarId};
+use ptest_soc::{CoreId, TraceEvent};
 
 #[cfg(feature = "serde")]
 use serde::{Deserialize, Serialize};
@@ -548,11 +550,7 @@ pub fn minimize_scenario_trial(
             },
             scratch,
         )?;
-        Ok(report
-            .machine_summary()
-            .bugs
-            .iter()
-            .any(|b| b.class == bug_class))
+        Ok(report.bugs.iter().any(|b| b.kind.class() == bug_class))
     };
 
     // --- 1. Pattern shrink: greedy chunked removal over the flattened
@@ -859,8 +857,53 @@ pub fn replay_minimized(
     )
 }
 
+/// One captured event on the merged timeline: the master's, or a slave
+/// kernel's.
+#[derive(Clone, Copy)]
+enum Captured<'a> {
+    Master(&'a TraceEvent<MasterEvent>),
+    Kernel(&'a TraceEvent<KernelEvent>),
+}
+
+impl Captured<'_> {
+    fn at(self) -> u64 {
+        match self {
+            Captured::Master(e) => e.at.get(),
+            Captured::Kernel(e) => e.at.get(),
+        }
+    }
+
+    fn kind(self) -> &'static str {
+        match self {
+            Captured::Master(e) => e.kind(),
+            Captured::Kernel(e) => e.kind(),
+        }
+    }
+
+    fn kernel_event(self) -> Option<KernelEvent> {
+        match self {
+            Captured::Master(_) => None,
+            Captured::Kernel(e) => Some(e.event),
+        }
+    }
+
+    fn render(self) -> InterleavingEvent {
+        let (at, core, detail) = match self {
+            Captured::Master(e) => (e.at, e.core, e.event.to_string()),
+            Captured::Kernel(e) => (e.at, e.core, e.event.to_string()),
+        };
+        InterleavingEvent {
+            at: at.get(),
+            core: core.to_string(),
+            kind: self.kind().to_owned(),
+            detail,
+        }
+    }
+}
+
 /// Builds the interleaving window around `bug_class`'s first hit from a
-/// captured trial trace.
+/// captured trial trace. It selects the window on the events' cycles and
+/// kinds and renders only the events inside it.
 fn build_root_cause(
     summary: &ReportSummary,
     bug_class: &str,
@@ -873,102 +916,88 @@ fn build_root_cause(
         .find(|b| b.class == bug_class)
         .expect("caller validated the class is present");
 
-    // Merge all per-core timelines onto one time axis. Master events
-    // rank before slave events at the same cycle (the master's command
-    // issue precedes the slave's same-cycle service), slaves by index.
-    let mut merged: Vec<(u64, usize, InterleavingEvent)> = Vec::new();
-    let streams = std::iter::once((0usize, &trace.master))
-        .chain(trace.kernels.iter().enumerate().map(|(i, k)| (i + 1, k)));
-    for (rank, events) in streams {
-        for e in events {
-            merged.push((
-                e.at.get(),
-                rank,
-                InterleavingEvent {
-                    at: e.at.get(),
-                    core: e.core.to_string(),
-                    kind: e.kind.to_owned(),
-                    detail: e.detail.to_string(),
-                },
-            ));
-        }
-    }
-    merged.sort_by_key(|a| (a.0, a.1));
-
-    // Anchor on the faulting event when the trace names one at or before
-    // detection (the detector only observes at check intervals, so the
-    // fault itself is usually earlier).
+    // Anchor on the latest faulting event at or before detection (the
+    // detector only observes at check intervals, so the fault itself is
+    // usually earlier).
     let detected_at = bug.detected_at;
-    let anchor = merged
+    let anchor = trace
+        .kernels
         .iter()
-        .rev()
-        .find(|(at, _, e)| *at <= detected_at && (e.kind == "fault" || e.kind == "panic"))
-        .map_or(detected_at, |(at, _, _)| *at);
+        .flatten()
+        .filter(|e| {
+            e.at.get() <= detected_at
+                && matches!(
+                    e.event,
+                    KernelEvent::Fault { .. } | KernelEvent::Panic { .. }
+                )
+        })
+        .map(|e| e.at.get())
+        .max()
+        .unwrap_or(detected_at);
     let window_start = anchor.saturating_sub(cfg.trace_window);
 
-    let window: Vec<InterleavingEvent> = merged
+    // Merge the window of every per-core timeline onto one time axis.
+    // Master events rank before slave events at the same cycle (the
+    // master's command issue precedes the slave's same-cycle service),
+    // slaves by index; the stable sort keeps each core's own order.
+    let in_window = |at: u64| at >= window_start && at <= anchor;
+    let mut window: Vec<(usize, Captured)> = trace
+        .master
         .iter()
-        .filter(|(at, _, _)| *at >= window_start && *at <= anchor)
-        .map(|(_, _, e)| e.clone())
+        .filter(|e| in_window(e.at.get()))
+        .map(|e| (0, Captured::Master(e)))
         .collect();
+    for (i, events) in trace.kernels.iter().enumerate() {
+        let events = events.iter().filter(|e| in_window(e.at.get()));
+        window.extend(events.map(|e| (i + 1, Captured::Kernel(e))));
+    }
+    window.sort_by_key(|&(rank, e)| (e.at(), rank));
+    let window: Vec<Captured> = window.into_iter().map(|(_, e)| e).collect();
+    let rendered: Vec<InterleavingEvent> = window.iter().map(|e| e.render()).collect();
 
     // Racing shared variables: accessed from ≥ 2 distinct cores with at
     // least one write (or cross-core mirror delivery) in the window.
-    use std::collections::BTreeMap;
-    let mut vars: BTreeMap<String, (std::collections::BTreeSet<String>, bool)> = BTreeMap::new();
+    use std::collections::{BTreeMap, BTreeSet};
+    let mut vars: BTreeMap<VarId, (BTreeSet<CoreId>, bool)> = BTreeMap::new();
     for e in &window {
-        let var = match e.kind.as_str() {
-            "var-read" | "var-write" => e
-                .detail
-                .split_whitespace()
-                .nth(1)
-                .and_then(|tok| tok.split('=').next()),
-            "var-mirror" => e.detail.split('=').next(),
-            _ => None,
-        };
-        if let Some(var) = var {
-            let entry = vars.entry(var.to_owned()).or_default();
-            entry.0.insert(e.core.clone());
-            if e.kind != "var-read" {
-                entry.1 = true;
+        if let Captured::Kernel(e) = e {
+            if let Some((var, writes)) = e.event.var_access() {
+                let entry = vars.entry(var).or_default();
+                entry.0.insert(e.core);
+                entry.1 |= writes;
             }
         }
     }
-    let racing_vars: Vec<String> = vars
-        .iter()
+    let racing: BTreeSet<VarId> = vars
+        .into_iter()
         .filter(|(_, (cores, written))| cores.len() >= 2 && *written)
-        .map(|(v, _)| v.clone())
+        .map(|(var, _)| var)
         .collect();
-    let is_racing_access = |e: &InterleavingEvent| {
-        let var = match e.kind.as_str() {
-            "var-read" | "var-write" => e
-                .detail
-                .split_whitespace()
-                .nth(1)
-                .and_then(|tok| tok.split('=').next()),
-            "var-mirror" => e.detail.split('=').next(),
-            _ => None,
-        };
-        var.is_some_and(|v| racing_vars.iter().any(|r| r == v))
+    let mut racing_vars: Vec<String> = racing.iter().map(ToString::to_string).collect();
+    racing_vars.sort();
+    let select = |keep: &dyn Fn(Captured) -> bool| -> Vec<InterleavingEvent> {
+        window
+            .iter()
+            .zip(&rendered)
+            .filter(|&(&e, _)| keep(e))
+            .map(|(_, r)| r.clone())
+            .collect()
     };
-    let racing_accesses: Vec<InterleavingEvent> = window
-        .iter()
-        .filter(|e| is_racing_access(e))
-        .cloned()
-        .collect();
-    let semaphore_handoffs: Vec<InterleavingEvent> = window
-        .iter()
-        .filter(|e| matches!(e.kind.as_str(), "sem-wait" | "sem-post" | "isr"))
-        .cloned()
-        .collect();
-    let blocking_edges: Vec<InterleavingEvent> = window
-        .iter()
-        .filter(|e| e.kind == "block" || (e.kind == "sem-wait" && e.detail.contains("blocks on")))
-        .cloned()
-        .collect();
+    let racing_accesses = select(&|e| {
+        e.kernel_event()
+            .and_then(|k| k.var_access())
+            .is_some_and(|(var, _)| racing.contains(&var))
+    });
+    let semaphore_handoffs = select(&|e| matches!(e.kind(), "sem-wait" | "sem-post" | "isr"));
+    let blocking_edges = select(&|e| {
+        matches!(
+            e.kernel_event(),
+            Some(KernelEvent::Block { .. } | KernelEvent::SemWait { blocks: true, .. })
+        )
+    });
 
-    let events_dropped = window.len().saturating_sub(cfg.max_events);
-    let events: Vec<InterleavingEvent> = window.into_iter().skip(events_dropped).collect();
+    let events_dropped = rendered.len().saturating_sub(cfg.max_events);
+    let events: Vec<InterleavingEvent> = rendered.into_iter().skip(events_dropped).collect();
 
     RootCauseReport {
         bug_class: bug.class.clone(),
@@ -989,14 +1018,30 @@ fn build_root_cause(
 mod tests {
     use super::*;
     use crate::report::BugSummary;
-    use ptest_soc::{CoreId, TraceEvent};
+    use ptest_bridge::CmdId;
+    use ptest_pcore::{Context, Priority, ProgramId, SemId, SvcRequest, TaskFault, TaskId};
 
-    fn event(at: u64, core: CoreId, kind: &'static str, detail: &str) -> TraceEvent {
+    fn event<E>(at: u64, core: CoreId, event: E) -> TraceEvent<E> {
         TraceEvent {
             at: ptest_soc::Cycles::new(at),
             core,
-            kind,
-            detail: detail.to_owned().into(),
+            event,
+        }
+    }
+
+    fn write(var: u16, value: i64) -> KernelEvent {
+        KernelEvent::VarWrite {
+            ctx: Context::Task(TaskId::new(0)),
+            var: VarId(var),
+            value,
+        }
+    }
+
+    fn read(var: u16, value: i64) -> KernelEvent {
+        KernelEvent::VarRead {
+            ctx: Context::Task(TaskId::new(0)),
+            var: VarId(var),
+            value,
         }
     }
 
@@ -1058,17 +1103,36 @@ mod tests {
 
     #[test]
     fn root_cause_windows_anchor_on_the_faulting_event() {
+        let create = SvcRequest::Create {
+            program: ProgramId(0),
+            priority: Priority::new(1),
+            stack_bytes: None,
+        };
+        let fault = KernelEvent::Fault {
+            task: TaskId::new(0),
+            fault: TaskFault::StackOverflow,
+        };
+        let wait = KernelEvent::SemWait {
+            ctx: Context::Task(TaskId::new(0)),
+            sem: SemId(1),
+            blocks: true,
+        };
+        let cmd = MasterEvent::Cmd {
+            id: CmdId(1),
+            slave: 0,
+            req: create,
+        };
         let trace = TrialTrace {
-            master: vec![event(5, CoreId::Master, "cmd", "cmd1 Create")],
+            master: vec![event(5, CoreId::Master, cmd)],
             kernels: vec![
                 vec![
-                    event(6, CoreId::Slave(0), "var-write", "T0 v8=1"),
-                    event(40, CoreId::Slave(0), "fault", "T0: stack overflow"),
+                    event(6, CoreId::Slave(0), write(8, 1)),
+                    event(40, CoreId::Slave(0), fault),
                 ],
                 vec![
-                    event(6, CoreId::Slave(1), "var-write", "T0 v8=2"),
-                    event(7, CoreId::Slave(1), "var-read", "T0 v9=0"),
-                    event(8, CoreId::Slave(1), "sem-wait", "T0 blocks on s1"),
+                    event(6, CoreId::Slave(1), write(8, 2)),
+                    event(7, CoreId::Slave(1), read(9, 0)),
+                    event(8, CoreId::Slave(1), wait),
                 ],
             ],
             dropped: Vec::new(),
@@ -1105,7 +1169,7 @@ mod tests {
     #[test]
     fn root_cause_event_caps_keep_the_tail() {
         let kernels = vec![(0..50u64)
-            .map(|i| event(i, CoreId::Slave(0), "sched", "run T0"))
+            .map(|i| event(i, CoreId::Slave(0), KernelEvent::Run(TaskId::new(0))))
             .collect()];
         let trace = TrialTrace {
             master: Vec::new(),
@@ -1134,8 +1198,8 @@ mod tests {
         let trace = TrialTrace {
             master: Vec::new(),
             kernels: vec![
-                vec![event(1, CoreId::Slave(0), "var-read", "T0 v5=0")],
-                vec![event(2, CoreId::Slave(1), "var-read", "T0 v5=0")],
+                vec![event(1, CoreId::Slave(0), read(5, 0))],
+                vec![event(2, CoreId::Slave(1), read(5, 0))],
             ],
             dropped: Vec::new(),
         };

@@ -9,14 +9,12 @@
 use serde::{Deserialize, Serialize};
 
 use crate::adaptive::TestReport;
-use crate::detector::BugKind;
 
 /// A machine-readable bug entry.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct BugSummary {
-    /// Classification: `"slave_crash"`, `"command_timeout"`,
-    /// `"deadlock"`, `"starvation"`, `"livelock"`, `"task_fault"`.
+    /// Classification ([`BugKind::class`](crate::BugKind::class)).
     pub class: String,
     /// Human-readable description.
     pub detail: String,
@@ -54,18 +52,6 @@ pub struct ReportSummary {
     pub bugs: Vec<BugSummary>,
 }
 
-fn classify(kind: &BugKind) -> &'static str {
-    match kind {
-        BugKind::SlaveCrash { .. } => "slave_crash",
-        BugKind::CommandTimeout { .. } => "command_timeout",
-        BugKind::Deadlock { .. } => "deadlock",
-        BugKind::CrossCoreDeadlock { .. } => "cross_core_deadlock",
-        BugKind::Starvation { .. } => "starvation",
-        BugKind::Livelock { .. } => "livelock",
-        BugKind::TaskFault { .. } => "task_fault",
-    }
-}
-
 impl ReportSummary {
     /// Extracts the stable summary of a report.
     #[must_use]
@@ -86,7 +72,7 @@ impl ReportSummary {
                 .bugs
                 .iter()
                 .map(|b| BugSummary {
-                    class: classify(&b.kind).to_owned(),
+                    class: b.kind.class().to_owned(),
                     detail: b.detail(),
                     detected_at: b.detected_at.get(),
                 })
@@ -141,6 +127,7 @@ mod tests {
 
     #[test]
     fn bug_classification_covers_all_kinds() {
+        use crate::detector::BugKind;
         use ptest_pcore::{KernelPanic, TaskFault, TaskId};
         let kinds = [
             BugKind::SlaveCrash {
@@ -165,7 +152,7 @@ mod tests {
                 fault: TaskFault::StackOverflow,
             },
         ];
-        let classes: std::collections::BTreeSet<&str> = kinds.iter().map(classify).collect();
+        let classes: std::collections::BTreeSet<&str> = kinds.iter().map(BugKind::class).collect();
         assert_eq!(classes.len(), kinds.len(), "each kind has a distinct class");
     }
 }

@@ -19,9 +19,10 @@
 
 use ptest_automata::{GenerateOptions, Regex};
 use ptest_master::{
-    IdleHorizon, MemoryModel, MemoryModelSpec, MultiCoreSystem, Scheduler, SnapshotCache,
+    IdleHorizon, MasterEvent, MemoryModel, MemoryModelSpec, MultiCoreSystem, Scheduler,
+    SnapshotCache,
 };
-use ptest_pcore::ProgramId;
+use ptest_pcore::{KernelEvent, ProgramId};
 use ptest_soc::{Cycles, TraceEvent};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -42,12 +43,18 @@ use crate::scenario::Scenario;
 /// ([`trace_accesses`](ptest_pcore::KernelConfig::trace_accesses)), so
 /// shared-variable reads/writes, fences and semaphore hand-offs appear in
 /// the timeline — the raw material of a root-cause interleaving report.
+///
+/// The events are the typed values the rings recorded
+/// ([`KernelEvent`], [`MasterEvent`]); each renders its timeline line
+/// (`[at core kind] detail`) through `Display`, so a consumer renders
+/// only the events it shows.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TrialTrace {
     /// Per-slave kernel trace events, in per-kernel chronological order.
-    pub kernels: Vec<Vec<TraceEvent>>,
-    /// Master-side system trace events (commands, threads, sem links).
-    pub master: Vec<TraceEvent>,
+    pub kernels: Vec<Vec<TraceEvent<KernelEvent>>>,
+    /// Master-side system trace events (commands, threads, injected
+    /// interrupts, semaphore links).
+    pub master: Vec<TraceEvent<MasterEvent>>,
     /// Per-slave count of the events each kernel's ring has dropped
     /// ([`TraceBuffer::dropped`](ptest_soc::TraceBuffer::dropped)).
     pub dropped: Vec<u64>,
@@ -349,7 +356,7 @@ impl TrialEngine {
 
         if let Some(trace) = capture_trace {
             trace.kernels = (0..cfg.system.slaves)
-                .map(|i| sys.kernel_of(i).trace().iter().cloned().collect())
+                .map(|i| sys.kernel_of(i).trace().iter().copied().collect())
                 .collect();
             trace.master = sys.trace().iter().cloned().collect();
             trace.dropped = (0..cfg.system.slaves)
@@ -898,7 +905,10 @@ mod tests {
             )
             .unwrap();
         assert_eq!(c.cycles, a.cycles, "trace capture does not perturb the run");
-        let injected = trace.master.iter().filter(|e| e.kind == "irq-inject");
+        let injected = trace
+            .master
+            .iter()
+            .filter(|e| matches!(e.event, MasterEvent::IrqInject { .. }));
         assert!(
             injected.count() > 0,
             "planned injections fire during the trial"

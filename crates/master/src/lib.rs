@@ -77,6 +77,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod event;
 pub mod mem;
 pub mod preempt;
 pub mod sched;
@@ -85,6 +86,7 @@ mod system;
 pub(crate) mod testsupport;
 mod thread;
 
+pub use event::MasterEvent;
 pub use mem::{
     IdleHorizon, MemoryModel, MemoryModelSpec, SharedVarBus, StoreBufferConfig, StoreBufferModel,
 };

@@ -13,11 +13,13 @@
 //! dual-core implementation.
 
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 use ptest_bridge::{BridgeError, BridgeLayout, CmdId, CmdResponse, MasterPort, SlaveEndpoint};
 use ptest_pcore::{Kernel, KernelConfig, KernelSnapshot, SemId, SvcRequest, VarId};
 use ptest_soc::{CoreId, Cycles, MailboxBank, SharedSram, SramError, TraceBuffer, VirtualClock};
 
+use crate::event::MasterEvent;
 use crate::mem::{IdleHorizon, MemoryModel, SharedVarBus};
 use crate::preempt::{self, InterruptPlan, PreemptionSpec};
 use crate::sched::{Scheduler, TickAdvance};
@@ -46,7 +48,7 @@ impl Default for SystemConfig {
             kernel: KernelConfig::default(),
             quantum: 5,
             slave_budget: 16,
-            trace_capacity: TraceBuffer::DEFAULT_CAPACITY,
+            trace_capacity: TraceBuffer::<MasterEvent>::DEFAULT_CAPACITY,
         }
     }
 }
@@ -197,7 +199,7 @@ pub struct MultiCoreSystem {
     current_thread: Option<ThreadId>,
     quantum_left: u32,
     inbox: Vec<CmdResponse>,
-    trace: TraceBuffer,
+    trace: TraceBuffer<MasterEvent>,
     sem_links: Vec<SemLink>,
     shared_vars: Vec<SharedVar>,
     /// Last globally agreed value of each shared var (sync epoch state).
@@ -452,7 +454,7 @@ impl MultiCoreSystem {
 
     /// The system trace (master-side events; each kernel keeps its own).
     #[must_use]
-    pub fn trace(&self) -> &TraceBuffer {
+    pub fn trace(&self) -> &TraceBuffer<MasterEvent> {
         &self.trace
     }
 
@@ -529,7 +531,7 @@ impl MultiCoreSystem {
     }
 
     /// Adds a master thread; it enters the run queue immediately.
-    pub fn add_thread(&mut self, name: impl Into<String>, ops: Vec<MasterOp>) -> ThreadId {
+    pub fn add_thread(&mut self, name: impl Into<Arc<str>>, ops: Vec<MasterOp>) -> ThreadId {
         let id = ThreadId(self.threads.len() as u16);
         self.threads.push(MasterThread::new(id, name, ops));
         self.run_queue.push_back(id);
@@ -561,17 +563,8 @@ impl MultiCoreSystem {
         let id = self
             .master_port
             .issue_to(slave, &mut self.sram, &mut self.mailboxes, req, now)?;
-        if slave == 0 {
-            self.trace
-                .record(now, CoreId::Master, "cmd", format!("{id} {req:?}"));
-        } else {
-            self.trace.record(
-                now,
-                CoreId::Master,
-                "cmd",
-                format!("{id} ->{} {req:?}", CoreId::slave(slave)),
-            );
-        }
+        self.trace
+            .record(now, CoreId::Master, MasterEvent::Cmd { id, slave, req });
         Ok(id)
     }
 
@@ -1033,13 +1026,11 @@ impl MultiCoreSystem {
         if let Some(state) = &mut self.preempt {
             while let Some(ev) = state.plan.pop_due(now.get()) {
                 let accepted = self.slaves[ev.slave].kernel.raise_interrupt();
-                let detail = if accepted {
-                    format!("planned @{}", ev.cycle)
-                } else {
-                    format!("planned @{} refused (no handler)", ev.cycle)
+                let event = MasterEvent::IrqInject {
+                    cycle: ev.cycle,
+                    accepted,
                 };
-                self.trace
-                    .record(now, CoreId::slave(ev.slave), "irq-inject", detail);
+                self.trace.record(now, CoreId::slave(ev.slave), event);
             }
         }
 
@@ -1110,17 +1101,8 @@ impl MultiCoreSystem {
                 self.slaves[link.to_slave]
                     .kernel
                     .post_semaphore_external(link.to_sem);
-                self.trace.record(
-                    now,
-                    CoreId::slave(link.from_slave),
-                    "link",
-                    format!(
-                        "{} -> {}:{}",
-                        link.from_sem,
-                        CoreId::slave(link.to_slave),
-                        link.to_sem
-                    ),
-                );
+                self.trace
+                    .record(now, CoreId::slave(link.from_slave), MasterEvent::Link(link));
             }
         }
     }
@@ -1304,8 +1286,9 @@ impl MultiCoreSystem {
                 if self.current_thread == Some(id) {
                     self.current_thread = None;
                 }
+                let thread = Arc::clone(&t.name);
                 self.trace
-                    .record(now, CoreId::Master, "thread", format!("{} done", t.name));
+                    .record(now, CoreId::Master, MasterEvent::ThreadDone { thread });
             }
             Some(op @ (MasterOp::Issue(req) | MasterOp::IssueAndWait(req))) => {
                 // A full ring leaves the op in place: it retries next cycle.
@@ -1316,17 +1299,17 @@ impl MultiCoreSystem {
                     let t = &mut self.threads[idx];
                     t.pc += 1;
                     t.ops_retired += 1;
-                    let mut suffix = "";
-                    if let MasterOp::IssueAndWait(_) = op {
+                    let waits = matches!(op, MasterOp::IssueAndWait(_));
+                    if waits {
                         t.state = ThreadState::Waiting(cmd);
-                        suffix = " (waits)";
                     }
-                    self.trace.record(
-                        now,
-                        CoreId::Master,
-                        "cmd",
-                        format!("{} issues {cmd} {req:?}{suffix}", t.name),
-                    );
+                    let event = MasterEvent::ThreadIssue {
+                        thread: Arc::clone(&t.name),
+                        cmd,
+                        req,
+                        waits,
+                    };
+                    self.trace.record(now, CoreId::Master, event);
                 }
             }
             Some(MasterOp::Compute(n)) => {
@@ -2303,11 +2286,12 @@ mod tests {
                 Box::new(RandomPriorityScheduler::new(2, seed, cfg)) as Box<dyn Scheduler>
             })
         };
-        let traces = |s: &MultiCoreSystem| -> Vec<Vec<ptest_soc::TraceEvent>> {
-            (0..2)
-                .map(|i| s.kernel_of(i).trace().iter().cloned().collect())
-                .collect()
-        };
+        let traces =
+            |s: &MultiCoreSystem| -> Vec<Vec<ptest_soc::TraceEvent<ptest_pcore::KernelEvent>>> {
+                (0..2)
+                    .map(|i| s.kernel_of(i).trace().iter().cloned().collect())
+                    .collect()
+            };
         let (mut sched_a, mut sched_b) = (scheduler(), scheduler());
         let mut stepped = make();
         let mut forwarded = make();
@@ -2551,7 +2535,9 @@ mod tests {
             "the ISR body executed"
         );
         assert!(
-            a.trace().iter().any(|e| e.kind == "irq-inject"),
+            a.trace()
+                .iter()
+                .any(|e| matches!(e.event, MasterEvent::IrqInject { .. })),
             "injections are traced"
         );
         let b = run_once();

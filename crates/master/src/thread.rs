@@ -9,6 +9,7 @@
 //! the [`MultiCoreSystem`](crate::MultiCoreSystem).
 
 use std::fmt;
+use std::sync::Arc;
 
 use ptest_bridge::{CmdId, CmdResponse};
 use ptest_pcore::{SvcRequest, TaskId};
@@ -61,7 +62,7 @@ pub struct MasterThread {
     /// Thread identity.
     pub id: ThreadId,
     /// Human-readable name (e.g. `"M1"` in Figure 1).
-    pub name: String,
+    pub name: Arc<str>,
     /// The script.
     pub ops: Vec<MasterOp>,
     /// Script counter.
@@ -82,7 +83,7 @@ pub struct MasterThread {
 impl MasterThread {
     /// Creates a thread from a script.
     #[must_use]
-    pub fn new(id: ThreadId, name: impl Into<String>, ops: Vec<MasterOp>) -> MasterThread {
+    pub fn new(id: ThreadId, name: impl Into<Arc<str>>, ops: Vec<MasterOp>) -> MasterThread {
         MasterThread {
             id,
             name: name.into(),

@@ -36,10 +36,12 @@ use crate::services::Service;
 use crate::sync::{KernelMutex, LockOutcome, Semaphore};
 use crate::task::{ExitKind, SteadyBody, TaskFault, TaskState, Tcb, WaitReason};
 
+mod event;
 mod rotation;
 
+pub use event::KernelEvent;
 pub use rotation::SteadyWindow;
-use rotation::{slice_after, Rotation, RotationMemo, SchedEvent, STEADY_MAX_OPS};
+use rotation::{slice_after, Rotation, RotationMemo, STEADY_MAX_OPS};
 
 /// Identifies a program registered with the kernel's code registry.
 ///
@@ -102,7 +104,7 @@ impl Default for KernelConfig {
             tcb_bytes: 64,
             num_vars: 32,
             gc_fault: GcFaultMode::None,
-            trace_capacity: TraceBuffer::DEFAULT_CAPACITY,
+            trace_capacity: TraceBuffer::<KernelEvent>::DEFAULT_CAPACITY,
             yield_delay: 2,
             trace_accesses: false,
         }
@@ -299,8 +301,10 @@ struct Frame {
 /// What executes a cycle: a scheduled task, or the ISR, which shares
 /// the task ISA but runs above every task priority and cannot block.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Context {
+pub enum Context {
+    /// The task executes.
     Task(TaskId),
+    /// The interrupt-service routine executes.
     Isr,
 }
 
@@ -335,11 +339,14 @@ enum Flow {
 }
 
 /// Why an op cannot retire. A trap faults a task and aborts the ISR,
-/// which traces the trap's text.
-#[derive(Debug, Clone, Copy)]
-enum Trap {
+/// which traces it ([`KernelEvent::IsrAbort`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Trap {
+    /// The op faults the task.
     Fault(TaskFault),
+    /// The op names a variable the kernel does not have.
     BadVar,
+    /// The op names a semaphore the kernel does not have.
     BadSemaphore,
     /// An op only a task may execute, met in interrupt context.
     InterruptContext,
@@ -454,7 +461,7 @@ pub struct Kernel {
     heap: Heap,
     current: Option<TaskId>,
     panic: Option<KernelPanic>,
-    trace: TraceBuffer,
+    trace: TraceBuffer<KernelEvent>,
     now: Cycles,
     ticks: u64,
     idle_ticks: u64,
@@ -621,8 +628,7 @@ impl Kernel {
             self.trace.record(
                 self.now,
                 self.core,
-                "isr",
-                format!("external post {sem} wakes {woken}"),
+                KernelEvent::ExternalPost { sem, woken },
             );
         }
         posted.is_ok()
@@ -635,7 +641,7 @@ impl Kernel {
         if let Some(v) = self.vars.get_mut(usize::from(var.0)) {
             if self.cfg.trace_accesses && *v != value {
                 self.trace
-                    .record(self.now, self.core, "var-mirror", format!("{var}={value}"));
+                    .record(self.now, self.core, KernelEvent::VarMirror { var, value });
             }
             *v = value;
             self.var_writes += 1;
@@ -660,7 +666,7 @@ impl Kernel {
     /// The kernel trace ring (appended by every service and scheduler
     /// decision).
     #[must_use]
-    pub fn trace(&self) -> &TraceBuffer {
+    pub fn trace(&self) -> &TraceBuffer<KernelEvent> {
         &self.trace
     }
 
@@ -976,10 +982,6 @@ impl Kernel {
         }
     }
 
-    fn trace_svc(&mut self, detail: String) {
-        self.trace.record(self.now, self.core, "svc", detail);
-    }
-
     /// Handles a remote service request (called from the bridge's
     /// interrupt context).
     ///
@@ -996,10 +998,8 @@ impl Kernel {
         self.svc_count += 1;
         self.epoch += 1;
         let result = self.dispatch_inner(req);
-        match &result {
-            Ok(reply) => self.trace_svc(format!("{req:?} -> {reply:?}")),
-            Err(err) => self.trace_svc(format!("{req:?} -> err {err}")),
-        }
+        self.trace
+            .record(self.now, self.core, KernelEvent::Svc { req, result });
         result
     }
 
@@ -1173,19 +1173,14 @@ impl Kernel {
             Ok(b) => Ok(b),
             Err(HeapError::OutOfMemory { requested, .. }) => {
                 self.panic = Some(KernelPanic::OutOfMemory { requested });
-                self.trace.record(
-                    self.now,
-                    self.core,
-                    "panic",
-                    format!("out of memory allocating {requested} bytes"),
-                );
+                self.trace
+                    .record(self.now, self.core, KernelEvent::Panic { requested });
                 Err(SvcError::KernelPanicked)
             }
             Err(e) => {
                 // ZeroSized / bad handles cannot occur for kernel-computed
                 // sizes; treat defensively as panic-free internal error.
-                self.trace
-                    .record(self.now, self.core, "heap", format!("internal: {e}"));
+                self.trace.record(self.now, self.core, KernelEvent::Heap(e));
                 Err(SvcError::KernelPanicked)
             }
         }
@@ -1220,12 +1215,15 @@ impl Kernel {
         }
         // The task's memory (TCB, stack, task allocations) becomes garbage
         // for the next GC pass — this is the churn that exposes the GC bug.
-        let marked = self.heap.mark_task_garbage(task);
+        let garbage = self.heap.mark_task_garbage(task);
         self.trace.record(
             self.now,
             self.core,
-            "task",
-            format!("{task} terminated ({kind}); {marked}B garbage"),
+            KernelEvent::Terminated {
+                task,
+                exit: kind,
+                garbage,
+            },
         );
     }
 
@@ -1247,7 +1245,7 @@ impl Kernel {
             Trap::InterruptContext => unreachable!("only the ISR runs in interrupt context"),
         };
         self.trace
-            .record(self.now, self.core, "fault", format!("{task}: {fault}"));
+            .record(self.now, self.core, KernelEvent::Fault { task, fault });
         self.terminate(task, ExitKind::Faulted(fault));
     }
 
@@ -1288,12 +1286,8 @@ impl Kernel {
         match next {
             Some(next) => {
                 self.preemptions += 1;
-                self.trace.record(
-                    self.now,
-                    self.core,
-                    "sched",
-                    SchedEvent::Preempt(next).detail(),
-                );
+                self.trace
+                    .record(self.now, self.core, KernelEvent::Preempt(next));
                 Some(next)
             }
             None => {
@@ -1347,7 +1341,7 @@ impl Kernel {
             self.irq_pending -= 1;
             self.isr = Some(Frame::default());
             self.trace
-                .record(self.now, self.core, "isr", "enter".to_owned());
+                .record(self.now, self.core, KernelEvent::IsrEnter);
         }
         let ctx = if self.isr.is_some() {
             self.isr_cycles += 1;
@@ -1377,7 +1371,7 @@ impl Kernel {
                         .and_then(|t| t.steady_body)
                         .is_some_and(|b| b.yields);
                 self.trace
-                    .record(self.now, self.core, "sched", SchedEvent::Run(next).detail());
+                    .record(self.now, self.core, KernelEvent::Run(next));
                 self.current = Some(next);
                 self.slice_used = 0;
             }
@@ -1406,16 +1400,15 @@ impl Kernel {
         Ok(woken)
     }
 
-    /// Records an access event under
-    /// [`trace_accesses`](KernelConfig::trace_accesses), prefixed with
-    /// the context. The ISR traces its stores only. Inlined: untraced
-    /// ops pay one flag test, no call.
+    /// Records `ctx`'s access event under
+    /// [`trace_accesses`](KernelConfig::trace_accesses). The ISR traces
+    /// its stores only. Inlined: untraced ops pay one flag test, no call.
     #[inline]
-    fn trace_access(&mut self, ctx: Context, kind: &'static str, what: impl FnOnce() -> String) {
-        if self.cfg.trace_accesses && (ctx != Context::Isr || kind == "var-write") {
-            let what = what();
-            self.trace
-                .record(self.now, self.core, kind, format!("{ctx} {what}"));
+    fn trace_access(&mut self, ctx: Context, event: KernelEvent) {
+        if self.cfg.trace_accesses
+            && (ctx != Context::Isr || matches!(event, KernelEvent::VarWrite { .. }))
+        {
+            self.trace.record(self.now, self.core, event);
         }
     }
 
@@ -1441,7 +1434,7 @@ impl Kernel {
     fn write_var(&mut self, ctx: Context, var: VarId, value: i64) -> Result<(), Trap> {
         *self.vars.get_mut(usize::from(var.0)).ok_or(Trap::BadVar)? = value;
         self.var_writes += 1;
-        self.trace_access(ctx, "var-write", || format!("{var}={value}"));
+        self.trace_access(ctx, KernelEvent::VarWrite { ctx, var, value });
         Ok(())
     }
 
@@ -1544,7 +1537,7 @@ impl Kernel {
             Op::ReadVar { var, reg } => {
                 let value = self.read_var(var)?;
                 frame.regs[usize::from(reg)] = value;
-                self.trace_access(ctx, "var-read", || format!("{var}={value}"));
+                self.trace_access(ctx, KernelEvent::VarRead { ctx, var, value });
             }
             Op::WriteVar { var, value } => self.write_var(ctx, var, value)?,
             Op::WriteVarReg { var, reg } => {
@@ -1570,7 +1563,7 @@ impl Kernel {
                 // fence for the platform's memory model to drain at the
                 // end of the cycle. A no-op under sequential consistency.
                 self.pending_fences += 1;
-                self.trace_access(ctx, "fence", || "fence".to_owned());
+                self.trace_access(ctx, KernelEvent::Fence(ctx));
             }
             Op::Yield => {
                 ctx.task()?;
@@ -1580,28 +1573,24 @@ impl Kernel {
             Op::SemWait(sem) => {
                 let task = ctx.task()?;
                 let priority = self.running(task).priority;
-                if !self.semaphore(sem)?.wait(task, priority) {
-                    self.trace_access(ctx, "sem-wait", || format!("blocks on {sem}"));
+                let blocks = !self.semaphore(sem)?.wait(task, priority);
+                self.trace_access(ctx, KernelEvent::SemWait { ctx, sem, blocks });
+                if blocks {
                     return Ok(Flow::Block(WaitReason::Semaphore(sem)));
                 }
-                self.trace_access(ctx, "sem-wait", || format!("acquires {sem}"));
             }
-            Op::SemPost(sem) => match self.post_and_wake(sem)? {
-                Some(w) => self.trace_access(ctx, "sem-post", || format!("posts {sem} wakes {w}")),
-                None => self.trace_access(ctx, "sem-post", || format!("posts {sem}")),
-            },
+            Op::SemPost(sem) => {
+                let woken = self.post_and_wake(sem)?;
+                self.trace_access(ctx, KernelEvent::SemPost { ctx, sem, woken });
+            }
             Op::MutexLock(mutex) => {
                 let task = ctx.task()?;
                 let priority = self.running(task).priority;
                 match self.mutex(mutex)?.lock(task, priority) {
                     LockOutcome::Acquired => self.running(task).held_mutexes.push(mutex),
                     LockOutcome::MustBlock => {
-                        self.trace.record(
-                            self.now,
-                            self.core,
-                            "block",
-                            format!("{task} blocks on {mutex}"),
-                        );
+                        self.trace
+                            .record(self.now, self.core, KernelEvent::Block { task, mutex });
                         return Ok(Flow::Block(WaitReason::Mutex(mutex)));
                     }
                     LockOutcome::Recursive => return Err(Trap::Fault(TaskFault::RecursiveLock)),
@@ -1623,11 +1612,11 @@ impl Kernel {
             }
             Op::IrqMask => {
                 self.irq_masked = true;
-                self.trace_access(ctx, "irq", || "masks".to_owned());
+                self.trace_access(ctx, KernelEvent::IrqMask(ctx));
             }
             Op::IrqUnmask => {
                 self.irq_masked = false;
-                self.trace_access(ctx, "irq", || "unmasks".to_owned());
+                self.trace_access(ctx, KernelEvent::IrqUnmask(ctx));
             }
             Op::Exit => return Ok(Flow::Exit),
         }
@@ -1728,8 +1717,8 @@ impl Kernel {
             (Context::Task(task), Ok(Flow::Exit)) => return self.terminate(task, ExitKind::Normal),
             (Context::Task(task), Err(trap)) => return self.fault(task, trap),
             (Context::Task(task), Ok(_)) => task,
-            (Context::Isr, Ok(Flow::Exit)) => return self.end_isr("exit".to_owned()),
-            (Context::Isr, Err(trap)) => return self.end_isr(format!("abort: {trap}")),
+            (Context::Isr, Ok(Flow::Exit)) => return self.end_isr(KernelEvent::IsrExit),
+            (Context::Isr, Err(trap)) => return self.end_isr(KernelEvent::IsrAbort(trap)),
             // The ISR cannot block: its blocking ops trap.
             (Context::Isr, Ok(_)) => {
                 self.isr = Some(frame);
@@ -1751,10 +1740,10 @@ impl Kernel {
     }
 
     /// Ends the active ISR, tracing how.
-    fn end_isr(&mut self, detail: String) {
+    fn end_isr(&mut self, event: KernelEvent) {
         self.isr = None;
         self.isr_runs += 1;
-        self.trace.record(self.now, self.core, "isr", detail);
+        self.trace.record(self.now, self.core, event);
     }
 
     /// Blocked-on edges of the current wait-for graph.
@@ -1839,6 +1828,7 @@ mod tests {
     use super::rotation::first_flip;
     use super::*;
     use crate::program::ProgramBuilder;
+    use ptest_soc::TraceEvent;
 
     fn kernel() -> Kernel {
         Kernel::new(KernelConfig::default())
@@ -2690,10 +2680,11 @@ mod tests {
         run(&mut k, 3);
         assert!(!k.isr_active(), "blocking handler must be aborted");
         assert_eq!(k.isr_runs(), 1);
-        let aborted = k
-            .trace()
-            .iter()
-            .any(|e| e.kind == "isr" && e.detail.contains("abort"));
+        let aborted = k.trace().iter().any(|e| {
+            e.event == KernelEvent::IsrAbort(Trap::InterruptContext)
+                && e.to_string()
+                    .ends_with("isr] abort: blocking op in interrupt context")
+        });
         assert!(aborted, "abort must be traced");
     }
 
@@ -2834,7 +2825,8 @@ mod tests {
         run(&mut k, 20);
         assert!(!k.in_steady_loop());
         assert_eq!(k.steady_window(), None);
-        assert!(!k.trace().of_kind("var-read").is_empty());
+        let read = |e: &TraceEvent<KernelEvent>| matches!(e.event, KernelEvent::VarRead { .. });
+        assert!(k.trace().iter().any(read));
         let mut untraced = kernel();
         let p = untraced.register_program(read_spin);
         create(&mut untraced, p, 5);

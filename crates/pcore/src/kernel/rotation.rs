@@ -13,13 +13,12 @@
 //! what one such *rotation* does, so that `k` of them can be applied by
 //! multiplication.
 
-use std::borrow::Cow;
 use std::fmt;
 use std::sync::{Mutex, PoisonError};
 
 use ptest_soc::Cycles;
 
-use super::{Kernel, KernelConfig};
+use super::{Kernel, KernelEvent};
 use crate::ids::{Priority, TaskId};
 use crate::program::{Op, NUM_REGS};
 use crate::task::{TaskState, WaitReason};
@@ -111,35 +110,6 @@ pub(super) fn slice_after(slice: u32, cycles: u64, quantum: Option<u32>) -> u32 
     }
 }
 
-/// A scheduler decision [`Kernel::tick`] traces.
-#[derive(Debug, Clone, Copy)]
-pub(super) enum SchedEvent {
-    /// The task is switched in.
-    Run(TaskId),
-    /// The running task's quantum expires in favour of the task.
-    Preempt(TaskId),
-}
-
-/// [`SchedEvent::Run`]'s details for pCore's 16 task slots, which
-/// trace without allocating.
-const RUN: [&str; KernelConfig::MAX_TASKS_PCORE] = [
-    "run T0", "run T1", "run T2", "run T3", "run T4", "run T5", "run T6", "run T7", "run T8",
-    "run T9", "run T10", "run T11", "run T12", "run T13", "run T14", "run T15",
-];
-
-impl SchedEvent {
-    /// The event's trace detail.
-    pub(super) fn detail(self) -> Cow<'static, str> {
-        match self {
-            SchedEvent::Run(task) => match RUN.get(task.index()) {
-                Some(&run) => Cow::Borrowed(run),
-                None => Cow::Owned(format!("run {task}")),
-            },
-            SchedEvent::Preempt(task) => Cow::Owned(format!("quantum expires: preempt for {task}")),
-        }
-    }
-}
-
 /// A task as the walk follows it: every live task that is runnable or
 /// asleep. Tasks blocked on a semaphore or mutex, or suspended while
 /// awake, cannot change in a steady window and stay out of the walk.
@@ -225,7 +195,7 @@ pub(super) struct Rotation {
     /// phase decides preemptions and is part of the configuration.
     contested: bool,
     /// Scheduler events by tick offset from the anchor.
-    events: Vec<(u64, SchedEvent)>,
+    events: Vec<(u64, KernelEvent)>,
     /// `BranchIfRegEq`s on moving registers: (task, register, value in
     /// rotation 0, compared value).
     checks: Vec<(usize, usize, i64, i64)>,
@@ -440,7 +410,7 @@ impl Rotation {
                 .all(|w| w.asleep_since_start || Rotation::config(w, self.t) == w.anchored)
     }
 
-    fn event(&mut self, event: SchedEvent) -> Option<()> {
+    fn event(&mut self, event: KernelEvent) -> Option<()> {
         if self.events.len() == MAX_EVENTS {
             return None;
         }
@@ -479,7 +449,7 @@ impl Rotation {
                     Some(c) => match rival {
                         Some(next) => {
                             self.preemptions += 1;
-                            self.event(SchedEvent::Preempt(self.tasks[next].id))?;
+                            self.event(KernelEvent::Preempt(self.tasks[next].id))?;
                             Some(next)
                         }
                         None => {
@@ -498,7 +468,7 @@ impl Rotation {
         };
         if self.current != Some(p) {
             self.switches += 1;
-            self.event(SchedEvent::Run(self.tasks[p].id))?;
+            self.event(KernelEvent::Run(self.tasks[p].id))?;
             self.current = Some(p);
             self.slice = 0;
         }
@@ -771,8 +741,7 @@ impl Kernel {
             for i in total - kept..total {
                 let (offset, event) = rot.events[(i % per) as usize];
                 let at = anchor_time + (i / per) * rot.period + offset;
-                self.trace
-                    .record(Cycles::new(at), self.core, "sched", event.detail());
+                self.trace.record(Cycles::new(at), self.core, event);
             }
         }
     }

@@ -63,8 +63,9 @@ pub mod workloads;
 pub use heap::{BlockHandle, GcFaultMode, Heap, HeapError, HeapStats, Owner};
 pub use ids::{MutexId, Priority, SemId, TaskId, VarId};
 pub use kernel::{
-    Kernel, KernelConfig, KernelPanic, KernelSnapshot, ProgramId, ResourceRef, SteadyWindow,
-    SvcError, SvcReply, SvcRequest, TaskSnapshot, TickOutcome, WaitEdge,
+    Context, Kernel, KernelConfig, KernelEvent, KernelPanic, KernelSnapshot, ProgramId,
+    ResourceRef, SteadyWindow, SvcError, SvcReply, SvcRequest, TaskSnapshot, TickOutcome, Trap,
+    WaitEdge,
 };
 pub use program::{Op, Program, ProgramBuilder, ProgramError, Reg, NUM_REGS};
 pub use services::{ParseServiceError, Service};

@@ -23,7 +23,9 @@
 //!   with per-core interrupt lines, mirroring the OMAP mailbox peripheral;
 //!   [`MailboxBank::omap5912`] is the one-slave original.
 //! * [`TraceBuffer`] — a bounded ring of timestamped hardware/software
-//!   events that the bug detector dumps when a failure is found.
+//!   events that the bug detector dumps when a failure is found. It is
+//!   generic over a layer's typed event ([`TraceDetail`]), which renders
+//!   its text only when displayed.
 //!
 //! ## Example
 //!
@@ -59,7 +61,7 @@ pub use clock::{Cycles, VirtualClock};
 pub use error::{MailboxError, SramError};
 pub use mailbox::{Mailbox, MailboxBank};
 pub use sram::SharedSram;
-pub use trace::{TraceBuffer, TraceEvent};
+pub use trace::{TraceBuffer, TraceDetail, TraceEvent};
 
 /// Identifies one processing core of the simulated SoC.
 ///
@@ -147,7 +149,7 @@ mod tests {
         assert_send_sync::<VirtualClock>();
         assert_send_sync::<SharedSram>();
         assert_send_sync::<MailboxBank>();
-        assert_send_sync::<TraceBuffer>();
+        assert_send_sync::<TraceBuffer<CoreId>>();
         assert_send_sync::<CoreId>();
     }
 }

@@ -1,38 +1,58 @@
 //! Bounded event tracing used for bug reproduction dumps.
+//!
+//! A trace records facts, not text: each layer defines its own event
+//! type whose variants carry the typed fields of what happened, and a
+//! record stores that value as it is. The text a user reads is rendered
+//! from those fields only when someone displays the event, so a trial
+//! that nobody inspects never formats a string.
 
-use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::fmt;
 
 use crate::clock::Cycles;
 use crate::CoreId;
 
+/// The payload of a trace record: one layer's typed event. Its
+/// [`Display`](fmt::Display) renders the human-readable detail, e.g.
+/// `"task_create slot=3 prio=7"`.
+pub trait TraceDetail: fmt::Display {
+    /// Short machine-readable category, e.g. `"svc"`, `"irq"`, `"sched"`.
+    fn kind(&self) -> &'static str;
+}
+
 /// One timestamped trace record.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TraceEvent {
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TraceEvent<E> {
     /// Virtual time at which the event occurred.
     pub at: Cycles,
     /// Core on which the event occurred.
     pub core: CoreId,
-    /// Short machine-readable category, e.g. `"svc"`, `"irq"`, `"sched"`.
-    pub kind: &'static str,
-    /// Human-readable detail, e.g. `"task_create slot=3 prio=7"`. A
-    /// recurring detail can be a `&'static str`, which records without
-    /// allocating.
-    pub detail: Cow<'static, str>,
+    /// What happened.
+    pub event: E,
 }
 
-impl fmt::Display for TraceEvent {
+impl<E: TraceDetail> TraceEvent<E> {
+    /// The event's category ([`TraceDetail::kind`]).
+    #[must_use]
+    pub fn kind(&self) -> &'static str {
+        self.event.kind()
+    }
+}
+
+impl<E: TraceDetail> fmt::Display for TraceEvent<E> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
             "[{} {} {}] {}",
-            self.at, self.core, self.kind, self.detail
+            self.at,
+            self.core,
+            self.event.kind(),
+            self.event
         )
     }
 }
 
-/// A bounded ring buffer of [`TraceEvent`]s.
+/// A bounded ring buffer of [`TraceEvent`]s over one event type `E`.
 ///
 /// Every layer of the simulated system appends here; when the bug detector
 /// fires it dumps the tail of this buffer into the [`BugReport`] so a user
@@ -40,27 +60,45 @@ impl fmt::Display for TraceEvent {
 /// the paper's "helps users reproduce the bugs".
 ///
 /// The buffer keeps only the most recent `capacity` events; older ones are
-/// discarded (`dropped()` counts them).
+/// discarded (`dropped()` counts them). Recording moves the event into
+/// the ring and nothing else; an event type without drop glue (a `Copy`
+/// enum) makes eviction and the ring's own drop free as well.
 ///
 /// [`BugReport`]: https://docs.rs/ptest-core
 ///
 /// ```
-/// use ptest_soc::{Cycles, CoreId, TraceBuffer};
+/// use std::fmt;
+/// use ptest_soc::{Cycles, CoreId, TraceBuffer, TraceDetail};
+///
+/// #[derive(Clone, Copy)]
+/// struct Issue(u32);
+/// impl TraceDetail for Issue {
+///     fn kind(&self) -> &'static str {
+///         "cmd"
+///     }
+/// }
+/// impl fmt::Display for Issue {
+///     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+///         write!(f, "issue cmd{}", self.0)
+///     }
+/// }
+///
 /// let mut tb = TraceBuffer::new(2);
-/// tb.record(Cycles::new(1), CoreId::Master, "cmd", "issue TC");
-/// tb.record(Cycles::new(2), CoreId::Slave(0), "svc", "task_create");
-/// tb.record(Cycles::new(3), CoreId::Slave(0), "sched", "run slot 0");
+/// for i in 1..=3 {
+///     tb.record(Cycles::new(i.into()), CoreId::Master, Issue(i));
+/// }
 /// assert_eq!(tb.len(), 2); // oldest evicted
 /// assert_eq!(tb.dropped(), 1);
+/// assert_eq!(tb.tail(1)[0].to_string(), "[3cy ARM cmd] issue cmd3");
 /// ```
 #[derive(Debug, Clone)]
-pub struct TraceBuffer {
-    events: VecDeque<TraceEvent>,
+pub struct TraceBuffer<E> {
+    events: VecDeque<TraceEvent<E>>,
     capacity: usize,
     dropped: u64,
 }
 
-impl TraceBuffer {
+impl<E> TraceBuffer<E> {
     /// Default capacity used by the system wiring: generous enough to hold
     /// the full history of the paper-scale experiments.
     pub const DEFAULT_CAPACITY: usize = 65_536;
@@ -73,7 +111,7 @@ impl TraceBuffer {
     ///
     /// Panics if `capacity` is zero.
     #[must_use]
-    pub fn new(capacity: usize) -> TraceBuffer {
+    pub fn new(capacity: usize) -> TraceBuffer<E> {
         assert!(capacity > 0, "trace buffer capacity must be at least 1");
         TraceBuffer {
             events: VecDeque::new(),
@@ -83,23 +121,13 @@ impl TraceBuffer {
     }
 
     /// Appends an event, evicting the oldest if the buffer is full.
-    pub fn record(
-        &mut self,
-        at: Cycles,
-        core: CoreId,
-        kind: &'static str,
-        detail: impl Into<Cow<'static, str>>,
-    ) {
+    #[inline]
+    pub fn record(&mut self, at: Cycles, core: CoreId, event: E) {
         if self.events.len() == self.capacity {
             self.events.pop_front();
             self.dropped += 1;
         }
-        self.events.push_back(TraceEvent {
-            at,
-            core,
-            kind,
-            detail: detail.into(),
-        });
+        self.events.push_back(TraceEvent { at, core, event });
     }
 
     /// Counts `n` events as recorded and already evicted, without
@@ -130,35 +158,22 @@ impl TraceBuffer {
     }
 
     /// Iterates over held events from oldest to newest.
-    pub fn iter(&self) -> impl Iterator<Item = &TraceEvent> {
+    pub fn iter(&self) -> impl Iterator<Item = &TraceEvent<E>> {
         self.events.iter()
-    }
-
-    /// The most recent `n` events, oldest first.
-    #[must_use]
-    pub fn tail(&self, n: usize) -> Vec<TraceEvent> {
-        let skip = self.events.len().saturating_sub(n);
-        self.events.iter().skip(skip).cloned().collect()
-    }
-
-    /// Events matching a `kind` filter, oldest first.
-    #[must_use]
-    pub fn of_kind(&self, kind: &str) -> Vec<TraceEvent> {
-        self.events
-            .iter()
-            .filter(|e| e.kind == kind)
-            .cloned()
-            .collect()
-    }
-
-    /// Discards all held events (the drop counter is preserved).
-    pub fn clear(&mut self) {
-        self.events.clear();
     }
 }
 
-impl Default for TraceBuffer {
-    fn default() -> TraceBuffer {
+impl<E: Clone> TraceBuffer<E> {
+    /// The most recent `n` events, oldest first.
+    #[must_use]
+    pub fn tail(&self, n: usize) -> Vec<TraceEvent<E>> {
+        let skip = self.events.len().saturating_sub(n);
+        self.events.range(skip..).cloned().collect()
+    }
+}
+
+impl<E> Default for TraceBuffer<E> {
+    fn default() -> TraceBuffer<E> {
         TraceBuffer::new(Self::DEFAULT_CAPACITY)
     }
 }
@@ -167,52 +182,83 @@ impl Default for TraceBuffer {
 mod tests {
     use super::*;
 
-    fn ev(tb: &mut TraceBuffer, t: u64, detail: &str) {
-        tb.record(Cycles::new(t), CoreId::Slave(0), "test", detail.to_owned());
+    /// A test event: a kind and a numbered label.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    struct Ev(&'static str, u64);
+
+    impl TraceDetail for Ev {
+        fn kind(&self) -> &'static str {
+            self.0
+        }
+    }
+
+    impl fmt::Display for Ev {
+        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+            write!(f, "e{}", self.1)
+        }
+    }
+
+    fn ev(tb: &mut TraceBuffer<Ev>, t: u64) {
+        tb.record(Cycles::new(t), CoreId::Slave(0), Ev("test", t));
+    }
+
+    fn labels(tb: &TraceBuffer<Ev>) -> Vec<u64> {
+        tb.iter().map(|e| e.event.1).collect()
     }
 
     #[test]
     fn records_in_order() {
         let mut tb = TraceBuffer::new(10);
-        ev(&mut tb, 1, "a");
-        ev(&mut tb, 2, "b");
-        let all: Vec<&str> = tb.iter().map(|e| e.detail.as_ref()).collect();
-        assert_eq!(all, vec!["a", "b"]);
+        ev(&mut tb, 1);
+        ev(&mut tb, 2);
+        assert_eq!(labels(&tb), vec![1, 2]);
     }
 
     #[test]
     fn evicts_oldest_and_counts_drops() {
         let mut tb = TraceBuffer::new(2);
-        ev(&mut tb, 1, "a");
-        ev(&mut tb, 2, "b");
-        ev(&mut tb, 3, "c");
+        ev(&mut tb, 1);
+        ev(&mut tb, 2);
+        ev(&mut tb, 3);
         assert_eq!(tb.len(), 2);
         assert_eq!(tb.dropped(), 1);
-        assert_eq!(tb.iter().next().unwrap().detail, "b");
+        assert_eq!(labels(&tb), vec![2, 3]);
+    }
+
+    #[test]
+    fn count_evicted_then_a_full_ring_matches_recording() {
+        let mut recorded = TraceBuffer::new(3);
+        let mut counted = TraceBuffer::new(3);
+        for t in 0..5 {
+            ev(&mut recorded, t);
+        }
+        counted.count_evicted(2);
+        for t in 2..5 {
+            ev(&mut counted, t);
+        }
+        assert_eq!(labels(&counted), labels(&recorded));
+        assert_eq!(counted.dropped(), recorded.dropped());
     }
 
     #[test]
     fn tail_returns_most_recent() {
         let mut tb = TraceBuffer::new(10);
         for i in 0..5 {
-            ev(&mut tb, i, &format!("e{i}"));
+            ev(&mut tb, i);
         }
         let t = tb.tail(2);
         assert_eq!(t.len(), 2);
-        assert_eq!(t[0].detail, "e3");
-        assert_eq!(t[1].detail, "e4");
+        assert_eq!((t[0].event.1, t[1].event.1), (3, 4));
         assert_eq!(tb.tail(99).len(), 5);
     }
 
     #[test]
-    fn of_kind_filters() {
+    fn kind_reads_the_event() {
         let mut tb = TraceBuffer::new(10);
-        tb.record(Cycles::new(1), CoreId::Master, "cmd", "x");
-        tb.record(Cycles::new(2), CoreId::Slave(0), "svc", "y");
-        tb.record(Cycles::new(3), CoreId::Master, "cmd", "z");
-        let cmds = tb.of_kind("cmd");
-        assert_eq!(cmds.len(), 2);
-        assert!(cmds.iter().all(|e| e.kind == "cmd"));
+        tb.record(Cycles::new(1), CoreId::Master, Ev("cmd", 1));
+        tb.record(Cycles::new(2), CoreId::Slave(0), Ev("svc", 2));
+        let kinds: Vec<&str> = tb.iter().map(TraceEvent::kind).collect();
+        assert_eq!(kinds, vec!["cmd", "svc"]);
     }
 
     #[test]
@@ -220,28 +266,14 @@ mod tests {
         let e = TraceEvent {
             at: Cycles::new(7),
             core: CoreId::Master,
-            kind: "irq",
-            detail: "mailbox 0".into(),
+            event: Ev("irq", 0),
         };
-        let s = e.to_string();
-        assert!(
-            s.contains("7cy") && s.contains("ARM") && s.contains("irq") && s.contains("mailbox 0")
-        );
-    }
-
-    #[test]
-    fn clear_keeps_drop_counter() {
-        let mut tb = TraceBuffer::new(1);
-        ev(&mut tb, 1, "a");
-        ev(&mut tb, 2, "b");
-        tb.clear();
-        assert!(tb.is_empty());
-        assert_eq!(tb.dropped(), 1);
+        assert_eq!(e.to_string(), "[7cy ARM irq] e0");
     }
 
     #[test]
     #[should_panic(expected = "capacity")]
     fn zero_capacity_panics() {
-        let _ = TraceBuffer::new(0);
+        let _ = TraceBuffer::<Ev>::new(0);
     }
 }

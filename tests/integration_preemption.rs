@@ -58,14 +58,16 @@ fn isr_timeline_is_byte_identical_to_the_golden() {
         .run_scenario_trial_overridden(&scenario, 1, 1, 1, overrides, &mut TrialScratch::new())
         .unwrap();
     assert!(guard_tripped(&report), "{}", report.summary());
-    let kernels = trace.kernels.iter().enumerate();
-    let sections = kernels.map(|(i, events)| (format!("kernel {i}"), events));
     let mut timeline = String::new();
-    for (title, events) in sections.chain([("master".to_owned(), &trace.master)]) {
-        timeline += &format!("{title}\n");
+    for (i, events) in trace.kernels.iter().enumerate() {
+        timeline += &format!("kernel {i}\n");
         for event in events {
             timeline += &format!("{event}\n");
         }
+    }
+    timeline += "master\n";
+    for event in &trace.master {
+        timeline += &format!("{event}\n");
     }
     let golden = include_str!("fixtures/isr_timeline.txt");
     assert_eq!(timeline, golden, "ISR execution drifted");

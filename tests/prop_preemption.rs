@@ -231,8 +231,8 @@ fn run_program(ops: &[Op], as_isr: bool) -> (Kernel, u64) {
 
 /// How the ISR's last activation ended, as its trace records it.
 fn isr_end(k: &Kernel) -> String {
-    let last = k.trace().iter().filter(|e| e.kind == "isr").last();
-    last.expect("the ISR ran").detail.to_string()
+    let last = k.trace().iter().filter(|e| e.kind() == "isr").last();
+    last.expect("the ISR ran").event.to_string()
 }
 
 proptest! {
@@ -258,9 +258,9 @@ proptest! {
         prop_assert_eq!(task.pending_fence_count(), isr.pending_fence_count());
         prop_assert_eq!(task.irq_masked(), isr.irq_masked());
         // The ISR traces its stores only.
-        let stores = |k: &Kernel| k.trace().iter().filter(|e| e.kind == "var-write").count();
+        let stores = |k: &Kernel| k.trace().iter().filter(|e| e.kind() == "var-write").count();
         prop_assert_eq!(stores(&task), stores(&isr));
-        prop_assert!(isr.trace().iter().all(|e| e.kind == "isr" || e.kind == "var-write"));
+        prop_assert!(isr.trace().iter().all(|e| e.kind() == "isr" || e.kind() == "var-write"));
         // A task that faulted on a bad variable or semaphore aborted the
         // ISR at the same op.
         let exited = task.task_state(TaskId::new(0)) == Some(TaskState::Terminated(ExitKind::Normal));
