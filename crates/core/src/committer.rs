@@ -442,7 +442,7 @@ impl Committer {
     /// Response arrivals are deliberately *not* modelled here: a
     /// response needs in-flight bridge traffic, which already
     /// disqualifies fast-forwarding at the system level
-    /// ([`MultiCoreSystem::quiescent_horizon`]). What remains are the
+    /// ([`MultiCoreSystem::certify`]). What remains are the
     /// committer's two self-timed events: declaring a response timeout
     /// (`issued_at + response_timeout + 1`, the first cycle
     /// `now.since(issued_at) > response_timeout` holds) and issuing the

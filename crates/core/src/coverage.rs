@@ -70,11 +70,17 @@ pub fn measure(patterns: &[TestPattern], dfa: &Dfa, alphabet: &Alphabet) -> Cove
             // (`?#3`-style buckets, one per unknown symbol id). Folding
             // them all into one `"?"` bucket — as this used to do —
             // silently inflated a single phantom service's count and
-            // hid how many distinct unknowns appeared.
-            let name = alphabet
-                .name(sym)
-                .map_or_else(|| format!("?{sym}"), ToOwned::to_owned);
-            *service_counts.entry(name).or_insert(0) += 1;
+            // hid how many distinct unknowns appeared. A name is copied
+            // into the map only the first time it is counted.
+            match alphabet.name(sym) {
+                Some(name) => match service_counts.get_mut(name) {
+                    Some(count) => *count += 1,
+                    None => {
+                        service_counts.insert(name.to_owned(), 1);
+                    }
+                },
+                None => *service_counts.entry(format!("?{sym}")).or_insert(0) += 1,
+            }
             if let Some(next) = dfa.next(q, sym) {
                 transitions.insert((q, sym));
                 states.insert(next);

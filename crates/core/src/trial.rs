@@ -455,16 +455,19 @@ impl Driver for () {
 /// Cycles count from the system's time at the start of [`CycleLoop::run`].
 ///
 /// With fast-forward on, stretches in which the platform is idle or
-/// steady are applied in closed form. Such a window normally ends at the
-/// next observe point. Once the driver is done and the platform has been
-/// steady for an observe interval, it ends at the observe point of the
-/// detector's [deadline](BugDetector::deadline) instead: the first at
-/// which starvation, livelock or a command timeout could be reported.
-/// That needs every task that moves to retire an op within each
-/// interval, which holds for lock-step platforms whose steady rotations
-/// [turn](ptest_pcore::SteadyWindow::turn) within an interval, and for
-/// idle ones under any schedule. Every executed observe point is still
-/// observed, so reports are the same either way.
+/// steady are skipped in closed form: the loop asks
+/// [`MultiCoreSystem::certify`] for a [`Window`](ptest_master::Window)
+/// and hands it to [`MultiCoreSystem::advance`]. Such a window normally
+/// ends at the next observe point. Once the driver is done and the
+/// platform has been steady for an observe interval, it ends at the
+/// observe point of the detector's [deadline](BugDetector::deadline)
+/// instead: the first at which starvation, livelock or a command timeout
+/// could be reported. That needs every task that moves to retire an op
+/// within each interval, which holds when the window's
+/// [turn](ptest_master::Window::turn) fits in an interval: for lock-step
+/// platforms whose steady rotations turn within one, and for idle ones
+/// under any schedule. Every executed observe point is still observed,
+/// so reports are the same either way.
 #[derive(Debug, Clone, Copy)]
 pub struct CycleLoop {
     /// Detector thresholds; the loop runs a fresh detector.
@@ -507,7 +510,7 @@ impl CycleLoop {
         // executes: a driver may be done from its first step on.
         let mut settled = false;
         // Detector deadlines: whether every cycle executed since the last
-        // observation sat inside a window the horizon certified, whether
+        // observation sat inside a certified window, whether
         // every task moving there retires an op within each interval (as
         // checked when the first window after that observation opened),
         // and the observe point of the detector's deadline, if armed.
@@ -515,21 +518,21 @@ impl CycleLoop {
         let mut turns_fit = false;
         let mut deadline: Option<u64> = None;
         while cycles < self.max_cycles {
-            // --- Idle- and steady-cycle fast-forward. When every
-            // component can name the first future cycle at which it could
-            // do observable work (sleeper wake-ups, the end of a steady
-            // window, a pending store delivery, the driver's next
-            // issue/timeout/completion cycle), and that cycle — capped by
-            // the detector's next observation and the drain/end-of-run
-            // deadlines — is more than one step away, the gap is advanced
-            // arithmetically: clocks jump, idle tick counters
-            // batch-update, steady kernels advance whole rotations, and
-            // the schedule stream is consumed in closed form. Cycle
-            // `target` itself then executes normally, so every observable
-            // transition and every detector observation lands on exactly
-            // the cycle it would under cycle-by-cycle stepping (the
-            // equivalence suite and the golden fixtures pin the reports
-            // byte-identical).
+            // --- Idle- and steady-cycle fast-forward. When the system
+            // certifies a window (its end is the first future cycle at
+            // which a sleeper wakes, a steady window or the schedule's
+            // plan ends, or the memory model delivers a store), and that
+            // end — capped by the driver's next issue/timeout/completion
+            // cycle, the detector's next observation and the
+            // drain/end-of-run deadlines — is more than one step away, the
+            // gap is advanced arithmetically: clocks jump, idle tick
+            // counters batch-update, steady kernels advance whole
+            // rotations, and the schedule stream is consumed in closed
+            // form. Cycle `target` itself then executes normally, so every
+            // observable transition and every detector observation lands
+            // on exactly the cycle it would under cycle-by-cycle stepping
+            // (the equivalence suite and the golden fixtures pin the
+            // reports byte-identical).
             //
             // The detector's next observation is the next observe point,
             // or, once the detector has named a deadline (see below), the
@@ -541,10 +544,10 @@ impl CycleLoop {
             // that does run sees the detector as stepping leaves it.
             //
             // A cycle in which some kernel did work other than turn its
-            // steady rotation is almost always followed by more work, so the
-            // horizon is asked only after a quiet or steady cycle, and only
-            // when the observation, the driver's next event and the
-            // deadlines leave room for a window: the horizon walks steady
+            // steady rotation is almost always followed by more work, so a
+            // window is asked for only after a quiet or steady cycle, and
+            // only when the observation, the driver's next event and the
+            // deadlines leave room for one: certifying walks steady
             // kernels, which costs more than those caps. Not asking is
             // always exact — it just steps the cycle — and costs at most
             // one executed cycle per window.
@@ -569,34 +572,25 @@ impl CycleLoop {
                     end = end.min(done + self.drain_cycles);
                 }
                 if stop(end) > cycles + 1 {
-                    let sys_horizon = sys.quiescent_horizon_with(scheduler.as_deref());
-                    let model_horizon = memory_model
-                        .as_deref()
-                        .map_or(IdleHorizon::Unbounded, MemoryModel::idle_horizon);
-                    if sys_horizon != IdleHorizon::Unknown && model_horizon != IdleHorizon::Unknown
-                    {
-                        let mut certain = u64::MAX;
-                        for h in [sys_horizon, model_horizon] {
-                            if let IdleHorizon::Until(h) = h {
-                                certain = certain.min(h - start);
-                            }
-                        }
-                        horizon = Some(certain);
-                        // The horizon has just walked the rotations the
+                    let window = sys.certify(scheduler.as_deref(), memory_model.as_deref());
+                    horizon = match window.end() {
+                        IdleHorizon::Unknown => None,
+                        IdleHorizon::Until(at) => Some(at - start),
+                        IdleHorizon::Unbounded => Some(u64::MAX),
+                    };
+                    if let Some(certain) = horizon {
+                        // The window's turn comes from the rotations the
                         // next observation's split will come from.
                         if cycles.is_multiple_of(interval)
                             && done_at.is_some()
                             && certain > cycles + 1
                         {
-                            turns_fit = turns_within(sys, scheduler.is_some(), interval);
+                            turns_fit = window.turn().is_some_and(|turn| turn <= interval);
                         }
                         let target = stop(end.min(certain));
                         if target > cycles + 1 {
                             let skip = target - cycles - 1;
-                            match scheduler.as_deref_mut() {
-                                None => sys.fast_forward_idle(skip),
-                                Some(sched) => sys.fast_forward_idle_with(skip, sched),
-                            }
+                            sys.advance(&window, skip, scheduler.as_deref_mut());
                             cycles += skip;
                         }
                     }
@@ -661,22 +655,6 @@ impl CycleLoop {
         }
         (bugs, cycles)
     }
-}
-
-/// Whether every task that retires ops in the platform's certified
-/// windows retires one within every `interval` cycles from now: each
-/// kernel that may be steady ticks once per cycle (no scheduler) and its
-/// rotation [turns](ptest_pcore::SteadyWindow::turn) within `interval`
-/// ticks. In a certified window every other kernel is idle, or frozen
-/// by a scheduler beside a steady leader, which fails the check. Kept out
-/// of the cycle loop's body: it runs once per observe interval at most.
-#[inline(never)]
-fn turns_within(sys: &MultiCoreSystem, scheduled: bool, interval: u64) -> bool {
-    (0..sys.slave_count()).all(|i| {
-        let kernel = sys.kernel_of(i);
-        !kernel.in_steady_loop()
-            || (!scheduled && kernel.steady_window().is_some_and(|w| w.turn <= interval))
-    })
 }
 
 #[cfg(test)]

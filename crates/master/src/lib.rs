@@ -95,9 +95,10 @@ pub use preempt::{
 };
 pub use sched::{
     LockStepScheduler, RandomPriorityConfig, RandomPriorityScheduler, ScheduleSpec, Scheduler,
-    TickAdvance,
 };
-pub use system::{CouplingError, MultiCoreSystem, SemLink, SharedVar, SnapshotCache, SystemConfig};
+pub use system::{
+    CouplingError, MultiCoreSystem, SemLink, SharedVar, SnapshotCache, SystemConfig, Window,
+};
 pub use thread::{MasterOp, MasterThread, ThreadId, ThreadState};
 
 #[cfg(test)]

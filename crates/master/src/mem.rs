@@ -111,8 +111,10 @@ pub trait MemoryModel: fmt::Debug + Send {
 
     /// The earliest future cycle at which this model can change
     /// observable state *on its own clock* — assuming no kernel retires
-    /// a store or fence in the meantime (the system-level quiescence
-    /// check guarantees that during a skipped window). Skipping the
+    /// a store or fence in the meantime.
+    /// [`MultiCoreSystem::certify`](crate::MultiCoreSystem::certify)
+    /// guarantees that during a skipped window, and ends the window at
+    /// the earlier of this horizon and the platform's. Skipping the
     /// per-cycle [`MemoryModel::sync`] calls strictly before the
     /// returned horizon must be bit-identical to making them.
     ///

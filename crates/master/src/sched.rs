@@ -46,21 +46,6 @@ use std::fmt;
 
 use ptest_soc::Cycles;
 
-/// Per-kernel outcome of a batch of skipped cycles
-/// ([`Scheduler::skip_cycles`]): how many ticks the kernel must apply in
-/// closed form to stay bit-identical with stepping the cycles one by
-/// one.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TickAdvance {
-    /// Number of skipped cycles the scheduler would have advanced the
-    /// kernel in.
-    pub ticks: u64,
-    /// The last skipped cycle the kernel was advanced at, if any — the
-    /// kernel's local clock must land there, exactly as its final
-    /// cycle-by-cycle tick would have left it.
-    pub last: Option<Cycles>,
-}
-
 /// Decides, each system cycle, which slave kernels execute a task cycle.
 ///
 /// Implementations must be deterministic: the advance decisions may
@@ -74,66 +59,32 @@ pub trait Scheduler: fmt::Debug + Send {
     /// or a sleeper due at `now`); `now` is the cycle about to execute.
     fn plan(&mut self, now: Cycles, runnable: &[bool], advance: &mut [bool]);
 
+    /// Whether [`Scheduler::plan`] advances slaves that are not runnable
+    /// (lock-step does, PCT never). Every scheduler must advance a lone
+    /// runnable slave at every call, so a fast-forward window with at
+    /// most one runnable slave needs no [`Scheduler::plan_window`].
+    fn advances_idle(&self) -> bool {
+        false
+    }
+
     /// Certifies the next calls of [`Scheduler::plan`] under one constant
     /// `runnable` mask: marks in `advance` (pre-sized to the slave count)
     /// the slaves each of them would advance, and returns for how many
     /// calls that holds; every other slave is advanced in none of them.
     /// `u64::MAX` means for every call, 0 that the scheduler cannot tell,
-    /// and then `advance` means nothing. A fast-forward window may then
-    /// hold every runnable slave that is not marked frozen, whatever its
-    /// work, for that many cycles.
-    ///
-    /// The default certifies nothing.
-    fn plan_window(&self, _runnable: &[bool], _advance: &mut [bool]) -> u64 {
-        0
-    }
+    /// and then `advance` means nothing. A fast-forward window with two
+    /// or more runnable slaves
+    /// ([`MultiCoreSystem::certify`](crate::MultiCoreSystem::certify))
+    /// ends with the plan, and holds every runnable slave it does not
+    /// advance, whatever its work.
+    fn plan_window(&self, runnable: &[bool], advance: &mut [bool]) -> u64;
 
-    /// Plans `count` consecutive cycles starting at `start` over one
-    /// constant `runnable` mask, accumulating into `ticks` (pre-sized to
-    /// the slave count) how many of those cycles each kernel would have
-    /// been advanced in and the last cycle it was advanced at. Must
-    /// leave the scheduler in exactly the state `count` calls of
-    /// [`Scheduler::plan`] with that mask would have. A fast-forwarded
-    /// window holds the mask still: an idle window is the all-false
-    /// case, and a slave spinning in a steady loop stays runnable
-    /// throughout. `advance` is caller-provided scratch.
-    ///
-    /// The default implementation literally replays `plan` cycle by
-    /// cycle — exact for any scheduler, with no speedup; schedulers
-    /// with a closed form override it.
-    fn skip_cycles(
-        &mut self,
-        start: Cycles,
-        count: u64,
-        runnable: &[bool],
-        advance: &mut [bool],
-        ticks: &mut [TickAdvance],
-    ) {
-        replay_cycles(self, start, count, runnable, advance, ticks);
-    }
-}
-
-/// The [`Scheduler::skip_cycles`] reference: `count` calls of
-/// [`Scheduler::plan`].
-fn replay_cycles<S: Scheduler + ?Sized>(
-    s: &mut S,
-    start: Cycles,
-    count: u64,
-    runnable: &[bool],
-    advance: &mut [bool],
-    ticks: &mut [TickAdvance],
-) {
-    for c in 0..count {
-        let now = Cycles::new(start.get() + c);
-        advance.fill(true);
-        s.plan(now, runnable, advance);
-        for (slot, &advanced) in ticks.iter_mut().zip(advance.iter()) {
-            if advanced {
-                slot.ticks += 1;
-                slot.last = Some(now);
-            }
-        }
-    }
+    /// Leaves the scheduler exactly as `count` calls of
+    /// [`Scheduler::plan`] with the constant `runnable` mask would, in
+    /// closed form. `count` lies within the window
+    /// [`Scheduler::plan_window`] certified for that mask, so each call
+    /// would have advanced the slaves it marked.
+    fn apply_window(&mut self, count: u64, runnable: &[bool]);
 }
 
 /// The historical schedule: every kernel advances every cycle. Driving
@@ -148,28 +99,17 @@ impl Scheduler for LockStepScheduler {
         // `advance` arrives all-true: lock-step is the identity plan.
     }
 
+    fn advances_idle(&self) -> bool {
+        true
+    }
+
     fn plan_window(&self, _runnable: &[bool], advance: &mut [bool]) -> u64 {
         advance.fill(true);
         u64::MAX
     }
 
-    fn skip_cycles(
-        &mut self,
-        start: Cycles,
-        count: u64,
-        _runnable: &[bool],
-        _advance: &mut [bool],
-        ticks: &mut [TickAdvance],
-    ) {
-        // Lock-step advances every kernel every cycle, runnable or not.
-        if count == 0 {
-            return;
-        }
-        let last = Cycles::new(start.get() + count - 1);
-        for slot in ticks.iter_mut() {
-            slot.ticks += count;
-            slot.last = Some(last);
-        }
+    fn apply_window(&mut self, _count: u64, _runnable: &[bool]) {
+        // Lock-step keeps no state.
     }
 }
 
@@ -430,59 +370,33 @@ impl Scheduler for RandomPriorityScheduler {
         window
     }
 
-    fn skip_cycles(
-        &mut self,
-        start: Cycles,
-        count: u64,
-        runnable: &[bool],
-        advance: &mut [bool],
-        ticks: &mut [TickAdvance],
-    ) {
+    fn apply_window(&mut self, count: u64, runnable: &[bool]) {
         if count == 0 {
             return;
         }
-        let last = Cycles::new(start.get() + count - 1);
-        let mut runnable_slaves = runnable.iter().enumerate().filter(|&(_, &r)| r);
-        let lone = runnable_slaves.next().map(|(i, _)| i);
-        if runnable_slaves.next().is_some() {
-            if count > self.plan_window(runnable, advance) {
-                return replay_cycles(self, start, count, runnable, advance, ticks);
-            }
-            // Inside the certified window no change point passes, the
-            // leader advances every cycle and the other runnable slaves'
-            // fairness debt grows by one each cycle.
-            self.planned += count;
-            let count32 = u32::try_from(count).unwrap_or(u32::MAX);
-            for (i, skipped) in self.skipped.iter_mut().enumerate() {
-                if advance[i] {
-                    *skipped = 0;
-                    ticks[i].ticks += count;
-                    ticks[i].last = Some(last);
-                } else if runnable.get(i).copied().unwrap_or(false) {
-                    *skipped = skipped.saturating_add(count32);
-                } else {
-                    *skipped = 0;
-                }
-            }
-            return;
-        }
-        // With at most one runnable slave, every planned cycle demotes
-        // that slave (if any) at each passed change point, counts the
-        // cycle, advances exactly that slave, and clears every slave's
-        // fairness debt. The whole batch collapses to a closed form.
+        // Every call inside the window advances the same leader. A change
+        // point passes inside it only when at most one slave is runnable,
+        // and then demotes that slave, which stays its own leader.
+        let is_runnable = |i: usize| runnable.get(i).copied().unwrap_or(false);
+        let leader = self.leader(is_runnable);
         let end = self.planned + count;
         while self.change_points.last().is_some_and(|&cp| cp < end) {
             self.change_points.pop();
-            if let Some(i) = lone {
+            if let Some(i) = leader {
                 self.next_demoted -= 1;
                 self.priorities[i] = self.next_demoted;
             }
         }
         self.planned = end;
-        self.skipped.fill(0);
-        if let Some(i) = lone {
-            ticks[i].ticks += count;
-            ticks[i].last = Some(last);
+        // The other runnable slaves' fairness debt grows by one each call;
+        // the leader's and every idle slave's is cleared.
+        let count32 = u32::try_from(count).unwrap_or(u32::MAX);
+        for (i, skipped) in self.skipped.iter_mut().enumerate() {
+            *skipped = if is_runnable(i) && Some(i) != leader {
+                skipped.saturating_add(count32)
+            } else {
+                0
+            };
         }
     }
 }
@@ -595,8 +509,7 @@ mod tests {
     }
 
     /// The masks a fast-forwarded window can hold still on three
-    /// slaves: all idle, one runnable, and (through the default replay)
-    /// two runnable.
+    /// slaves: all idle, one runnable, and two runnable.
     const MASKS: [[bool; 3]; 5] = [
         [false, false, false],
         [true, false, false],
@@ -605,20 +518,47 @@ mod tests {
         [true, false, true],
     ];
 
+    /// Runs `count` cycles over the constant `runnable` mask through
+    /// every window `skipped` certifies, planning a cycle it cannot
+    /// certify one by one, and checks each window's advances against
+    /// `replayed`'s per-cycle replay. Returns the cycles skipped.
+    fn windows_match_replay(
+        skipped: &mut dyn Scheduler,
+        replayed: &mut dyn Scheduler,
+        count: u64,
+        runnable: &[bool],
+    ) -> u64 {
+        let mut advance = vec![false; runnable.len()];
+        let (mut left, mut skipped_cycles) = (count, 0);
+        while left > 0 {
+            let window = skipped.plan_window(runnable, &mut advance).min(left);
+            if window == 0 {
+                assert_eq!(plan_once(skipped, runnable), plan_once(replayed, runnable));
+                left -= 1;
+                continue;
+            }
+            assert_eq!(
+                skip(skipped, window, runnable),
+                replay(replayed, window, runnable),
+                "{window} cycles over {runnable:?}"
+            );
+            left -= window;
+            skipped_cycles += window;
+        }
+        skipped_cycles
+    }
+
     #[test]
     fn lock_step_skip_matches_per_cycle_replay() {
         for mask in MASKS {
             let mut replayed = LockStepScheduler;
             let mut skipped = LockStepScheduler;
             assert_eq!(
-                skip(&mut skipped, 7, 1_000, &mask),
-                replay(&mut replayed, 7, 1_000, &mask),
+                windows_match_replay(&mut skipped, &mut replayed, 1_000, &mask),
+                1_000,
                 "{mask:?}"
             );
-            assert_eq!(
-                skip(&mut skipped, 1, 0, &mask),
-                vec![TickAdvance::default(); 3]
-            );
+            assert_eq!(skip(&mut skipped, 0, &mask), vec![0; 3]);
         }
     }
 
@@ -626,10 +566,12 @@ mod tests {
     fn random_priority_skip_matches_per_cycle_replay() {
         // Exercise the closed form across change-point boundaries: a
         // short horizon puts every change point inside one of the
-        // skipped windows, a cleared mask bit drops one of them, and
-        // interleaving skipped batches with live plan calls checks the
+        // skipped stretches, a cleared mask bit drops one of them, and
+        // interleaving skipped stretches with live plan calls checks the
         // scheduler state (planned, change points, priorities, fairness
-        // debt) is left exactly as the replay leaves it.
+        // debt) is left exactly as the replay leaves it. With one slave
+        // runnable or none a window spans whole stretches; with two it
+        // ends at each change point and fairness tick.
         for (seed, mask) in (0..16u64).zip(MASKS.iter().cycle()) {
             let cfg = RandomPriorityConfig {
                 change_points: 3,
@@ -647,15 +589,16 @@ mod tests {
                     plan_once(&mut skipped, &runnable)
                 );
             }
-            for (start, count) in [(41, 150), (191, 0), (191, 450)] {
-                assert_eq!(
-                    skip(&mut skipped, start, count, mask),
-                    replay(&mut replayed, start, count, mask),
-                    "seed {seed} mask {mask:?}"
+            for count in [150, 0, 450] {
+                let cycles = windows_match_replay(&mut skipped, &mut replayed, count, mask);
+                let runnable = mask.iter().filter(|&&r| r).count();
+                assert!(
+                    cycles == count || (runnable > 1 && cycles * 8 >= count * 6),
+                    "seed {seed} mask {mask:?}: skipped {cycles} of {count}"
                 );
             }
             // Post-skip streams must stay identical: the internal state
-            // agrees, not just the per-slave ticks.
+            // agrees, not just the per-slave advances.
             for step in 0..100u64 {
                 let runnable = [step % 5 != 0, true, true];
                 assert_eq!(
@@ -692,6 +635,10 @@ mod tests {
             let runnable: Vec<bool> = (0..slaves).map(|_| draw(3) != 0).collect();
             let mut advance = vec![false; slaves];
             let window = s.plan_window(&runnable, &mut advance);
+            if runnable.iter().filter(|&&r| r).count() <= 1 {
+                // The plan `certify` assumes without asking.
+                assert_eq!((window, &advance), (u64::MAX, &runnable), "case {case}");
+            }
             if window == 0 {
                 continue;
             }
@@ -705,9 +652,9 @@ mod tests {
                     "case {case}: call {call} of {window}, {cfg:?}, {runnable:?}"
                 );
             }
-            let ticks = skip(&mut skipped, 1, calls, &runnable);
-            for (i, t) in ticks.iter().enumerate() {
-                assert_eq!(t.ticks, if advance[i] { calls } else { 0 }, "case {case}");
+            let ticks = skip(&mut skipped, calls, &runnable);
+            for (i, &t) in ticks.iter().enumerate() {
+                assert_eq!(t, if advance[i] { calls } else { 0 }, "case {case}");
             }
             for _ in 0..100 {
                 assert_eq!(
@@ -724,6 +671,7 @@ mod tests {
             u64::MAX
         );
         assert_eq!(advance, [true; 3]);
+        assert!(LockStepScheduler.advances_idle());
     }
 
     #[test]

@@ -22,7 +22,7 @@ use ptest_soc::{CoreId, Cycles, MailboxBank, SharedSram, SramError, TraceBuffer,
 use crate::event::MasterEvent;
 use crate::mem::{IdleHorizon, MemoryModel, SharedVarBus};
 use crate::preempt::{self, InterruptPlan, PreemptionSpec};
-use crate::sched::{Scheduler, TickAdvance};
+use crate::sched::Scheduler;
 use crate::thread::{MasterOp, MasterThread, ThreadId, ThreadState};
 
 /// Configuration of a [`MultiCoreSystem`].
@@ -215,12 +215,6 @@ pub struct MultiCoreSystem {
     /// Reused per-cycle scratch of [`MultiCoreSystem::step_explored`].
     sched_runnable: Vec<bool>,
     sched_advance: Vec<bool>,
-    /// Reused scratch of [`MultiCoreSystem::fast_forward_idle_with`].
-    sched_ticks: Vec<TickAdvance>,
-    /// The runnable slaves the last
-    /// [`MultiCoreSystem::quiescent_horizon_with`] left frozen in the
-    /// window it certified; empty when it froze none.
-    frozen: Vec<bool>,
     /// A [`Scheduler`] has driven the system, so a kernel ticks only on
     /// the cycles it picks, not at consecutive times.
     scheduled: bool,
@@ -233,6 +227,85 @@ pub struct MultiCoreSystem {
 /// Lowers `horizon` to `at`.
 fn merge(horizon: &mut Option<u64>, at: u64) {
     *horizon = Some(horizon.map_or(at, |h| h.min(at)));
+}
+
+/// A set of slaves, with room for the most a system holds.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct SlaveSet([u64; MAX_SLAVES.div_ceil(64)]);
+
+impl SlaveSet {
+    /// The slaves `mask` marks.
+    fn from_mask(mask: &[bool]) -> SlaveSet {
+        let mut set = SlaveSet::default();
+        for (slave, _) in mask.iter().enumerate().filter(|&(_, &m)| m) {
+            set.insert(slave);
+        }
+        set
+    }
+
+    fn insert(&mut self, slave: usize) {
+        self.0[slave / 64] |= 1 << (slave % 64);
+    }
+
+    fn contains(&self, slave: usize) -> bool {
+        self.0[slave / 64] >> (slave % 64) & 1 != 0
+    }
+
+    /// The set as a mask over the first `n` slaves, in a buffer of the
+    /// largest size (a [`Scheduler`] reads masks as slices).
+    fn mask(&self, n: usize) -> [bool; MAX_SLAVES] {
+        let mut mask = [false; MAX_SLAVES];
+        for (slave, slot) in mask[..n].iter_mut().enumerate() {
+            *slot = self.contains(slave);
+        }
+        mask
+    }
+}
+
+/// A fast-forward certificate: what [`MultiCoreSystem::certify`] found
+/// at one cycle, and everything [`MultiCoreSystem::advance`] needs to
+/// skip cycles of it. Nothing about it is kept in the system.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Window {
+    /// The cycle it was certified at.
+    at: Cycles,
+    end: IdleHorizon,
+    /// The slaves with work a task cycle could progress.
+    runnable: SlaveSet,
+    /// The slaves that tick at every cycle of the window; the others
+    /// tick at none.
+    advance: SlaveSet,
+    turn: Option<u64>,
+}
+
+impl Window {
+    /// A window at cycle `at` that certifies nothing yet.
+    fn new(at: Cycles) -> Window {
+        Window {
+            at,
+            end: IdleHorizon::Unknown,
+            runnable: SlaveSet::default(),
+            advance: SlaveSet::default(),
+            turn: Some(0),
+        }
+    }
+
+    /// Where the window ends: every cycle strictly before
+    /// [`IdleHorizon::Until`]'s may be skipped, any under
+    /// [`IdleHorizon::Unbounded`], none under [`IdleHorizon::Unknown`].
+    #[must_use]
+    pub fn end(&self) -> IdleHorizon {
+        self.end
+    }
+
+    /// Ticks within which every task that retires ops in the window
+    /// retires one: the longest [turn](ptest_pcore::SteadyWindow::turn)
+    /// of its steady kernels (0 with none). `None` when a scheduler
+    /// drives a steady kernel, which then does not tick once per cycle.
+    #[must_use]
+    pub fn turn(&self) -> Option<u64> {
+        self.turn
+    }
 }
 
 /// The compiled preemption axis of one trial: the live injection queue
@@ -336,8 +409,6 @@ impl MultiCoreSystem {
             mirrored_at_writes: None,
             sched_runnable: Vec::new(),
             sched_advance: Vec::new(),
-            sched_ticks: Vec::new(),
-            frozen: Vec::new(),
             scheduled: false,
             preempt: None,
             cfg,
@@ -645,105 +716,114 @@ impl MultiCoreSystem {
         }
     }
 
-    /// The platform's fast-forward horizon: the earliest future cycle at
-    /// which anything observable can happen, assuming no external input
-    /// arrives in the meantime. Until then every kernel is *idle* or
-    /// *steady*: it has no dispatchable work, or its tasks loop over
-    /// side-effect-free ops and `Yield`s ([`Kernel::steady_window`]),
-    /// changing nothing but their own frames, sleeps and the kernel's
-    /// counters and trace. A steady rotation that
-    /// [reads time](ptest_pcore::SteadyWindow::reads_time) is certified
-    /// only where the kernel ticks at consecutive times: on a system no
-    /// [`Scheduler`] has driven, without clock skew on its core.
+    /// Certifies a fast-forward window from the next cycle on, for a
+    /// system driven by `scheduler` (`None`: lock-step, every kernel
+    /// ticking every cycle) under `memory` (`None`: the
+    /// sequentially-consistent epoch). Until the window's
+    /// [end](Window::end) nothing observable happens, assuming no external
+    /// input arrives: every kernel the window ticks is *idle* (no
+    /// dispatchable work) or *steady* ([`Kernel::steady_window`]: its
+    /// tasks loop over side-effect-free ops and `Yield`s). A steady
+    /// rotation that [reads time](ptest_pcore::SteadyWindow::reads_time)
+    /// is certified only where the kernel ticks at consecutive times: on
+    /// a system no [`Scheduler`] has driven, without clock skew on its
+    /// core. Under a scheduler that has two or more slaves runnable, the
+    /// window follows its [`plan_window`](Scheduler::plan_window) and ends
+    /// with it: a runnable slave the plan does not advance ticks at none
+    /// of its cycles, so its work does not end the window.
     ///
-    /// * [`IdleHorizon::Unknown`] — the platform is *not* quiescent
-    ///   (dispatchable kernel work that is not a certified steady
-    ///   rotation, in-flight bridge or mailbox traffic, pending
-    ///   semaphore hand-offs or fences, un-mirrored shared-var stores,
-    ///   or a live master thread); it must be stepped cycle by cycle.
-    /// * [`IdleHorizon::Until`]`(c)` — every cycle strictly before `c` is
-    ///   skippable via [`MultiCoreSystem::fast_forward_idle`]; `c` is
-    ///   the earliest sleeper deadline (kernel task or master thread),
-    ///   planned interrupt, or the first cycle past a steady window. A
-    ///   rotation's own sleepers wake inside its window and do not
-    ///   bound it.
-    /// * [`IdleHorizon::Unbounded`] — quiescent with nothing scheduled
-    ///   to happen: every future cycle is skippable.
-    ///
-    /// The active [`MemoryModel`]'s own
-    /// [`idle_horizon`](MemoryModel::idle_horizon) must be intersected
-    /// by the caller; this method only covers the platform.
+    /// The end is [`IdleHorizon::Unknown`] when the platform must be
+    /// stepped: other kernel work, in-flight bridge or mailbox traffic,
+    /// pending semaphore hand-offs or fences, un-mirrored shared-var
+    /// stores, a live master thread, or a plan or memory model that
+    /// cannot tell. Otherwise it is [`IdleHorizon::Until`] the earliest
+    /// sleeper wake (kernel task or master thread; a rotation's own wake
+    /// inside its window does not count), planned interrupt, end of the
+    /// plan or of a steady window, or store delivery, and
+    /// [`IdleHorizon::Unbounded`] with none. Allocates nothing.
     #[must_use]
-    pub fn quiescent_horizon(&self) -> IdleHorizon {
-        self.horizon(None, &mut Vec::new(), &mut Vec::new())
-    }
-
-    /// [`MultiCoreSystem::quiescent_horizon`] for a system driven by
-    /// `scheduler` (`None`: lock-step). Where a kernel that is not steady
-    /// has work, it asks the scheduler's
-    /// [`plan_window`](Scheduler::plan_window): a runnable slave the
-    /// plan will not advance is frozen, so its work does not end the
-    /// window, which then ends with the plan's; the next
-    /// [`MultiCoreSystem::fast_forward_idle_with`] keeps them frozen.
-    #[must_use]
-    pub fn quiescent_horizon_with(&mut self, scheduler: Option<&dyn Scheduler>) -> IdleHorizon {
-        let mut runnable = std::mem::take(&mut self.sched_runnable);
-        let mut frozen = std::mem::take(&mut self.frozen);
-        frozen.clear();
-        let horizon = self.horizon(scheduler, &mut runnable, &mut frozen);
-        if horizon == IdleHorizon::Unknown {
-            frozen.clear();
-        }
-        self.sched_runnable = runnable;
-        self.frozen = frozen;
-        horizon
-    }
-
-    /// The horizon of [`MultiCoreSystem::quiescent_horizon_with`], with
-    /// scratch for the scheduler's runnable mask and frozen set.
-    fn horizon(
+    pub fn certify(
         &self,
         scheduler: Option<&dyn Scheduler>,
-        runnable: &mut Vec<bool>,
-        frozen: &mut Vec<bool>,
-    ) -> IdleHorizon {
+        memory: Option<&dyn MemoryModel>,
+    ) -> Window {
+        let mut window = Window::new(self.clock.now());
+        let platform = self.horizon(scheduler, &mut window);
+        let model = memory.map_or(IdleHorizon::Unbounded, MemoryModel::idle_horizon);
+        window.end = match (platform, model) {
+            (IdleHorizon::Unknown, _) | (_, IdleHorizon::Unknown) => IdleHorizon::Unknown,
+            (IdleHorizon::Until(a), IdleHorizon::Until(b)) => IdleHorizon::Until(a.min(b)),
+            (IdleHorizon::Until(at), _) | (_, IdleHorizon::Until(at)) => IdleHorizon::Until(at),
+            (IdleHorizon::Unbounded, IdleHorizon::Unbounded) => IdleHorizon::Unbounded,
+        };
+        window
+    }
+
+    /// The platform's part of [`MultiCoreSystem::certify`]: fills in
+    /// `window`'s slaves and turn, and returns where the platform lets
+    /// it end.
+    fn horizon(&self, scheduler: Option<&dyn Scheduler>, window: &mut Window) -> IdleHorizon {
         let next = Cycles::new(self.clock.now().get() + 1);
         // Disqualifiers: work or traffic that can mutate state on any
         // upcoming cycle in ways closed-form bookkeeping cannot replay.
         if self.current_thread.is_some() || !self.inbox.is_empty() || self.mailboxes.any_pending() {
             return IdleHorizon::Unknown;
         }
-        // The cycles the scheduler's plan holds, once asked.
-        let mut plan: Option<u64> = None;
+        // The runnable slaves: each kernel that may be steady, and each
+        // other one with dispatchable work, which only a schedule can
+        // hold still. Under clock skew a slave's next tick carries its
+        // *local* time, so dispatchability (sleeper deadlines, pending
+        // unmasked interrupts, an active ISR frame, quantum-expiry
+        // rotations — all kernel-local) is probed at local time.
+        let mut busy = SlaveSet::default();
         for (i, slave) in self.slaves.iter().enumerate() {
-            // Under clock skew a slave's next tick carries its *local*
-            // time, so dispatchability (sleeper deadlines, pending
-            // unmasked interrupts, an active ISR frame, quantum-expiry
-            // rotations — all kernel-local) is probed at local time.
-            // Only a kernel that may be steady, or that the schedule
-            // freezes, may have work.
             if slave.kernel.pending_fence_count() > 0 {
                 return IdleHorizon::Unknown;
             }
-            if !slave.kernel.in_steady_loop()
-                && slave
-                    .kernel
-                    .has_dispatchable_work(self.local_time_of(i, next))
+            if slave.kernel.in_steady_loop() {
+                window.runnable.insert(i);
+            } else if slave
+                .kernel
+                .has_dispatchable_work(self.local_time_of(i, next))
             {
-                if plan.is_none() {
-                    let window =
-                        scheduler.map_or(0, |s| self.plan_frozen(s, next, runnable, frozen));
-                    if window == 0 {
-                        return IdleHorizon::Unknown;
-                    }
-                    plan = Some(window);
-                }
-                if !frozen[i] {
+                if scheduler.is_none() {
                     return IdleHorizon::Unknown;
                 }
+                window.runnable.insert(i);
+                busy.insert(i);
             }
         }
-        let is_frozen = |i: usize| plan.is_some() && frozen[i];
+        // The slaves that tick, and for how many cycles. Lock-step ticks
+        // every kernel. A schedule ticks a lone runnable slave at every
+        // cycle, and idle ones if it ticks idle kernels; with more
+        // runnable slaves, its plan says which and for how long. Either
+        // way it must hold every busy slave.
+        let n = self.slaves.len();
+        let runnable = window
+            .runnable
+            .0
+            .iter()
+            .map(|word| word.count_ones())
+            .sum::<u32>();
+        let plan = match scheduler {
+            Some(scheduler) if runnable > 1 => {
+                let mut advance = [false; MAX_SLAVES];
+                let plan = scheduler.plan_window(&window.runnable.mask(n)[..n], &mut advance[..n]);
+                window.advance = SlaveSet::from_mask(&advance[..n]);
+                plan
+            }
+            _ if scheduler.is_none_or(|s| s.advances_idle()) => {
+                window.advance = SlaveSet::from_mask(&[true; MAX_SLAVES][..n]);
+                u64::MAX
+            }
+            _ => {
+                window.advance = window.runnable;
+                u64::MAX
+            }
+        };
+        if plan == 0 || window.advance.0.iter().zip(busy.0).any(|(a, b)| a & b != 0) {
+            return IdleHorizon::Unknown;
+        }
         for link in &self.sem_links {
             if self.slaves[link.from_slave]
                 .kernel
@@ -758,12 +838,12 @@ impl MultiCoreSystem {
             return IdleHorizon::Unknown;
         }
         let mut horizon: Option<u64> = None;
-        // Self-timed events first: the end of the scheduler's plan,
-        // planned injections (never certify a window that crosses a
-        // firing cycle), master-thread sleeps, and the sleepers of
-        // kernels that are neither steady nor frozen.
-        if let Some(window) = plan.filter(|&w| w != u64::MAX) {
-            merge(&mut horizon, next.get().saturating_add(window));
+        // Self-timed events first: the end of the plan, planned
+        // injections (never certify a window that crosses a firing
+        // cycle), master-thread sleeps, and the sleepers of kernels that
+        // are neither steady nor held by the plan.
+        if plan != u64::MAX {
+            merge(&mut horizon, next.get().saturating_add(plan));
         }
         if let Some(state) = &self.preempt {
             if let Some(fire) = state.plan.next_fire() {
@@ -781,7 +861,7 @@ impl MultiCoreSystem {
             }
         }
         for (i, slave) in self.slaves.iter().enumerate() {
-            if !slave.kernel.in_steady_loop() && !is_frozen(i) {
+            if !slave.kernel.in_steady_loop() && !busy.contains(i) {
                 self.merge_sleepers(i, &mut horizon);
             }
         }
@@ -805,34 +885,15 @@ impl MultiCoreSystem {
                     if !w.reads_time {
                         self.merge_sleepers(i, &mut horizon);
                     }
+                    window.turn = match (window.turn, scheduler) {
+                        (Some(turn), None) => Some(turn.max(w.turn)),
+                        _ => None,
+                    };
                 }
                 _ => return IdleHorizon::Unknown,
             }
         }
-        match horizon {
-            Some(at) => IdleHorizon::Until(at),
-            None => IdleHorizon::Unbounded,
-        }
-    }
-
-    /// Asks `scheduler` which runnable slaves its plans from cycle
-    /// `next` on leave frozen: fills the runnable mask and `frozen`, and
-    /// returns for how many cycles (0: unknown).
-    fn plan_frozen(
-        &self,
-        scheduler: &dyn Scheduler,
-        next: Cycles,
-        runnable: &mut Vec<bool>,
-        frozen: &mut Vec<bool>,
-    ) -> u64 {
-        self.runnable_into(next, runnable);
-        frozen.clear();
-        frozen.resize(self.slaves.len(), false);
-        let window = scheduler.plan_window(runnable, frozen);
-        for (slot, &work) in frozen.iter_mut().zip(runnable.iter()) {
-            *slot = work && !*slot;
-        }
-        window
+        horizon.map_or(IdleHorizon::Unbounded, IdleHorizon::Until)
     }
 
     /// Fills `runnable` with whether each slave's kernel has work a task
@@ -869,86 +930,107 @@ impl MultiCoreSystem {
                 .is_none_or(|p| p.skew_rates[slave] == 0)
     }
 
-    /// Batch-advances the platform across `count` cycles of a window
-    /// certified by [`MultiCoreSystem::quiescent_horizon`] on the
-    /// lock-step path: the clock jumps and every kernel applies its
-    /// `count` idle or steady ticks in closed form
-    /// ([`Kernel::fast_forward`]). Bit-identical to calling
-    /// [`MultiCoreSystem::step`] `count` times within the window.
-    pub fn fast_forward_idle(&mut self, count: u64) {
+    /// Skips the first `count` cycles of `window`, which
+    /// [`MultiCoreSystem::certify`] certified at the current cycle for
+    /// `scheduler`: the clock jumps, the scheduler moves on as `count`
+    /// [`Scheduler::plan`] calls would ([`Scheduler::apply_window`]),
+    /// and every kernel the window ticks applies `count` idle or steady
+    /// ticks in closed form ([`Kernel::fast_forward`]), the last at its
+    /// local time. Bit-identical to `count` calls of
+    /// [`MultiCoreSystem::step_explored`] with the same scheduler and
+    /// memory model.
+    pub fn advance(
+        &mut self,
+        window: &Window,
+        count: u64,
+        scheduler: Option<&mut (dyn Scheduler + '_)>,
+    ) {
+        debug_assert_eq!(self.clock.now(), window.at, "skipped from another cycle");
+        debug_assert!(
+            match window.end {
+                IdleHorizon::Unknown => count == 0,
+                IdleHorizon::Until(end) => window.at.get() + count < end,
+                IdleHorizon::Unbounded => true,
+            },
+            "{count} cycles past {window:?}"
+        );
         if count == 0 {
             return;
+        }
+        if let Some(scheduler) = scheduler {
+            let start = Cycles::new(window.at.get() + 1);
+            debug_assert!(self.slaves.iter().enumerate().all(|(i, s)| {
+                s.kernel.has_dispatchable_work(self.local_time_of(i, start))
+                    == window.runnable.contains(i)
+            }));
+            let n = self.slaves.len();
+            scheduler.apply_window(count, &window.runnable.mask(n)[..n]);
+            self.scheduled = true;
         }
         self.clock.advance(Cycles::new(count));
         let now = self.clock.now();
         for (i, slave) in self.slaves.iter_mut().enumerate() {
-            // Each kernel's final timestamp is its local time — exactly
-            // what the last per-cycle tick would have handed it.
-            let lnow = match &self.preempt {
-                Some(state) => preempt::local_time(now, state.skew_rates[i]),
-                None => now,
-            };
-            slave.kernel.fast_forward(count, lnow);
+            if window.advance.contains(i) {
+                let lnow = match &self.preempt {
+                    Some(state) => preempt::local_time(now, state.skew_rates[i]),
+                    None => now,
+                };
+                slave.kernel.fast_forward(count, lnow);
+            }
         }
     }
 
-    /// The scheduled counterpart of
-    /// [`MultiCoreSystem::fast_forward_idle`]: the scheduler plans the
-    /// whole window in one call over the runnable mask, which holds
-    /// still across a certified window (its internal state advances
-    /// exactly as `count` [`Scheduler::plan`] calls would), and each
-    /// kernel applies the ticks of precisely the cycles the scheduler
-    /// would have advanced it in. The slaves that
-    /// [`MultiCoreSystem::quiescent_horizon_with`] froze for the window
-    /// count as runnable and get no ticks. Bit-identical to calling
-    /// [`MultiCoreSystem::step_explored`] with the scheduler `count`
-    /// times within the window.
-    pub fn fast_forward_idle_with(&mut self, count: u64, scheduler: &mut dyn Scheduler) {
-        if count == 0 {
-            return;
+    /// The platform's lock-step horizon: [`MultiCoreSystem::certify`]'s
+    /// end without a scheduler or memory model. The active
+    /// [`MemoryModel`]'s own [`idle_horizon`](MemoryModel::idle_horizon)
+    /// must be intersected by the caller. Kept for ptbench's traced
+    /// loop; ROADMAP item 1 deletes it.
+    #[must_use]
+    pub fn quiescent_horizon(&self) -> IdleHorizon {
+        self.certify(None, None).end
+    }
+
+    /// Ticks every kernel through `count` idle or steady cycles, as
+    /// [`MultiCoreSystem::advance`] does in a lock-step window the
+    /// caller certified with [`MultiCoreSystem::quiescent_horizon`].
+    /// Kept for ptbench's traced loop; ROADMAP item 1 deletes it.
+    pub fn fast_forward_idle(&mut self, count: u64) {
+        let mut window = Window::new(self.clock.now());
+        window.end = IdleHorizon::Unbounded;
+        window.advance = SlaveSet::from_mask(&[true; MAX_SLAVES][..self.slaves.len()]);
+        self.advance(&window, count, None);
+    }
+
+    /// [`MultiCoreSystem::fast_forward_idle`] under `scheduler`, in a
+    /// window [`MultiCoreSystem::quiescent_horizon`] certified, where
+    /// exactly the steady kernels have work. That horizon never asks the
+    /// scheduler, so the window is skipped one certified plan at a time,
+    /// and a cycle no plan certifies through one [`Scheduler::plan`]
+    /// call. Kept for ptbench's traced loop; ROADMAP item 1 deletes it.
+    pub fn fast_forward_idle_with(&mut self, mut count: u64, scheduler: &mut dyn Scheduler) {
+        let n = self.slaves.len();
+        let mut mask = [false; MAX_SLAVES];
+        for (slot, slave) in mask.iter_mut().zip(&self.slaves) {
+            *slot = slave.kernel.in_steady_loop();
         }
-        let start = Cycles::new(self.clock.now().get() + 1);
-        let mut runnable = std::mem::take(&mut self.sched_runnable);
-        let mut advance = std::mem::take(&mut self.sched_advance);
-        let mut ticks = std::mem::take(&mut self.sched_ticks);
-        self.scheduled = true;
-        // In a certified window exactly the steady kernels have work, none
-        // of their rotations reads time, and so have the slaves the
-        // horizon left frozen, which tick not at all.
-        let frozen = |i: usize| self.frozen.get(i).copied().unwrap_or(false);
-        runnable.clear();
-        runnable.extend(
-            self.slaves
-                .iter()
-                .enumerate()
-                .map(|(i, s)| s.kernel.in_steady_loop() || frozen(i)),
-        );
-        debug_assert!(self.slaves.iter().enumerate().all(|(i, s)| {
-            s.kernel.has_dispatchable_work(self.local_time_of(i, start)) == runnable[i]
-                && (frozen(i)
-                    || !runnable[i]
-                    || s.kernel.steady_window().is_some_and(|w| !w.reads_time))
-        }));
-        advance.clear();
-        advance.resize(self.slaves.len(), true);
-        ticks.clear();
-        ticks.resize(self.slaves.len(), TickAdvance::default());
-        scheduler.skip_cycles(start, count, &runnable, &mut advance, &mut ticks);
-        debug_assert!((0..self.slaves.len()).all(|i| !frozen(i) || ticks[i].ticks == 0));
-        self.frozen.clear();
-        self.clock.advance(Cycles::new(count));
-        for (i, (slave, adv)) in self.slaves.iter_mut().zip(ticks.iter()).enumerate() {
-            if let Some(last) = adv.last {
-                let llast = match &self.preempt {
-                    Some(state) => preempt::local_time(last, state.skew_rates[i]),
-                    None => last,
-                };
-                slave.kernel.fast_forward(adv.ticks, llast);
+        let runnable = SlaveSet::from_mask(&mask[..n]);
+        while count > 0 {
+            self.scheduled = true;
+            let mut advance = [false; MAX_SLAVES];
+            let plan = scheduler.plan_window(&mask[..n], &mut advance[..n]);
+            if plan == 0 {
+                advance.fill(true);
+                let next = Cycles::new(self.clock.now().get() + 1);
+                scheduler.plan(next, &mask[..n], &mut advance[..n]);
             }
+            let cycles = plan.clamp(1, count);
+            let mut window = Window::new(self.clock.now());
+            window.end = IdleHorizon::Unbounded;
+            window.runnable = runnable;
+            window.advance = SlaveSet::from_mask(&advance[..n]);
+            self.advance(&window, cycles, (plan > 0).then_some(&mut *scheduler));
+            count -= cycles;
         }
-        self.sched_runnable = runnable;
-        self.sched_advance = advance;
-        self.sched_ticks = ticks;
     }
 
     /// Advances the whole platform by one cycle: per-slave interrupt
@@ -2206,10 +2288,9 @@ mod tests {
         );
     }
 
-    /// Slave 0 spins down a 2,000-iteration countdown, polling a
-    /// variable nobody writes; slave 1 naps between compute bursts.
-    fn spinner_sys() -> MultiCoreSystem {
-        let mut s = MultiCoreSystem::new(SystemConfig::with_slaves(2));
+    /// Starts on `slave` a task that spins down a 2,000-iteration
+    /// countdown, polling a variable nobody writes.
+    fn spin_on(s: &mut MultiCoreSystem, slave: usize) {
         let mut b = ptest_pcore::ProgramBuilder::new();
         b.push(Op::AddReg {
             reg: 0,
@@ -2222,7 +2303,15 @@ mod tests {
         b.jump_to("spin");
         b.bind("done");
         b.push(Op::Exit);
-        let spin = s.kernel_of_mut(0).register_program(b.build().unwrap());
+        let spin = s.kernel_of_mut(slave).register_program(b.build().unwrap());
+        create_on(s, slave, spin, 5);
+    }
+
+    /// Slave 0 spins down the countdown; slave 1 naps between compute
+    /// bursts.
+    fn spinner_sys() -> MultiCoreSystem {
+        let mut s = MultiCoreSystem::new(SystemConfig::with_slaves(2));
+        spin_on(&mut s, 0);
         let nap = s.kernel_of_mut(1).register_program(
             Program::new(vec![
                 Op::Compute(5),
@@ -2232,33 +2321,59 @@ mod tests {
             ])
             .unwrap(),
         );
-        create_on(&mut s, 0, spin, 5);
         create_on(&mut s, 1, nap, 5);
         s
     }
 
-    /// Runs `s` to cycle `end`, fast-forwarding every window the horizon
-    /// certifies when `forward`; returns the cycles skipped.
+    /// Both slaves spin down the countdown: two steady kernels runnable
+    /// at once, which a randomized schedule takes turns between.
+    fn spinners_sys() -> MultiCoreSystem {
+        let mut s = MultiCoreSystem::new(SystemConfig::with_slaves(2));
+        spin_on(&mut s, 0);
+        spin_on(&mut s, 1);
+        s
+    }
+
+    /// How [`run_to`] fast-forwards a system.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum Forward {
+        /// Never: every cycle is stepped.
+        Never,
+        /// Through every window the engine's certificate allows.
+        Certified,
+        /// Through the lock-step horizon, which never asks the
+        /// scheduler, in the order ptbench's traced loop calls it.
+        LockStepHorizon,
+    }
+
+    /// Runs `s` to cycle `end`, fast-forwarding as `forward` says;
+    /// returns the cycles skipped.
     fn run_to(
         s: &mut MultiCoreSystem,
         sched: &mut Option<Box<dyn Scheduler>>,
-        forward: bool,
+        forward: Forward,
         end: u64,
     ) -> u64 {
         let mut skipped = 0;
         while s.now().get() < end {
             let now = s.now().get();
-            let target = match s.quiescent_horizon_with(sched.as_deref()) {
-                _ if !forward => 0,
+            let window = s.certify(sched.as_deref(), None);
+            let horizon = match forward {
+                Forward::Never => IdleHorizon::Unknown,
+                Forward::Certified => window.end(),
+                Forward::LockStepHorizon => s.quiescent_horizon(),
+            };
+            let target = match horizon {
                 IdleHorizon::Until(at) => at.min(end),
                 IdleHorizon::Unbounded => end,
                 IdleHorizon::Unknown => 0,
             };
             if target > now + 1 {
                 let skip = target - now - 1;
-                match sched.as_deref_mut() {
-                    Some(sched) => s.fast_forward_idle_with(skip, sched),
-                    None => s.fast_forward_idle(skip),
+                match (forward, sched.as_deref_mut()) {
+                    (Forward::Certified, sched) => s.advance(&window, skip, sched),
+                    (_, Some(sched)) => s.fast_forward_idle_with(skip, sched),
+                    (_, None) => s.fast_forward_idle(skip),
                 }
                 skipped += skip;
             }
@@ -2275,6 +2390,15 @@ mod tests {
     fn forwarded_matches_stepped(
         make: impl Fn() -> MultiCoreSystem,
         seed: Option<u64>,
+    ) -> (MultiCoreSystem, u64) {
+        forwarded_by_matches_stepped(make, seed, Forward::Certified)
+    }
+
+    /// [`forwarded_matches_stepped`], fast-forwarding as `forward` says.
+    fn forwarded_by_matches_stepped(
+        make: impl Fn() -> MultiCoreSystem,
+        seed: Option<u64>,
+        forward: Forward,
     ) -> (MultiCoreSystem, u64) {
         use crate::sched::{RandomPriorityConfig, RandomPriorityScheduler};
         let scheduler = || {
@@ -2295,8 +2419,8 @@ mod tests {
         let (mut sched_a, mut sched_b) = (scheduler(), scheduler());
         let mut stepped = make();
         let mut forwarded = make();
-        run_to(&mut stepped, &mut sched_a, false, 12_000);
-        let skipped = run_to(&mut forwarded, &mut sched_b, true, 12_000);
+        run_to(&mut stepped, &mut sched_a, Forward::Never, 12_000);
+        let skipped = run_to(&mut forwarded, &mut sched_b, forward, 12_000);
         assert_eq!(stepped.snapshots(), forwarded.snapshots(), "{seed:?}");
         assert_eq!(traces(&stepped), traces(&forwarded), "{seed:?}");
         (forwarded, skipped)
@@ -2310,6 +2434,25 @@ mod tests {
             // The spin ran out and the napper finished, either way.
             assert_eq!(forwarded.kernel_of(0).live_task_count(), 0);
             assert_eq!(forwarded.kernel_of(1).live_task_count(), 0);
+        }
+        // Two spinners: under the randomized schedule both stay runnable,
+        // so the schedule's plan, not the rotations, bounds the windows:
+        // the leader spins until the other's fairness tick.
+        for seed in [None, Some(1), Some(2), Some(3), Some(4)] {
+            let (_, skipped) = forwarded_matches_stepped(spinners_sys, seed);
+            assert!(skipped > 11_500, "seed {seed:?}: skipped only {skipped}");
+        }
+    }
+
+    #[test]
+    fn the_lock_step_horizon_forwards_a_schedule_past_its_plan() {
+        // ptbench's traced loop certifies windows with the lock-step
+        // horizon and then forwards them under the scheduler, so a
+        // window may run past the plan's certified cycles.
+        for seed in [Some(1), Some(2), Some(3), Some(4)] {
+            let (_, skipped) =
+                forwarded_by_matches_stepped(spinners_sys, seed, Forward::LockStepHorizon);
+            assert!(skipped > 11_500, "seed {seed:?}: skipped only {skipped}");
         }
     }
 

@@ -1,9 +1,9 @@
-//! Shared test-only scheduler replay shims, used by the `sched` unit
-//! tests and the preemption/system suites alike: one-cycle planning and
-//! the per-cycle replay that closed-form `skip_cycles` overrides are
-//! checked against.
+#![cfg(test)]
+//! Shared test-only scheduler shims for the `sched` unit tests:
+//! one-cycle planning, and the per-cycle replay that closed-form
+//! `apply_window` is checked against.
 
-use crate::sched::{Scheduler, TickAdvance};
+use crate::sched::Scheduler;
 use ptest_soc::Cycles;
 
 /// Plans one cycle (at cycle 1) over `runnable` and returns the advance
@@ -14,46 +14,28 @@ pub(crate) fn plan_once(s: &mut dyn Scheduler, runnable: &[bool]) -> Vec<bool> {
     advance
 }
 
-/// Replays `count` cycles one by one over the constant `runnable` mask —
-/// what `skip_cycles` must equal, written out independently so tests can
-/// compare a closed-form override against it on the same type.
-pub(crate) fn replay(
-    s: &mut dyn Scheduler,
-    start: u64,
-    count: u64,
-    runnable: &[bool],
-) -> Vec<TickAdvance> {
-    let mut advance = vec![true; runnable.len()];
-    let mut ticks = vec![TickAdvance::default(); runnable.len()];
-    for c in 0..count {
-        advance.fill(true);
-        s.plan(Cycles::new(start + c), runnable, &mut advance);
-        for (i, &a) in advance.iter().enumerate() {
-            if a {
-                ticks[i].ticks += 1;
-                ticks[i].last = Some(Cycles::new(start + c));
-            }
+/// Replays `count` cycles one by one over the constant `runnable` mask
+/// and returns in how many of them each slave advanced — what a skipped
+/// window must equal, written out independently so tests can compare a
+/// closed form against it on the same type.
+pub(crate) fn replay(s: &mut dyn Scheduler, count: u64, runnable: &[bool]) -> Vec<u64> {
+    let mut ticks = vec![0; runnable.len()];
+    for _ in 0..count {
+        for (t, advanced) in ticks.iter_mut().zip(plan_once(s, runnable)) {
+            *t += u64::from(advanced);
         }
     }
     ticks
 }
 
-/// Skips `count` cycles over the constant `runnable` mask in one
-/// `skip_cycles` call and returns the per-slave tick advances.
-pub(crate) fn skip(
-    s: &mut dyn Scheduler,
-    start: u64,
-    count: u64,
-    runnable: &[bool],
-) -> Vec<TickAdvance> {
-    let mut advance = vec![true; runnable.len()];
-    let mut ticks = vec![TickAdvance::default(); runnable.len()];
-    s.skip_cycles(
-        Cycles::new(start),
-        count,
-        runnable,
-        &mut advance,
-        &mut ticks,
-    );
-    ticks
+/// Skips `count` cycles over the constant `runnable` mask the way a
+/// fast-forward window does: one `plan_window` call, which must certify
+/// at least `count` cycles, then one `apply_window` call. Returns in how
+/// many of them each slave advanced.
+pub(crate) fn skip(s: &mut dyn Scheduler, count: u64, runnable: &[bool]) -> Vec<u64> {
+    let mut advance = vec![false; runnable.len()];
+    let window = s.plan_window(runnable, &mut advance);
+    assert!(count <= window, "{count} cycles past a {window}-cycle plan");
+    s.apply_window(count, runnable);
+    advance.iter().map(|&a| if a { count } else { 0 }).collect()
 }
