@@ -5,8 +5,8 @@
 
 use ptest_automata::Alphabet;
 use ptest_core::{
-    Bug, BugKind, Committer, CommitterConfig, CommitterStatus, CycleLoop, DetectorConfig,
-    MergedPattern, Scenario,
+    uncaptured_system, Bug, BugKind, Committer, CommitterConfig, CommitterStatus, CycleLoop,
+    DetectorConfig, MergedPattern, Scenario,
 };
 use ptest_master::{MultiCoreSystem, SnapshotCache, SystemConfig};
 use ptest_pcore::ProgramId;
@@ -115,7 +115,7 @@ pub(crate) fn run_merged_with(
     setup: impl FnOnce(&mut MultiCoreSystem) -> Vec<ProgramId>,
     fast_forward: bool,
 ) -> RunOutcome {
-    let mut sys = MultiCoreSystem::new(knobs.system.clone());
+    let mut sys = MultiCoreSystem::new(uncaptured_system(&knobs.system, &knobs.detector));
     let programs = setup(&mut sys);
     let mut committer = Committer::new(
         merged,

@@ -8,7 +8,10 @@
 //! large share of its budget on illegal orders the slave rejects — the
 //! comparison that motivates pTest's "rational order" patterns.
 
-use ptest_core::{Bug, BugKind, CommitterError, CycleLoop, DetectorConfig, Driver, PriorityBands};
+use ptest_core::{
+    uncaptured_system, Bug, BugKind, CommitterError, CycleLoop, DetectorConfig, Driver,
+    PriorityBands,
+};
 use ptest_master::{MultiCoreSystem, SnapshotCache, SystemConfig};
 use ptest_pcore::{ProgramId, Service, SvcError, SvcReply, SvcRequest, TaskId};
 use ptest_soc::Cycles;
@@ -151,7 +154,7 @@ impl RandomTester {
         fast_forward: bool,
     ) -> Result<RandomTestReport, CommitterError> {
         let cfg = &self.cfg;
-        let mut sys = MultiCoreSystem::new(cfg.system.clone());
+        let mut sys = MultiCoreSystem::new(uncaptured_system(&cfg.system, &cfg.detector));
         let programs = setup(&mut sys);
         if programs.is_empty() {
             return Err(CommitterError::NoPrograms);

@@ -75,8 +75,8 @@ pub use record::{MasterState, StateRecord};
 pub use report::{BugSummary, ReportSummary};
 pub use scenario::{Configured, FnScenario, Scenario};
 pub use trial::{
-    derived_irq_seed, derived_memory_seed, derived_schedule_seed, CycleLoop, Driver, TrialEngine,
-    TrialOverrides, TrialScratch, TrialTrace,
+    derived_irq_seed, derived_memory_seed, derived_schedule_seed, uncaptured_system, CycleLoop,
+    Driver, TrialEngine, TrialOverrides, TrialScratch, TrialTrace,
 };
 
 // Schedule and memory-model exploration vocabulary, re-exported so

@@ -20,7 +20,7 @@
 use ptest_automata::{GenerateOptions, Regex};
 use ptest_master::{
     IdleHorizon, MasterEvent, MemoryModel, MemoryModelSpec, MultiCoreSystem, Scheduler,
-    SnapshotCache,
+    SnapshotCache, SystemConfig,
 };
 use ptest_pcore::{KernelEvent, ProgramId};
 use ptest_soc::{Cycles, TraceEvent};
@@ -36,10 +36,15 @@ use crate::merger::PatternMerger;
 use crate::pattern::TestPattern;
 use crate::scenario::Scenario;
 
-/// The full event timeline of one trial, captured when a caller requests
+/// The event timeline of one trial, captured when a caller requests
 /// tracing via [`TrialOverrides::capture_trace`]: every kernel's trace
-/// ring plus the master system's, as left at end of trial. Capturing
-/// also enables the kernels' access tracing
+/// ring plus the master system's, as left at end of trial. A captured
+/// trial builds its rings at the configured capacities
+/// ([`SystemConfig::trace_capacity`] and its kernel's): each ring holds
+/// its last that-many events, and `dropped` counts the rest. A trial
+/// that captures nothing keeps only the detector's trace tail
+/// ([`uncaptured_system`]). Capturing also enables the kernels' access
+/// tracing
 /// ([`trace_accesses`](ptest_pcore::KernelConfig::trace_accesses)), so
 /// shared-variable reads/writes, fences and semaphore hand-offs appear in
 /// the timeline — the raw material of a root-cause interleaving report.
@@ -85,8 +90,11 @@ pub struct TrialOverrides<'a> {
     /// candidate pattern sets through here, so every candidate is a full
     /// deterministic trial.
     pub patterns: Option<&'a [TestPattern]>,
-    /// Captures the trial's full event timeline (and enables kernel
-    /// access tracing for this trial) into the given buffer.
+    /// Captures the trial's event timeline (and enables kernel access
+    /// tracing for this trial) into the given buffer. The trial builds
+    /// its rings at the configured capacities; without a capture it
+    /// builds them only as long as the detector's trace tail
+    /// ([`uncaptured_system`]).
     pub capture_trace: Option<&'a mut TrialTrace>,
 }
 
@@ -96,6 +104,8 @@ pub struct TrialOverrides<'a> {
 #[derive(Debug, Clone)]
 pub struct TrialEngine {
     config: AdaptiveTestConfig,
+    /// What an uncaptured trial builds ([`uncaptured_system`]).
+    uncaptured_system: SystemConfig,
     generator: PatternGenerator,
     fast_forward: bool,
 }
@@ -145,6 +155,7 @@ impl TrialEngine {
         let regex = Regex::parse(&config.regex_source).map_err(AdaptiveTestError::Regex)?;
         let generator = PatternGenerator::new(regex, &config.pd).map_err(AdaptiveTestError::Pfa)?;
         Ok(TrialEngine {
+            uncaptured_system: uncaptured_system(&config.system, &config.detector),
             config,
             generator,
             fast_forward: true,
@@ -177,7 +188,9 @@ impl TrialEngine {
         &self.generator
     }
 
-    /// The configuration this engine was compiled from.
+    /// The configuration this engine was compiled from, as passed: a
+    /// trial that captures no trace builds shorter rings than its
+    /// `system` names ([`uncaptured_system`]).
     #[must_use]
     pub fn config(&self) -> &AdaptiveTestConfig {
         &self.config
@@ -291,9 +304,12 @@ impl TrialEngine {
             preemption: preemption.unwrap_or(self.config.preemption),
             ..self.config.clone()
         };
-        if capture_trace.is_some() {
+        let system = if capture_trace.is_some() {
             cfg.system.kernel.trace_accesses = true;
-        }
+            cfg.system.clone()
+        } else {
+            self.uncaptured_system.clone()
+        };
 
         // --- Algorithm 1, lines 1-3: generate T[1..n].
         let mut rng = StdRng::seed_from_u64(cfg.seed);
@@ -311,7 +327,7 @@ impl TrialEngine {
         let merged = PatternMerger::new().merge(&patterns, cfg.op);
 
         // --- System + committer + detector (lines 5-10).
-        let mut sys = MultiCoreSystem::new(cfg.system.clone());
+        let mut sys = MultiCoreSystem::new(system);
         let programs = setup(&mut sys);
         // After setup, so scenarios can install their ISR handlers
         // first; the inert default installs nothing (the golden-fixture
@@ -390,6 +406,22 @@ impl TrialEngine {
             config: cfg,
         })
     }
+}
+
+/// The system a trial that captures no trace builds from `system`. Such
+/// a trial reads one trace: the failing kernel's last
+/// [`DetectorConfig::trace_tail`] events ([`Bug::trace_tail`]). So each
+/// kernel ring keeps that many (at least 1, at most
+/// `system.kernel.trace_capacity`), and the master ring, which no
+/// uncaptured trial reads, keeps 1. Every ring evicts oldest first, so
+/// the tail is the one a full ring would report. A captured trial
+/// ([`TrialOverrides::capture_trace`]) builds `system` as configured.
+#[must_use]
+pub fn uncaptured_system(system: &SystemConfig, detector: &DetectorConfig) -> SystemConfig {
+    let mut kept = system.clone();
+    kept.kernel.trace_capacity = system.kernel.trace_capacity.min(detector.trace_tail.max(1));
+    kept.trace_capacity = 1;
+    kept
 }
 
 /// What the cycle loop drives after each platform cycle: the master side
@@ -915,5 +947,36 @@ mod tests {
         assert_ne!(a.patterns, b.patterns, "different seeds, different runs");
         assert_eq!(a.patterns, a2.patterns, "same seed, same run");
         assert_eq!(a.config.seed, 1, "trial seed is echoed for reproduction");
+    }
+
+    #[test]
+    fn captured_trials_keep_the_configured_rings() {
+        let mut cfg = AdaptiveTestConfig::default();
+        cfg.system.kernel.trace_capacity = 8;
+        cfg.detector.trace_tail = 3;
+        let uncaptured = uncaptured_system(&cfg.system, &cfg.detector);
+        assert_eq!(
+            (uncaptured.kernel.trace_capacity, uncaptured.trace_capacity),
+            (3, 1)
+        );
+        let engine = engine(cfg);
+        let scenario = crate::FnScenario::new("probe", engine.config().clone(), quick_setup);
+        let mut trace = TrialTrace::default();
+        let overrides = TrialOverrides {
+            capture_trace: Some(&mut trace),
+            ..TrialOverrides::default()
+        };
+        engine
+            .run_scenario_trial_overridden(&scenario, 1, 1, 1, overrides, &mut TrialScratch::new())
+            .unwrap();
+        assert!(trace.dropped[0] > 0, "the kernel recorded more than 8");
+        assert_eq!(trace.kernels[0].len(), 8);
+        assert!(
+            trace.master.len() > 1,
+            "{} master events",
+            trace.master.len()
+        );
+        // The engine reports the configuration as passed.
+        assert_eq!(engine.config().system.kernel.trace_capacity, 8);
     }
 }

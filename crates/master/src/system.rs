@@ -37,7 +37,9 @@ pub struct SystemConfig {
     /// Commands each slave endpoint services per doorbell interrupt.
     pub slave_budget: usize,
     /// Most events the system trace ring keeps: a bound on the ring, not
-    /// a reservation (it grows as events arrive).
+    /// a reservation (it grows as events arrive). A trial that captures
+    /// its trace keeps this many; one that does not reads no master
+    /// event and keeps 1 (`ptest_core::uncaptured_system`).
     pub trace_capacity: usize,
 }
 

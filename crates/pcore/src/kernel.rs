@@ -73,7 +73,10 @@ pub struct KernelConfig {
     /// Injected garbage-collector fault.
     pub gc_fault: GcFaultMode,
     /// Most events the kernel trace ring keeps: a bound on the ring, not
-    /// a reservation (it grows as events arrive).
+    /// a reservation (it grows as events arrive). A trial that captures
+    /// its trace keeps this many; one that does not keeps only the
+    /// detector's trace tail, when that is fewer
+    /// (`ptest_core::uncaptured_system`).
     pub trace_capacity: usize,
     /// Cycles a `Yield` keeps the task off the core, giving lower-priority
     /// tasks a chance to run (models pCore's cooperative `yield()`).

@@ -99,8 +99,10 @@ pub struct TraceBuffer<E> {
 }
 
 impl<E> TraceBuffer<E> {
-    /// Default capacity used by the system wiring: generous enough to hold
-    /// the full history of the paper-scale experiments.
+    /// Default capacity of the system's rings. A trial that captures its
+    /// trace for a root-cause report keeps this many events per ring,
+    /// which holds the whole timeline of most paper-scale trials; a
+    /// trial that does not keeps only the tail its bug reports show.
     pub const DEFAULT_CAPACITY: usize = 65_536;
 
     /// Creates a buffer keeping at most `capacity` events. The capacity

@@ -11,6 +11,7 @@
 
 use std::fmt::Write as _;
 
+use ptest::faults::fig1::Fig1AdaptiveScenario;
 use ptest::faults::multicore::CrossCorePipelineScenario;
 use ptest::faults::philosophers::PhilosophersScenario;
 use ptest::faults::races::{AtomicityRaceScenario, OrderViolationScenario};
@@ -20,8 +21,8 @@ use ptest::faults::weakmem::StoreVisibilityScenario;
 use ptest::master::{InterruptConfig, MasterOp, PreemptionSpec, SystemConfig};
 use ptest::pcore::{Op, Priority, Program, SvcRequest, VarId};
 use ptest::{
-    AdaptiveTestConfig, Cycles, FnScenario, Scenario, TrialEngine, TrialOverrides, TrialScratch,
-    TrialTrace,
+    derived_memory_seed, derived_schedule_seed, AdaptiveTestConfig, Cycles, FnScenario, Scenario,
+    TestReport, TrialEngine, TrialOverrides, TrialScratch, TrialTrace,
 };
 
 /// Two slaves; master threads issue a waited and a fire-and-forget
@@ -164,4 +165,119 @@ fn trace_renderings_are_byte_identical_to_the_golden() {
         .collect();
     let golden = include_str!("fixtures/trace_renderings.txt");
     assert!(actual == golden, "trace renderings drifted:\n{actual}");
+}
+
+/// Runs `scenario` at pattern seed `seed` (the other seeds derived from
+/// it) with the detector reporting `tail` events and, if given, kernel
+/// rings of `kernel_capacity` events.
+fn run_with_tail(
+    scenario: &dyn Scenario,
+    seed: u64,
+    tail: usize,
+    kernel_capacity: Option<usize>,
+) -> TestReport {
+    let mut config = scenario.base_config();
+    config.detector.trace_tail = tail;
+    if let Some(capacity) = kernel_capacity {
+        config.system.kernel.trace_capacity = capacity;
+    }
+    TrialEngine::new(config)
+        .unwrap()
+        .run_scenario_trial_overridden(
+            scenario,
+            seed,
+            derived_schedule_seed(seed),
+            derived_memory_seed(seed),
+            TrialOverrides::default(),
+            &mut TrialScratch::new(),
+        )
+        .unwrap()
+}
+
+/// Asserts that a trial reporting `tail` events from kernel rings of
+/// `kernel_capacity` events reports what a trial with full rings
+/// reports: every bug's tail is the last `tail` events (at most
+/// `kernel_capacity`) of the full tail, and every other field is equal.
+/// Returns how many bugs the trial found and the longest full tail.
+fn assert_tail_of_full_rings(
+    scenario: &dyn Scenario,
+    seed: u64,
+    tail: usize,
+    kernel_capacity: Option<usize>,
+) -> (usize, usize) {
+    const FULL: usize = 65_536;
+    let mut full = run_with_tail(scenario, seed, FULL, None);
+    let short = run_with_tail(scenario, seed, tail, kernel_capacity);
+    let kept = tail.min(kernel_capacity.unwrap_or(FULL));
+    let name = format!("{} seed {seed} tail {tail}", scenario.name());
+    assert_eq!(full.bugs.len(), short.bugs.len(), "{name}");
+    let mut longest = 0;
+    for (full_bug, short_bug) in full.bugs.iter_mut().zip(&short.bugs) {
+        longest = longest.max(full_bug.trace_tail.len());
+        let from = full_bug.trace_tail.len().saturating_sub(kept);
+        assert_eq!(full_bug.trace_tail[from..], short_bug.trace_tail, "{name}");
+        full_bug.trace_tail = short_bug.trace_tail.clone();
+    }
+    full.config.detector.trace_tail = tail;
+    full.config.system.kernel.trace_capacity = short.config.system.kernel.trace_capacity;
+    // The distribution's map prints in its own hash order; a clone
+    // keeps the order.
+    full.config.pd = short.config.pd.clone();
+    assert_eq!(format!("{full:?}"), format!("{short:?}"), "{name}");
+    (short.bugs.len(), longest)
+}
+
+#[test]
+fn tails_from_detector_sized_rings_equal_the_tails_of_full_rings() {
+    // Seed 1 livelocks with one task spinning alone, seed 91 with a
+    // spinner beside a suspended task, seed 30 with two tasks yielding
+    // to each other: each skips many rotations, so a full ring holds
+    // far more than the tail.
+    for seed in [1, 30, 91] {
+        let (bugs, longest) =
+            assert_tail_of_full_rings(&Fig1AdaptiveScenario::default(), seed, 64, None);
+        assert!(bugs > 0, "Fig. 1 seed {seed} livelocks");
+        assert!(longest > 64, "Fig. 1 seed {seed}: a full tail of {longest}");
+    }
+    let scenarios: [&dyn Scenario; 7] = [
+        &OrderViolationScenario::buggy(),
+        &AtomicityRaceScenario::buggy(),
+        &QuantumAtomicityScenario::buggy(),
+        &StoreVisibilityScenario::buggy(),
+        &IsrSharedVarScenario::buggy(),
+        &CrossCorePipelineScenario::buggy(),
+        &StressScenario::light(),
+    ];
+    for scenario in scenarios {
+        let bugs: usize = (1..=4)
+            .map(|seed| assert_tail_of_full_rings(scenario, seed, 64, None).0)
+            .sum();
+        assert!(bugs > 0, "{} finds its bug at seeds 1-4", scenario.name());
+    }
+}
+
+/// [`assert_tail_of_full_rings`] over Fig. 1's three livelocks and the
+/// faulty collector's crashes (seeds 1-4).
+fn assert_tails_of_livelocks_and_crashes(tail: usize, kernel_capacity: Option<usize>) {
+    let runs: [(&dyn Scenario, &[u64]); 2] = [
+        (&Fig1AdaptiveScenario::default(), &[1, 30, 91]),
+        (&StressScenario::light(), &[1, 2, 3, 4]),
+    ];
+    for (scenario, seeds) in runs {
+        let bugs: usize = seeds
+            .iter()
+            .map(|&seed| assert_tail_of_full_rings(scenario, seed, tail, kernel_capacity).0)
+            .sum();
+        assert!(bugs > 0, "{} finds its bug", scenario.name());
+    }
+}
+
+#[test]
+fn a_zero_tail_reports_no_events_and_the_same_bugs() {
+    assert_tails_of_livelocks_and_crashes(0, None);
+}
+
+#[test]
+fn a_tail_longer_than_the_kernel_ring_reports_the_whole_ring() {
+    assert_tails_of_livelocks_and_crashes(64, Some(20));
 }
