@@ -30,7 +30,7 @@
 use std::collections::HashMap;
 use std::fmt;
 
-use ptest_master::{IdleHorizon, MultiCoreSystem, SnapshotCache};
+use ptest_master::{IdleHorizon, MultiCoreSystem, SlaveSet, SnapshotCache};
 use ptest_pcore::{
     ExitKind, KernelEvent, KernelPanic, KernelSnapshot, TaskFault, TaskId, TaskState, WaitEdge,
 };
@@ -224,34 +224,6 @@ struct Progress {
     since: Cycles,
 }
 
-/// A set of slave indices as a bitset (one word covers 64 slaves), so
-/// the once-per-anomaly dedup checks in the observation hot path are
-/// O(1) instead of a linear scan per slave per observation.
-#[derive(Debug, Clone, Default)]
-struct SlaveSet {
-    bits: Vec<u64>,
-}
-
-impl SlaveSet {
-    /// Inserts `slave`, returning `true` when it was not already present.
-    fn insert(&mut self, slave: usize) -> bool {
-        let word = slave / 64;
-        if word >= self.bits.len() {
-            self.bits.resize(word + 1, 0);
-        }
-        let mask = 1u64 << (slave % 64);
-        let fresh = self.bits[word] & mask == 0;
-        self.bits[word] |= mask;
-        fresh
-    }
-
-    fn contains(&self, slave: usize) -> bool {
-        self.bits
-            .get(slave / 64)
-            .is_some_and(|w| w & (1u64 << (slave % 64)) != 0)
-    }
-}
-
 /// A set of `(slave, task)` pairs: one 256-bit block per slave (task
 /// slots are `u8`-indexed, so 256 bits covers every possible task id).
 #[derive(Debug, Clone, Default)]
@@ -428,27 +400,27 @@ impl BugDetector {
     /// the archive format: reports must stay byte-identical across
     /// reruns *and* releases.
     ///
-    /// `dirty` (one flag per slave) gates the purely state-driven rules:
-    /// a kernel whose change epoch has not moved since the last
-    /// observation cannot newly panic, fault a task, or grow a wait-for
-    /// cycle, so those rules skip it. Every state transition bumps the
-    /// epoch *in* the transitioning cycle, and dirtiness is measured
-    /// against the previous observation, so a changed kernel is always
-    /// observed dirty at least once.
+    /// `dirty` (the slaves whose kernel changed) gates the purely
+    /// state-driven rules: a kernel whose change epoch has not moved
+    /// since the last observation cannot newly panic, fault a task, or
+    /// grow a wait-for cycle, so those rules skip it. Every state
+    /// transition bumps the epoch *in* the transitioning cycle, and
+    /// dirtiness is measured against the previous observation, so a
+    /// changed kernel is always observed dirty at least once.
     fn check_rules(
         &mut self,
         sys: &MultiCoreSystem,
         committer: Option<&Committer>,
         committer_done: bool,
         snapshots: &[KernelSnapshot],
-        dirty: &[bool],
+        dirty: SlaveSet,
     ) -> Vec<Bug> {
         let now = sys.now();
         let mut bugs = Vec::new();
 
         // --- Crash (debug window), per slave.
         for (slave, snapshot) in snapshots.iter().enumerate() {
-            if !dirty[slave] {
+            if !dirty.contains(slave) {
                 continue;
             }
             if let Some(panic) = snapshot.panic {
@@ -480,7 +452,7 @@ impl BugDetector {
         }
         // --- Task faults, per slave.
         for (slave, snapshot) in snapshots.iter().enumerate() {
-            if !dirty[slave] {
+            if !dirty.contains(slave) {
                 continue;
             }
             for t in &snapshot.tasks {
@@ -499,7 +471,7 @@ impl BugDetector {
         }
         // --- Deadlock: cycle in one kernel's waiter -> holder edges.
         for (slave, snapshot) in snapshots.iter().enumerate() {
-            if !dirty[slave] {
+            if !dirty.contains(slave) {
                 continue;
             }
             if !self.reported_deadlock.contains(slave) {
@@ -520,7 +492,7 @@ impl BugDetector {
         //     changes when some kernel changes, so with every kernel
         //     clean the search is skipped — unless the committer-done
         //     gate just opened, which enables the rule on its own.
-        let any_dirty = dirty.contains(&true);
+        let any_dirty = !dirty.is_empty();
         let gate_opened = committer_done != self.last_done;
         self.last_done = committer_done;
         if committer_done && !self.reported_cross_core && (any_dirty || gate_opened) {
@@ -784,7 +756,7 @@ mod tests {
         let mut s = SlaveSet::default();
         assert!(s.insert(0));
         assert!(!s.insert(0));
-        assert!(s.insert(70), "second word allocates on demand");
+        assert!(s.insert(70), "second word");
         assert!(s.contains(70));
         assert!(!s.contains(1));
         assert!(!s.contains(500));

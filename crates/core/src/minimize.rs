@@ -703,10 +703,6 @@ pub fn minimize_scenario_trial(
     }
 
     let root_cause = build_root_cause(&summary, &bug_class, &trace, cfg);
-    let original_rp_points = match schedule {
-        ScheduleSpec::LockStep => 0,
-        ScheduleSpec::RandomPriority(rp) => rp.active_change_points(),
-    };
     Ok(MinimizedRepro {
         scenario: scenario.name().to_owned(),
         bug_class,
@@ -727,11 +723,8 @@ pub fn minimize_scenario_trial(
             .iter()
             .map(|p| p.render(alphabet))
             .collect(),
-        original_change_points: original_rp_points,
-        minimized_change_points: match &minimized_schedule_view(&minimized_spec) {
-            Some(cfg) => cfg.active_change_points(),
-            None => 0,
-        },
+        original_change_points: schedule.active_change_points(),
+        minimized_change_points: minimized_spec.active_change_points(),
         original_injections: preemption.interrupts.map_or(0, |ic| ic.active_injections()),
         minimized_injections: minimized_preemption.active_injections,
         candidates: candidates.get(),
@@ -802,13 +795,6 @@ fn ddmin_mask_bits(
         active.clear();
     }
     Ok(active)
-}
-
-fn minimized_schedule_view(spec: &ScheduleSpec) -> Option<RandomPriorityConfig> {
-    match spec {
-        ScheduleSpec::LockStep => None,
-        ScheduleSpec::RandomPriority(cfg) => Some(*cfg),
-    }
 }
 
 /// Replays a [`MinimizedRepro`] from its stored parts: parses the

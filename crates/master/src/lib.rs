@@ -18,10 +18,11 @@
 //!   default `n = 1` configuration is the original one-slave platform,
 //!   with bit-identical behaviour.
 //! * [`sched`] — schedule exploration: a [`Scheduler`] decides each
-//!   cycle which slave kernels execute a task cycle
-//!   ([`MultiCoreSystem::step_explored`]). Lock-step remains the default;
-//!   [`RandomPriorityScheduler`] performs a PCT-style seeded
-//!   randomized-priority search over cross-core interleavings.
+//!   cycle which of the runnable slave kernels execute a task cycle,
+//!   both as a [`SlaveSet`] ([`MultiCoreSystem::step_explored`]).
+//!   Lock-step remains the default; [`RandomPriorityScheduler`] performs
+//!   a PCT-style seeded randomized-priority search over cross-core
+//!   interleavings.
 //! * [`mem`] — memory-model exploration: a [`MemoryModel`] replaces the
 //!   sequentially-consistent shared-variable mirroring epoch
 //!   ([`MultiCoreSystem::step_explored`]). Sequential consistency remains
@@ -97,7 +98,8 @@ pub use sched::{
     LockStepScheduler, RandomPriorityConfig, RandomPriorityScheduler, ScheduleSpec, Scheduler,
 };
 pub use system::{
-    CouplingError, MultiCoreSystem, SemLink, SharedVar, SnapshotCache, SystemConfig, Window,
+    CouplingError, MultiCoreSystem, SemLink, SharedVar, SlaveSet, SnapshotCache, SystemConfig,
+    Window,
 };
 pub use thread::{MasterOp, MasterThread, ThreadId, ThreadState};
 

@@ -51,6 +51,7 @@ use std::fmt;
 use ptest_soc::Cycles;
 
 use crate::sched::splitmix64;
+use crate::system::SlaveSet;
 
 /// The platform's view of shared-variable state, as presented to a
 /// memory model once per cycle.
@@ -208,12 +209,12 @@ struct PendingStore {
     deliver_at: Vec<u64>,
     /// Which observers have already received it (the writer itself from
     /// the start — forward visibility).
-    delivered: Vec<bool>,
+    delivered: SlaveSet,
 }
 
 impl PendingStore {
     fn fully_delivered(&self) -> bool {
-        self.delivered.iter().all(|d| *d)
+        self.delivered.len() == self.deliver_at.len()
     }
 }
 
@@ -288,8 +289,8 @@ impl StoreBufferModel {
                 }
                 self.last_seen[s][idx] = local;
                 let mut deliver_at = vec![now; slaves];
-                let mut delivered = vec![false; slaves];
-                delivered[s] = true; // forward visibility: writer sees its own store
+                // Forward visibility: the writer sees its own store.
+                let delivered = SlaveSet::from_iter([s]);
                 for (j, at) in deliver_at.iter_mut().enumerate() {
                     if j != s {
                         *at = now + self.delay(s, self.seq, j);
@@ -311,11 +312,7 @@ impl StoreBufferModel {
     /// has a pending store to the same variable (its buffer shadows the
     /// incoming write), but the delivery still counts as observed.
     fn deliver_one(&mut self, w: usize, k: usize, j: usize, bus: &mut dyn SharedVarBus) {
-        if self.buffers[w][k].delivered[j] {
-            return;
-        }
-        self.buffers[w][k].delivered[j] = true;
-        if j == w {
+        if !self.buffers[w][k].delivered.insert(j) || j == w {
             return;
         }
         let (idx, value) = {
@@ -354,7 +351,10 @@ impl StoreBufferModel {
                 if w == s {
                     continue;
                 }
-                if let Some(cut) = self.buffers[w].iter().rposition(|e| e.delivered[s]) {
+                if let Some(cut) = self.buffers[w]
+                    .iter()
+                    .rposition(|e| e.delivered.contains(s))
+                {
                     self.force_deliver_prefix(w, cut + 1, bus);
                 }
             }
@@ -372,7 +372,7 @@ impl StoreBufferModel {
                 }
                 let mut k = 0;
                 while k < self.buffers[w].len() {
-                    if self.buffers[w][k].delivered[j] {
+                    if self.buffers[w][k].delivered.contains(j) {
                         k += 1;
                         continue;
                     }
@@ -451,7 +451,7 @@ impl MemoryModel for StoreBufferModel {
                 if j == w {
                     continue;
                 }
-                if let Some(e) = buffer.iter().find(|e| !e.delivered[j]) {
+                if let Some(e) = buffer.iter().find(|e| !e.delivered.contains(j)) {
                     let at = e.deliver_at[j];
                     next = Some(next.map_or(at, |n| n.min(at)));
                 }

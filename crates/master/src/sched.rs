@@ -12,9 +12,8 @@
 //!
 //! Two schedulers ship:
 //!
-//! * [`LockStepScheduler`] — the historical behaviour, bit-identical to
-//!   [`MultiCoreSystem::step`](crate::MultiCoreSystem::step): every
-//!   kernel advances every cycle.
+//! * [`LockStepScheduler`] — every kernel advances every cycle, exactly
+//!   as [`MultiCoreSystem::step`](crate::MultiCoreSystem::step) does.
 //! * [`RandomPriorityScheduler`] — a PCT-style randomized-priority
 //!   search (cf. Burckhardt et al., *A Randomized Scheduler with
 //!   Probabilistic Guarantees of Finding Bugs*): each slave gets a
@@ -44,7 +43,7 @@
 
 use std::fmt;
 
-use ptest_soc::Cycles;
+use crate::system::SlaveSet;
 
 /// Decides, each system cycle, which slave kernels execute a task cycle.
 ///
@@ -53,62 +52,49 @@ use ptest_soc::Cycles;
 /// sequence of `plan` calls — never on wall-clock time or global state —
 /// so a recorded `schedule_seed` replays the exact interleaving.
 pub trait Scheduler: fmt::Debug + Send {
-    /// Fills `advance` (pre-sized to the slave count, all `true`) with
-    /// this cycle's decisions. `runnable[i]` reports whether slave `i`'s
-    /// kernel has work a task cycle could progress (a dispatchable task
-    /// or a sleeper due at `now`); `now` is the cycle about to execute.
-    fn plan(&mut self, now: Cycles, runnable: &[bool], advance: &mut [bool]);
-
-    /// Whether [`Scheduler::plan`] advances slaves that are not runnable
-    /// (lock-step does, PCT never). Every scheduler must advance a lone
-    /// runnable slave at every call, so a fast-forward window with at
-    /// most one runnable slave needs no [`Scheduler::plan_window`].
-    fn advances_idle(&self) -> bool {
-        false
-    }
+    /// This cycle's decision: the slaves that execute a task cycle.
+    /// `runnable` holds the slaves whose kernel has work a task cycle
+    /// could progress (a dispatchable task or a sleeper due at the cycle
+    /// about to execute).
+    fn plan(&mut self, runnable: SlaveSet) -> SlaveSet;
 
     /// Certifies the next calls of [`Scheduler::plan`] under one constant
-    /// `runnable` mask: marks in `advance` (pre-sized to the slave count)
-    /// the slaves each of them would advance, and returns for how many
-    /// calls that holds; every other slave is advanced in none of them.
-    /// `u64::MAX` means for every call, 0 that the scheduler cannot tell,
-    /// and then `advance` means nothing. A fast-forward window with two
-    /// or more runnable slaves
+    /// `runnable` set: returns the slaves each of them would advance, and
+    /// for how many calls that holds; every other slave is advanced in
+    /// none of them. `u64::MAX` means for every call, 0 that the
+    /// scheduler cannot tell, and then the set means nothing. A
+    /// fast-forward window
     /// ([`MultiCoreSystem::certify`](crate::MultiCoreSystem::certify))
     /// ends with the plan, and holds every runnable slave it does not
     /// advance, whatever its work.
-    fn plan_window(&self, runnable: &[bool], advance: &mut [bool]) -> u64;
+    fn plan_window(&self, runnable: SlaveSet) -> (SlaveSet, u64);
 
     /// Leaves the scheduler exactly as `count` calls of
-    /// [`Scheduler::plan`] with the constant `runnable` mask would, in
+    /// [`Scheduler::plan`] with the constant `runnable` set would, in
     /// closed form. `count` lies within the window
-    /// [`Scheduler::plan_window`] certified for that mask, so each call
-    /// would have advanced the slaves it marked.
-    fn apply_window(&mut self, count: u64, runnable: &[bool]);
+    /// [`Scheduler::plan_window`] certified for that set, so each call
+    /// would have advanced the slaves it returned.
+    fn apply_window(&mut self, count: u64, runnable: SlaveSet);
 }
 
-/// The historical schedule: every kernel advances every cycle. Driving
-/// a system through `step_explored(Some(&mut LockStepScheduler), None)` is bit-identical
-/// to calling [`MultiCoreSystem::step`](crate::MultiCoreSystem::step) —
-/// the golden fixtures pin exactly that.
+/// Every kernel advances every cycle, runnable or not: its plan is
+/// [`SlaveSet::ALL`], certified for every call, so driving a system
+/// through `step_explored(Some(&mut LockStepScheduler), None)` steps it
+/// exactly as [`MultiCoreSystem::step`](crate::MultiCoreSystem::step)
+/// does.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LockStepScheduler;
 
 impl Scheduler for LockStepScheduler {
-    fn plan(&mut self, _now: Cycles, _runnable: &[bool], _advance: &mut [bool]) {
-        // `advance` arrives all-true: lock-step is the identity plan.
+    fn plan(&mut self, _runnable: SlaveSet) -> SlaveSet {
+        SlaveSet::ALL
     }
 
-    fn advances_idle(&self) -> bool {
-        true
+    fn plan_window(&self, _runnable: SlaveSet) -> (SlaveSet, u64) {
+        (SlaveSet::ALL, u64::MAX)
     }
 
-    fn plan_window(&self, _runnable: &[bool], advance: &mut [bool]) -> u64 {
-        advance.fill(true);
-        u64::MAX
-    }
-
-    fn apply_window(&mut self, _count: u64, _runnable: &[bool]) {
+    fn apply_window(&mut self, _count: u64, _runnable: SlaveSet) {
         // Lock-step keeps no state.
     }
 }
@@ -182,8 +168,7 @@ impl ScheduleSpec {
     /// seeded with `schedule_seed`. Returns `None` for
     /// [`ScheduleSpec::LockStep`]: callers drive the plain
     /// [`MultiCoreSystem::step`](crate::MultiCoreSystem::step) path,
-    /// which skips the per-cycle runnable scan entirely and is therefore
-    /// trivially bit-identical to the pre-scheduler behaviour.
+    /// which skips the per-cycle runnable scan entirely.
     #[must_use]
     pub fn scheduler(&self, slaves: usize, schedule_seed: u64) -> Option<Box<dyn Scheduler>> {
         match *self {
@@ -193,6 +178,16 @@ impl ScheduleSpec {
                 schedule_seed,
                 cfg,
             ))),
+        }
+    }
+
+    /// How many priority-change points the schedule keeps active (none
+    /// under lock-step).
+    #[must_use]
+    pub fn active_change_points(&self) -> usize {
+        match self {
+            ScheduleSpec::LockStep => 0,
+            ScheduleSpec::RandomPriority(cfg) => cfg.active_change_points(),
         }
     }
 
@@ -253,10 +248,16 @@ impl RandomPriorityScheduler {
     ///
     /// # Panics
     ///
-    /// Panics if `slaves` is zero.
+    /// Panics if `slaves` is zero, or more than a [`SlaveSet`] holds
+    /// ([`SlaveSet::CAPACITY`]).
     #[must_use]
     pub fn new(slaves: usize, schedule_seed: u64, cfg: RandomPriorityConfig) -> Self {
         assert!(slaves > 0, "a schedule needs at least one slave");
+        assert!(
+            slaves <= SlaveSet::CAPACITY,
+            "a schedule covers at most {} slaves",
+            SlaveSet::CAPACITY
+        );
         let mut stream = schedule_seed;
         // Initial priorities in the upper half of u64 space; demotions
         // count down from below them. Ties are broken by slave index in
@@ -293,10 +294,10 @@ impl RandomPriorityScheduler {
 
     /// The slave with the highest priority among `eligible` ones
     /// (smallest index wins ties).
-    fn leader(&self, eligible: impl Fn(usize) -> bool) -> Option<usize> {
+    fn leader(&self, eligible: SlaveSet) -> Option<usize> {
         let mut best: Option<(u64, usize)> = None;
         for (i, &p) in self.priorities.iter().enumerate() {
-            if eligible(i) && best.is_none_or(|(bp, _)| p > bp) {
+            if eligible.contains(i) && best.is_none_or(|(bp, _)| p > bp) {
                 best = Some((p, i));
             }
         }
@@ -305,7 +306,7 @@ impl RandomPriorityScheduler {
 }
 
 impl Scheduler for RandomPriorityScheduler {
-    fn plan(&mut self, _now: Cycles, runnable: &[bool], advance: &mut [bool]) {
+    fn plan(&mut self, runnable: SlaveSet) -> SlaveSet {
         // Demote the current leader at each passed change point.
         while self
             .change_points
@@ -313,44 +314,41 @@ impl Scheduler for RandomPriorityScheduler {
             .is_some_and(|&cp| cp <= self.planned)
         {
             self.change_points.pop();
-            if let Some(leader) = self.leader(|i| runnable.get(i).copied().unwrap_or(false)) {
+            if let Some(leader) = self.leader(runnable) {
                 self.next_demoted -= 1;
                 self.priorities[leader] = self.next_demoted;
             }
         }
         self.planned += 1;
 
-        let chosen = self.leader(|i| runnable.get(i).copied().unwrap_or(false));
-        for (i, slot) in advance.iter_mut().enumerate() {
-            if !runnable.get(i).copied().unwrap_or(false) {
+        let chosen = self.leader(runnable);
+        let mut advance = SlaveSet::default();
+        for (i, skipped) in self.skipped.iter_mut().enumerate() {
+            if !runnable.contains(i) {
                 // Nothing a task cycle could progress: skipping is free
                 // (and resets the fairness debt).
-                *slot = false;
-                self.skipped[i] = 0;
+                *skipped = 0;
                 continue;
             }
-            let starved = self.fairness_window > 0
-                && self.skipped[i].saturating_add(1) >= self.fairness_window;
+            let starved =
+                self.fairness_window > 0 && skipped.saturating_add(1) >= self.fairness_window;
             if Some(i) == chosen || starved {
-                *slot = true;
-                self.skipped[i] = 0;
+                advance.insert(i);
+                *skipped = 0;
             } else {
-                *slot = false;
-                self.skipped[i] += 1;
+                *skipped += 1;
             }
         }
+        advance
     }
 
-    fn plan_window(&self, runnable: &[bool], advance: &mut [bool]) -> u64 {
-        let is_runnable = |i: usize| runnable.get(i).copied().unwrap_or(false);
-        let leader = self.leader(is_runnable);
-        for (i, slot) in advance.iter_mut().enumerate() {
-            *slot = Some(i) == leader;
+    fn plan_window(&self, runnable: SlaveSet) -> (SlaveSet, u64) {
+        if runnable.len() <= 1 {
+            // A lone runnable slave is its own leader, demoted or not,
+            // and with none runnable nobody advances.
+            return (runnable, u64::MAX);
         }
-        if (0..self.skipped.len()).filter(|&i| is_runnable(i)).count() <= 1 {
-            // A lone runnable slave is its own leader, demoted or not.
-            return u64::MAX;
-        }
+        let leader = self.leader(runnable);
         // The leader holds until the next change point demotes it, and
         // every other runnable slave waits until its fairness tick.
         let mut window = self
@@ -359,7 +357,7 @@ impl Scheduler for RandomPriorityScheduler {
             .map_or(u64::MAX, |&cp| cp.saturating_sub(self.planned));
         if self.fairness_window > 0 {
             for (i, &skipped) in self.skipped.iter().enumerate() {
-                if is_runnable(i) && Some(i) != leader {
+                if runnable.contains(i) && Some(i) != leader {
                     let wait = self
                         .fairness_window
                         .saturating_sub(skipped.saturating_add(1));
@@ -367,18 +365,17 @@ impl Scheduler for RandomPriorityScheduler {
                 }
             }
         }
-        window
+        (leader.into_iter().collect(), window)
     }
 
-    fn apply_window(&mut self, count: u64, runnable: &[bool]) {
+    fn apply_window(&mut self, count: u64, runnable: SlaveSet) {
         if count == 0 {
             return;
         }
         // Every call inside the window advances the same leader. A change
         // point passes inside it only when at most one slave is runnable,
         // and then demotes that slave, which stays its own leader.
-        let is_runnable = |i: usize| runnable.get(i).copied().unwrap_or(false);
-        let leader = self.leader(is_runnable);
+        let leader = self.leader(runnable);
         let end = self.planned + count;
         while self.change_points.last().is_some_and(|&cp| cp < end) {
             self.change_points.pop();
@@ -392,7 +389,7 @@ impl Scheduler for RandomPriorityScheduler {
         // the leader's and every idle slave's is cleared.
         let count32 = u32::try_from(count).unwrap_or(u32::MAX);
         for (i, skipped) in self.skipped.iter_mut().enumerate() {
-            *skipped = if is_runnable(i) && Some(i) != leader {
+            *skipped = if runnable.contains(i) && Some(i) != leader {
                 skipped.saturating_add(count32)
             } else {
                 0
@@ -404,28 +401,42 @@ impl Scheduler for RandomPriorityScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testsupport::{plan_once, replay, skip};
+    use crate::testsupport::{replay, set, skip};
+
+    /// Slaves `0..n`.
+    fn all_of(n: usize) -> SlaveSet {
+        (0..n).collect()
+    }
 
     #[test]
     fn lock_step_advances_everyone() {
         let mut s = LockStepScheduler;
-        assert_eq!(plan_once(&mut s, &[true, false, true]), [true, true, true]);
+        assert_eq!(s.plan(set([0, 2])), SlaveSet::ALL);
     }
 
     #[test]
     fn random_priority_advances_exactly_one_runnable_slave() {
         let mut s = RandomPriorityScheduler::new(4, 7, RandomPriorityConfig::default());
-        let advance = plan_once(&mut s, &[true; 4]);
-        assert_eq!(advance.iter().filter(|&&a| a).count(), 1, "{advance:?}");
+        let advance = s.plan(all_of(4));
+        assert_eq!(advance.len(), 1, "{advance:?}");
     }
 
     #[test]
     fn non_runnable_slaves_are_never_advanced() {
         let mut s = RandomPriorityScheduler::new(3, 9, RandomPriorityConfig::default());
         for _ in 0..200 {
-            let advance = plan_once(&mut s, &[false, true, false]);
-            assert_eq!(advance, [false, true, false]);
+            assert_eq!(s.plan(set([1])), set([1]));
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 194 slaves")]
+    fn random_priority_rejects_more_slaves_than_a_set_holds() {
+        let _ = RandomPriorityScheduler::new(
+            SlaveSet::CAPACITY + 1,
+            1,
+            RandomPriorityConfig::default(),
+        );
     }
 
     #[test]
@@ -434,8 +445,8 @@ mod tests {
         let mut a = RandomPriorityScheduler::new(3, 42, cfg);
         let mut b = RandomPriorityScheduler::new(3, 42, cfg);
         for step in 0..5_000u64 {
-            let runnable = [true, step % 7 != 0, true];
-            assert_eq!(plan_once(&mut a, &runnable), plan_once(&mut b, &runnable));
+            let runnable = (0..3).filter(|&i| i != 1 || step % 7 != 0).collect();
+            assert_eq!(a.plan(runnable), b.plan(runnable));
         }
     }
 
@@ -444,9 +455,8 @@ mod tests {
         let cfg = RandomPriorityConfig::default();
         let mut a = RandomPriorityScheduler::new(4, 1, cfg);
         let mut b = RandomPriorityScheduler::new(4, 2, cfg);
-        let runnable = [true; 4];
         let disagreements = (0..500)
-            .filter(|_| plan_once(&mut a, &runnable) != plan_once(&mut b, &runnable))
+            .filter(|_| a.plan(all_of(4)) != b.plan(all_of(4)))
             .count();
         assert!(disagreements > 0, "seeds must shape the schedule");
     }
@@ -460,13 +470,13 @@ mod tests {
         let mut s = RandomPriorityScheduler::new(2, 3, cfg);
         let mut gap = [0u32; 2];
         for _ in 0..2_000 {
-            let advance = plan_once(&mut s, &[true, true]);
-            for i in 0..2 {
-                if advance[i] {
-                    gap[i] = 0;
+            let advance = s.plan(all_of(2));
+            for (i, gap) in gap.iter_mut().enumerate() {
+                if advance.contains(i) {
+                    *gap = 0;
                 } else {
-                    gap[i] += 1;
-                    assert!(gap[i] < 8, "slave {i} skipped {} cycles", gap[i]);
+                    *gap += 1;
+                    assert!(*gap < 8, "slave {i} skipped {gap} cycles");
                 }
             }
         }
@@ -486,8 +496,7 @@ mod tests {
         let mut s = RandomPriorityScheduler::new(2, 11, cfg);
         let mut leaders = Vec::new();
         for _ in 0..30 {
-            let advance = plan_once(&mut s, &[true, true]);
-            leaders.push(advance.iter().position(|&a| a).unwrap());
+            leaders.push(s.plan(all_of(2)).iter().next().unwrap());
         }
         let flips = leaders.windows(2).filter(|w| w[0] != w[1]).count();
         assert_eq!(flips, 1, "{leaders:?}");
@@ -502,23 +511,19 @@ mod tests {
             ..RandomPriorityConfig::default()
         };
         let mut s = RandomPriorityScheduler::new(3, 5, cfg);
-        let first = plan_once(&mut s, &[true; 3]);
+        let first = s.plan(all_of(3));
         for _ in 0..100 {
-            assert_eq!(plan_once(&mut s, &[true; 3]), first);
+            assert_eq!(s.plan(all_of(3)), first);
         }
     }
 
-    /// The masks a fast-forwarded window can hold still on three
+    /// The runnable sets a fast-forwarded window can hold still on three
     /// slaves: all idle, one runnable, and two runnable.
-    const MASKS: [[bool; 3]; 5] = [
-        [false, false, false],
-        [true, false, false],
-        [false, true, false],
-        [false, false, true],
-        [true, false, true],
-    ];
+    fn runnable_sets() -> [SlaveSet; 5] {
+        [set([]), set([0]), set([1]), set([2]), set([0, 2])]
+    }
 
-    /// Runs `count` cycles over the constant `runnable` mask through
+    /// Runs `count` cycles over the constant `runnable` set through
     /// every window `skipped` certifies, planning a cycle it cannot
     /// certify one by one, and checks each window's advances against
     /// `replayed`'s per-cycle replay. Returns the cycles skipped.
@@ -526,14 +531,13 @@ mod tests {
         skipped: &mut dyn Scheduler,
         replayed: &mut dyn Scheduler,
         count: u64,
-        runnable: &[bool],
+        runnable: SlaveSet,
     ) -> u64 {
-        let mut advance = vec![false; runnable.len()];
         let (mut left, mut skipped_cycles) = (count, 0);
         while left > 0 {
-            let window = skipped.plan_window(runnable, &mut advance).min(left);
+            let window = skipped.plan_window(runnable).1.min(left);
             if window == 0 {
-                assert_eq!(plan_once(skipped, runnable), plan_once(replayed, runnable));
+                assert_eq!(skipped.plan(runnable), replayed.plan(runnable));
                 left -= 1;
                 continue;
             }
@@ -550,15 +554,15 @@ mod tests {
 
     #[test]
     fn lock_step_skip_matches_per_cycle_replay() {
-        for mask in MASKS {
+        for runnable in runnable_sets() {
             let mut replayed = LockStepScheduler;
             let mut skipped = LockStepScheduler;
             assert_eq!(
-                windows_match_replay(&mut skipped, &mut replayed, 1_000, &mask),
+                windows_match_replay(&mut skipped, &mut replayed, 1_000, runnable),
                 1_000,
-                "{mask:?}"
+                "{runnable:?}"
             );
-            assert_eq!(skip(&mut skipped, 0, &mask), vec![0; 3]);
+            assert!(skip(&mut skipped, 0, runnable).is_empty());
         }
     }
 
@@ -572,7 +576,7 @@ mod tests {
         // debt) is left exactly as the replay leaves it. With one slave
         // runnable or none a window spans whole stretches; with two it
         // ends at each change point and fairness tick.
-        for (seed, mask) in (0..16u64).zip(MASKS.iter().cycle()) {
+        for (seed, runnable) in (0..16u64).zip(runnable_sets().into_iter().cycle()) {
             let cfg = RandomPriorityConfig {
                 change_points: 3,
                 horizon: 500,
@@ -583,44 +587,38 @@ mod tests {
             let mut skipped = RandomPriorityScheduler::new(3, seed, cfg);
             // Build up some fairness debt and demotions first.
             for step in 0..40u64 {
-                let runnable = [true, step % 3 != 0, true];
-                assert_eq!(
-                    plan_once(&mut replayed, &runnable),
-                    plan_once(&mut skipped, &runnable)
-                );
+                let before = (0..3).filter(|&i| i != 1 || step % 3 != 0).collect();
+                assert_eq!(replayed.plan(before), skipped.plan(before));
             }
             for count in [150, 0, 450] {
-                let cycles = windows_match_replay(&mut skipped, &mut replayed, count, mask);
-                let runnable = mask.iter().filter(|&&r| r).count();
+                let cycles = windows_match_replay(&mut skipped, &mut replayed, count, runnable);
                 assert!(
-                    cycles == count || (runnable > 1 && cycles * 8 >= count * 6),
-                    "seed {seed} mask {mask:?}: skipped {cycles} of {count}"
+                    cycles == count || (runnable.len() > 1 && cycles * 8 >= count * 6),
+                    "seed {seed} runnable {runnable:?}: skipped {cycles} of {count}"
                 );
             }
             // Post-skip streams must stay identical: the internal state
             // agrees, not just the per-slave advances.
             for step in 0..100u64 {
-                let runnable = [step % 5 != 0, true, true];
-                assert_eq!(
-                    plan_once(&mut replayed, &runnable),
-                    plan_once(&mut skipped, &runnable)
-                );
+                let after = (0..3).filter(|&i| i != 0 || step % 5 != 0).collect();
+                assert_eq!(replayed.plan(after), skipped.plan(after));
             }
         }
     }
 
     #[test]
     fn plan_windows_certify_exactly_the_plans_that_follow() {
-        // Random slave counts, seeds, change-point budgets and masks,
-        // fairness windows (0 included), a random prefix of plans, then
-        // a constant runnable mask: the certified number of following
-        // plans advance exactly the certified slaves, and skipping them
-        // in one call leaves the scheduler as those plans do.
+        // Random slave counts (at and across word boundaries of a set),
+        // seeds, change-point budgets and masks, fairness windows (0
+        // included), a random prefix of plans, then a constant runnable
+        // set: the certified number of following plans advance exactly
+        // the certified slaves, and skipping them in one call leaves the
+        // scheduler as those plans do.
         let mut stream = 0x5eed_u64;
         let mut draw = |n: u64| splitmix64_next(&mut stream) % n;
         let mut certified = 0;
         for case in 0..3_000 {
-            let slaves = 1 + draw(4) as usize;
+            let slaves = [1, 2, 3, 4, 63, 64, 65, 128, 129, 194][draw(10) as usize];
             let cfg = RandomPriorityConfig {
                 change_points: draw(5) as usize,
                 horizon: 1 + draw(400),
@@ -629,15 +627,19 @@ mod tests {
             };
             let mut s = RandomPriorityScheduler::new(slaves, draw(1 << 20), cfg);
             for _ in 0..draw(300) {
-                let runnable: Vec<bool> = (0..slaves).map(|_| draw(3) != 0).collect();
-                plan_once(&mut s, &runnable);
+                s.plan((0..slaves).filter(|_| draw(3) != 0).collect());
             }
-            let runnable: Vec<bool> = (0..slaves).map(|_| draw(3) != 0).collect();
-            let mut advance = vec![false; slaves];
-            let window = s.plan_window(&runnable, &mut advance);
-            if runnable.iter().filter(|&&r| r).count() <= 1 {
-                // The plan `certify` assumes without asking.
-                assert_eq!((window, &advance), (u64::MAX, &runnable), "case {case}");
+            let runnable: SlaveSet = (0..slaves).filter(|_| draw(3) != 0).collect();
+            let (advance, window) = s.plan_window(runnable);
+            if runnable.len() <= 1 {
+                // A lone runnable slave advances at every call, and under
+                // lock-step so does every idle one.
+                assert_eq!((advance, window), (runnable, u64::MAX), "case {case}");
+                assert_eq!(
+                    LockStepScheduler.plan_window(runnable),
+                    (SlaveSet::ALL, u64::MAX),
+                    "case {case}"
+                );
             }
             if window == 0 {
                 continue;
@@ -647,31 +649,27 @@ mod tests {
             let mut skipped = s.clone();
             for call in 0..calls {
                 assert_eq!(
-                    plan_once(&mut s, &runnable),
+                    s.plan(runnable),
                     advance,
                     "case {case}: call {call} of {window}, {cfg:?}, {runnable:?}"
                 );
             }
-            let ticks = skip(&mut skipped, calls, &runnable);
-            for (i, &t) in ticks.iter().enumerate() {
-                assert_eq!(t, if advance[i] { calls } else { 0 }, "case {case}");
-            }
+            let ticks = skip(&mut skipped, calls, runnable);
+            let expected: Vec<_> = advance.iter().map(|i| (i, calls)).collect();
+            assert_eq!(ticks, expected, "case {case}");
             for _ in 0..100 {
                 assert_eq!(
-                    plan_once(&mut skipped, &[true; 4][..slaves]),
-                    plan_once(&mut s, &[true; 4][..slaves]),
+                    skipped.plan(all_of(slaves)),
+                    s.plan(all_of(slaves)),
                     "case {case}: state after the window"
                 );
             }
         }
         assert!(certified > 1_000, "only {certified} windows certified");
-        let mut advance = [false; 3];
         assert_eq!(
-            LockStepScheduler.plan_window(&[true, false, true], &mut advance),
-            u64::MAX
+            LockStepScheduler.plan_window(set([0, 2])),
+            (SlaveSet::ALL, u64::MAX)
         );
-        assert_eq!(advance, [true; 3]);
-        assert!(LockStepScheduler.advances_idle());
     }
 
     #[test]
@@ -685,8 +683,8 @@ mod tests {
             let mut a = RandomPriorityScheduler::new(3, seed, full);
             let mut b = RandomPriorityScheduler::new(3, seed, explicit);
             for step in 0..2_000u64 {
-                let runnable = [true, step % 5 != 0, true];
-                assert_eq!(plan_once(&mut a, &runnable), plan_once(&mut b, &runnable));
+                let runnable = (0..3).filter(|&i| i != 1 || step % 5 != 0).collect();
+                assert_eq!(a.plan(runnable), b.plan(runnable));
             }
         }
     }
@@ -708,7 +706,7 @@ mod tests {
         let mut a = RandomPriorityScheduler::new(2, 17, masked);
         let mut b = RandomPriorityScheduler::new(2, 17, none);
         for _ in 0..300 {
-            assert_eq!(plan_once(&mut a, &[true; 2]), plan_once(&mut b, &[true; 2]));
+            assert_eq!(a.plan(all_of(2)), b.plan(all_of(2)));
         }
         assert_eq!(masked.active_change_points(), 0);
         assert_eq!(RandomPriorityConfig::default().active_change_points(), 3);
@@ -732,8 +730,7 @@ mod tests {
             let mut s = RandomPriorityScheduler::new(2, 23, cfg);
             let mut leaders = Vec::new();
             for _ in 0..60 {
-                let advance = plan_once(&mut s, &[true, true]);
-                leaders.push(advance.iter().position(|&a| a).unwrap());
+                leaders.push(s.plan(all_of(2)).iter().next().unwrap());
             }
             leaders.windows(2).filter(|w| w[0] != w[1]).count()
         };
@@ -750,6 +747,8 @@ mod tests {
             ..RandomPriorityConfig::default()
         });
         assert_eq!(masked.label(), "random-priority(d=3,mask=0b101)");
+        assert_eq!(masked.active_change_points(), 2);
+        assert_eq!(ScheduleSpec::LockStep.active_change_points(), 0);
     }
 
     #[test]

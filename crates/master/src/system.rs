@@ -214,9 +214,6 @@ pub struct MultiCoreSystem {
     /// ([`MultiCoreSystem::share_var`] seeds every kernel through
     /// [`Kernel::set_var`], which moves the sum.)
     mirrored_at_writes: Option<u64>,
-    /// Reused per-cycle scratch of [`MultiCoreSystem::step_explored`].
-    sched_runnable: Vec<bool>,
-    sched_advance: Vec<bool>,
     /// A [`Scheduler`] has driven the system, so a kernel ticks only on
     /// the cycles it picks, not at consecutive times.
     scheduled: bool,
@@ -231,36 +228,80 @@ fn merge(horizon: &mut Option<u64>, at: u64) {
     *horizon = Some(horizon.map_or(at, |h| h.min(at)));
 }
 
-/// A set of slaves, with room for the most a system holds.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-struct SlaveSet([u64; MAX_SLAVES.div_ceil(64)]);
+/// A set of slave indices, with room for the most a system holds: the
+/// one shape of a per-slave fact, such as which slaves a [`Scheduler`]
+/// finds runnable and advances, or which kernels a [`SnapshotCache`]
+/// saw change.
+#[derive(Clone, Copy, Default, PartialEq, Eq)]
+pub struct SlaveSet([u64; MAX_SLAVES.div_ceil(64)]);
 
 impl SlaveSet {
-    /// The slaves `mask` marks.
-    fn from_mask(mask: &[bool]) -> SlaveSet {
+    /// The most slaves a set holds: as many as a system does.
+    pub const CAPACITY: usize = MAX_SLAVES;
+
+    /// Every slave a set can hold.
+    pub const ALL: SlaveSet = {
+        let mut words = [u64::MAX; MAX_SLAVES.div_ceil(64)];
+        words[MAX_SLAVES / 64] = (1 << (MAX_SLAVES % 64)) - 1;
+        SlaveSet(words)
+    };
+
+    /// Adds `slave`; returns whether it was not in the set yet.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slave` is not below [`SlaveSet::CAPACITY`].
+    pub fn insert(&mut self, slave: usize) -> bool {
+        assert!(slave < Self::CAPACITY, "slave {slave} out of set range");
+        let fresh = !self.contains(slave);
+        self.0[slave / 64] |= 1 << (slave % 64);
+        fresh
+    }
+
+    /// Whether `slave` is in the set (never one at or past
+    /// [`SlaveSet::CAPACITY`]).
+    #[must_use]
+    pub fn contains(&self, slave: usize) -> bool {
+        slave < Self::CAPACITY && self.0[slave / 64] >> (slave % 64) & 1 != 0
+    }
+
+    /// How many slaves the set holds.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.0.iter().map(|word| word.count_ones() as usize).sum()
+    }
+
+    /// Whether the set holds no slave.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        *self == SlaveSet::default()
+    }
+
+    /// Whether the two sets share no slave.
+    #[must_use]
+    pub fn is_disjoint(&self, other: SlaveSet) -> bool {
+        self.0.iter().zip(other.0).all(|(a, b)| a & b == 0)
+    }
+
+    /// The slaves in the set, in ascending order.
+    pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..Self::CAPACITY).filter(|&slave| self.contains(slave))
+    }
+}
+
+impl FromIterator<usize> for SlaveSet {
+    fn from_iter<I: IntoIterator<Item = usize>>(slaves: I) -> SlaveSet {
         let mut set = SlaveSet::default();
-        for (slave, _) in mask.iter().enumerate().filter(|&(_, &m)| m) {
+        for slave in slaves {
             set.insert(slave);
         }
         set
     }
+}
 
-    fn insert(&mut self, slave: usize) {
-        self.0[slave / 64] |= 1 << (slave % 64);
-    }
-
-    fn contains(&self, slave: usize) -> bool {
-        self.0[slave / 64] >> (slave % 64) & 1 != 0
-    }
-
-    /// The set as a mask over the first `n` slaves, in a buffer of the
-    /// largest size (a [`Scheduler`] reads masks as slices).
-    fn mask(&self, n: usize) -> [bool; MAX_SLAVES] {
-        let mut mask = [false; MAX_SLAVES];
-        for (slave, slot) in mask[..n].iter_mut().enumerate() {
-            *slot = self.contains(slave);
-        }
-        mask
+impl std::fmt::Debug for SlaveSet {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_set().entries(self.iter()).finish()
     }
 }
 
@@ -335,7 +376,7 @@ struct PreemptState {
 pub struct SnapshotCache {
     snapshots: Vec<KernelSnapshot>,
     epochs: Vec<u64>,
-    dirty: Vec<bool>,
+    dirty: SlaveSet,
 }
 
 impl SnapshotCache {
@@ -350,7 +391,7 @@ impl SnapshotCache {
     pub fn reset(&mut self) {
         self.snapshots.clear();
         self.epochs.clear();
-        self.dirty.clear();
+        self.dirty = SlaveSet::default();
     }
 
     /// The cached snapshots, in slave order — exactly what
@@ -361,12 +402,12 @@ impl SnapshotCache {
         &self.snapshots
     }
 
-    /// Per-slave dirtiness of the last observation: `true` if the
-    /// kernel's epoch had moved (its snapshot changed beyond the pure
-    /// time scalars) since the observation before.
+    /// The slaves dirty at the last observation: those whose kernel's
+    /// epoch had moved (its snapshot changed beyond the pure time
+    /// scalars) since the observation before.
     #[must_use]
-    pub fn dirty(&self) -> &[bool] {
-        &self.dirty
+    pub fn dirty(&self) -> SlaveSet {
+        self.dirty
     }
 }
 
@@ -409,8 +450,6 @@ impl MultiCoreSystem {
             shared_vars: Vec::new(),
             shared_var_mirror: Vec::new(),
             mirrored_at_writes: None,
-            sched_runnable: Vec::new(),
-            sched_advance: Vec::new(),
             scheduled: false,
             preempt: None,
             cfg,
@@ -704,16 +743,15 @@ impl MultiCoreSystem {
         let n = self.slaves.len();
         cache.snapshots.resize_with(n, KernelSnapshot::default);
         cache.epochs.resize(n, u64::MAX);
-        cache.dirty.resize(n, true);
+        cache.dirty = SlaveSet::default();
         for (i, slave) in self.slaves.iter().enumerate() {
             let epoch = slave.kernel.change_epoch();
             if cache.epochs[i] == epoch {
                 slave.kernel.scalars_into(&mut cache.snapshots[i]);
-                cache.dirty[i] = false;
             } else {
                 slave.kernel.snapshot_into(&mut cache.snapshots[i]);
                 cache.epochs[i] = epoch;
-                cache.dirty[i] = true;
+                cache.dirty.insert(i);
             }
         }
     }
@@ -729,10 +767,10 @@ impl MultiCoreSystem {
     /// rotation that [reads time](ptest_pcore::SteadyWindow::reads_time)
     /// is certified only where the kernel ticks at consecutive times: on
     /// a system no [`Scheduler`] has driven, without clock skew on its
-    /// core. Under a scheduler that has two or more slaves runnable, the
-    /// window follows its [`plan_window`](Scheduler::plan_window) and ends
-    /// with it: a runnable slave the plan does not advance ticks at none
-    /// of its cycles, so its work does not end the window.
+    /// core. Under a scheduler the window follows its
+    /// [`plan_window`](Scheduler::plan_window) over the runnable slaves
+    /// and ends with it: a runnable slave the plan does not advance ticks
+    /// at none of its cycles, so its work does not end the window.
     ///
     /// The end is [`IdleHorizon::Unknown`] when the platform must be
     /// stepped: other kernel work, in-flight bridge or mailbox traffic,
@@ -795,35 +833,15 @@ impl MultiCoreSystem {
                 busy.insert(i);
             }
         }
-        // The slaves that tick, and for how many cycles. Lock-step ticks
-        // every kernel. A schedule ticks a lone runnable slave at every
-        // cycle, and idle ones if it ticks idle kernels; with more
-        // runnable slaves, its plan says which and for how long. Either
+        // The slaves that tick, and for how many cycles: every kernel
+        // without a scheduler, and what its plan says with one. Either
         // way it must hold every busy slave.
-        let n = self.slaves.len();
-        let runnable = window
-            .runnable
-            .0
-            .iter()
-            .map(|word| word.count_ones())
-            .sum::<u32>();
-        let plan = match scheduler {
-            Some(scheduler) if runnable > 1 => {
-                let mut advance = [false; MAX_SLAVES];
-                let plan = scheduler.plan_window(&window.runnable.mask(n)[..n], &mut advance[..n]);
-                window.advance = SlaveSet::from_mask(&advance[..n]);
-                plan
-            }
-            _ if scheduler.is_none_or(|s| s.advances_idle()) => {
-                window.advance = SlaveSet::from_mask(&[true; MAX_SLAVES][..n]);
-                u64::MAX
-            }
-            _ => {
-                window.advance = window.runnable;
-                u64::MAX
-            }
+        let (advance, plan) = match scheduler {
+            Some(scheduler) => scheduler.plan_window(window.runnable),
+            None => (SlaveSet::ALL, u64::MAX),
         };
-        if plan == 0 || window.advance.0.iter().zip(busy.0).any(|(a, b)| a & b != 0) {
+        window.advance = advance;
+        if plan == 0 || !window.advance.is_disjoint(busy) {
             return IdleHorizon::Unknown;
         }
         for link in &self.sem_links {
@@ -898,17 +916,16 @@ impl MultiCoreSystem {
         horizon.map_or(IdleHorizon::Unbounded, IdleHorizon::Until)
     }
 
-    /// Fills `runnable` with whether each slave's kernel has work a task
-    /// cycle at system cycle `at` could progress, probed at its local
-    /// time.
-    fn runnable_into(&self, at: Cycles, runnable: &mut Vec<bool>) {
-        runnable.clear();
-        runnable.extend(
-            self.slaves
-                .iter()
-                .enumerate()
-                .map(|(i, s)| s.kernel.has_dispatchable_work(self.local_time_of(i, at))),
-        );
+    /// The slaves whose kernel has work a task cycle at system cycle
+    /// `at` could progress, probed at its local time.
+    fn runnable_at(&self, at: Cycles) -> SlaveSet {
+        (0..self.slaves.len())
+            .filter(|&i| {
+                self.slaves[i]
+                    .kernel
+                    .has_dispatchable_work(self.local_time_of(i, at))
+            })
+            .collect()
     }
 
     /// Merges slave `slave`'s earliest sleeper wake into `horizon`,
@@ -960,13 +977,11 @@ impl MultiCoreSystem {
             return;
         }
         if let Some(scheduler) = scheduler {
-            let start = Cycles::new(window.at.get() + 1);
-            debug_assert!(self.slaves.iter().enumerate().all(|(i, s)| {
-                s.kernel.has_dispatchable_work(self.local_time_of(i, start))
-                    == window.runnable.contains(i)
-            }));
-            let n = self.slaves.len();
-            scheduler.apply_window(count, &window.runnable.mask(n)[..n]);
+            debug_assert_eq!(
+                self.runnable_at(Cycles::new(window.at.get() + 1)),
+                window.runnable
+            );
+            scheduler.apply_window(count, window.runnable);
             self.scheduled = true;
         }
         self.clock.advance(Cycles::new(count));
@@ -999,7 +1014,7 @@ impl MultiCoreSystem {
     pub fn fast_forward_idle(&mut self, count: u64) {
         let mut window = Window::new(self.clock.now());
         window.end = IdleHorizon::Unbounded;
-        window.advance = SlaveSet::from_mask(&[true; MAX_SLAVES][..self.slaves.len()]);
+        window.advance = SlaveSet::ALL;
         self.advance(&window, count, None);
     }
 
@@ -1010,26 +1025,20 @@ impl MultiCoreSystem {
     /// and a cycle no plan certifies through one [`Scheduler::plan`]
     /// call. Kept for ptbench's traced loop; ROADMAP item 1 deletes it.
     pub fn fast_forward_idle_with(&mut self, mut count: u64, scheduler: &mut dyn Scheduler) {
-        let n = self.slaves.len();
-        let mut mask = [false; MAX_SLAVES];
-        for (slot, slave) in mask.iter_mut().zip(&self.slaves) {
-            *slot = slave.kernel.in_steady_loop();
-        }
-        let runnable = SlaveSet::from_mask(&mask[..n]);
+        let runnable = (0..self.slaves.len())
+            .filter(|&i| self.slaves[i].kernel.in_steady_loop())
+            .collect();
         while count > 0 {
             self.scheduled = true;
-            let mut advance = [false; MAX_SLAVES];
-            let plan = scheduler.plan_window(&mask[..n], &mut advance[..n]);
+            let (mut advance, plan) = scheduler.plan_window(runnable);
             if plan == 0 {
-                advance.fill(true);
-                let next = Cycles::new(self.clock.now().get() + 1);
-                scheduler.plan(next, &mask[..n], &mut advance[..n]);
+                advance = scheduler.plan(runnable);
             }
             let cycles = plan.clamp(1, count);
             let mut window = Window::new(self.clock.now());
             window.end = IdleHorizon::Unbounded;
             window.runnable = runnable;
-            window.advance = SlaveSet::from_mask(&advance[..n]);
+            window.advance = advance;
             self.advance(&window, cycles, (plan > 0).then_some(&mut *scheduler));
             count -= cycles;
         }
@@ -1045,62 +1054,45 @@ impl MultiCoreSystem {
     }
 
     /// The single platform-cycle entry point: one cycle under an
-    /// optional [`Scheduler`] and an optional [`MemoryModel`]. `None` on
-    /// either axis compiles to that axis's historical fast path — no
-    /// runnable scan or per-cycle mask without a scheduler, the
-    /// sequentially-consistent mirroring epoch without a model — so
-    /// `step_explored(None, None)` is bit-identical to the pre-refactor
-    /// [`MultiCoreSystem::step`], a thin wrapper over this.
+    /// optional [`Scheduler`] and an optional [`MemoryModel`];
+    /// [`MultiCoreSystem::step`] is this with neither.
     ///
-    /// The [`Scheduler`] decides which slave kernels execute a task
-    /// cycle. Doorbell interrupt servicing, cross-core coupling and the
-    /// master side are *not* schedulable — they run every cycle on every
-    /// slave, the way interrupts preempt task execution on the real
-    /// platform — so driving a system with
-    /// [`LockStepScheduler`](crate::sched::LockStepScheduler) is
-    /// bit-identical to [`MultiCoreSystem::step`]. The [`MemoryModel`]
-    /// replaces the built-in sequentially-consistent mirroring epoch as
-    /// the shared-variable propagation step and changes nothing else; a
-    /// model that delivers every store with zero delay is observably
-    /// equivalent to [`MultiCoreSystem::step`] (up to write-write race
+    /// Without a scheduler every slave kernel executes a task cycle and
+    /// no runnable scan runs. With one, the slaves whose kernels have
+    /// work a task cycle could progress (probed at each slave's local
+    /// time) go to [`Scheduler::plan`], and only the slaves it returns
+    /// execute one. Doorbell interrupt servicing, cross-core coupling and
+    /// the master side are *not* schedulable — they run every cycle on
+    /// every slave, the way interrupts preempt task execution on the real
+    /// platform — so [`LockStepScheduler`](crate::sched::LockStepScheduler),
+    /// whose plan returns every slave, steps exactly as no scheduler
+    /// does. Without a memory model every shared-variable store is
+    /// mirrored to every kernel in the cycle it retires (sequential
+    /// consistency); a [`MemoryModel`] replaces that propagation step and
+    /// changes nothing else, and one that delivers every store with zero
+    /// delay is observably equivalent (up to write-write race
     /// resolution; see [`crate::mem`]).
     pub fn step_explored(
         &mut self,
-        scheduler: Option<&mut (dyn crate::sched::Scheduler + '_)>,
+        scheduler: Option<&mut (dyn Scheduler + '_)>,
         memory: Option<&mut (dyn MemoryModel + '_)>,
     ) {
-        match scheduler {
-            None => self.step_core(None, memory),
-            Some(scheduler) => self.step_scheduled(scheduler, memory),
-        }
+        let advance = scheduler.map(|scheduler| {
+            self.scheduled = true;
+            scheduler.plan(self.runnable_at(Cycles::new(self.clock.now().get() + 1)))
+        });
+        self.step_core(advance, memory);
     }
 
-    /// The scheduled cycle: runnable scan, plan, masked step — with the
-    /// shared-variable propagation step picked by `memory`.
-    fn step_scheduled(
+    /// One platform cycle: the slaves in `advance` execute a task cycle
+    /// (every slave under `None`), and `memory` (if any) replaces the
+    /// sequentially-consistent mirroring epoch with an explored
+    /// [`MemoryModel`].
+    fn step_core(
         &mut self,
-        scheduler: &mut dyn crate::sched::Scheduler,
+        advance: Option<SlaveSet>,
         memory: Option<&mut (dyn MemoryModel + '_)>,
     ) {
-        self.scheduled = true;
-        let next = Cycles::new(self.clock.now().get() + 1);
-        let mut runnable = std::mem::take(&mut self.sched_runnable);
-        let mut advance = std::mem::take(&mut self.sched_advance);
-        self.runnable_into(next, &mut runnable);
-        advance.clear();
-        advance.resize(self.slaves.len(), true);
-        scheduler.plan(next, &runnable, &mut advance);
-        self.step_core(Some(&advance), memory);
-        self.sched_runnable = runnable;
-        self.sched_advance = advance;
-    }
-
-    /// One platform cycle; `mask` (if any) gates which slave kernels
-    /// execute their task cycle (`None` means everyone — the lock-step
-    /// fast path with no per-cycle mask or runnable scan at all), and
-    /// `memory` (if any) replaces the sequentially-consistent mirroring
-    /// epoch with an explored [`MemoryModel`].
-    fn step_core(&mut self, mask: Option<&[bool]>, memory: Option<&mut (dyn MemoryModel + '_)>) {
         self.clock.tick();
         let now = self.clock.now();
 
@@ -1121,20 +1113,26 @@ impl MultiCoreSystem {
         // --- DSP side: doorbell interrupts preempt task execution (and
         //     are never gated by the schedule). Each slave sees its own
         //     local time (the identity without installed clock skew).
+        //     A quiet mailbox bank rings no slave's doorbell, and a
+        //     service posts only to its own slave's boxes, so with none
+        //     ringing no endpoint has anything to service.
         let budget = self.cfg.slave_budget;
+        let doorbells = self.mailboxes.any_pending();
         for (i, slave) in self.slaves.iter_mut().enumerate() {
             let lnow = match &self.preempt {
                 Some(state) => preempt::local_time(now, state.skew_rates[i]),
                 None => now,
             };
-            slave.endpoint.service(
-                &mut self.sram,
-                &mut self.mailboxes,
-                &mut slave.kernel,
-                lnow,
-                budget,
-            );
-            if mask.is_none_or(|m| m[i]) {
+            if doorbells {
+                slave.endpoint.service(
+                    &mut self.sram,
+                    &mut self.mailboxes,
+                    &mut slave.kernel,
+                    lnow,
+                    budget,
+                );
+            }
+            if advance.is_none_or(|a| a.contains(i)) {
                 let _ = slave.kernel.tick(lnow);
             }
         }
@@ -1142,9 +1140,7 @@ impl MultiCoreSystem {
         // --- Bridge side: cross-core coupling (no-ops when unused).
         self.forward_sem_links(now);
         match memory {
-            // SeqCst: the original epoch, untouched — the fast path that
-            // keeps unexplored trials byte-identical to the pre-refactor
-            // platform.
+            // SeqCst: the built-in mirroring epoch.
             None => self.sync_shared_vars(),
             Some(model) => {
                 self.mirrored_at_writes = None;
@@ -1467,6 +1463,7 @@ impl SharedVarBus for SystemBus<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testsupport::set;
     use ptest_pcore::{Op, Priority, Program, ProgramId, SvcReply, TaskState, VarId};
 
     fn sys() -> MultiCoreSystem {
@@ -2336,6 +2333,15 @@ mod tests {
         s
     }
 
+    /// [`spinners_sys`] across a word boundary of a [`SlaveSet`]: 65
+    /// slaves, spinners on slaves 63 and 64.
+    fn wide_spinners_sys() -> MultiCoreSystem {
+        let mut s = MultiCoreSystem::new(SystemConfig::with_slaves(65));
+        spin_on(&mut s, 63);
+        spin_on(&mut s, 64);
+        s
+    }
+
     /// How [`run_to`] fast-forwards a system.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     enum Forward {
@@ -2359,11 +2365,13 @@ mod tests {
         let mut skipped = 0;
         while s.now().get() < end {
             let now = s.now().get();
-            let window = s.certify(sched.as_deref(), None);
-            let horizon = match forward {
-                Forward::Never => IdleHorizon::Unknown,
-                Forward::Certified => window.end(),
-                Forward::LockStepHorizon => s.quiescent_horizon(),
+            let (window, horizon) = match forward {
+                Forward::Never => (None, IdleHorizon::Unknown),
+                Forward::Certified => {
+                    let window = s.certify(sched.as_deref(), None);
+                    (Some(window), window.end())
+                }
+                Forward::LockStepHorizon => (None, s.quiescent_horizon()),
             };
             let target = match horizon {
                 IdleHorizon::Until(at) => at.min(end),
@@ -2372,10 +2380,10 @@ mod tests {
             };
             if target > now + 1 {
                 let skip = target - now - 1;
-                match (forward, sched.as_deref_mut()) {
-                    (Forward::Certified, sched) => s.advance(&window, skip, sched),
-                    (_, Some(sched)) => s.fast_forward_idle_with(skip, sched),
-                    (_, None) => s.fast_forward_idle(skip),
+                match (window, sched.as_deref_mut()) {
+                    (Some(window), sched) => s.advance(&window, skip, sched),
+                    (None, Some(sched)) => s.fast_forward_idle_with(skip, sched),
+                    (None, None) => s.fast_forward_idle(skip),
                 }
                 skipped += skip;
             }
@@ -2403,24 +2411,25 @@ mod tests {
         forward: Forward,
     ) -> (MultiCoreSystem, u64) {
         use crate::sched::{RandomPriorityConfig, RandomPriorityScheduler};
+        let mut stepped = make();
+        let mut forwarded = make();
+        let slaves = stepped.slave_count();
         let scheduler = || {
             seed.map(|seed| {
                 let cfg = RandomPriorityConfig {
                     horizon: 8_000,
                     ..RandomPriorityConfig::default()
                 };
-                Box::new(RandomPriorityScheduler::new(2, seed, cfg)) as Box<dyn Scheduler>
+                Box::new(RandomPriorityScheduler::new(slaves, seed, cfg)) as Box<dyn Scheduler>
             })
         };
         let traces =
             |s: &MultiCoreSystem| -> Vec<Vec<ptest_soc::TraceEvent<ptest_pcore::KernelEvent>>> {
-                (0..2)
+                (0..slaves)
                     .map(|i| s.kernel_of(i).trace().iter().cloned().collect())
                     .collect()
             };
         let (mut sched_a, mut sched_b) = (scheduler(), scheduler());
-        let mut stepped = make();
-        let mut forwarded = make();
         run_to(&mut stepped, &mut sched_a, Forward::Never, 12_000);
         let skipped = run_to(&mut forwarded, &mut sched_b, forward, 12_000);
         assert_eq!(stepped.snapshots(), forwarded.snapshots(), "{seed:?}");
@@ -2443,6 +2452,11 @@ mod tests {
         for seed in [None, Some(1), Some(2), Some(3), Some(4)] {
             let (_, skipped) = forwarded_matches_stepped(spinners_sys, seed);
             assert!(skipped > 11_500, "seed {seed:?}: skipped only {skipped}");
+            let (_, skipped) = forwarded_matches_stepped(wide_spinners_sys, seed);
+            assert!(
+                skipped > 11_500,
+                "seed {seed:?}: 65 slaves skipped only {skipped}"
+            );
         }
     }
 
@@ -2544,10 +2558,13 @@ mod tests {
         s.run(40); // task created, computed, now asleep
         s.snapshots_into_cached(&mut cache);
         assert_eq!(cache.snapshots(), s.snapshots().as_slice());
-        assert_eq!(cache.dirty(), [true], "first observation is dirty");
+        assert_eq!(cache.dirty(), set([0]), "first observation is dirty");
         s.run(10); // pure idle ticks: epoch unchanged
         s.snapshots_into_cached(&mut cache);
-        assert_eq!(cache.dirty(), [false], "idle ticks leave the kernel clean");
+        assert!(
+            cache.dirty().is_empty(),
+            "idle ticks leave the kernel clean"
+        );
         assert_eq!(
             cache.snapshots(),
             s.snapshots().as_slice(),
@@ -2555,11 +2572,11 @@ mod tests {
         );
         s.run(3_000); // sleeper wakes, exits: epoch moved
         s.snapshots_into_cached(&mut cache);
-        assert_eq!(cache.dirty(), [true], "state transitions re-dirty");
+        assert_eq!(cache.dirty(), set([0]), "state transitions re-dirty");
         assert_eq!(cache.snapshots(), s.snapshots().as_slice());
         cache.reset();
         s.snapshots_into_cached(&mut cache);
-        assert_eq!(cache.dirty(), [true], "reset invalidates everything");
+        assert_eq!(cache.dirty(), set([0]), "reset invalidates everything");
     }
 
     use crate::preempt::{ClockSkewConfig, InterruptConfig, PreemptionSpec, QuantumConfig};

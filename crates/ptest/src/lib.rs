@@ -112,7 +112,7 @@ pub use ptest_core::{
 pub use ptest_master::{
     ClockSkewConfig, InterruptConfig, LockStepScheduler, MasterOp, MemoryModel, MemoryModelSpec,
     MultiCoreSystem, PreemptionSpec, QuantumConfig, RandomPriorityConfig, RandomPriorityScheduler,
-    ScheduleSpec, Scheduler, StoreBufferConfig, StoreBufferModel, SystemConfig,
+    ScheduleSpec, Scheduler, SlaveSet, StoreBufferConfig, StoreBufferModel, SystemConfig,
 };
 pub use ptest_pcore::{
     GcFaultMode, Kernel, KernelConfig, Priority, Program, ProgramBuilder, ProgramId, Service,
