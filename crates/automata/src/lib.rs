@@ -51,7 +51,6 @@ pub mod dot;
 mod nfa;
 mod pfa;
 mod regex;
-mod sampler;
 pub mod train;
 
 pub use alphabet::{Alphabet, Sym};
@@ -117,9 +116,15 @@ mod proptests {
         }
 
         /// Every PFA built on a random skeleton passes Eq. 1 validation,
-        /// and every generated pattern is a valid prefix of the language.
+        /// and every generated pattern is a valid prefix of the language;
+        /// a cyclic one is a run of such walks, each restarted only at
+        /// an absorbing final state, and fills its size.
         #[test]
-        fn generated_patterns_are_valid_prefixes(src in arb_regex_src(), seed in 0u64..1_000) {
+        fn generated_patterns_are_valid_prefixes(
+            src in arb_regex_src(),
+            seed in 0u64..1_000,
+            cyclic in any::<bool>(),
+        ) {
             let re = Regex::parse(&src).unwrap();
             let dfa = Dfa::from_regex(&re).minimize();
             let pfa = match Pfa::from_dfa(&dfa, re.alphabet().clone(), &ProbabilityAssignment::Uniform) {
@@ -129,116 +134,25 @@ mod proptests {
             };
             pfa.validate().unwrap();
             let mut rng = StdRng::seed_from_u64(seed);
-            let pattern = pfa.generate(&mut rng, GenerateOptions::sized(24));
-            prop_assert!(dfa.is_valid_prefix(&pattern));
-        }
-
-        /// The alias-table sampler is stream-identical to the retained
-        /// cumulative-scan reference: for any skeleton, probability
-        /// assignment, seed and pattern size — including degenerate
-        /// one-transition states — both samplers emit byte-identical
-        /// patterns and leave the RNG in the same state.
-        #[test]
-        fn alias_sampler_stream_identical_to_reference(
-            src in arb_regex_src(),
-            weights in proptest::array::uniform4(1u32..1_000),
-            seed in 0u64..10_000,
-            size in 0usize..200,
-            cyclic in any::<bool>(),
-        ) {
-            let re = Regex::parse(&src).unwrap();
-            let dfa = Dfa::from_regex(&re).minimize();
-            let pd = ProbabilityAssignment::weights(
-                ["a", "b", "c", "d"]
-                    .iter()
-                    .zip(weights)
-                    .map(|(s, w)| ((*s).to_owned(), f64::from(w))),
-            );
-            let pfa = match Pfa::from_dfa(&dfa, re.alphabet().clone(), &pd) {
-                Ok(p) => p,
-                Err(PfaError::DeadNonFinal { .. }) => return Ok(()), // degenerate skeleton
-                Err(e) => return Err(TestCaseError::fail(format!("unexpected: {e}"))),
-            };
-            let opts = if cyclic {
-                // Cyclic walks on an all-absorbing skeleton would loop on
-                // zero-length life cycles forever; bound by size instead.
-                GenerateOptions::cyclic(size)
-            } else {
-                GenerateOptions::sized(size)
-            };
-            let mut alias_rng = StdRng::seed_from_u64(seed);
-            let mut reference_rng = StdRng::seed_from_u64(seed);
-            for _ in 0..4 {
-                let via_alias = pfa.generate(&mut alias_rng, opts);
-                let via_reference = pfa.generate_reference(&mut reference_rng, opts);
-                prop_assert_eq!(&via_alias, &via_reference);
+            if !cyclic {
+                let pattern = pfa.generate(&mut rng, GenerateOptions::sized(24));
+                prop_assert!(dfa.is_valid_prefix(&pattern));
+                return Ok(());
             }
-            // The RNGs consumed identical draw counts: their next outputs
-            // agree.
-            prop_assert_eq!(
-                rand::Rng::random::<u64>(&mut alias_rng),
-                rand::Rng::random::<u64>(&mut reference_rng)
-            );
-        }
-
-        /// Stream identity holds for adversarial near-zero-weight states:
-        /// cumulative boundaries crowd into single alias buckets and force
-        /// the guided-scan fallback.
-        #[test]
-        fn alias_sampler_stream_identical_with_near_zero_weights(
-            seed in 0u64..10_000,
-            tiny_exp in 1u32..300,
-        ) {
-            let re = Regex::parse("(a | b | c | d)*").unwrap();
-            let dfa = Dfa::from_regex(&re).minimize();
-            let tiny = f64::powi(10.0, -(tiny_exp as i32));
-            let pd = ProbabilityAssignment::weights([
-                ("a", 1.0),
-                ("b", tiny),
-                ("c", tiny),
-                ("d", tiny),
-            ]);
-            let pfa = Pfa::from_dfa(&dfa, re.alphabet().clone(), &pd).unwrap();
-            let mut alias_rng = StdRng::seed_from_u64(seed);
-            let mut reference_rng = StdRng::seed_from_u64(seed);
-            let opts = GenerateOptions::cyclic(128);
-            prop_assert_eq!(
-                pfa.generate(&mut alias_rng, opts),
-                pfa.generate_reference(&mut reference_rng, opts)
-            );
-        }
-
-        /// Stream identity through `Pfa::generate` on a state wide
-        /// enough (8-way) to actually engage the alias table, with
-        /// minimum-probability tails: the compiled sampler and
-        /// `make_choice_reference` agree roll for roll. (The 4-way
-        /// near-zero test above stays below `ALIAS_MIN_OUT_DEGREE` and
-        /// exercises the inline scan instead.)
-        #[test]
-        fn alias_sampler_stream_identical_on_wide_degenerate_tails(
-            seed in 0u64..10_000,
-            tiny_exp in 1u32..300,
-            dominant in any::<bool>(),
-        ) {
-            let names: Vec<String> = (0..8).map(|i| format!("s{i}")).collect();
-            let src = format!("({})*", names.join(" | "));
-            let re = Regex::parse(&src).unwrap();
-            let dfa = Dfa::from_regex(&re).minimize();
-            let tiny = f64::powi(10.0, -(tiny_exp as i32));
-            // Either one dominant branch with an all-minimum tail, or
-            // every branch at the shared minimum (renormalizing to
-            // uniform — the all-minimum-probability state).
-            let pd = ProbabilityAssignment::weights(names.iter().enumerate().map(|(i, n)| {
-                (n.clone(), if dominant && i == 0 { 1.0 } else { tiny })
-            }));
-            let pfa = Pfa::from_dfa(&dfa, re.alphabet().clone(), &pd).unwrap();
-            let mut alias_rng = StdRng::seed_from_u64(seed);
-            let mut reference_rng = StdRng::seed_from_u64(seed);
-            let opts = GenerateOptions::cyclic(128);
-            prop_assert_eq!(
-                pfa.generate(&mut alias_rng, opts),
-                pfa.generate_reference(&mut reference_rng, opts)
-            );
+            let pattern = pfa.generate(&mut rng, GenerateOptions::cyclic(24));
+            // Every generated language holds a nonempty word, so `q0`
+            // branches and every restart emits.
+            prop_assert_eq!(pattern.len(), 24);
+            let mut q = dfa.start();
+            for &sym in &pattern {
+                if dfa.transitions_from(q).is_empty() {
+                    prop_assert!(dfa.is_accepting(q));
+                    q = dfa.start();
+                }
+                let next = dfa.next(q, sym);
+                prop_assert!(next.is_some(), "{} leaves the skeleton", re.alphabet().render(&pattern));
+                q = next.unwrap();
+            }
         }
 
         /// Sequence probability of a generated pattern is positive.

@@ -14,7 +14,6 @@ use rand::Rng;
 
 use crate::alphabet::{Alphabet, Sym};
 use crate::dfa::{Dfa, DfaStateId};
-use crate::sampler::{AliasTable, ALIAS_MIN_OUT_DEGREE};
 
 /// How transition probabilities are assigned to the DFA skeleton.
 #[derive(Debug, Clone, PartialEq)]
@@ -167,12 +166,6 @@ pub struct Pfa {
     alphabet: Alphabet,
     /// `transitions[q]` = `(symbol, target, probability)` in symbol order.
     transitions: Vec<Vec<(Sym, DfaStateId, f64)>>,
-    /// `samplers[q]` = the state's compiled O(1) alias table. Empty for
-    /// out-degrees 0 and 1 (which never consume randomness) and for
-    /// narrow states where the inline scan measures faster. Sampling
-    /// through the table is stream-identical to
-    /// [`Pfa::make_choice_reference`] — see [`crate::sampler`].
-    samplers: Vec<AliasTable>,
     accepting: Vec<bool>,
     start: DfaStateId,
 }
@@ -246,26 +239,9 @@ impl Pfa {
             }
             transitions.push(weighted);
         }
-        // Adaptive sampler compilation: states wide enough for the O(1)
-        // table to beat the early-exit scan get one; narrow states keep
-        // the inline scan (see `ALIAS_MIN_OUT_DEGREE`). Both samplers
-        // are exactly stream-identical, so the choice is invisible to
-        // seeds.
-        let samplers = transitions
-            .iter()
-            .map(|out| {
-                if out.len() >= ALIAS_MIN_OUT_DEGREE {
-                    let probabilities: Vec<f64> = out.iter().map(|&(_, _, p)| p).collect();
-                    AliasTable::build(&probabilities)
-                } else {
-                    AliasTable::default()
-                }
-            })
-            .collect();
         let pfa = Pfa {
             alphabet,
             transitions,
-            samplers,
             accepting: (0..dfa.len()).map(|q| dfa.is_accepting(q)).collect(),
             start: dfa.start(),
         };
@@ -340,59 +316,13 @@ impl Pfa {
             .map_or(0.0, |(_, _, p)| *p)
     }
 
-    /// `MakeChoice` of Algorithm 2: samples one outgoing transition.
-    /// Returns `None` at absorbing states.
-    ///
-    /// Sampling goes through the sampler compiled at construction: an
-    /// O(1) alias-table lookup for wide states, the inline cumulative
-    /// scan for narrow ones (where the early-exit scan measures faster;
-    /// see the crate-private `sampler` module). Either way it is
-    /// stream-identical to [`Pfa::make_choice_reference`]: the same RNG
-    /// state yields the same transition *and* leaves the RNG in the same
-    /// state, so seeds reproduce byte-identical patterns across both
-    /// samplers.
+    /// `MakeChoice` of Algorithm 2: samples one outgoing transition by
+    /// the cumulative scan over the state's probabilities, in transition
+    /// order. Returns `None` at absorbing states. A state with one
+    /// outgoing transition makes no probabilistic choice and draws no
+    /// roll, so the RNG advances once per branching state visited.
     #[inline]
     pub fn make_choice<R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-        state: DfaStateId,
-    ) -> Option<(Sym, DfaStateId)> {
-        let out = &self.transitions[state];
-        match out.len() {
-            0 => None,
-            // Algorithm 2 line 10-13: no probabilistic choice to make.
-            1 => Some((out[0].0, out[0].1)),
-            _ => {
-                let roll: f64 = rng.random();
-                // `out.len()` is already in a register; comparing it to
-                // the compilation threshold (rather than asking the table
-                // whether it exists) keeps narrow states from touching
-                // the sampler storage at all. Construction guarantees a
-                // compiled table exactly when the threshold is met.
-                if out.len() >= ALIAS_MIN_OUT_DEGREE {
-                    let (sym, target, _) = out[self.samplers[state].sample(roll)];
-                    return Some((sym, target));
-                }
-                // Narrow state: the inline cumulative scan (identical to
-                // the reference semantics) is faster than a table lookup.
-                let mut acc = 0.0;
-                for &(sym, target, p) in out {
-                    acc += p;
-                    if roll < acc {
-                        return Some((sym, target));
-                    }
-                }
-                // Floating-point slack: take the last transition.
-                let last = out.last().expect("non-empty");
-                Some((last.0, last.1))
-            }
-        }
-    }
-
-    /// The retained reference implementation of `MakeChoice`: the linear
-    /// cumulative scan the paper's Algorithm 2 describes. Kept as the
-    /// ground truth the alias table is property-tested against.
-    pub fn make_choice_reference<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
         state: DfaStateId,
@@ -422,7 +352,9 @@ impl Pfa {
     ///
     /// Emits up to `opts.size` symbols; stops early at an absorbing final
     /// state unless `opts.restart_on_final` is set, in which case the walk
-    /// restarts from `q0` (repeated task life cycles).
+    /// restarts from `q0` (repeated task life cycles). A walk whose `q0`
+    /// is itself absorbing (the language {ε}) ends at once either way: a
+    /// restart there could emit nothing.
     pub fn generate<R: Rng + ?Sized>(&self, rng: &mut R, opts: GenerateOptions) -> Vec<Sym> {
         let mut pattern = Vec::with_capacity(opts.size);
         self.generate_into(rng, opts, &mut pattern);
@@ -448,43 +380,12 @@ impl Pfa {
                     pattern.push(sym);
                     q = next;
                 }
-                None => {
-                    if opts.restart_on_final {
-                        q = self.start;
-                    } else {
-                        break;
-                    }
-                }
+                // The walk starts at `q0`, so `q == q0` here means `q0` is
+                // absorbing and a restart could emit nothing.
+                None if opts.restart_on_final && q != self.start => q = self.start,
+                None => break,
             }
         }
-    }
-
-    /// [`Pfa::generate`] through the retained reference sampler
-    /// ([`Pfa::make_choice_reference`]); produces byte-identical patterns
-    /// to [`Pfa::generate`] for the same seed.
-    pub fn generate_reference<R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-        opts: GenerateOptions,
-    ) -> Vec<Sym> {
-        let mut pattern = Vec::with_capacity(opts.size);
-        let mut q = self.start;
-        while pattern.len() < opts.size {
-            match self.make_choice_reference(rng, q) {
-                Some((sym, next)) => {
-                    pattern.push(sym);
-                    q = next;
-                }
-                None => {
-                    if opts.restart_on_final {
-                        q = self.start;
-                    } else {
-                        break;
-                    }
-                }
-            }
-        }
-        pattern
     }
 
     /// The probability of the PFA emitting exactly this symbol sequence
@@ -542,7 +443,7 @@ mod tests {
     use super::*;
     use crate::regex::Regex;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
 
     fn fig3() -> (Regex, Pfa) {
         let re = Regex::parse("(a c* d) | b").unwrap();
@@ -735,5 +636,130 @@ mod tests {
         // State after `a` is accepting but has a self-loop with p=1.0; the
         // walk never stops by itself.
         assert_eq!(pfa.expected_pattern_length(1_000, 1e-12), None);
+    }
+
+    /// An RNG that answers every draw with one chosen word and counts the
+    /// draws, so a test picks the exact roll `make_choice` sees: the word
+    /// `j << 11` reads as the roll `j / 2^53`.
+    struct FixedRoll {
+        word: u64,
+        draws: usize,
+    }
+
+    impl RngCore for FixedRoll {
+        fn next_u64(&mut self) -> u64 {
+            self.draws += 1;
+            self.word
+        }
+    }
+
+    /// Rolls are multiples of `2^-53`; `ROLL_STEPS` of them cover `[0, 1)`.
+    const ROLL_STEPS: u64 = 1 << 53;
+
+    /// A one-state PFA whose self-loops carry exactly `probabilities`,
+    /// unnormalized, so degenerate sums reach `make_choice` as written.
+    fn one_state(probabilities: &[f64]) -> Pfa {
+        let transitions = probabilities
+            .iter()
+            .enumerate()
+            .map(|(k, &p)| (Sym(k as u16), 0, p))
+            .collect();
+        Pfa {
+            alphabet: Alphabet::new(),
+            transitions: vec![transitions],
+            accepting: vec![true],
+            start: 0,
+        }
+    }
+
+    /// Algorithm 2's scan, restated: the first transition whose
+    /// cumulative sum exceeds the roll, else the last one.
+    fn scan(probabilities: &[f64], roll: f64) -> usize {
+        let mut acc = 0.0;
+        for (k, &p) in probabilities.iter().enumerate() {
+            acc += p;
+            if roll < acc {
+                return k;
+            }
+        }
+        probabilities.len() - 1
+    }
+
+    /// `make_choice` on a dense grid of rolls and on the representable
+    /// rolls at and next to every cumulative boundary: each picks the
+    /// transition the restated scan picks, with exactly one draw.
+    fn assert_identical_on_grid(probabilities: &[f64]) {
+        let pfa = one_state(probabilities);
+        let grid = 1u64 << 14;
+        let mut steps: Vec<u64> = (0..grid).map(|j| j * (ROLL_STEPS / grid)).collect();
+        let mut acc = 0.0;
+        for &p in probabilities {
+            acc += p;
+            let at = (acc * ROLL_STEPS as f64) as u64;
+            steps.extend([at.saturating_sub(1), at, at + 1]);
+        }
+        for step in steps.into_iter().filter(|&j| j < ROLL_STEPS) {
+            let roll = step as f64 / ROLL_STEPS as f64;
+            let mut rng = FixedRoll {
+                word: step << 11,
+                draws: 0,
+            };
+            let expected = Sym(scan(probabilities, roll) as u16);
+            assert_eq!(
+                pfa.make_choice(&mut rng, 0),
+                Some((expected, 0)),
+                "roll {roll} over {probabilities:?}"
+            );
+            assert_eq!(rng.draws, 1);
+        }
+    }
+
+    #[test]
+    fn uniform_distributions_match_reference() {
+        for n in 2..=9 {
+            assert_identical_on_grid(&vec![1.0 / n as f64; n]);
+        }
+    }
+
+    #[test]
+    fn skewed_distributions_match_reference() {
+        assert_identical_on_grid(&[0.6, 0.4]);
+        assert_identical_on_grid(&[0.3, 0.7]);
+        assert_identical_on_grid(&[0.6, 0.2, 0.1, 0.1]);
+        assert_identical_on_grid(&[0.05, 0.9, 0.05]);
+        assert_identical_on_grid(&[0.97, 0.01, 0.01, 0.01]);
+    }
+
+    #[test]
+    fn unnormalized_sums_keep_the_last_transition_fallback() {
+        // Floating-point slack can leave the sum slightly below 1; rolls
+        // beyond it take the last transition.
+        assert_identical_on_grid(&[0.1, 0.2, 0.7 - 1e-12]);
+    }
+
+    #[test]
+    fn all_minimum_probability_states_match_reference() {
+        // Every transition at the same tiny mass: the cumulative range
+        // collapses near 0 and almost every roll takes the fallback.
+        for n in 2..=12 {
+            assert_identical_on_grid(&vec![1e-9; n]);
+            assert_identical_on_grid(&vec![1e-300; n]);
+            assert_identical_on_grid(&vec![1.0 / n as f64; n]);
+        }
+    }
+
+    #[test]
+    fn single_outcome_states_sample_totally() {
+        // Out-degree 0 and 1 states make no probabilistic choice: they
+        // answer without drawing a roll, whatever the RNG holds.
+        for word in [0, ROLL_STEPS / 4, ROLL_STEPS - 1].map(|j| j << 11) {
+            let mut rng = FixedRoll { word, draws: 0 };
+            assert_eq!(one_state(&[]).make_choice(&mut rng, 0), None);
+            assert_eq!(
+                one_state(&[1.0]).make_choice(&mut rng, 0),
+                Some((Sym(0), 0))
+            );
+            assert_eq!(rng.draws, 0);
+        }
     }
 }

@@ -27,7 +27,7 @@
 //! slave order; on the dual-core platform the behaviour (including report
 //! rendering) is identical to the historical single-kernel detector.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 
 use ptest_master::{IdleHorizon, MultiCoreSystem, SlaveSet, SnapshotCache};
@@ -611,38 +611,36 @@ impl BugDetector {
 }
 
 /// Finds a cycle in the waiter→holder graph, if any, returning the tasks
-/// on it in order, canonicalized to start at the smallest task id (so
-/// reproduced runs report byte-identical cycles).
+/// on it in order (see [`first_cycle`]).
 fn find_cycle(edges: &[WaitEdge]) -> Option<Vec<TaskId>> {
-    // waiter -> holder adjacency (mutex edges only; semaphores have no
-    // holder). BTreeMap keeps the search order deterministic.
-    let mut next: std::collections::BTreeMap<TaskId, TaskId> = std::collections::BTreeMap::new();
-    for e in edges {
-        if let Some(holder) = e.holder {
-            next.insert(e.waiter, holder);
-        }
-    }
+    // waiter -> holder (mutex edges only; semaphores have no holder).
+    let next: BTreeMap<TaskId, TaskId> = edges
+        .iter()
+        .filter_map(|e| Some((e.waiter, e.holder?)))
+        .collect();
+    first_cycle(&next, |&holder| holder)
+}
+
+/// The first cycle of a successor map: walks from each key in ascending
+/// order, stops at the first revisit, and returns the revisited loop
+/// rotated to start at its smallest key, so reproduced runs report
+/// byte-identical cycles. `successor` reads the next key from a value.
+fn first_cycle<K: Ord + Copy, V>(
+    next: &BTreeMap<K, V>,
+    successor: impl Fn(&V) -> K,
+) -> Option<Vec<K>> {
     for &start in next.keys() {
         let mut seen = vec![start];
         let mut cur = start;
-        while let Some(&n) = next.get(&cur) {
-            if let Some(pos) = seen.iter().position(|&t| t == n) {
-                let mut cycle = seen[pos..].to_vec();
-                // Canonical rotation: smallest task id first.
-                let min_pos = cycle
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|(_, t)| **t)
-                    .map(|(i, _)| i)
-                    .unwrap_or(0);
+        while let Some(value) = next.get(&cur) {
+            cur = successor(value);
+            if let Some(pos) = seen.iter().position(|&k| k == cur) {
+                let mut cycle = seen.split_off(pos);
+                let min_pos = (0..cycle.len()).min_by_key(|&i| cycle[i]).unwrap_or(0);
                 cycle.rotate_left(min_pos);
                 return Some(cycle);
             }
-            seen.push(n);
-            cur = n;
-            if seen.len() > edges.len() + 2 {
-                break;
-            }
+            seen.push(cur);
         }
     }
     None
@@ -688,8 +686,7 @@ fn find_cross_core_cycle(
         .collect();
     // slave -> (feeder slave, the waiting task): deterministic by
     // ascending slave order, first blocked waiter wins.
-    let mut depends: std::collections::BTreeMap<usize, (usize, TaskId)> =
-        std::collections::BTreeMap::new();
+    let mut depends: BTreeMap<usize, (usize, TaskId)> = BTreeMap::new();
     for (slave, snap) in snapshots.iter().enumerate() {
         if !stuck[slave] {
             continue;
@@ -705,37 +702,13 @@ fn find_cross_core_cycle(
             }
         }
     }
-    // Walk the slave-level dependency graph for a cycle.
-    for &start in depends.keys() {
-        let mut seen: Vec<usize> = vec![start];
-        let mut cur = start;
-        while let Some(&(next_slave, _)) = depends.get(&cur) {
-            if let Some(pos) = seen.iter().position(|&s| s == next_slave) {
-                let cycle_slaves = &seen[pos..];
-                // Canonical rotation: smallest slave index first.
-                let min_pos = cycle_slaves
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|(_, s)| **s)
-                    .map(|(i, _)| i)
-                    .unwrap_or(0);
-                let mut ordered: Vec<usize> = cycle_slaves.to_vec();
-                ordered.rotate_left(min_pos);
-                return Some(
-                    ordered
-                        .into_iter()
-                        .map(|s| (CoreId::slave(s), depends[&s].1))
-                        .collect(),
-                );
-            }
-            seen.push(next_slave);
-            cur = next_slave;
-            if seen.len() > depends.len() + 1 {
-                break;
-            }
-        }
-    }
-    None
+    let cycle = first_cycle(&depends, |&(feeder, _)| feeder)?;
+    Some(
+        cycle
+            .into_iter()
+            .map(|s| (CoreId::slave(s), depends[&s].1))
+            .collect(),
+    )
 }
 
 #[cfg(test)]

@@ -41,6 +41,7 @@ use ptest_master::{
     ScheduleSpec, StoreBufferConfig,
 };
 use ptest_pcore::{KernelEvent, VarId};
+use ptest_soc::seed::mask_keeps;
 use ptest_soc::{CoreId, TraceEvent};
 
 #[cfg(feature = "serde")]
@@ -624,7 +625,7 @@ pub fn minimize_scenario_trial(
                 })
             };
             let active: Vec<usize> = (0..rp.change_points.min(64))
-                .filter(|&i| rp.change_point_mask & (1 << i) != 0)
+                .filter(|&i| mask_keeps(rp.change_point_mask, i))
                 .collect();
             let active = ddmin_mask_bits(
                 active,
@@ -651,7 +652,7 @@ pub fn minimize_scenario_trial(
                 ..preemption
             };
             let active: Vec<usize> = (0..ic.count.min(64))
-                .filter(|&i| ic.injection_mask & (1 << i) != 0)
+                .filter(|&i| mask_keeps(ic.injection_mask, i))
                 .collect();
             let active = ddmin_mask_bits(
                 active,

@@ -14,7 +14,7 @@
 //! interrupts — and installs nothing, leaving the platform on the exact
 //! code path the golden fixtures pin.
 
-use ptest_soc::seed::{splitmix64, splitmix64_next};
+use ptest_soc::seed::{mask_keeps, splitmix64, splitmix64_next};
 use ptest_soc::Cycles;
 
 /// Quantum (time-slice) configuration applied to every slave kernel:
@@ -85,7 +85,7 @@ impl InterruptConfig {
     #[must_use]
     pub fn active_injections(&self) -> usize {
         (0..self.count)
-            .filter(|&i| i >= 64 || self.injection_mask & (1 << i) != 0)
+            .filter(|&i| mask_keeps(self.injection_mask, i))
             .count()
     }
 }
@@ -173,7 +173,7 @@ impl InterruptPlan {
         let mut events: Vec<InterruptEvent> = events
             .into_iter()
             .enumerate()
-            .filter(|&(i, _)| i >= 64 || cfg.injection_mask & (1 << i) != 0)
+            .filter(|&(i, _)| mask_keeps(cfg.injection_mask, i))
             .map(|(_, e)| e)
             .collect();
         events.reverse();

@@ -140,7 +140,7 @@ impl RandomPriorityConfig {
     #[must_use]
     pub fn active_change_points(&self) -> usize {
         (0..self.change_points)
-            .filter(|&i| i >= 64 || self.change_point_mask & (1 << i) != 0)
+            .filter(|&i| mask_keeps(self.change_point_mask, i))
             .count()
     }
 }
@@ -220,7 +220,7 @@ impl ScheduleSpec {
 /// definition, so the documented seed-derivation story cannot drift
 /// between crates.
 pub use ptest_soc::seed::splitmix64;
-use ptest_soc::seed::splitmix64_next;
+use ptest_soc::seed::{mask_keeps, splitmix64_next};
 
 /// The PCT-style randomized-priority scheduler. See the [module
 /// docs](self) for the search it performs and its determinism contract.
@@ -277,7 +277,7 @@ impl RandomPriorityScheduler {
         let mut change_points: Vec<u64> = change_points
             .into_iter()
             .enumerate()
-            .filter(|&(i, _)| i >= 64 || cfg.change_point_mask & (1 << i) != 0)
+            .filter(|&(i, _)| mask_keeps(cfg.change_point_mask, i))
             .map(|(_, cp)| cp)
             .collect();
         // Descending, so passing cycles pop from the back in order.

@@ -117,6 +117,15 @@ pub fn campaign_irq_seed(master_seed: u64, round: usize, trial: usize) -> u64 {
     splitmix64(mixed ^ (trial as u64).wrapping_mul(IRQ_STRIDE))
 }
 
+/// Whether an event mask keeps seeded event `i`: bit `i` is set, and
+/// every event past bit 63 is always kept. The schedule axis masks its
+/// change points and the interrupt axis its injections by this rule, so
+/// the minimizer clears bits of a plan without re-seeding it.
+#[must_use]
+pub fn mask_keeps(mask: u64, i: usize) -> bool {
+    i >= 64 || mask & (1 << i) != 0
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -186,6 +195,17 @@ mod tests {
             let mixed = splitmix64(7 ^ 0xE703_7ED1_A0B4_28DB ^ 3u64.rotate_left(43));
             splitmix64(mixed ^ 5u64.wrapping_mul(0xE703_7ED1_A0B4_28DB))
         });
+    }
+
+    #[test]
+    fn masks_keep_their_set_bits_and_everything_past_bit_63() {
+        assert!(mask_keeps(0b101, 0));
+        assert!(!mask_keeps(0b101, 1));
+        assert!(mask_keeps(0b101, 2));
+        assert!(mask_keeps(1 << 63, 63));
+        assert!(!mask_keeps(0, 63));
+        assert!(mask_keeps(0, 64));
+        assert!(mask_keeps(0, 1_000));
     }
 
     #[test]

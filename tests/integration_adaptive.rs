@@ -86,6 +86,21 @@ fn custom_regex_and_distribution_flow_through() {
 }
 
 #[test]
+fn cyclic_generation_of_the_empty_language_returns() {
+    // "" is the language {ε}: `q0` is absorbing, so a cyclic walk has
+    // nothing to restart and every pattern is empty.
+    let cfg = AdaptiveTestConfig {
+        regex_source: String::new(),
+        pd: ProbabilityAssignment::Uniform,
+        cyclic_generation: true,
+        ..AdaptiveTestConfig::default()
+    };
+    let report = AdaptiveTest::run(cfg, compute_setup).unwrap();
+    assert!(report.completed, "{}", report.summary());
+    assert_eq!(report.commands_issued, 0);
+}
+
+#[test]
 fn coverage_grows_with_pattern_size() {
     let small = AdaptiveTest::run(
         AdaptiveTestConfig {
